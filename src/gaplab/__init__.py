@@ -1,7 +1,7 @@
 """gaplab: GAP measures, conditional wave functions, and Haar-random Monte
 Carlo experiments on finite-dimensional complex Hilbert spaces."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     BasisError,
@@ -51,6 +51,7 @@ from .conditional import (
     conditional_measure,
     integrate,
     project_to_sphere,
+    random_basis_measure,
     random_purification,
     raw_conditional_measure,
 )

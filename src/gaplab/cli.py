@@ -59,6 +59,39 @@ _CONFIG_KEYS = {
 }
 
 
+_NUMERIC = (int, float, np.integer, np.floating)
+
+
+def _integer(key: str, value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``.  Booleans, strings and
+    non-integral numbers raise a ConfigError naming the key instead of being
+    coerced (``int(True)`` would silently mean 1)."""
+    if (isinstance(value, bool)
+            or not isinstance(value, _NUMERIC)
+            or (isinstance(value, (float, np.floating)) and not float(value).is_integer())):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key}: must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a finite float, or a ConfigError naming the key."""
+    if (isinstance(value, bool)
+            or not isinstance(value, _NUMERIC)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(key: str, value) -> np.ndarray:
+    """A list of finite numbers as a float array, or a ConfigError naming the
+    key."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
+    return np.array([_number(key, v) for v in value], dtype=float)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated, fully resolved experiment parameters."""
@@ -83,34 +116,29 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: unknown value {self.experiment!r}")
-        for key in ("d1", "d2"):
-            if int(getattr(self, key)) < 1:
-                raise ConfigError(f"{key}: must be a positive integer")
-        self.d1, self.d2 = int(self.d1), int(self.d2)
+        for key in ("d1", "d2", "n_trials", "n_samples"):
+            setattr(self, key, _integer(key, getattr(self, key), 1))
         if self.dR is not None:
-            self.dR = int(self.dR)
-            if self.dR < 1:
-                raise ConfigError("dR: must be a positive integer")
-        for key in ("epsilon", "delta"):
-            v = float(getattr(self, key))
+            self.dR = _integer("dR", self.dR, 1)
+        self.seed = _integer("seed", self.seed, 0)
+        for key in ("epsilon", "delta", "gamma"):
+            v = _number(key, getattr(self, key))
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"{key}: must lie in (0, 1), got {v}")
-        if not 0.0 < float(self.gamma) < 1.0:
-            raise ConfigError(f"gamma: must lie in (0, 1), got {self.gamma}")
-        for key in ("n_trials", "n_samples"):
-            if int(getattr(self, key)) < 1:
-                raise ConfigError(f"{key}: must be a positive integer")
-        self.n_trials, self.n_samples = int(self.n_trials), int(self.n_samples)
-        self.seed = int(self.seed)
+        for key in ("rho_spec", "f_spec", "bath_spec", "window"):
+            if not isinstance(getattr(self, key), dict):
+                raise ConfigError(f"{key}: expected a JSON object, got {getattr(self, key)!r}")
+        for key in ("energy", "width"):
+            _number(f"window.{key}", self.window.get(key))
         if self.sweep is not None:
             if (not isinstance(self.sweep, dict) or len(self.sweep) != 1
-                    or next(iter(self.sweep)) not in ("d2", "dR")):
+                    or next(iter(self.sweep)) not in ("d2", "dR")
+                    or not isinstance(next(iter(self.sweep.values())), list)):
                 raise ConfigError('sweep: expected {"d2": [...]} or {"dR": [...]}')
             param, values = next(iter(self.sweep.items()))
-            values = [int(v) for v in values]
-            if not values or any(v < 1 for v in values):
-                raise ConfigError("sweep: values must be positive integers")
-            self.sweep = {param: values}
+            if not values:
+                raise ConfigError("sweep: expected at least one value")
+            self.sweep = {param: [_integer("sweep", v, 1) for v in values]}
         if self.f_spec.get("kind") not in F_KINDS:
             raise ConfigError(f"f_spec.kind: unknown value {self.f_spec.get('kind')!r}")
 
@@ -168,7 +196,10 @@ def _resolve_phi(spec, dim: int) -> np.ndarray:
                 raise ConfigError(f"f_spec.phi: index {k} outside 1..{dim}")
             return np.eye(dim, dtype=complex)[k - 1]
         raise ConfigError(f"f_spec.phi: unknown name {spec!r}")
-    arr = np.asarray([complex(re, im) for re, im in spec])
+    pairs = [_numbers("f_spec.phi", p) for p in spec] if isinstance(spec, (list, tuple)) else None
+    if pairs is None or any(p.shape != (2,) for p in pairs):
+        raise ConfigError(f"f_spec.phi: expected a name or [[re, im], ...], got {spec!r}")
+    arr = np.array([complex(re, im) for re, im in pairs])
     if arr.shape != (dim,):
         raise ConfigError(f"f_spec.phi: expected {dim} entries, got {arr.shape}")
     return arr
@@ -183,21 +214,23 @@ def _resolve_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
     if kind == "real_part":
         return T.real_part(phi)
     if kind == "cap_indicator":
-        return T.cap_indicator(phi, float(spec.get("threshold", 0.5)))
-    return T.polynomial(phi, [float(c) for c in spec.get("coefficients", [0.0, 1.0])])
+        return T.cap_indicator(phi, _number("f_spec.threshold", spec.get("threshold", 0.5)))
+    return T.polynomial(phi, _numbers("f_spec.coefficients",
+                                      spec.get("coefficients", [0.0, 1.0])))
 
 
 def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
     spectrum = cfg.rho_spec.get("spectrum")
     if spectrum is None:
         return DensityMatrix.maximally_mixed(dim)
-    spectrum = np.asarray(spectrum, dtype=float)
+    spectrum = _numbers("rho_spec.spectrum", spectrum)
     if spectrum.shape != (dim,):
         raise ConfigError(f"rho_spec.spectrum: expected {dim} entries")
     basis_seed = cfg.rho_spec.get("basis_seed")
     basis = None
     if basis_seed is not None:
-        basis = haar_unitary(RngStream(int(basis_seed)).generator(), dim)
+        seed = _integer("rho_spec.basis_seed", basis_seed, 0)
+        basis = haar_unitary(RngStream(seed).generator(), dim)
     try:
         return DensityMatrix.from_spectrum(spectrum, basis)
     except GaplabError as exc:
@@ -207,9 +240,11 @@ def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
 def _resolve_bath(cfg: ExperimentConfig) -> np.ndarray:
     spec = cfg.bath_spec
     if "levels" in spec:
-        return np.asarray(spec["levels"], dtype=float)
+        return _numbers("bath_spec.levels", spec["levels"])
     try:
-        return np.linspace(float(spec["min"]), float(spec["max"]), int(spec["count"]))
+        return np.linspace(_number("bath_spec.min", spec["min"]),
+                           _number("bath_spec.max", spec["max"]),
+                           _integer("bath_spec.count", spec["count"], 1))
     except KeyError as exc:
         raise ConfigError(f"bath_spec: missing key {exc}")
 
@@ -419,7 +454,7 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[list, list]:
     elif name == "thermal":
         _reject_sweep(cfg)
         bath = _resolve_bath(cfg)
-        system = np.asarray(cfg.system_levels, dtype=float)
+        system = _numbers("system_levels", cfg.system_levels)
         shell = T.microcanonical_shell(system, bath, float(cfg.window["energy"]),
                                        float(cfg.window["width"]))
         fit = T.fit_beta(system, shell.reduced_density())

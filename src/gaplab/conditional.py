@@ -10,6 +10,12 @@ companion ``raw_conditional_measure`` places equal weights 1/d2 on the
 unnormalized, sqrt(d2)-scaled partial inner products; adjusting it by the
 squared norm and projecting to the sphere reproduces ``conditional_measure``
 atom by atom, which the test suite checks as an exact identity.
+
+``random_basis_measure`` draws the conditional measure in a Haar-random
+basis without forming that basis.  Only the k = min(d1, d2) directions of
+the second factor that psi occupies meet the basis, and by Haar invariance
+their overlaps with it form a uniformly random orthonormal k-system (see
+Mezzadri, Notices AMS 2007, and Zyczkowski & Sommers, J. Phys. A 2000).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "DiscreteMeasure",
     "ConditionalSample",
     "conditional_measure",
+    "random_basis_measure",
     "raw_conditional_measure",
     "adjust",
     "project_to_sphere",
@@ -51,9 +58,10 @@ BASIS_GRAM_ATOL = 1e-8
 class DiscreteMeasure:
     """Finitely supported weighted point measure on vectors.
 
-    ``vectors`` is an (n_atoms, dim) array of atom locations and ``weights``
-    the matching nonnegative masses.  ``normalized`` records whether the
-    weights sum to 1 (within 1e-10), which is checked at construction.
+    ``vectors`` is an (n_atoms, dim) array of finite atom locations and
+    ``weights`` the matching finite nonnegative masses.  ``normalized``
+    records whether the weights sum to 1 (within 1e-10), which is checked at
+    construction.
     """
 
     vectors: np.ndarray
@@ -65,9 +73,11 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or vecs.shape[0] != w.shape[0]:
             raise DimensionError("one weight per atom is required")
+        total = float(w.sum())  # NaN or inf if any weight is
+        if not (np.isfinite(total) and np.isfinite(vecs).all()):
+            raise DomainError("weights and atom vectors must be finite")
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
-        total = float(w.sum())
         normalized = abs(total - 1.0) <= 1e-10
         if self.normalized and not normalized:
             raise DomainError(f"weights sum to {total!r}, not 1")
@@ -95,13 +105,18 @@ class ConditionalSample:
     weight: float
 
 
+def _check_orthonormal_rows(vectors: np.ndarray) -> None:
+    """Raise BasisError unless the k rows are orthonormal; O(k^2 n) for (k, n)."""
+    gram = vectors @ vectors.conj().T
+    if np.max(np.abs(gram - np.eye(vectors.shape[0]))) > BASIS_GRAM_ATOL:
+        raise BasisError("basis rows are not orthonormal within 1e-8")
+
+
 def _check_basis(basis: np.ndarray, d2: int) -> np.ndarray:
     basis = np.asarray(basis, dtype=complex)
     if basis.shape != (d2, d2):
         raise DimensionError(f"basis must be ({d2}, {d2}) with vectors as rows")
-    gram = basis @ basis.conj().T
-    if np.max(np.abs(gram - np.eye(d2))) > BASIS_GRAM_ATOL:
-        raise BasisError("basis rows are not orthonormal within 1e-8")
+    _check_orthonormal_rows(basis)
     return basis
 
 
@@ -114,6 +129,15 @@ def _branch_vectors(psi: BipartiteState, basis: np.ndarray | None) -> np.ndarray
     return (m @ basis.conj().T).T
 
 
+def _measure_from_branches(branches: np.ndarray) -> DiscreteMeasure:
+    """Atoms at the normalized rows of ``branches``, weighted by their squared
+    norms; rows with weight below 1e-14 carry no mass and are dropped."""
+    w = np.sum(np.abs(branches) ** 2, axis=1)
+    keep = w >= WEIGHT_CUTOFF
+    vecs = branches[keep] / np.sqrt(w[keep])[:, None]
+    return DiscreteMeasure(vecs, w[keep], normalized=True)
+
+
 def conditional_measure(psi: BipartiteState, basis: np.ndarray | None = None) -> DiscreteMeasure:
     """Distribution of the conditional wave function of system 1.
 
@@ -123,11 +147,27 @@ def conditional_measure(psi: BipartiteState, basis: np.ndarray | None = None) ->
     are dropped.  Atoms are kept unmerged even when vectors coincide up to
     phase.
     """
-    branches = _branch_vectors(psi, basis)
-    w = np.sum(np.abs(branches) ** 2, axis=1)
-    keep = w >= WEIGHT_CUTOFF
-    vecs = branches[keep] / np.sqrt(w[keep])[:, None]
-    return DiscreteMeasure(vecs, w[keep], normalized=True)
+    return _measure_from_branches(_branch_vectors(psi, basis))
+
+
+def random_basis_measure(rng: np.random.Generator, psi: BipartiteState) -> DiscreteMeasure:
+    """Conditional measure of psi in a uniformly random basis of the second
+    factor.
+
+    Same law as ``conditional_measure(psi, random_onb(rng, psi.d2))``, drawn
+    without the d2 x d2 basis.  Let M be the (d1, d2) coefficient matrix,
+    k = min(d1, d2), and M^dagger = V R a reduced QR, so M = R^dagger V^dagger.
+    For a Haar basis B the branch matrix M B^dagger equals R^dagger
+    (V^dagger B^dagger), and V^dagger B^dagger is a uniformly random
+    orthonormal k-system of C^{d2}.  The branches are therefore drawn as
+    R^dagger W with W = random_ons(rng, d2, k), at O(d1 k d2) cost instead of
+    O(d2^3).  As in ``conditional_measure``, branches with weight below
+    1e-14 carry no mass and are dropped.
+    """
+    r = np.linalg.qr(psi.as_matrix().conj().T, mode="r")
+    w = random_ons(rng, psi.d2, r.shape[0])
+    _check_orthonormal_rows(w)
+    return _measure_from_branches((r.conj().T @ w).T)
 
 
 def raw_conditional_measure(psi: BipartiteState, basis: np.ndarray | None = None) -> DiscreteMeasure:

@@ -58,11 +58,11 @@ def normalize(v: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian positive-semidefinite trace-one complex matrix.
 
-    Validation: Hermiticity and unit trace within 1e-10 are required;
-    eigenvalues in [-1e-10, 0) are clipped to zero and the spectrum is
-    renormalized, while larger violations raise.  The eigendecomposition is
-    computed once and cached, so repeated sampling against the same matrix
-    always uses one fixed eigenbasis.
+    Validation: finite entries, Hermiticity and unit trace within 1e-10 are
+    required; eigenvalues in [-1e-10, 0) are clipped to zero and the
+    spectrum is renormalized, while larger violations raise.  The
+    eigendecomposition is computed once and cached, so repeated sampling
+    against the same matrix always uses one fixed eigenbasis.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -71,6 +71,8 @@ class DensityMatrix:
             raise DimensionError(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
             raise DimensionError("density matrix must have positive dimension")
+        if not np.isfinite(m).all():
+            raise DomainError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL:
             raise DomainError("matrix is not Hermitian within 1e-10")
         tr = np.trace(m).real
@@ -146,8 +148,9 @@ class BipartiteState:
             raise DimensionError(
                 f"amplitudes must have shape ({self.d1 * self.d2},), got {amps.shape}"
             )
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
-            raise DomainError("bipartite state must be normalized within 1e-10")
+        # Written so that a NaN or inf amplitude, whose norm is NaN or inf, fails.
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
+            raise DomainError("bipartite state must be finite and normalized within 1e-10")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .conditional import conditional_measure, integrate, random_purification
+from .conditional import (
+    conditional_measure,
+    integrate,
+    random_basis_measure,
+    random_purification,
+)
 from .errors import DimensionError, DomainError, EmptyShellError
 from .gap import gap_sphere_density, sample_gap
 from .hilbert import (
@@ -36,7 +41,6 @@ from .randomness import (
     RngStream,
     ginibre,
     haar_unitary,
-    random_onb,
     random_ons,
     uniform_sphere,
 )
@@ -308,9 +312,9 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
                             n_workers: int = 1) -> ExperimentOutcome:
     """Fixed state, uniformly random environment basis.
 
-    Per trial: draw an orthonormal basis of the second factor from the Haar
-    measure and record |mu(f) - GAP(rho1)(f)| with rho1 the reduced density
-    matrix of psi.
+    Per trial: draw the conditional measure mu of psi in a Haar-random
+    orthonormal basis of the second factor (by ``random_basis_measure``) and
+    record |mu(f) - GAP(rho1)(f)| with rho1 the reduced density matrix of psi.
     """
     rho1 = reduced_density_matrix(psi)
     if reference is None:
@@ -320,8 +324,7 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
 
     def trial(i: int) -> TrialRecord:
         rng = stream.substream(i).generator()
-        basis = random_onb(rng, psi.d2)
-        value = integrate(conditional_measure(psi, basis), f)
+        value = integrate(random_basis_measure(rng, psi), f)
         disc = abs(value - reference)
         return TrialRecord(i, disc, disc < threshold)
 
@@ -464,8 +467,7 @@ def shell_universality_experiment(stream: RngStream, basis: np.ndarray,
     def trial(i: int) -> TrialRecord:
         rng = stream.substream(i).generator()
         psi = BipartiteState(d1, d2, uniform_subspace_state(rng, basis))
-        b = random_onb(rng, d2)
-        value = integrate(conditional_measure(psi, b), f)
+        value = integrate(random_basis_measure(rng, psi), f)
         disc = abs(value - reference)
         aux = trace_norm(reduced_density_matrix(psi).matrix - target.matrix)
         return TrialRecord(i, disc, disc < epsilon, aux)
@@ -499,8 +501,7 @@ def shell_vs_target_experiment(stream: RngStream, basis: np.ndarray,
     def trial(i: int) -> TrialRecord:
         rng = stream.substream(i).generator()
         psi = BipartiteState(d1, d2, uniform_subspace_state(rng, basis))
-        b = random_onb(rng, d2)
-        value = integrate(conditional_measure(psi, b), f)
+        value = integrate(random_basis_measure(rng, psi), f)
         disc = abs(value - reference)
         aux = trace_norm(reduced_density_matrix(psi).matrix - omega.matrix)
         return TrialRecord(i, disc, disc < threshold, aux)

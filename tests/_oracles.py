@@ -6,7 +6,7 @@ genuinely different routes to the same quantity.
 
 import numpy as np
 
-from gaplab import sample_gaussian
+from gaplab import conditional_measure, random_onb, sample_gaussian
 
 
 def rejection_adjusted_gaussian(rng, rho, n_accept, batch=20_000):
@@ -24,6 +24,13 @@ def rejection_adjusted_gaussian(rng, rho, n_accept, batch=20_000):
         accept = rng.random(batch) < norm_sq / c
         out.extend(psi[accept])
     return np.array(out[:n_accept])
+
+
+def full_haar_basis_measure(rng, psi):
+    """Conditional measure of psi in a full d2 x d2 Haar basis of the second
+    factor, drawn by QR and passed through the validating public API: the
+    O(d2^3) route that ``random_basis_measure`` replaces."""
+    return conditional_measure(psi, random_onb(rng, psi.d2))
 
 
 def hermitian_abs_eigensum(m):

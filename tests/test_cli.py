@@ -99,6 +99,48 @@ class TestParseConfig:
         assert cfg.seed == 7 and cfg.n_trials == 3
 
 
+class TestConfigErrorsNameTheKey:
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1),
+        ("f_spec", "x"),
+        ("n_trials", True),
+        ("n_trials", 2.5),
+        ("d2", "64"),
+        ("epsilon", "0.1"),
+        ("window", {"energy": "ten", "width": 0.5}),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, key, value):
+        path = write_config(tmp_path, dict(TINY, **{key: value}))
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, dict(TINY, n_trials=20.0)))
+        assert cfg.n_trials == 20 and isinstance(cfg.n_trials, int)
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(TINY))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "x"),
+                     "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    # Values read only when the experiment runs, so checked through main.
+    @pytest.mark.parametrize("key, update", [
+        ("f_spec.threshold", {"f_spec": {"kind": "cap_indicator", "threshold": "x"}}),
+        ("f_spec.coefficients", {"f_spec": {"kind": "polynomial", "coefficients": 3}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": [1, 0]}}),
+        ("rho_spec.spectrum", {"rho_spec": {"spectrum": "ab"}}),
+        ("rho_spec.basis_seed", {"rho_spec": {"spectrum": [0.5, 0.5], "basis_seed": "s"}}),
+        ("bath_spec.count", {"experiment": "thermal",
+                             "bath_spec": {"count": "x", "min": 0, "max": 1}}),
+        ("system_levels", {"experiment": "thermal", "system_levels": "x"}),
+    ])
+    def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
+        path = write_config(tmp_path, dict(TINY, **update))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+
+
 class TestPhiResolution:
     def test_balanced_and_named(self, tmp_path):
         payload = dict(TINY, f_spec={"kind": "overlap_sq", "phi": "balanced"})

@@ -16,6 +16,7 @@ from gaplab import (
     haar_unitary,
     integrate,
     project_to_sphere,
+    random_basis_measure,
     random_onb,
     random_purification,
     raw_conditional_measure,
@@ -42,6 +43,10 @@ class TestDiscreteMeasure:
     def test_atom_weight_mismatch_rejected(self):
         with pytest.raises(Exception):
             DiscreteMeasure(np.eye(3), np.array([0.5, 0.5]))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            DiscreteMeasure(np.eye(2), np.array([np.nan, 0.5]))
 
     def test_normalized_flag(self):
         m = DiscreteMeasure(np.eye(2), np.array([0.5, 0.5]))
@@ -159,6 +164,35 @@ class TestAdjustProject:
             assert composed.n_atoms == direct.n_atoms
             assert np.max(np.abs(composed.weights - direct.weights)) < 1e-12
             assert np.max(np.abs(composed.vectors - direct.vectors)) < 1e-12
+
+
+class TestRandomBasisMeasure:
+    @pytest.mark.parametrize("d1, d2", [(2, 5), (3, 3), (4, 2), (1, 7)])
+    def test_covariance_is_reduced_density_matrix(self, d1, d2):
+        # sum_j w_j v_j v_j^dagger = R^dagger W W^dagger R = M M^dagger for
+        # every draw, as for conditional_measure in any basis.
+        rng = RngStream(90).generator()
+        for _ in range(20):
+            psi = random_bipartite(rng, d1, d2)
+            m = random_basis_measure(rng, psi)
+            assert m.normalized and m.n_atoms <= d2
+            assert np.allclose(np.linalg.norm(m.vectors, axis=1), 1.0, atol=1e-12)
+            cov = (m.vectors.T * m.weights) @ m.vectors.conj()
+            assert np.max(np.abs(cov - reduced_density_matrix(psi).matrix)) < 1e-10
+
+    def test_product_state_all_atoms_equal(self):
+        rng = RngStream(91).generator()
+        chi = uniform_sphere(rng, 3)
+        psi = BipartiteState.product(chi, uniform_sphere(rng, 6))
+        m = random_basis_measure(rng, psi)
+        assert np.allclose(np.abs(m.vectors @ chi.conj()), 1.0, atol=1e-10)
+
+    def test_same_generator_state_gives_same_measure(self):
+        psi = random_bipartite(RngStream(92).generator(), 2, 9)
+        a = random_basis_measure(RngStream(93).generator(), psi)
+        b = random_basis_measure(RngStream(93).generator(), psi)
+        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a.weights, b.weights)
 
 
 class TestIntegrate:

@@ -43,6 +43,10 @@ class TestBipartiteState:
         with pytest.raises(DomainError):
             BipartiteState(2, 2, np.array([1.0, 1.0, 0, 0]))
 
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            BipartiteState(2, 2, np.array([np.nan, 1.0, 0, 0]))
+
 
 class TestPartialInner:
     def test_product_state(self):
@@ -213,6 +217,10 @@ class TestDensityMatrixValidation:
     def test_wrong_trace_rejected(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.eye(2, dtype=complex))
+
+    def test_nan_entries_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            DensityMatrix(np.full((2, 2), np.nan))
 
     def test_negative_eigenvalue_rejected(self):
         m = np.diag([1.001, -0.001]).astype(complex)

@@ -1,0 +1,100 @@
+"""The Haar-invariance sampler against the full-basis oracle.
+
+``random_basis_measure`` draws the branches of a Haar-random basis as
+R^dagger W from a d2 x k orthonormal system instead of a d2 x d2 basis.  Its
+law must match the full-basis route kept in ``_oracles``; the statistic is
+the integrated test function mu(f) per trial, as the drivers record it.  A
+variant that drops the R^dagger factor must be told apart, which shows the
+comparison can fail.
+"""
+
+import numpy as np
+
+from gaplab import (
+    BipartiteState,
+    DensityMatrix,
+    RngStream,
+    canonical_density,
+    cap_indicator,
+    conditional_measure,
+    integrate,
+    polynomial,
+    random_ons,
+    random_purification,
+)
+from gaplab import typicality as T
+from gaplab.stats import two_sample_ks
+
+from _oracles import full_haar_basis_measure
+
+N_TRIALS = 1000
+# Both test functions are nonnegative, so with reference 0 each recorded
+# discrepancy is mu(f) itself.
+REFERENCE = 0.0
+
+
+def sampled_discrepancies(stream, draw_state, sampler, f):
+    """Per trial: a state from ``draw_state(rng)``, then a conditional
+    measure from ``sampler(rng, psi)`` on the same trial generator."""
+    out = []
+    for i in range(N_TRIALS):
+        rng = stream.substream(i).generator()
+        psi = draw_state(rng)
+        out.append(abs(integrate(sampler(rng, psi), f) - REFERENCE))
+    return np.array(out)
+
+
+def theorem2_setting():
+    """A frozen purification of diag(0.7, 0.3) in C^2 (x) C^32 and a cap."""
+    rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
+    psi = random_purification(RngStream(2002, 0).generator(), rho, 32)
+    return psi, cap_indicator(np.array([1.0, 0.0]), 0.5)
+
+
+def without_r_factor(rng, psi):
+    """Broken sampler: branches of W alone, scaled to unit mass.  This is the
+    law for a maximally entangled psi, not for psi."""
+    w = random_ons(rng, psi.d2, min(psi.d1, psi.d2))
+    return conditional_measure(BipartiteState.from_matrix(w / np.sqrt(w.shape[0])))
+
+
+def test_theorem2_matches_full_basis_oracle():
+    psi, f = theorem2_setting()
+    new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1, N_TRIALS,
+                                    reference=REFERENCE).discrepancies
+    old = sampled_discrepancies(RngStream(2002, 2), lambda rng: psi,
+                                full_haar_basis_measure, f)
+    stat, p = two_sample_ks(new, old)
+    assert p > 0.01, f"KS statistic {stat:.4f}, p = {p:.4g}"
+
+
+def test_ks_rejects_sampler_without_r_factor():
+    # Negative control on the theorem2 setting.  On the thermal shell below
+    # rho_1 is close to I/2, where dropping R^dagger barely changes the law.
+    psi, f = theorem2_setting()
+    new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1, N_TRIALS,
+                                    reference=REFERENCE).discrepancies
+    broken = sampled_discrepancies(RngStream(2002, 3), lambda rng: psi,
+                                   without_r_factor, f)
+    stat, p = two_sample_ks(new, broken)
+    assert p < 1e-3, f"KS statistic {stat:.4f}, p = {p:.4g}"
+
+
+def test_thermal_shell_matches_full_basis_oracle():
+    # The shell, thermal fit and test function of acceptance criterion 09.
+    system = np.array([0.0, 1.0])
+    shell = T.microcanonical_shell(system, np.linspace(0.0, 20.0, 200), 10.0, 0.5)
+    omega = canonical_density(system, T.fit_beta(system, shell.reduced_density()).beta)
+    f = polynomial(np.ones(2) / np.sqrt(2), [0.0, 0.0, 1.0])
+    basis = shell.basis()
+    new = T.shell_vs_target_experiment(
+        RngStream(2009, 0), basis, shell.d1, shell.d2, omega, f, 0.15, N_TRIALS,
+        reference=REFERENCE).discrepancies
+
+    def shell_state(rng):
+        return BipartiteState(shell.d1, shell.d2, T.uniform_subspace_state(rng, basis))
+
+    old = sampled_discrepancies(RngStream(2009, 1), shell_state,
+                                full_haar_basis_measure, f)
+    stat, p = two_sample_ks(new, old)
+    assert p > 0.01, f"KS statistic {stat:.4f}, p = {p:.4g}"
