@@ -12,9 +12,9 @@ output directory:
   ``dim,median,q10,q90,pass_fraction``.
 
 Identical configuration and seed produce byte-identical trials.csv and
-plotdata.csv regardless of worker count (summary.json differs only in its
-wall-time field).  The exit code reflects operational success only;
-scientific pass/fail lives in summary.json.
+plotdata.csv, however the trial engine chunks the trials (summary.json
+differs only in its wall-time field).  The exit code reflects operational
+success only; scientific pass/fail lives in summary.json.
 """
 
 from __future__ import annotations
@@ -215,8 +215,11 @@ def _resolve_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
         return T.real_part(phi)
     if kind == "cap_indicator":
         return T.cap_indicator(phi, _number("f_spec.threshold", spec.get("threshold", 0.5)))
-    return T.polynomial(phi, _numbers("f_spec.coefficients",
-                                      spec.get("coefficients", [0.0, 1.0])))
+    coefficients = _numbers("f_spec.coefficients", spec.get("coefficients", [0.0, 1.0]))
+    try:
+        return T.polynomial(phi, coefficients)
+    except GaplabError as exc:
+        raise ConfigError(f"f_spec.coefficients: {exc}")
 
 
 def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
@@ -247,17 +250,6 @@ def _resolve_bath(cfg: ExperimentConfig) -> np.ndarray:
                            _integer("bath_spec.count", spec["count"], 1))
     except KeyError as exc:
         raise ConfigError(f"bath_spec: missing key {exc}")
-
-
-def _workers() -> int:
-    cap = os.environ.get("GAPLAB_THREADS")
-    hardware = os.cpu_count() or 1
-    if cap is None:
-        return hardware
-    try:
-        return max(1, min(hardware, int(cap)))
-    except ValueError:
-        raise ConfigError(f"GAPLAB_THREADS: not an integer: {cap!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +325,6 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[list, list]:
     """Run the configured experiment; returns (rows, points)."""
     rows: list = []
     points: list = []
-    workers = _workers()
     name = cfg.experiment
 
     if name == "theorem1":
@@ -343,7 +334,7 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[list, list]:
         for idx, d2 in enumerate(values):
             stream = RngStream(cfg.seed, idx)
             out = T.random_purification_experiment(
-                stream, rho1, d2, f, cfg.epsilon, cfg.n_trials, n_workers=workers)
+                stream, rho1, d2, f, cfg.epsilon, cfg.n_trials)
             rows += _rows_from_records(out.records, d2)
             points.append(_point_from_outcome(out, d2))
 
@@ -356,7 +347,7 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[list, list]:
             psi = random_purification(
                 stream.substream(cfg.n_trials + 1).generator(), rho1, d2)
             out = T.random_basis_experiment(
-                stream, psi, f, cfg.epsilon, cfg.n_trials, n_workers=workers)
+                stream, psi, f, cfg.epsilon, cfg.n_trials)
             rows += _rows_from_records(out.records, d2)
             points.append(_point_from_outcome(out, d2))
 
@@ -373,13 +364,12 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[list, list]:
                 stream.substream(cfg.n_trials + 1).generator(), cfg.d1, d2, dr)
             if name == "theorem3":
                 out = T.shell_universality_experiment(
-                    stream, basis, cfg.d1, d2, f, cfg.epsilon, cfg.n_trials,
-                    n_workers=workers)
+                    stream, basis, cfg.d1, d2, f, cfg.epsilon, cfg.n_trials)
             else:
                 omega = _resolve_rho(cfg, cfg.d1)
                 out = T.shell_vs_target_experiment(
                     stream, basis, cfg.d1, d2, omega, f, cfg.epsilon,
-                    cfg.n_trials, n_workers=workers)
+                    cfg.n_trials)
             rows += _rows_from_records(out.records, value)
             points.append(_point_from_outcome(out, value))
 
@@ -391,7 +381,7 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[list, list]:
             basis = T.random_subspace(
                 stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr)
             out = T.canonical_typicality_experiment(
-                stream, basis, cfg.d1, cfg.d2, cfg.n_trials, n_workers=workers)
+                stream, basis, cfg.d1, cfg.d2, cfg.n_trials)
             rows += _rows_from_records(out.records, dr)
             dist = out.distances
             points.append(PointSummary(
@@ -464,7 +454,7 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[list, list]:
         stream = RngStream(cfg.seed, 0)
         out = T.shell_vs_target_experiment(
             stream, shell.basis(), shell.d1, shell.d2, omega, f, cfg.epsilon,
-            cfg.n_trials, n_workers=workers)
+            cfg.n_trials)
         rows += _rows_from_records(out.records, shell.dim)
         points.append(_point_from_outcome(out, shell.dim, extra={
             "beta": fit.beta, "fit_residual": fit.residual,

@@ -106,9 +106,11 @@ class ConditionalSample:
 
 
 def _check_orthonormal_rows(vectors: np.ndarray) -> None:
-    """Raise BasisError unless the k rows are orthonormal; O(k^2 n) for (k, n)."""
-    gram = vectors @ vectors.conj().T
-    if np.max(np.abs(gram - np.eye(vectors.shape[0]))) > BASIS_GRAM_ATOL:
+    """Raise BasisError unless the k rows are finite and orthonormal; O(k^2 n)
+    for (k, n).  Leading axes are a batch, checked matrix by matrix."""
+    gram = vectors @ np.swapaxes(vectors.conj(), -1, -2)
+    # Written so that a NaN entry, whose Gram deviation is NaN, fails.
+    if not np.max(np.abs(gram - np.eye(vectors.shape[-2]))) <= BASIS_GRAM_ATOL:
         raise BasisError("basis rows are not orthonormal within 1e-8")
 
 

@@ -77,9 +77,18 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"unitary dimension must be >= 1, got {n}")
-    q, r = np.linalg.qr(ginibre(rng, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_columns(ginibre(rng, n))
+
+
+def _haar_columns(g: np.ndarray) -> np.ndarray:
+    """Q factor of the reduced QR of each Ginibre matrix g (..., n, k), with
+    column j multiplied by the phase of R_jj (Mezzadri's correction).  The
+    result is distributed as the first k columns of a Haar unitary.  Leading
+    axes are a batch: every matrix is factorized on its own."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def random_onb(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -103,9 +112,7 @@ def random_ons(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    q, r = np.linalg.qr(ginibre(rng, n, k))
-    d = np.diagonal(r)
-    return (q * (d / np.abs(d))).T
+    return _haar_columns(ginibre(rng, n, k)).T
 
 
 def uniform_sphere(rng: np.random.Generator, d: int, size: int | None = None) -> np.ndarray:

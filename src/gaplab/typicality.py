@@ -10,27 +10,27 @@ check monotone convergence plus the explicit concentration bound that is
 available for subspace states.
 
 Every driver takes an :class:`~gaplab.randomness.RngStream` and derives one
-substream per trial, so results are bit-reproducible regardless of how
-trials are scheduled across workers.
+substream per trial.  The Monte Carlo drivers run their trials through one
+batched engine: it draws each trial's Gaussians from that trial's substream,
+in the order the per-trial public functions (``random_purification``,
+``random_basis_measure``, ``uniform_subspace_state``) draw them, and does the
+linear algebra once per chunk of trials on stacked arrays.  Results are
+bit-reproducible and do not depend on the chunk length.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
-from .conditional import (
-    conditional_measure,
-    integrate,
-    random_basis_measure,
-    random_purification,
-)
+from .conditional import WEIGHT_CUTOFF, _check_orthonormal_rows
 from .errors import DimensionError, DomainError, EmptyShellError
 from .gap import gap_sphere_density, sample_gap
 from .hilbert import (
+    HERMITIAN_ATOL,
+    NORM_ATOL,
     BipartiteState,
     DensityMatrix,
     canonical_density,
@@ -39,6 +39,7 @@ from .hilbert import (
 )
 from .randomness import (
     RngStream,
+    _haar_columns,
     ginibre,
     haar_unitary,
     random_ons,
@@ -97,7 +98,7 @@ class TestFunction:
     * ``polynomial``      f(psi) = p(|<phi|psi>|^2), coefficients ascending
 
     ``bound`` is the sup norm over the unit sphere.  Instances are callable
-    on a single vector (d,) or a batch (n, d).
+    on a single vector (d,) or a stack of vectors (..., d).
     """
 
     kind: str
@@ -126,6 +127,8 @@ class TestFunction:
             if self.coefficients is None:
                 raise DomainError("polynomial needs coefficients")
             coeffs = np.asarray(self.coefficients, dtype=float)
+            if coeffs.size == 0:
+                raise DomainError("polynomial needs at least one coefficient")
             coeffs.setflags(write=False)
             object.__setattr__(self, "coefficients", coeffs)
             bound = _poly_sup_on_unit_interval(coeffs)
@@ -250,17 +253,117 @@ class ExperimentOutcome:
         return self.quantile(0.5)
 
 
-def _map_trials(n_trials: int, fn, n_workers: int) -> list:
+# ---------------------------------------------------------------------------
+# Batched trial engine
+# ---------------------------------------------------------------------------
+
+# Budget, in complex entries, for the largest per-trial array (the d1 x d2
+# state or branch matrix) stacked over one chunk of trials: each stacked
+# array stays at a few hundred kilobytes, so a chunk adds little to a run's
+# peak memory, and larger chunks gain little speed once the per-trial
+# generator is the main cost.
+CHUNK_ENTRIES = 2 ** 14
+
+
+def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate):
+    """Run ``n_trials`` independent trials in chunks of stacked arrays.
+
+    Trial i draws from its own generator ``stream.substream(i).generator()``
+    one complex Gaussian array per shape in ``shapes``, in order, with the
+    same values ``ginibre(rng, *shape)`` would return.  ``evaluate`` maps a
+    chunk's draws, one (B, *shape) array per shape, to a pair of (B,) arrays
+    (value, auxiliary).  A chunk holds CHUNK_ENTRIES // entries trials, where
+    ``entries`` is the size of the largest per-trial array.  Every batched
+    operation acts on each trial's slice alone, so the outputs do not depend
+    on the chunk length.
+    """
     if n_trials < 1:
         raise DomainError("need at least one trial")
-    if n_workers <= 1:
-        return [fn(i) for i in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
+    size = max(1, CHUNK_ENTRIES // entries)
+    out = np.empty((2, n_trials))
+    for start in range(0, n_trials, size):
+        stop = min(start + size, n_trials)
+        draws = [np.empty((stop - start, 2) + s) for s in shapes]
+        for b, i in enumerate(range(start, stop)):
+            rng = stream.substream(i).generator()
+            for d in draws:
+                rng.standard_normal(out=d[b])
+        gaussians = [(d[:, 0] + 1j * d[:, 1]) / np.sqrt(2.0) for d in draws]
+        out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
+    return out[0], out[1]
 
 
-def _collect(records, reference, threshold, extra=None) -> ExperimentOutcome:
-    records = tuple(records)
+def _check_states(amplitudes: np.ndarray) -> None:
+    """The BipartiteState check on a stack of states (B, ...): each must be
+    finite and of unit norm within NORM_ATOL (NaN fails the comparison)."""
+    norms = np.linalg.norm(amplitudes.reshape(len(amplitudes), -1), axis=-1)
+    if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):
+        raise DomainError("bipartite state must be finite and normalized within 1e-10")
+
+
+def _conditional_integrals(branches: np.ndarray, f: TestFunction) -> np.ndarray:
+    """mu(f) for the conditional measure of each branch matrix (B, d2, d1),
+    whose row j is <b_j|psi>: as ``integrate(conditional_measure(...), f)``,
+    with rows of weight below WEIGHT_CUTOFF masked out instead of dropped."""
+    w = np.sum(branches.real ** 2 + branches.imag ** 2, axis=-1)
+    keep = w >= WEIGHT_CUTOFF
+    mass = np.where(keep, w, 0.0)
+    # NaN fails both comparisons and inf the second, as in DiscreteMeasure.
+    if not (np.all(w >= 0.0) and np.all(np.abs(mass.sum(axis=-1) - 1.0) <= 1e-10)):
+        raise DomainError("conditional weights must be finite, nonnegative and sum to 1")
+    atoms = branches / np.sqrt(np.where(keep, w, 1.0))[..., None]
+    return np.sum(mass * f(atoms), axis=-1)
+
+
+def _random_basis_branches(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Branch matrices (B, d2, d1) of ``random_basis_measure`` for coefficient
+    matrices m (B or 1, d1, d2) and Ginibre draws z (B, d2, k): with
+    M^dagger = V R and W^T the phase-fixed Q factor of z, the rows of
+    (R^dagger W)^T = W^T conj(R)."""
+    r = np.linalg.qr(np.swapaxes(m.conj(), -1, -2), mode="r")
+    wt = _haar_columns(z)
+    _check_orthonormal_rows(np.swapaxes(wt, -1, -2))
+    return wt @ r.conj()
+
+
+def _subspace_states(basis: np.ndarray, z: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """``uniform_subspace_state`` for Gaussian coordinates z (B, dim, 1), as
+    checked (B, d1, d2) coefficient matrices."""
+    psi = (basis @ z)[..., 0]
+    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    _check_states(psi)
+    return psi.reshape(-1, d1, d2)
+
+
+def _reduced_distances(m: np.ndarray, target: DensityMatrix) -> np.ndarray:
+    """||tr_2 |psi><psi| - target||_tr for coefficient matrices m (B, d1, d2),
+    as the sum of |eigenvalues| of the Hermitian difference.  The reduced
+    matrices pass the DensityMatrix checks first: Hermitian and of unit trace
+    within tolerance (NaN and inf fail both comparisons)."""
+    rho = m @ np.swapaxes(m.conj(), -1, -2)
+    adjoint = np.swapaxes(rho.conj(), -1, -2)
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    if not (np.all(np.abs(rho - adjoint) <= HERMITIAN_ATOL)
+            and np.all(np.abs(trace - 1.0) <= NORM_ATOL)):
+        raise DomainError("reduced density matrices must be finite, Hermitian "
+                          "and of unit trace within 1e-10")
+    diff = (rho + adjoint) / 2.0 - target.matrix
+    return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+
+
+def _records(values: np.ndarray, threshold: float, auxiliary=None) -> tuple:
+    if auxiliary is None:
+        return tuple(TrialRecord(i, float(v), bool(v < threshold))
+                     for i, v in enumerate(values))
+    return tuple(TrialRecord(i, float(v), bool(v < threshold), float(a))
+                 for i, (v, a) in enumerate(zip(values, auxiliary)))
+
+
+def _collect(values, reference, threshold, auxiliary=None,
+             extra=None) -> ExperimentOutcome:
+    """Outcome of trials with values mu(f): discrepancies |mu(f) - reference|
+    pass below ``threshold``."""
+    records = _records(np.abs(values - reference), threshold, auxiliary)
     frac = float(np.mean([r.passed for r in records]))
     return ExperimentOutcome(records, frac, float(reference), float(threshold),
                              extra or {})
@@ -282,38 +385,42 @@ def _reference_budget(n_trials: int) -> int:
 
 def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
                                    d2: int, f: TestFunction, epsilon: float,
-                                   n_trials: int, *, reference: float | None = None,
-                                   n_workers: int = 1) -> ExperimentOutcome:
+                                   n_trials: int, *,
+                                   reference: float | None = None) -> ExperimentOutcome:
     """Random state with prescribed reduced density matrix, fixed basis.
 
     Per trial: draw psi uniformly among states with reduced density matrix
-    rho1, form the conditional measure in the computational environment
-    basis, and record |mu(f) - GAP(rho1)(f)|.  A trial passes when the
-    discrepancy is below epsilon * ||f||_inf.
+    rho1 (as ``random_purification``), form the conditional measure in the
+    computational environment basis, and record |mu(f) - GAP(rho1)(f)|.  A
+    trial passes when the discrepancy is below epsilon * ||f||_inf.
     """
+    d1 = rho1.dim
+    if d2 < d1:
+        raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
     if reference is None:
         reference = gap_reference(stream.substream(n_trials), rho1, f,
                                   _reference_budget(n_trials))
     threshold = epsilon * f.bound
+    # psi = (v sqrt(p)) Phi with Phi the (d1, d2) random system, so the
+    # branch rows <j|psi> are the rows of Phi^T (v sqrt(p))^T.
+    amplitudes_t = (rho1.eigenbasis() * np.sqrt(rho1.spectrum())).T
 
-    def trial(i: int) -> TrialRecord:
-        rng = stream.substream(i).generator()
-        psi = random_purification(rng, rho1, d2)
-        value = integrate(conditional_measure(psi), f)
-        disc = abs(value - reference)
-        return TrialRecord(i, disc, disc < threshold)
+    def evaluate(z):
+        branches = _haar_columns(z) @ amplitudes_t
+        _check_states(branches)
+        return _conditional_integrals(branches, f), np.nan
 
-    return _collect(_map_trials(n_trials, trial, n_workers), reference, threshold)
+    values, _ = _run_trials(stream, n_trials, d1 * d2, [(d2, d1)], evaluate)
+    return _collect(values, reference, threshold)
 
 
 def random_basis_experiment(stream: RngStream, psi: BipartiteState,
                             f: TestFunction, epsilon: float, n_trials: int, *,
-                            reference: float | None = None,
-                            n_workers: int = 1) -> ExperimentOutcome:
+                            reference: float | None = None) -> ExperimentOutcome:
     """Fixed state, uniformly random environment basis.
 
     Per trial: draw the conditional measure mu of psi in a Haar-random
-    orthonormal basis of the second factor (by ``random_basis_measure``) and
+    orthonormal basis of the second factor (as ``random_basis_measure``) and
     record |mu(f) - GAP(rho1)(f)| with rho1 the reduced density matrix of psi.
     """
     rho1 = reduced_density_matrix(psi)
@@ -321,14 +428,14 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
         reference = gap_reference(stream.substream(n_trials), rho1, f,
                                   _reference_budget(n_trials))
     threshold = epsilon * f.bound
+    m = psi.as_matrix()[None]
 
-    def trial(i: int) -> TrialRecord:
-        rng = stream.substream(i).generator()
-        value = integrate(random_basis_measure(rng, psi), f)
-        disc = abs(value - reference)
-        return TrialRecord(i, disc, disc < threshold)
+    def evaluate(z):
+        return _conditional_integrals(_random_basis_branches(m, z), f), np.nan
 
-    return _collect(_map_trials(n_trials, trial, n_workers), reference, threshold)
+    k = min(psi.d1, psi.d2)
+    values, _ = _run_trials(stream, n_trials, psi.dim, [(psi.d2, k)], evaluate)
+    return _collect(values, reference, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +514,9 @@ class CanonicalTypicalityOutcome:
 
 def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
                                     d1: int, d2: int, n_trials: int, *,
-                                    eta_grid=None, pass_threshold: float | None = None,
-                                    n_workers: int = 1) -> CanonicalTypicalityOutcome:
+                                    eta_grid=None,
+                                    pass_threshold: float | None = None
+                                    ) -> CanonicalTypicalityOutcome:
     """Concentration of the reduced density matrix over a subspace.
 
     Per trial: draw psi uniformly on the subspace sphere and record the
@@ -425,15 +533,11 @@ def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
     offset = d1 / np.sqrt(dim)
     threshold = 2.0 * offset if pass_threshold is None else pass_threshold
 
-    def trial(i: int) -> TrialRecord:
-        rng = stream.substream(i).generator()
-        psi = uniform_subspace_state(rng, basis)
-        rho1 = reduced_density_matrix(BipartiteState(d1, d2, psi))
-        dist = trace_norm(rho1.matrix - target.matrix)
-        return TrialRecord(i, dist, dist < threshold)
+    def evaluate(z):
+        return _reduced_distances(_subspace_states(basis, z, d1, d2), target), np.nan
 
-    records = tuple(_map_trials(n_trials, trial, n_workers))
-    distances = np.array([r.discrepancy for r in records])
+    distances, _ = _run_trials(stream, n_trials, d1 * d2, [(dim, 1)], evaluate)
+    records = _records(distances, threshold)
     eta_grid = (np.linspace(0.05, 2.0, 10) if eta_grid is None
                 else np.asarray(eta_grid, dtype=float))
     exceed = np.array([(distances >= eta + offset).mean() for eta in eta_grid])
@@ -447,8 +551,7 @@ def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
 def shell_universality_experiment(stream: RngStream, basis: np.ndarray,
                                   d1: int, d2: int, f: TestFunction,
                                   epsilon: float, n_trials: int, *,
-                                  reference: float | None = None,
-                                  n_workers: int = 1) -> ExperimentOutcome:
+                                  reference: float | None = None) -> ExperimentOutcome:
     """Random subspace state and random basis versus GAP(tr_2 rho_R).
 
     Per trial: draw (psi, b) from the product of the uniform measure on the
@@ -464,22 +567,29 @@ def shell_universality_experiment(stream: RngStream, basis: np.ndarray,
         reference = gap_reference(stream.substream(n_trials), target, f,
                                   _reference_budget(n_trials))
 
-    def trial(i: int) -> TrialRecord:
-        rng = stream.substream(i).generator()
-        psi = BipartiteState(d1, d2, uniform_subspace_state(rng, basis))
-        value = integrate(random_basis_measure(rng, psi), f)
-        disc = abs(value - reference)
-        aux = trace_norm(reduced_density_matrix(psi).matrix - target.matrix)
-        return TrialRecord(i, disc, disc < epsilon, aux)
+    values, aux = _shell_trials(stream, basis, d1, d2, f, target, n_trials)
+    return _collect(values, reference, epsilon, aux)
 
-    return _collect(_map_trials(n_trials, trial, n_workers), reference, epsilon)
+
+def _shell_trials(stream: RngStream, basis: np.ndarray, d1: int, d2: int,
+                  f: TestFunction, target: DensityMatrix, n_trials: int):
+    """Per trial: psi uniform on the subspace sphere, then mu(f) for the
+    conditional measure of psi in a Haar-random basis and the auxiliary
+    ||tr_2 |psi><psi| - target||_tr.  Trial i draws its two Ginibre arrays
+    in the order ``uniform_subspace_state`` and ``random_basis_measure`` do."""
+    def evaluate(z, w):
+        m = _subspace_states(basis, z, d1, d2)
+        return (_conditional_integrals(_random_basis_branches(m, w), f),
+                _reduced_distances(m, target))
+
+    shapes = [(basis.shape[1], 1), (d2, min(d1, d2))]
+    return _run_trials(stream, n_trials, d1 * d2, shapes, evaluate)
 
 
 def shell_vs_target_experiment(stream: RngStream, basis: np.ndarray,
                                d1: int, d2: int, omega: DensityMatrix,
                                f: TestFunction, epsilon: float, n_trials: int, *,
-                               reference: float | None = None,
-                               n_workers: int = 1) -> ExperimentOutcome:
+                               reference: float | None = None) -> ExperimentOutcome:
     """Random subspace state and random basis versus GAP(Omega) for a fixed,
     strictly positive target Omega.
 
@@ -498,15 +608,8 @@ def shell_vs_target_experiment(stream: RngStream, basis: np.ndarray,
                                   _reference_budget(n_trials))
     threshold = epsilon * f.bound
 
-    def trial(i: int) -> TrialRecord:
-        rng = stream.substream(i).generator()
-        psi = BipartiteState(d1, d2, uniform_subspace_state(rng, basis))
-        value = integrate(random_basis_measure(rng, psi), f)
-        disc = abs(value - reference)
-        aux = trace_norm(reduced_density_matrix(psi).matrix - omega.matrix)
-        return TrialRecord(i, disc, disc < threshold, aux)
-
-    return _collect(_map_trials(n_trials, trial, n_workers), reference, threshold,
+    values, aux = _shell_trials(stream, basis, d1, d2, f, omega, n_trials)
+    return _collect(values, reference, threshold, aux,
                     extra={"target_distance": target_distance})
 
 

@@ -15,6 +15,7 @@ from gaplab.cli import (
     trials_csv,
     write_report,
 )
+from gaplab import typicality
 from gaplab.errors import ConfigError
 
 
@@ -134,6 +135,7 @@ class TestConfigErrorsNameTheKey:
         ("bath_spec.count", {"experiment": "thermal",
                              "bath_spec": {"count": "x", "min": 0, "max": 1}}),
         ("system_levels", {"experiment": "thermal", "system_levels": "x"}),
+        ("f_spec.coefficients", {"f_spec": {"kind": "polynomial", "coefficients": []}}),
     ])
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))
@@ -205,22 +207,20 @@ class TestReproducibility:
         assert trials_csv(a) == trials_csv(b)
         assert emit_plot_data(a) == emit_plot_data(b)
 
-    def test_worker_count_does_not_change_outputs(self, monkeypatch):
-        monkeypatch.setenv("GAPLAB_THREADS", "1")
-        a = run(ExperimentConfig.from_dict(dict(TINY)))
-        monkeypatch.setenv("GAPLAB_THREADS", "4")
-        b = run(ExperimentConfig.from_dict(dict(TINY)))
-        assert trials_csv(a) == trials_csv(b)
+    def test_chunk_size_does_not_change_outputs(self, monkeypatch):
+        default = run(ExperimentConfig.from_dict(dict(TINY)))
+        entries = TINY["d1"] * TINY["d2"]
+        assert typicality.CHUNK_ENTRIES // entries >= TINY["n_trials"]
+        for chunk in (1, 7):  # trials per chunk
+            monkeypatch.setattr(typicality, "CHUNK_ENTRIES", chunk * entries)
+            report = run(ExperimentConfig.from_dict(dict(TINY)))
+            assert report.rows == default.rows
+            assert trials_csv(report) == trials_csv(default)
 
     def test_different_seed_changes_outputs(self):
         a = run(ExperimentConfig.from_dict(dict(TINY)))
         b = run(ExperimentConfig.from_dict(dict(TINY, seed=100)))
         assert trials_csv(a) != trials_csv(b)
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("GAPLAB_THREADS", "lots")
-        with pytest.raises(ConfigError, match="GAPLAB_THREADS"):
-            run(ExperimentConfig.from_dict(dict(TINY)))
 
 
 class TestPresets:

@@ -93,6 +93,15 @@ class TestConditionalMeasure:
         with pytest.raises(BasisError):
             conditional_measure(psi, bad)
 
+    def test_nan_basis_rejected(self):
+        # psi meets only b_0, so the NaN row's branch would be dropped as
+        # weightless and the measure would look valid without the check.
+        psi = BipartiteState.product(np.array([1.0, 0.0]), np.eye(3)[0])
+        bad = np.eye(3, dtype=complex)
+        bad[2, 2] = np.nan
+        with pytest.raises(BasisError):
+            conditional_measure(psi, bad)
+
 
 class TestRawConditionalMeasure:
     def test_second_moment_exactly_one(self):

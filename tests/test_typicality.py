@@ -52,6 +52,10 @@ class TestTestFunction:
         with pytest.raises(DomainError):
             T.TestFunction("polynomial", np.array([1.0, 0.0]))
 
+    def test_empty_polynomial_rejected(self):
+        with pytest.raises(DomainError, match="at least one coefficient"):
+            polynomial(np.array([1.0, 0.0]), [])
+
     def test_continuity_flag(self):
         phi = np.array([1.0, 0.0])
         assert overlap_sq(phi).is_continuous
@@ -130,14 +134,15 @@ class TestRandomPurificationExperiment:
         out = T.random_purification_experiment(RngStream(108), rho, 64, f, 0.1, 200)
         assert out.pass_fraction >= 0.9
 
-    def test_thread_pool_matches_sequential(self):
+    def test_chunk_size_does_not_change_records(self, monkeypatch):
         rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
         f = cap_indicator(np.array([1.0, 0.0]), 0.5)
-        seq = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40,
-                                               n_workers=1)
-        par = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40,
-                                               n_workers=4)
-        assert seq.records == par.records
+        default = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40)
+        assert T.CHUNK_ENTRIES // (2 * 8) >= 40  # one chunk holds every trial
+        for chunk in (1, 7):  # trials per chunk of the 2 x 8 states
+            monkeypatch.setattr(T, "CHUNK_ENTRIES", chunk * 2 * 8)
+            out = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40)
+            assert out.records == default.records
 
 
 class TestRandomBasisExperiment:
