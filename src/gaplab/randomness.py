@@ -1,22 +1,27 @@
 """Reproducible random sources: complex Gaussians, Ginibre matrices, Haar
 unitaries, random orthonormal systems, and uniform sphere points.
 
-Streams are identified by a pair (master_seed, stream_index).  The same pair
-always yields the same sample sequence, independent of thread scheduling,
-because every stream owns its own PCG64 generator keyed through
-``numpy.random.SeedSequence``.  PCG64 is a documented, stable algorithm, so
-persisted outputs are reproducible bit-exactly for a fixed numpy version.
+Streams are identified by a pair (master_seed, stream_index) plus a
+derivation path.  The same address always yields the same sample sequence,
+whatever else the program draws before or after it, because every stream
+owns its own PCG64 generator keyed through ``numpy.random.SeedSequence``.
+PCG64 is a documented, stable algorithm, so persisted outputs are
+reproducible bit-exactly for a fixed numpy version.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 
 __all__ = [
+    "MAX_TRIALS",
     "RngStream",
     "sample_complex_gaussian",
     "ginibre",
@@ -27,14 +32,26 @@ __all__ = [
 ]
 
 
+# Trial indices that ``RngStream.trial_generators`` derives in bulk: each
+# must fit the one 32-bit entropy word the vectorized hash assumes.
+MAX_TRIALS = 2 ** 32
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Addressable random stream: (master_seed, stream_index) plus an optional
-    derivation path for nested substreams (e.g. one per Monte Carlo trial)."""
+    derivation path for nested substreams (e.g. one per Monte Carlo trial).
+    Every component is a nonnegative integer (bool excluded)."""
 
     master_seed: int
     stream_index: int = 0
     _path: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for name in ("master_seed", "stream_index"):
+            object.__setattr__(self, name, _stream_component(name, getattr(self, name)))
+        object.__setattr__(self, "_path",
+                           tuple(_stream_component("path entry", i) for i in self._path))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -44,7 +61,124 @@ class RngStream:
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream; children with distinct indices never overlap."""
-        return RngStream(self.master_seed, self.stream_index, self._path + (int(index),))
+        return RngStream(self.master_seed, self.stream_index, self._path + (index,))
+
+    def trial_generators(self, start: int, stop: int) -> list[np.random.Generator]:
+        """``[self.substream(i).generator() for i in range(start, stop)]``,
+        bit-identical, for 0 <= start <= stop <= MAX_TRIALS.
+
+        The SeedSequence hash of the words every child shares is computed
+        once per stream; the child index word and the PCG64 seed words are
+        then hashed for the whole range at once, and PCG64 seeds itself from
+        those words.
+        """
+        return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
+                for w in self._trial_words(start, stop)]
+
+    def _trial_words(self, start: int, stop: int) -> np.ndarray:
+        """(stop - start, 4) uint64 array whose row i - start equals
+        ``SeedSequence(master_seed, spawn_key=(stream_index, *path, i))
+        .generate_state(4, np.uint64)``."""
+        if not 0 <= start <= stop <= MAX_TRIALS:
+            raise DomainError(f"trial range must satisfy 0 <= start <= stop <= 2**32, "
+                              f"got [{start}, {stop})")
+        pool, hash_const = self._spawn_pool
+        index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
+        mixed = []
+        for word in pool:
+            hashed, hash_const = _hashmix(index, hash_const, _MULT_A)
+            mixed.append(_mix(word, hashed))
+        state, hash_const = [], _INIT_B
+        for j in range(8):
+            word, hash_const = _hashmix(mixed[j % 4], hash_const, _MULT_B)
+            state.append(word.astype(np.uint64))
+        return np.stack([state[j] | state[j + 1] << np.uint64(32) for j in (0, 2, 4, 6)],
+                        axis=-1)
+
+    @cached_property
+    def _spawn_pool(self) -> tuple[tuple[int, ...], int]:
+        """SeedSequence's entropy pool and running hash constant after mixing
+        every word a child ``substream(i)`` shares: the seed words, padded
+        with zeros to the pool size, then stream_index and the path.  The
+        child index word is always mixed after these, one word at a time."""
+        entropy = _uint32_words(self.master_seed)
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+        for k in (self.stream_index,) + self._path:
+            entropy += _uint32_words(k)
+        hash_const = _INIT_A
+        pool = []
+        for word in entropy[:_POOL_SIZE]:
+            hashed, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool.append(hashed)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    hashed, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], hashed)
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                hashed, hash_const = _hashmix(word, hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+        return tuple(pool), hash_const
+
+
+def _stream_component(name: str, value) -> int:
+    """value as a nonnegative Python int; bools and non-integers are rejected."""
+    if isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}") from None
+    if value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value}")
+    return value
+
+
+class _SeedWords(ISeedSequence):
+    """Seed sequence that hands PCG64 its four precomputed uint64 state words
+    (PCG64 asks for exactly ``generate_state(4, np.uint64)``)."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool of
+# four 32-bit words, two multiplicative hashes and the word mixer.  Every
+# helper below works on Python ints and on uint32 arrays alike.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n >= 0 as little-endian 32-bit words; 0 is the single word 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's hash of one word: returns (hashed, next hash_const)."""
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mixer of a pool word x with a hashed word y."""
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
 
 
 def sample_complex_gaussian(rng: np.random.Generator, variance: float, size=None):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
     DensityMatrix,
@@ -13,7 +15,11 @@ from gaplab import (
     sample_gap,
     uniform_sphere,
 )
+from gaplab.randomness import MAX_TRIALS
 from gaplab.stats import ks_statistic, ks_vs_exponential, two_sample_ks
+
+# Property tests replay the same examples on every run.
+EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 class TestRngStream:
@@ -34,6 +40,79 @@ class TestRngStream:
         b = s.substream(4).generator().random(5)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+    def test_numpy_integers_are_plain_components(self):
+        s = RngStream(np.int64(7), np.uint32(1)).substream(np.int16(3))
+        assert s == RngStream(7, 1, (3,))
+        assert type(s.master_seed) is int and type(s._path[0]) is int
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, True, np.bool_(False), "3", None])
+    def test_bad_components_rejected(self, bad):
+        with pytest.raises(DomainError):
+            RngStream(bad)
+        with pytest.raises(DomainError):
+            RngStream(1, bad)
+        with pytest.raises(DomainError):
+            RngStream(1, 0, (2, bad))
+        with pytest.raises(DomainError):
+            RngStream(1).substream(bad)
+
+
+def _reference_words(seed, stream_index, path, start, stop):
+    """State words PCG64 takes from the per-trial SeedSequence route."""
+    return np.array([np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,) + path + (i,))
+                     .generate_state(4, np.uint64) for i in range(start, stop)],
+                    dtype=np.uint64).reshape(-1, 4)
+
+
+def _assert_generators_match(stream, start, stop):
+    bulk = stream.trial_generators(start, stop)
+    assert len(bulk) == stop - start
+    for i, rng in zip(range(start, stop), bulk):
+        ref = stream.substream(i).generator()
+        for shape in ((2, 3, 1), (5,)):  # consecutive draws stay in step
+            assert np.array_equal(rng.standard_normal(shape), ref.standard_normal(shape))
+
+
+class TestTrialGenerators:
+    """``trial_generators`` against the per-trial route it replaces."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("stream_index", [0, 3, 2**33])
+    def test_words_match_seed_sequence(self, seed, stream_index):
+        for path in [(), (5,), (2**40, 0), (1, 2, 3)]:
+            stream = RngStream(seed, stream_index, path)
+            for start, stop in [(0, 9), (6, 13), (MAX_TRIALS - 3, MAX_TRIALS)]:
+                assert np.array_equal(stream._trial_words(start, stop),
+                                      _reference_words(seed, stream_index, path, start, stop))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3, 2**130 + 7])
+    def test_generators_match_substreams(self, seed):
+        for path in [(), (4,), (2**33, 1, 7)]:
+            stream = RngStream(seed, 2, path)
+            _assert_generators_match(stream, 0, 4)
+            _assert_generators_match(stream, 11, 14)
+        _assert_generators_match(RngStream(seed), MAX_TRIALS - 2, MAX_TRIALS)
+
+    @EXACT
+    @given(seed=st.integers(0, 2**140), stream_index=st.integers(0, 2**40),
+           path=st.lists(st.integers(0, 2**36), max_size=3).map(tuple),
+           start=st.integers(0, MAX_TRIALS), length=st.integers(0, 6))
+    def test_words_match_seed_sequence_property(self, seed, stream_index, path, start, length):
+        start = min(start, MAX_TRIALS - length)
+        stream = RngStream(seed, stream_index, path)
+        assert np.array_equal(stream._trial_words(start, start + length),
+                              _reference_words(seed, stream_index, path, start, start + length))
+
+    def test_empty_range(self):
+        assert RngStream(1).trial_generators(5, 5) == []
+        assert RngStream(1)._trial_words(5, 5).shape == (0, 4)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (MAX_TRIALS, MAX_TRIALS + 1),
+                                             (0, MAX_TRIALS + 1)])
+    def test_range_outside_one_index_word_rejected(self, start, stop):
+        with pytest.raises(DomainError):
+            RngStream(1).trial_generators(start, stop)
 
 
 class TestComplexGaussian:

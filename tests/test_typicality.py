@@ -144,6 +144,43 @@ class TestRandomPurificationExperiment:
             out = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40)
             assert out.records == default.records
 
+    def test_trials_do_not_seed_through_seed_sequence(self, monkeypatch):
+        # The engine derives its per-trial generators in bulk, never through
+        # the per-stream SeedSequence route (tests/test_engine.py checks
+        # every trial against that route).
+        def per_trial_generator(stream):
+            raise AssertionError("per-trial SeedSequence route used")
+
+        monkeypatch.setattr(RngStream, "generator", per_trial_generator)
+        rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
+        f = cap_indicator(np.array([1.0, 0.0]), 0.5)
+        out = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40,
+                                               reference=0.3)
+        assert len(out.records) == 40
+
+
+class TestTrialCountLimit:
+    """Each trial index must fit one 32-bit entropy word; the guard runs
+    before the (2, n_trials) output array is allocated."""
+
+    class Allocated(Exception):
+        pass
+
+    def _run(self, monkeypatch, n_trials):
+        def refuse(*args, **kwargs):
+            raise self.Allocated
+
+        monkeypatch.setattr(T.np, "empty", refuse)
+        T._run_trials(RngStream(1), n_trials, 1, [(1, 1)], lambda z: (z, z))
+
+    def test_more_than_two_to_the_32_trials_rejected(self, monkeypatch):
+        with pytest.raises(DomainError):
+            self._run(monkeypatch, 2**32 + 1)
+
+    def test_two_to_the_32_trials_accepted(self, monkeypatch):
+        with pytest.raises(self.Allocated):
+            self._run(monkeypatch, 2**32)
+
 
 class TestRandomBasisExperiment:
     def test_product_state_zero_discrepancy(self):
