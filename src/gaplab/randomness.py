@@ -49,9 +49,9 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
-            object.__setattr__(self, name, _stream_component(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "_path",
-                           tuple(_stream_component("path entry", i) for i in self._path))
+                           tuple(_integer("path entry", i) for i in self._path))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -122,16 +122,18 @@ class RngStream:
         return tuple(pool), hash_const
 
 
-def _stream_component(name: str, value) -> int:
-    """value as a nonnegative Python int; bools and non-integers are rejected."""
+def _integer(name: str, value, minimum: int = 0) -> int:
+    """value as a Python int of at least ``minimum``; bools and non-integers
+    are rejected with a DomainError naming ``name``."""
+    message = f"{name} must be an integer >= {minimum}, got {value!r}"
     if isinstance(value, (bool, np.bool_)):
-        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+        raise DomainError(message)
     try:
         value = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}") from None
-    if value < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {value}")
+        raise DomainError(message) from None
+    if value < minimum:
+        raise DomainError(message)
     return value
 
 
@@ -200,6 +202,14 @@ def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarra
         raise DomainError(f"matrix dimension must be >= 1, got {n}")
     m = n if m is None else m
     return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+
+
+def _complex_gaussians(pairs: np.ndarray) -> np.ndarray:
+    """Unit-variance complex Gaussians (B, ...) from a stack of real standard
+    normals (B, 2, ...): real parts pairs[:, 0], imaginary parts pairs[:, 1].
+    If one generator filled pairs[b] in C order, entry b holds exactly the
+    values ``ginibre`` returns from the same draws."""
+    return (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -40,7 +40,9 @@ from .hilbert import (
 from .randomness import (
     MAX_TRIALS,
     RngStream,
+    _complex_gaussians,
     _haar_columns,
+    _integer,
     ginibre,
     haar_unitary,
     random_ons,
@@ -289,7 +291,7 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
         for b, rng in enumerate(stream.trial_generators(start, stop)):
             for d in draws:
                 rng.standard_normal(out=d[b])
-        gaussians = [(d[:, 0] + 1j * d[:, 1]) / np.sqrt(2.0) for d in draws]
+        gaussians = [_complex_gaussians(d) for d in draws]
         out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
     return out[0], out[1]
 
@@ -794,6 +796,27 @@ class SubmatrixMetrics:
     expectation_gaps: dict
 
 
+def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
+                        n_samples: int) -> np.ndarray:
+    """(n_samples, k, k) blocks X_ij = sqrt(n) U_ij of Haar unitaries U,
+    byte-identical to one ``sqrt(n) * random_ons(rng, n, k)[:, :k].T`` per
+    sample, drawn in chunks of at most CHUNK_ENTRIES // (n k) samples.
+
+    Each chunk is one (B, 2, n, k) fill from ``rng``: in C order each
+    sample's real n x k block, then its imaginary block, as ``ginibre`` draws
+    them.  The stacked phase-fixed QR factorizes every sample on its own, so
+    the blocks and the generator's state afterwards do not depend on the
+    chunk length.
+    """
+    blocks = np.empty((n_samples, k, k), dtype=complex)
+    size = max(1, CHUNK_ENTRIES // (n * k))
+    for start in range(0, n_samples, size):
+        stop = min(start + size, n_samples)
+        q = _haar_columns(_complex_gaussians(rng.standard_normal((stop - start, 2, n, k))))
+        blocks[start:stop] = np.sqrt(n) * q[:, :k, :]
+    return blocks
+
+
 def submatrix_convergence_experiment(stream: RngStream, k: int, n_values,
                                      n_samples: int) -> list[SubmatrixMetrics]:
     """Convergence of sqrt(n)-scaled Haar blocks to i.i.d. complex Gaussians.
@@ -803,7 +826,16 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n_values,
     distance of the k=1 density to its Gaussian limit, and the gaps
     |E g(scaled first column) - E g(Gaussian column)| for the standard test
     function kinds g (probing the first coordinate direction).
+
+    Sweep point p draws from ``stream.substream(p).generator()``: its
+    ``n_samples`` blocks in chunks of stacked QRs (``_scaled_haar_blocks``;
+    the outputs do not depend on the chunk length), then the Gaussian
+    comparison sample.  ``k`` and ``n_samples`` must be integers >= 1 and
+    every n an integer >= 2k; all are checked before anything is drawn.
     """
+    k = _integer("k", k, 1)
+    n_samples = _integer("n_samples", n_samples, 1)
+    n_values = [_integer("n in n_values", n, 2 * k) for n in n_values]
     metrics = []
     probes = {
         "overlap_sq": overlap_sq(np.eye(k)[0]),
@@ -812,14 +844,8 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n_values,
         "polynomial": polynomial(np.eye(k)[0], [0.0, 0.0, 1.0]),
     }
     for point, n in enumerate(n_values):
-        if n < 2 * k:
-            raise DomainError(f"need n >= 2k for every n, got n={n}, k={k}")
         rng = stream.substream(point).generator()
-        blocks = np.empty((n_samples, k, k), dtype=complex)
-        for s in range(n_samples):
-            # rows of random_ons are the first k columns of a Haar unitary,
-            # so transposing restores matrix orientation X_ij = sqrt(n) U_ij.
-            blocks[s] = np.sqrt(n) * random_ons(rng, n, k)[:, :k].T
+        blocks = _scaled_haar_blocks(rng, n, k, n_samples)
         gauss = ginibre(rng, n_samples, k)
 
         ks = np.array([
@@ -831,7 +857,7 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n_values,
         for name, g in probes.items():
             gaps[name] = float(abs(np.mean(g(first_col)) - np.mean(g(gauss))))
         metrics.append(SubmatrixMetrics(
-            n=int(n),
+            n=n,
             ks_entry=float(ks[0, 0]),
             ks_entry_max=float(ks.max()),
             l1_distance=submatrix_l1_distance(n) if k == 1 else None,

@@ -12,6 +12,7 @@ from gaplab import (
     integrate,
     random_basis_measure,
     random_onb,
+    random_ons,
     random_purification,
     reduced_density_matrix,
     sample_gaussian,
@@ -89,6 +90,18 @@ def canonical_trials(stream, basis, d1, d2, target, n_trials):
         rho1 = reduced_density_matrix(BipartiteState(d1, d2, psi))
         out.append((trace_norm(rho1.matrix - target.matrix), np.nan))
     return np.array(out)
+
+
+def submatrix_blocks_per_sample(rng, n, k, n_samples):
+    """sqrt(n)-scaled top-left k x k blocks of Haar unitaries, one
+    ``random_ons`` call per sample: the loop that
+    ``submatrix_convergence_experiment`` replaces by stacked QRs.  The rows of
+    ``random_ons`` are the first k columns of a Haar unitary, so the transpose
+    restores matrix orientation X_ij = sqrt(n) U_ij."""
+    blocks = np.empty((n_samples, k, k), dtype=complex)
+    for s in range(n_samples):
+        blocks[s] = np.sqrt(n) * random_ons(rng, n, k)[:, :k].T
+    return blocks
 
 
 def hermitian_abs_eigensum(m):

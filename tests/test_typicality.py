@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from gaplab import (
     BipartiteState,
@@ -19,6 +20,8 @@ from gaplab import (
 )
 from gaplab.stats import spearman, two_sample_ks
 from gaplab import typicality as T
+
+from _oracles import submatrix_blocks_per_sample
 
 
 class TestTestFunction:
@@ -459,6 +462,67 @@ class TestSubmatrixConvergence:
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             T.submatrix_convergence_experiment(RngStream(145), 2, [3], 10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", ["2k", 16, 256])
+    def test_blocks_match_per_sample_loop(self, k, n):
+        n = 2 * k if n == "2k" else n
+        rng, oracle_rng = RngStream(152, k).generator(), RngStream(152, k).generator()
+        blocks = T._scaled_haar_blocks(rng, n, k, 150)
+        assert blocks.tobytes() == submatrix_blocks_per_sample(oracle_rng, n, k, 150).tobytes()
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_chunk_size_does_not_change_metrics(self, monkeypatch, k, n):
+        default = T.submatrix_convergence_experiment(RngStream(153), k, [n], 50)
+        assert T.CHUNK_ENTRIES // (n * k) >= 50  # one chunk holds every sample
+        for chunk in (1, 7):  # samples per chunk
+            monkeypatch.setattr(T, "CHUNK_ENTRIES", chunk * n * k)
+            assert T.submatrix_convergence_experiment(RngStream(153), k, [n], 50) == default
+
+    @pytest.mark.parametrize("k, n_values, n_samples, name", [
+        (0, [4], 10, "k"),
+        (-1, [4], 10, "k"),
+        (1.5, [4], 10, "k"),
+        (True, [4], 10, "k"),
+        (1, [4], 0, "n_samples"),
+        (1, [4], -3, "n_samples"),
+        (1, [4], 2.5, "n_samples"),
+        (1, [4], True, "n_samples"),
+        (1, [4.5], 10, "n_values"),
+        (1, [True], 10, "n_values"),
+        (1, [4, 1], 10, "n_values"),
+        (2, [16, 3], 10, "n_values"),
+    ])
+    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, k, n_values,
+                                                   n_samples, name):
+        def no_draws(stream):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        with pytest.raises(DomainError, match=name):
+            T.submatrix_convergence_experiment(RngStream(154), k, n_values, n_samples)
+
+    def test_numpy_integer_arguments_accepted(self):
+        metrics = T.submatrix_convergence_experiment(
+            RngStream(155), np.int64(1), np.array([4, 16]), np.int32(20))
+        assert [m.n for m in metrics] == [4, 16]
+        assert all(type(m.n) is int for m in metrics)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_entry_follows_exact_finite_n_law(self, k):
+        # n |U_11|^2 ~ n Beta(1, n - 1): CDF 1 - (1 - x/n)^(n-1) on [0, n]
+        # (Zyczkowski & Sommers), for every block size k <= n/2.
+        samples = {}
+        for n in (4, 16):
+            x = np.abs(T._scaled_haar_blocks(RngStream(156, k).generator(), n, k,
+                                             5000)[:, 0, 0]) ** 2
+            exact = lambda t, n=n: 1.0 - (1.0 - np.clip(t, 0.0, n) / n) ** (n - 1)
+            assert stats.kstest(x, exact).pvalue > 1e-3
+            samples[n] = x
+        # Negative control: at n = 4 the same sample is far from the Exp(1) limit.
+        assert stats.kstest(samples[4], stats.expon.cdf).pvalue < 1e-3
 
 
 class TestContinuityProbe:
