@@ -1,8 +1,11 @@
 """Batch experiment front end.
 
-Reads a declarative JSON configuration (or a named built-in preset),
-dispatches to the experiment drivers, and persists three files to the
-output directory:
+Reads a declarative JSON configuration (or a named built-in preset) and
+runs it through one table of experiments, ``EXPERIMENTS``: each entry names
+the keys it may sweep and maps the configuration of one sweep point to a
+library driver call, whose trials come back as the columns of one
+``ExperimentOutcome``.  The report summarizes each point from those columns
+and persists three files to the output directory:
 
 * ``trials.csv``   -- one row per trial, in trial order, pinned CSV dialect
   (comma separated, LF line endings, '.' decimal, no quoting).
@@ -25,39 +28,19 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .conditional import random_purification
 from .errors import ConfigError, GaplabError
-from .gap import covariance_estimate, gap_sphere_density, sample_gap
-from .hilbert import DensityMatrix, canonical_density, trace_norm
-from .randomness import RngStream, haar_unitary, uniform_sphere
-from .stats import spearman
+from .hilbert import DensityMatrix
+from .randomness import RngStream, haar_unitary
 from . import typicality as T
 
-EXPERIMENTS = (
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "theorem4",
-    "canonical_typicality",
-    "submatrix",
-    "continuity",
-    "thermal",
-    "gap_selftest",
-)
-
 F_KINDS = ("overlap_sq", "real_part", "cap_indicator", "polynomial")
-
-_CONFIG_KEYS = {
-    "experiment", "d1", "d2", "dR", "rho_spec", "f_spec", "epsilon", "delta",
-    "n_trials", "n_samples", "seed", "sweep", "system_levels", "bath_spec",
-    "window", "gamma",
-}
-
 
 _NUMERIC = (int, float, np.integer, np.floating)
 
@@ -132,10 +115,12 @@ class ExperimentConfig:
             _number(f"window.{key}", self.window.get(key))
         if self.sweep is not None:
             if (not isinstance(self.sweep, dict) or len(self.sweep) != 1
-                    or next(iter(self.sweep)) not in ("d2", "dR")
                     or not isinstance(next(iter(self.sweep.values())), list)):
                 raise ConfigError('sweep: expected {"d2": [...]} or {"dR": [...]}')
             param, values = next(iter(self.sweep.items()))
+            if param not in EXPERIMENTS[self.experiment].sweeps:
+                raise ConfigError(f"sweep: experiment {self.experiment!r} "
+                                  f"cannot sweep {param!r}")
             if not values:
                 raise ConfigError("sweep: expected at least one value")
             self.sweep = {param: [_integer("sweep", v, 1) for v in values]}
@@ -144,7 +129,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         if "experiment" not in raw:
@@ -152,15 +137,7 @@ class ExperimentConfig:
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "d1": self.d1, "d2": self.d2,
-            "dR": self.dR, "rho_spec": self.rho_spec, "f_spec": self.f_spec,
-            "epsilon": self.epsilon, "delta": self.delta,
-            "n_trials": self.n_trials, "n_samples": self.n_samples,
-            "seed": self.seed, "sweep": self.sweep,
-            "system_levels": self.system_levels, "bath_spec": self.bath_spec,
-            "window": self.window, "gamma": self.gamma,
-        }
+        return asdict(self)
 
 
 def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -182,6 +159,15 @@ def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 # Configuration resolution helpers
 # ---------------------------------------------------------------------------
 
+def _named(key: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with a library error re-raised as a
+    ConfigError naming ``key``."""
+    try:
+        return call(*args, **kwargs)
+    except GaplabError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _resolve_phi(spec, dim: int) -> np.ndarray:
     """phi may be "e<k>", "balanced", or an explicit [[re, im], ...] list."""
     if isinstance(spec, str):
@@ -202,6 +188,8 @@ def _resolve_phi(spec, dim: int) -> np.ndarray:
     arr = np.array([complex(re, im) for re, im in pairs])
     if arr.shape != (dim,):
         raise ConfigError(f"f_spec.phi: expected {dim} entries, got {arr.shape}")
+    if not np.any(arr):
+        raise ConfigError("f_spec.phi: must be a nonzero vector")
     return arr
 
 
@@ -209,17 +197,13 @@ def _resolve_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
     spec = cfg.f_spec
     phi = _resolve_phi(spec.get("phi", "e1"), dim)
     kind = spec["kind"]
-    if kind == "overlap_sq":
-        return T.overlap_sq(phi)
-    if kind == "real_part":
-        return T.real_part(phi)
     if kind == "cap_indicator":
-        return T.cap_indicator(phi, _number("f_spec.threshold", spec.get("threshold", 0.5)))
-    coefficients = _numbers("f_spec.coefficients", spec.get("coefficients", [0.0, 1.0]))
-    try:
-        return T.polynomial(phi, coefficients)
-    except GaplabError as exc:
-        raise ConfigError(f"f_spec.coefficients: {exc}")
+        return _named("f_spec.threshold", T.cap_indicator, phi,
+                      _number("f_spec.threshold", spec.get("threshold", 0.5)))
+    if kind == "polynomial":
+        return _named("f_spec.coefficients", T.polynomial, phi,
+                      _numbers("f_spec.coefficients", spec.get("coefficients", [0.0, 1.0])))
+    return T.TestFunction(kind, phi)
 
 
 def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
@@ -234,10 +218,9 @@ def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
     if basis_seed is not None:
         seed = _integer("rho_spec.basis_seed", basis_seed, 0)
         basis = haar_unitary(RngStream(seed).generator(), dim)
-    try:
-        return DensityMatrix.from_spectrum(spectrum, basis)
-    except GaplabError as exc:
-        raise ConfigError(f"rho_spec.spectrum: {exc}")
+    rho = _named("rho_spec.spectrum", DensityMatrix.from_spectrum, spectrum, basis)
+    _named("rho_spec.spectrum", rho.spectrum)  # the PSD check runs on first use
+    return rho
 
 
 def _resolve_bath(cfg: ExperimentConfig) -> np.ndarray:
@@ -253,252 +236,188 @@ def _resolve_bath(cfg: ExperimentConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Experiment dispatch
+# The experiment table
+# ---------------------------------------------------------------------------
+#
+# Each entry runs one sweep point: it takes the configuration with the swept
+# value in place and the point's index, resolves its inputs (a library check
+# that a config value fails becomes a ConfigError naming the key) and returns
+# the point's dimension and its trials as one ExperimentOutcome.  Points of
+# theorem1-4 and canonical_typicality draw from RngStream(seed, point), with
+# the point's state or subspace from substream n_trials + 1; submatrix point
+# p draws from RngStream(seed, 0).substream(p); the experiments that do not
+# sweep draw from RngStream(seed, 0).
+
+def _purification_inputs(cfg: ExperimentConfig):
+    if cfg.d2 < cfg.d1:
+        raise ConfigError(f"d2: a purification needs d2 >= d1 = {cfg.d1}, got {cfg.d2}")
+    return _resolve_rho(cfg, cfg.d1), _resolve_f(cfg, cfg.d1)
+
+
+def _theorem1(cfg: ExperimentConfig, point: int):
+    rho1, f = _purification_inputs(cfg)
+    return cfg.d2, T.random_purification_experiment(
+        RngStream(cfg.seed, point), rho1, cfg.d2, f, cfg.epsilon, cfg.n_trials)
+
+
+def _theorem2(cfg: ExperimentConfig, point: int):
+    rho1, f = _purification_inputs(cfg)
+    stream = RngStream(cfg.seed, point)
+    psi = random_purification(stream.substream(cfg.n_trials + 1).generator(), rho1, cfg.d2)
+    return cfg.d2, T.random_basis_experiment(stream, psi, f, cfg.epsilon, cfg.n_trials)
+
+
+def _subspace(cfg: ExperimentConfig, point: int):
+    """The point's dimension dR (default d1 * d2), stream and random subspace."""
+    dr = cfg.dR if cfg.dR is not None else cfg.d1 * cfg.d2
+    stream = RngStream(cfg.seed, point)
+    basis = _named("dR", T.random_subspace,
+                   stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr)
+    return dr, stream, basis
+
+
+def _theorem3(cfg: ExperimentConfig, point: int):
+    f = _resolve_f(cfg, cfg.d1)
+    if not f.is_continuous:
+        raise ConfigError(f"f_spec.kind: theorem3 needs a continuous test function, "
+                          f"got {f.kind!r}")
+    dr, stream, basis = _subspace(cfg, point)
+    return dr, T.shell_universality_experiment(
+        stream, basis, cfg.d1, cfg.d2, f, cfg.epsilon, cfg.n_trials)
+
+
+def _theorem4(cfg: ExperimentConfig, point: int):
+    f = _resolve_f(cfg, cfg.d1)
+    omega = _resolve_rho(cfg, cfg.d1)
+    if omega.min_eigenvalue <= 0.0:
+        raise ConfigError("rho_spec.spectrum: theorem4 needs a strictly positive target")
+    dr, stream, basis = _subspace(cfg, point)
+    return dr, T.shell_vs_target_experiment(
+        stream, basis, cfg.d1, cfg.d2, omega, f, cfg.epsilon, cfg.n_trials)
+
+
+def _canonical_typicality(cfg: ExperimentConfig, point: int):
+    dr, stream, basis = _subspace(cfg, point)
+    return dr, T.canonical_typicality_experiment(stream, basis, cfg.d1, cfg.d2, cfg.n_trials)
+
+
+def _submatrix(cfg: ExperimentConfig, point: int):
+    if cfg.d2 < 2 * cfg.d1:
+        raise ConfigError(f"d2: submatrix needs d2 >= 2 d1 = {2 * cfg.d1}, got {cfg.d2}")
+    [m] = T.submatrix_convergence_experiment(RngStream(cfg.seed, 0), cfg.d1, [cfg.d2],
+                                             cfg.n_samples, first_point=point)
+    return m.n, m.as_outcome(cfg.epsilon, first_trial=point)
+
+
+def _continuity(cfg: ExperimentConfig, point: int):
+    if not cfg.gamma < 1.0 / cfg.d1:
+        raise ConfigError(f"gamma: must lie below 1/d1 = {1.0 / cfg.d1}, got {cfg.gamma}")
+    out = T.continuity_probe(RngStream(cfg.seed, point), cfg.d1, cfg.gamma,
+                             cfg.n_trials, n_probe=cfg.n_samples)
+    return cfg.d1, out.as_outcome(cfg.epsilon)
+
+
+def _thermal(cfg: ExperimentConfig, point: int):
+    system = _numbers("system_levels", cfg.system_levels)
+    bath = _resolve_bath(cfg)
+    shell = _named("window", T.microcanonical_shell, system, bath,
+                   float(cfg.window["energy"]), float(cfg.window["width"]))
+    if not np.all(shell.counts):
+        raise ConfigError(f"window: every system level needs a level pair in the "
+                          f"window, got counts {shell.counts.tolist()}")
+    f = _resolve_f(cfg, shell.d1)
+    return shell.dim, T.thermal_experiment(RngStream(cfg.seed, point), shell, f,
+                                           cfg.epsilon, cfg.n_trials)
+
+
+def _gap_selftest(cfg: ExperimentConfig, point: int):
+    return cfg.d1, T.gap_selftest_experiment(RngStream(cfg.seed, point), cfg.d1,
+                                             cfg.gamma, cfg.epsilon, cfg.n_trials,
+                                             cfg.n_samples)
+
+
+class Experiment(NamedTuple):
+    sweeps: tuple          # the config keys this experiment may sweep
+    run: Callable          # (config at the point, point index) -> (dim, outcome)
+
+
+EXPERIMENTS = {
+    "theorem1": Experiment(("d2",), _theorem1),
+    "theorem2": Experiment(("d2",), _theorem2),
+    "theorem3": Experiment(("d2", "dR"), _theorem3),
+    "theorem4": Experiment(("d2", "dR"), _theorem4),
+    "canonical_typicality": Experiment(("dR",), _canonical_typicality),
+    "submatrix": Experiment(("d2",), _submatrix),
+    "continuity": Experiment((), _continuity),
+    "thermal": Experiment((), _thermal),
+    "gap_selftest": Experiment((), _gap_selftest),
+}
+
+
+# ---------------------------------------------------------------------------
+# Running and reporting
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PointSummary:
+    """One sweep point: its trials and their summary statistics."""
+
     dim: int
+    outcome: T.ExperimentOutcome
     pass_fraction: float
     median: float
     q10: float
     q90: float
-    reference: float
-    threshold: float
-    extra: dict = field(default_factory=dict)
+    extra: dict           # the outcome's extra plus meets_delta
+
+
+def _summarize(dim: int, outcome: T.ExperimentOutcome, delta: float) -> PointSummary:
+    disc = outcome.discrepancies
+    pass_fraction = outcome.pass_fraction
+    return PointSummary(
+        dim=dim, outcome=outcome, pass_fraction=pass_fraction,
+        median=float(np.median(disc)), q10=float(np.quantile(disc, 0.1)),
+        q90=float(np.quantile(disc, 0.9)),
+        # the configured confidence target: at least 1 - delta of trials pass
+        extra={**outcome.extra, "meets_delta": bool(pass_fraction >= 1.0 - delta)},
+    )
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     config: dict
-    rows: list            # per-trial dicts: dim, trial, discrepancy, passed, auxiliary
     points: list          # PointSummary per sweep point
     wall_time_s: float
     version: str
     seed: int
 
     @property
+    def n_records(self) -> int:
+        return sum(len(p.outcome.discrepancies) for p in self.points)
+
+    @property
     def pass_fraction(self) -> float:
-        return float(np.mean([r["passed"] for r in self.rows]))
-
-
-def _rows_from_records(records, dim: int) -> list:
-    return [
-        {"dim": dim, "trial": r.trial_index, "discrepancy": r.discrepancy,
-         "passed": bool(r.passed), "auxiliary": r.auxiliary}
-        for r in records
-    ]
-
-
-def _point_from_outcome(outcome, dim: int, extra: dict | None = None) -> PointSummary:
-    disc = outcome.discrepancies
-    merged = dict(outcome.extra)
-    merged.update(extra or {})
-    return PointSummary(
-        dim=dim, pass_fraction=outcome.pass_fraction,
-        median=float(np.median(disc)), q10=float(np.quantile(disc, 0.1)),
-        q90=float(np.quantile(disc, 0.9)), reference=outcome.reference,
-        threshold=outcome.threshold, extra=merged,
-    )
-
-
-def _reject_sweep(cfg: ExperimentConfig) -> None:
-    if cfg.sweep:
-        raise ConfigError(f"sweep: experiment {cfg.experiment!r} does not sweep")
-
-
-def _sweep_values(cfg: ExperimentConfig, allowed: tuple, default_param: str,
-                  default: int) -> tuple[str, list[int]]:
-    """The swept parameter and its values; rejects sweeps this experiment
-    cannot honor instead of silently ignoring them."""
-    if not cfg.sweep:
-        return default_param, [default]
-    param, values = next(iter(cfg.sweep.items()))
-    if param not in allowed:
-        raise ConfigError(
-            f"sweep: experiment {cfg.experiment!r} cannot sweep {param!r}"
-        )
-    return param, values
-
-
-def _dispatch(cfg: ExperimentConfig) -> tuple[list, list]:
-    """Run the configured experiment; returns (rows, points)."""
-    rows: list = []
-    points: list = []
-    name = cfg.experiment
-
-    if name == "theorem1":
-        rho1 = _resolve_rho(cfg, cfg.d1)
-        f = _resolve_f(cfg, cfg.d1)
-        _, values = _sweep_values(cfg, ("d2",), "d2", cfg.d2)
-        for idx, d2 in enumerate(values):
-            stream = RngStream(cfg.seed, idx)
-            out = T.random_purification_experiment(
-                stream, rho1, d2, f, cfg.epsilon, cfg.n_trials)
-            rows += _rows_from_records(out.records, d2)
-            points.append(_point_from_outcome(out, d2))
-
-    elif name == "theorem2":
-        rho1 = _resolve_rho(cfg, cfg.d1)
-        f = _resolve_f(cfg, cfg.d1)
-        _, values = _sweep_values(cfg, ("d2",), "d2", cfg.d2)
-        for idx, d2 in enumerate(values):
-            stream = RngStream(cfg.seed, idx)
-            psi = random_purification(
-                stream.substream(cfg.n_trials + 1).generator(), rho1, d2)
-            out = T.random_basis_experiment(
-                stream, psi, f, cfg.epsilon, cfg.n_trials)
-            rows += _rows_from_records(out.records, d2)
-            points.append(_point_from_outcome(out, d2))
-
-    elif name in ("theorem3", "theorem4"):
-        f = _resolve_f(cfg, cfg.d1)
-        default_dr = cfg.dR if cfg.dR is not None else cfg.d1 * cfg.d2
-        param, values = _sweep_values(cfg, ("d2", "dR"), "dR", default_dr)
-        for idx, value in enumerate(values):
-            d2 = value if param == "d2" else cfg.d2
-            dr = value if param == "dR" else (
-                cfg.dR if cfg.dR is not None else cfg.d1 * d2)
-            stream = RngStream(cfg.seed, idx)
-            basis = T.random_subspace(
-                stream.substream(cfg.n_trials + 1).generator(), cfg.d1, d2, dr)
-            if name == "theorem3":
-                out = T.shell_universality_experiment(
-                    stream, basis, cfg.d1, d2, f, cfg.epsilon, cfg.n_trials)
-            else:
-                omega = _resolve_rho(cfg, cfg.d1)
-                out = T.shell_vs_target_experiment(
-                    stream, basis, cfg.d1, d2, omega, f, cfg.epsilon,
-                    cfg.n_trials)
-            rows += _rows_from_records(out.records, value)
-            points.append(_point_from_outcome(out, value))
-
-    elif name == "canonical_typicality":
-        default_dr = cfg.dR if cfg.dR is not None else cfg.d1 * cfg.d2
-        _, values = _sweep_values(cfg, ("dR",), "dR", default_dr)
-        for idx, dr in enumerate(values):
-            stream = RngStream(cfg.seed, idx)
-            basis = T.random_subspace(
-                stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr)
-            out = T.canonical_typicality_experiment(
-                stream, basis, cfg.d1, cfg.d2, cfg.n_trials)
-            rows += _rows_from_records(out.records, dr)
-            dist = out.distances
-            points.append(PointSummary(
-                dim=dr, pass_fraction=float(np.mean([r.passed for r in out.records])),
-                median=float(np.median(dist)), q10=float(np.quantile(dist, 0.1)),
-                q90=float(np.quantile(dist, 0.9)), reference=0.0,
-                threshold=2.0 * out.offset,
-                extra={
-                    "mean_distance": out.mean_distance,
-                    "offset": out.offset,
-                    "eta_grid": list(out.eta_grid),
-                    "exceedance": list(out.exceedance),
-                    "bound": list(out.bound),
-                    "bound_violated": bool(np.any(out.exceedance > out.bound)),
-                },
-            ))
-
-    elif name == "submatrix":
-        k = cfg.d1
-        _, n_values = _sweep_values(cfg, ("d2",), "d2", cfg.d2)
-        stream = RngStream(cfg.seed, 0)
-        metrics = T.submatrix_convergence_experiment(stream, k, n_values, cfg.n_samples)
-        for idx, m in enumerate(metrics):
-            passed = m.ks_entry < cfg.epsilon
-            rows.append({
-                "dim": m.n, "trial": idx,
-                "discrepancy": m.l1_distance if m.l1_distance is not None else m.ks_entry,
-                "passed": passed, "auxiliary": m.ks_entry,
-            })
-            med = m.l1_distance if m.l1_distance is not None else m.ks_entry
-            points.append(PointSummary(
-                dim=m.n, pass_fraction=float(passed), median=float(med),
-                q10=float(med), q90=float(med), reference=0.0,
-                threshold=cfg.epsilon,
-                extra={"ks_entry": m.ks_entry, "ks_entry_max": m.ks_entry_max,
-                       "expectation_gaps": m.expectation_gaps},
-            ))
-
-    elif name == "continuity":
-        _reject_sweep(cfg)
-        stream = RngStream(cfg.seed, 0)
-        out = T.continuity_probe(stream, cfg.d1, cfg.gamma, cfg.n_trials,
-                                 n_probe=cfg.n_samples)
-        for i in range(cfg.n_trials):
-            rows.append({
-                "dim": cfg.d1, "trial": i, "discrepancy": float(out.density_gaps[i]),
-                "passed": bool(out.expectation_gaps[i] <= out.trace_distances[i] + 1e-12),
-                "auxiliary": float(out.trace_distances[i]),
-            })
-        rank_corr = spearman(out.trace_distances, out.density_gaps)
-        points.append(PointSummary(
-            dim=cfg.d1, pass_fraction=float(np.mean([r["passed"] for r in rows])),
-            median=float(np.median(out.density_gaps)),
-            q10=float(np.quantile(out.density_gaps, 0.1)),
-            q90=float(np.quantile(out.density_gaps, 0.9)),
-            reference=0.0, threshold=cfg.epsilon,
-            extra={"spearman": rank_corr, "gamma": cfg.gamma},
-        ))
-
-    elif name == "thermal":
-        _reject_sweep(cfg)
-        bath = _resolve_bath(cfg)
-        system = _numbers("system_levels", cfg.system_levels)
-        shell = T.microcanonical_shell(system, bath, float(cfg.window["energy"]),
-                                       float(cfg.window["width"]))
-        fit = T.fit_beta(system, shell.reduced_density())
-        omega = canonical_density(system, fit.beta)
-        target_distance = trace_norm(shell.reduced_density().matrix - omega.matrix)
-        f = _resolve_f(cfg, shell.d1)
-        stream = RngStream(cfg.seed, 0)
-        out = T.shell_vs_target_experiment(
-            stream, shell.basis(), shell.d1, shell.d2, omega, f, cfg.epsilon,
-            cfg.n_trials)
-        rows += _rows_from_records(out.records, shell.dim)
-        points.append(_point_from_outcome(out, shell.dim, extra={
-            "beta": fit.beta, "fit_residual": fit.residual,
-            "thermal_target_distance": target_distance,
-            "shell_dim": shell.dim, "counts": [int(c) for c in shell.counts],
-        }))
-
-    elif name == "gap_selftest":
-        _reject_sweep(cfg)
-        d = cfg.d1
-        stream = RngStream(cfg.seed, 0)
-        for i in range(cfg.n_trials):
-            rng = stream.substream(i).generator()
-            rho = T.random_floor_density(rng, d, min(cfg.gamma, 0.5 / d))
-            draws = sample_gap(rng, rho, size=cfg.n_samples)
-            cov_err = float(np.max(np.abs(covariance_estimate(draws) - rho.matrix)))
-            sphere = uniform_sphere(rng, d, size=min(cfg.n_samples, 20_000))
-            norm_err = float(abs(np.mean(gap_sphere_density(rho, sphere)) - 1.0))
-            rows.append({"dim": d, "trial": i, "discrepancy": cov_err,
-                         "passed": cov_err < cfg.epsilon, "auxiliary": norm_err})
-        disc = np.array([r["discrepancy"] for r in rows])
-        points.append(PointSummary(
-            dim=d, pass_fraction=float(np.mean([r["passed"] for r in rows])),
-            median=float(np.median(disc)), q10=float(np.quantile(disc, 0.1)),
-            q90=float(np.quantile(disc, 0.9)), reference=0.0,
-            threshold=cfg.epsilon, extra={},
-        ))
-
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"experiment: unknown value {name!r}")
-
-    return rows, points
+        return float(np.mean(np.concatenate([p.outcome.passed for p in self.points])))
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute the experiment and assemble the report (no file output)."""
+    """Execute the experiment and assemble the report (no file output).
+
+    A sweep (of a key the experiment's table entry allows, checked with the
+    config) runs the entry once per value, with the value in place of the
+    swept key; each point is labelled by its swept value, or by the entry's
+    own dimension when nothing is swept."""
     start = time.perf_counter()
-    rows, points = _dispatch(cfg)
-    for p in points:
-        # the configured confidence target: at least 1 - delta of trials pass
-        p.extra["meets_delta"] = bool(p.pass_fraction >= 1.0 - cfg.delta)
-    wall = time.perf_counter() - start
-    return ExperimentReport(config=cfg.to_dict(), rows=rows, points=points,
-                            wall_time_s=wall, version=__version__, seed=cfg.seed)
+    experiment = EXPERIMENTS[cfg.experiment]
+    param, values = next(iter(cfg.sweep.items())) if cfg.sweep else (None, [None])
+    points = []
+    for point, value in enumerate(values):
+        point_cfg = cfg if param is None else replace(cfg, **{param: value})
+        dim, outcome = experiment.run(point_cfg, point)
+        points.append(_summarize(dim if param is None else value, outcome, cfg.delta))
+    return ExperimentReport(config=cfg.to_dict(), points=points,
+                            wall_time_s=time.perf_counter() - start,
+                            version=__version__, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +433,18 @@ def _fmt(value) -> str:
 
 
 def trials_csv(report: ExperimentReport) -> str:
+    """One row per trial, formatted a column at a time: floats by ``repr``,
+    pass flags as 1/0."""
     lines = ["experiment,dim,trial,discrepancy,pass,auxiliary"]
     name = report.config["experiment"]
-    for r in report.rows:
-        lines.append(",".join([
-            name, _fmt(r["dim"]), _fmt(r["trial"]), _fmt(r["discrepancy"]),
-            _fmt(r["passed"]), _fmt(r["auxiliary"]),
-        ]))
+    for p in report.points:
+        out = p.outcome
+        trials = range(out.first_trial, out.first_trial + len(out.discrepancies))
+        columns = (map(str, trials), map(repr, out.discrepancies.tolist()),
+                   np.where(out.passed, "1", "0").tolist(),
+                   map(repr, out.auxiliary.tolist()))
+        prefix = f"{name},{p.dim},"
+        lines.extend(prefix + ",".join(row) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -545,9 +469,7 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (np.ndarray, list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -561,13 +483,14 @@ def summary_json(report: ExperimentReport) -> str:
         "seed": report.seed,
         "wall_time_s": report.wall_time_s,
         "summary": {
-            "n_records": len(report.rows),
+            "n_records": report.n_records,
             "pass_fraction": report.pass_fraction,
             "points": [
                 {
                     "dim": p.dim, "pass_fraction": p.pass_fraction,
                     "median_discrepancy": p.median, "q10": p.q10, "q90": p.q90,
-                    "reference": p.reference, "threshold": p.threshold,
+                    "reference": p.outcome.reference,
+                    "threshold": p.outcome.threshold,
                     "extra": _jsonable(p.extra),
                 }
                 for p in report.points
@@ -710,7 +633,7 @@ def main(argv=None) -> int:
     except GaplabError as exc:
         print(f"gaplab: error: {exc}", file=sys.stderr)
         return 1
-    print(f"{cfg.experiment}: {len(report.rows)} records, "
+    print(f"{cfg.experiment}: {report.n_records} records, "
           f"pass fraction {report.pass_fraction:.3f}, "
           f"outputs in {os.path.abspath(args.out)}")
     return 0

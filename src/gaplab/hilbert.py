@@ -77,7 +77,7 @@ class DensityMatrix:
             raise DomainError("matrix is not Hermitian within 1e-10")
         tr = np.trace(m).real
         if abs(tr - 1.0) > NORM_ATOL:
-            raise DomainError(f"trace must be 1 within 1e-10, got {tr!r}")
+            raise DomainError(f"trace must be 1 within 1e-10, got {float(tr)!r}")
         self._matrix = (m + m.conj().T) / 2.0
         self._matrix.setflags(write=False)
 
@@ -93,7 +93,7 @@ class DensityMatrix:
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         p, v = np.linalg.eigh(self._matrix)
         if p[0] < -EIGENVALUE_FLOOR:
-            raise DomainError(f"eigenvalue {p[0]!r} below -1e-10; matrix is not PSD")
+            raise DomainError(f"eigenvalue {float(p[0])!r} below -1e-10; matrix is not PSD")
         p = np.where(p < KERNEL_CUTOFF, 0.0, p)
         p = p / p.sum()
         order = np.argsort(-p, kind="stable")  # descending, ties keep eigh order

@@ -20,14 +20,14 @@ bit-reproducible and do not depend on the chunk length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
 
 from .conditional import WEIGHT_CUTOFF, _check_orthonormal_rows
 from .errors import DimensionError, DomainError, EmptyShellError
-from .gap import gap_sphere_density, sample_gap
+from .gap import covariance_estimate, gap_sphere_density, sample_gap
 from .hilbert import (
     HERMITIAN_ATOL,
     NORM_ATOL,
@@ -48,7 +48,7 @@ from .randomness import (
     random_ons,
     uniform_sphere,
 )
-from .stats import ks_vs_exponential
+from .stats import ks_vs_exponential, spearman
 
 __all__ = [
     "TestFunction",
@@ -58,7 +58,6 @@ __all__ = [
     "polynomial",
     "GapExpectation",
     "gap_expectation",
-    "TrialRecord",
     "ExperimentOutcome",
     "random_purification_experiment",
     "random_basis_experiment",
@@ -70,6 +69,7 @@ __all__ = [
     "canonical_typicality_experiment",
     "shell_universality_experiment",
     "shell_vs_target_experiment",
+    "thermal_experiment",
     "MicrocanonicalShell",
     "microcanonical_shell",
     "BetaFit",
@@ -82,6 +82,7 @@ __all__ = [
     "ContinuityProbeOutcome",
     "continuity_probe",
     "random_floor_density",
+    "gap_selftest_experiment",
 ]
 
 
@@ -225,28 +226,27 @@ def gap_reference(stream: RngStream, rho: DensityMatrix, f: TestFunction,
 
 
 # ---------------------------------------------------------------------------
-# Trial bookkeeping
+# Trial results
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    discrepancy: float
-    passed: bool
-    auxiliary: float = float("nan")
-
-
-@dataclass(frozen=True)
 class ExperimentOutcome:
-    records: tuple[TrialRecord, ...]
-    pass_fraction: float
+    """The trials of one sweep point as (n_trials,) columns: each trial's
+    discrepancy, pass flag and auxiliary value (NaN where the driver records
+    none), with the reference and pass threshold they were judged against.
+    Row i is trial ``first_trial + i``."""
+
+    discrepancies: np.ndarray
+    passed: np.ndarray
+    auxiliary: np.ndarray
     reference: float
     threshold: float
     extra: dict = field(default_factory=dict)
+    first_trial: int = 0
 
     @property
-    def discrepancies(self) -> np.ndarray:
-        return np.array([r.discrepancy for r in self.records])
+    def pass_fraction(self) -> float:
+        return float(np.mean(self.passed))
 
     def quantile(self, q: float) -> float:
         return float(np.quantile(self.discrepancies, q))
@@ -354,22 +354,12 @@ def _reduced_distances(m: np.ndarray, target: DensityMatrix) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
-def _records(values: np.ndarray, threshold: float, auxiliary=None) -> tuple:
-    if auxiliary is None:
-        return tuple(TrialRecord(i, float(v), bool(v < threshold))
-                     for i, v in enumerate(values))
-    return tuple(TrialRecord(i, float(v), bool(v < threshold), float(a))
-                 for i, (v, a) in enumerate(zip(values, auxiliary)))
-
-
-def _collect(values, reference, threshold, auxiliary=None,
-             extra=None) -> ExperimentOutcome:
+def _collect(values, reference, threshold, auxiliary, extra=None) -> ExperimentOutcome:
     """Outcome of trials with values mu(f): discrepancies |mu(f) - reference|
     pass below ``threshold``."""
-    records = _records(np.abs(values - reference), threshold, auxiliary)
-    frac = float(np.mean([r.passed for r in records]))
-    return ExperimentOutcome(records, frac, float(reference), float(threshold),
-                             extra or {})
+    discrepancies = np.abs(values - reference)
+    return ExperimentOutcome(discrepancies, discrepancies < threshold, auxiliary,
+                             float(reference), float(threshold), extra or {})
 
 
 # Reference expectations use 10x the trial budget so that their Monte Carlo
@@ -413,8 +403,8 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
         _check_states(branches)
         return _conditional_integrals(branches, f), np.nan
 
-    values, _ = _run_trials(stream, n_trials, d1 * d2, [(d2, d1)], evaluate)
-    return _collect(values, reference, threshold)
+    values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, d1)], evaluate)
+    return _collect(values, reference, threshold, aux)
 
 
 def random_basis_experiment(stream: RngStream, psi: BipartiteState,
@@ -437,8 +427,8 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
         return _conditional_integrals(_random_basis_branches(m, z), f), np.nan
 
     k = min(psi.d1, psi.d2)
-    values, _ = _run_trials(stream, n_trials, psi.dim, [(psi.d2, k)], evaluate)
-    return _collect(values, reference, threshold)
+    values, aux = _run_trials(stream, n_trials, psi.dim, [(psi.d2, k)], evaluate)
+    return _collect(values, reference, threshold, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +483,13 @@ def concentration_bound(dim: int, eta: np.ndarray) -> np.ndarray:
                         / CONCENTRATION_DENOMINATOR)
 
 
-@dataclass(frozen=True)
-class CanonicalTypicalityOutcome:
-    """Distances ||rho1(psi) - tr_2 rho_R||_tr for uniform subspace states,
-    with the explicit tail bound evaluated on a grid of eta values."""
+@dataclass(frozen=True, kw_only=True)
+class CanonicalTypicalityOutcome(ExperimentOutcome):
+    """Distances ||rho1(psi) - tr_2 rho_R||_tr for uniform subspace states as
+    the discrepancy column (reference 0), with the explicit tail bound
+    evaluated on a grid of eta values.  ``extra`` repeats the tail-bound
+    check for the report."""
 
-    records: tuple[TrialRecord, ...]
-    distances: np.ndarray
     eta_grid: np.ndarray
     exceedance: np.ndarray       # empirical fraction above eta + d1/sqrt(dim)
     bound: np.ndarray            # 4 exp(-dim eta^2 / 18 pi^3)
@@ -508,11 +498,12 @@ class CanonicalTypicalityOutcome:
     target: DensityMatrix
 
     @property
+    def distances(self) -> np.ndarray:
+        return self.discrepancies
+
+    @property
     def mean_distance(self) -> float:
         return float(self.distances.mean())
-
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.distances, q))
 
 
 def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
@@ -528,26 +519,31 @@ def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
     of the thresholds eta + d1/sqrt(dim) against the explicit bound
     4 exp(-dim eta^2 / 18 pi^3).
 
-    The per-record pass flag uses ``pass_threshold`` (default twice
+    The per-trial pass flag uses ``pass_threshold`` (default twice
     d1/sqrt(dim), a reporting heuristic; the scientific check is the bound).
     """
     target = reduced_of_subspace(basis, d1, d2)
     dim = basis.shape[1]
-    offset = d1 / np.sqrt(dim)
-    threshold = 2.0 * offset if pass_threshold is None else pass_threshold
+    offset = float(d1 / np.sqrt(dim))
+    threshold = 2.0 * offset if pass_threshold is None else float(pass_threshold)
 
     def evaluate(z):
         return _reduced_distances(_subspace_states(basis, z, d1, d2), target), np.nan
 
-    distances, _ = _run_trials(stream, n_trials, d1 * d2, [(dim, 1)], evaluate)
-    records = _records(distances, threshold)
+    distances, aux = _run_trials(stream, n_trials, d1 * d2, [(dim, 1)], evaluate)
     eta_grid = (np.linspace(0.05, 2.0, 10) if eta_grid is None
                 else np.asarray(eta_grid, dtype=float))
     exceed = np.array([(distances >= eta + offset).mean() for eta in eta_grid])
+    bound = concentration_bound(dim, eta_grid)
+    extra = {
+        "mean_distance": float(distances.mean()), "offset": offset,
+        "eta_grid": eta_grid.tolist(), "exceedance": exceed.tolist(),
+        "bound": bound.tolist(), "bound_violated": bool(np.any(exceed > bound)),
+    }
     return CanonicalTypicalityOutcome(
-        records=records, distances=distances, eta_grid=eta_grid,
-        exceedance=exceed, bound=concentration_bound(dim, eta_grid),
-        offset=float(offset), subspace_dim=dim, target=target,
+        distances, distances < threshold, aux, 0.0, threshold, extra,
+        eta_grid=eta_grid, exceedance=exceed, bound=bound, offset=offset,
+        subspace_dim=dim, target=target,
     )
 
 
@@ -736,6 +732,29 @@ def fit_beta(system_levels, rho_target: DensityMatrix, *,
     return BetaFit(beta=float(beta), residual=residual(beta))
 
 
+def thermal_experiment(stream: RngStream, shell: MicrocanonicalShell,
+                       f: TestFunction, epsilon: float,
+                       n_trials: int) -> ExperimentOutcome:
+    """The weak-coupling thermal scenario on a microcanonical shell.
+
+    Fits the inverse temperature beta whose canonical state rho_beta best
+    matches the shell average tr_2 rho_R, then runs
+    :func:`shell_vs_target_experiment` on the shell against rho_beta.
+    ``extra`` adds the fit, ||tr_2 rho_R - rho_beta||_tr, the shell
+    dimension and the shell's member count per system level.
+    """
+    reduced = shell.reduced_density()
+    fit = fit_beta(shell.system_levels, reduced)
+    omega = canonical_density(shell.system_levels, fit.beta)
+    out = shell_vs_target_experiment(stream, shell.basis(), shell.d1, shell.d2,
+                                     omega, f, epsilon, n_trials)
+    return replace(out, extra={
+        **out.extra, "beta": fit.beta, "fit_residual": fit.residual,
+        "thermal_target_distance": trace_norm(reduced.matrix - omega.matrix),
+        "shell_dim": shell.dim, "counts": shell.counts.tolist(),
+    })
+
+
 # ---------------------------------------------------------------------------
 # Truncated Haar submatrices
 # ---------------------------------------------------------------------------
@@ -795,6 +814,19 @@ class SubmatrixMetrics:
     l1_distance: float | None        # quadrature L1 to the Gaussian (k=1 only)
     expectation_gaps: dict
 
+    def as_outcome(self, epsilon: float, first_trial: int = 0) -> ExperimentOutcome:
+        """This size as one trial: the L1 distance (the KS distance when
+        k > 1) as the discrepancy and ``ks_entry`` as the auxiliary value,
+        passing when ``ks_entry < epsilon``."""
+        distance = self.ks_entry if self.l1_distance is None else self.l1_distance
+        return ExperimentOutcome(
+            np.array([distance]), np.array([self.ks_entry < epsilon]),
+            np.array([self.ks_entry]), 0.0, float(epsilon),
+            {"ks_entry": self.ks_entry, "ks_entry_max": self.ks_entry_max,
+             "expectation_gaps": self.expectation_gaps},
+            first_trial,
+        )
+
 
 def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
                         n_samples: int) -> np.ndarray:
@@ -818,7 +850,8 @@ def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
 
 
 def submatrix_convergence_experiment(stream: RngStream, k: int, n_values,
-                                     n_samples: int) -> list[SubmatrixMetrics]:
+                                     n_samples: int, *,
+                                     first_point: int = 0) -> list[SubmatrixMetrics]:
     """Convergence of sqrt(n)-scaled Haar blocks to i.i.d. complex Gaussians.
 
     For each n: samples the scaled top-left k x k block, reports the KS
@@ -827,7 +860,8 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n_values,
     |E g(scaled first column) - E g(Gaussian column)| for the standard test
     function kinds g (probing the first coordinate direction).
 
-    Sweep point p draws from ``stream.substream(p).generator()``: its
+    Sweep point p draws from ``stream.substream(first_point + p).generator()``
+    (so one point of a longer sweep can run alone): its
     ``n_samples`` blocks in chunks of stacked QRs (``_scaled_haar_blocks``;
     the outputs do not depend on the chunk length), then the Gaussian
     comparison sample.  ``k`` and ``n_samples`` must be integers >= 1 and
@@ -843,7 +877,7 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n_values,
         "cap_indicator": cap_indicator(np.eye(k)[0], 0.5),
         "polynomial": polynomial(np.eye(k)[0], [0.0, 0.0, 1.0]),
     }
-    for point, n in enumerate(n_values):
+    for point, n in enumerate(n_values, start=first_point):
         rng = stream.substream(point).generator()
         blocks = _scaled_haar_blocks(rng, n, k, n_samples)
         gauss = ginibre(rng, n_samples, k)
@@ -878,6 +912,18 @@ class ContinuityProbeOutcome:
     density_gaps: np.ndarray        # sup over probe points of |density difference|
     expectation_gaps: np.ndarray    # exact |GAP(rho)(f) - GAP(omega)(f)|, f = overlap_sq(e1)
     gamma: float
+
+    def as_outcome(self, threshold: float) -> ExperimentOutcome:
+        """The pairs as trials: density gap as the discrepancy and trace
+        distance as the auxiliary value.  A pair passes when its expectation
+        gap is within its trace distance (up to 1e-12); ``extra`` has the
+        Spearman rank correlation of the two columns and gamma."""
+        passed = self.expectation_gaps <= self.trace_distances + 1e-12
+        return ExperimentOutcome(
+            self.density_gaps, passed, self.trace_distances, 0.0, float(threshold),
+            {"spearman": spearman(self.trace_distances, self.density_gaps),
+             "gamma": self.gamma},
+        )
 
 
 def random_floor_density(rng: np.random.Generator, d: int, gamma: float) -> DensityMatrix:
@@ -922,3 +968,30 @@ def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int, *,
         )))
         expe_gap[m] = abs(float(np.real(e1 @ diff @ e1)))
     return ContinuityProbeOutcome(trace_d, dens_gap, expe_gap, float(gamma))
+
+
+# ---------------------------------------------------------------------------
+# GAP sampler self-test
+# ---------------------------------------------------------------------------
+
+def gap_selftest_experiment(stream: RngStream, d: int, gamma: float,
+                            epsilon: float, n_trials: int,
+                            n_samples: int) -> ExperimentOutcome:
+    """Self-test of the GAP sampler and sphere density.
+
+    Trial i draws from ``stream.substream(i).generator()``: a random density
+    matrix rho with spectrum floor min(gamma, 0.5/d), ``n_samples`` GAP(rho)
+    draws and min(n_samples, 20 000) uniform sphere points.  The discrepancy
+    is the largest entry of |covariance estimate - rho|, passing below
+    epsilon; the auxiliary value is |mean sphere density - 1|.
+    """
+    cov_err = np.empty(n_trials)
+    norm_err = np.empty(n_trials)
+    for i in range(n_trials):
+        rng = stream.substream(i).generator()
+        rho = random_floor_density(rng, d, min(gamma, 0.5 / d))
+        draws = sample_gap(rng, rho, size=n_samples)
+        cov_err[i] = np.max(np.abs(covariance_estimate(draws) - rho.matrix))
+        sphere = uniform_sphere(rng, d, size=min(n_samples, 20_000))
+        norm_err[i] = abs(np.mean(gap_sphere_density(rho, sphere)) - 1.0)
+    return _collect(cov_err, 0.0, epsilon, norm_err)

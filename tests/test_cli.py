@@ -6,7 +6,9 @@ import pytest
 
 from gaplab.cli import (
     ExperimentConfig,
+    ExperimentReport,
     PRESETS,
+    _summarize,
     emit_plot_data,
     main,
     parse_config,
@@ -28,6 +30,15 @@ TINY = {
     "epsilon": 0.2,
     "n_trials": 20,
     "seed": 99,
+}
+
+
+# The keys each experiment may sweep.
+SWEEPABLE = {
+    "theorem1": {"d2"}, "theorem2": {"d2"}, "submatrix": {"d2"},
+    "canonical_typicality": {"dR"}, "theorem3": {"d2", "dR"},
+    "theorem4": {"d2", "dR"}, "continuity": set(), "thermal": set(),
+    "gap_selftest": set(),
 }
 
 
@@ -69,7 +80,7 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, payload))
         report = run(cfg)
         assert [p.dim for p in report.points] == [8, 16, 32]
-        assert len(report.rows) == 15
+        assert report.n_records == 15
 
     def test_malformed_sweep_rejected(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "theorem1",
@@ -77,14 +88,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep"):
             parse_config(path)
 
-    def test_unsupported_sweep_parameter_rejected(self):
-        cfg = ExperimentConfig.from_dict(dict(TINY, sweep={"dR": [4, 8]}))
-        with pytest.raises(ConfigError, match="sweep"):
-            run(cfg)
-        cfg = ExperimentConfig.from_dict(
-            {"experiment": "gap_selftest", "n_trials": 1, "sweep": {"d2": [2]}})
-        with pytest.raises(ConfigError, match="sweep"):
-            run(cfg)
+    @pytest.mark.parametrize("param", ["d2", "dR"])
+    @pytest.mark.parametrize("experiment", sorted(SWEEPABLE))
+    def test_unsupported_sweep_parameter_rejected(self, experiment, param):
+        raw = {"experiment": experiment, "d1": 2, "d2": 8, "n_trials": 2,
+               "n_samples": 50, "seed": 3, "sweep": {param: [4]}}
+        if param in SWEEPABLE[experiment]:
+            assert [p.dim for p in run(ExperimentConfig.from_dict(raw)).points] == [4]
+        else:
+            with pytest.raises(ConfigError, match="sweep"):
+                run(ExperimentConfig.from_dict(raw))
 
     def test_subspace_experiment_can_sweep_either_dimension(self):
         base = {"experiment": "theorem3", "d1": 2, "d2": 8, "n_trials": 5,
@@ -136,6 +149,21 @@ class TestConfigErrorsNameTheKey:
                              "bath_spec": {"count": "x", "min": 0, "max": 1}}),
         ("system_levels", {"experiment": "thermal", "system_levels": "x"}),
         ("f_spec.coefficients", {"f_spec": {"kind": "polynomial", "coefficients": []}}),
+        ("f_spec.threshold", {"f_spec": {"kind": "cap_indicator", "threshold": 1.5}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": [[0, 0], [0, 0]]}}),
+        ("d2", {"d2": 1}),
+        ("d2", {"experiment": "theorem2", "d2": 1}),
+        ("gamma", {"experiment": "continuity", "d1": 20, "gamma": 0.1}),
+        ("f_spec.kind", {"experiment": "theorem3"}),
+        ("dR", {"experiment": "theorem3", "f_spec": {"kind": "overlap_sq"}, "dR": 17}),
+        ("dR", {"experiment": "theorem4", "dR": 17}),
+        ("dR", {"experiment": "canonical_typicality", "dR": 17}),
+        ("window", {"experiment": "thermal", "window": {"energy": 10.0, "width": -1}}),
+        ("window", {"experiment": "thermal", "window": {"energy": -100.0, "width": 0.5}}),
+        ("window", {"experiment": "thermal", "window": {"energy": 0.0, "width": 0.05}}),
+        ("d2", {"experiment": "submatrix", "d1": 2, "d2": 3}),
+        ("rho_spec.spectrum", {"experiment": "theorem4", "rho_spec": {"spectrum": [1.0, 0.0]}}),
+        ("rho_spec.spectrum", {"rho_spec": {"spectrum": [1.5, -0.5]}}),
     ])
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))
@@ -185,6 +213,24 @@ class TestRunAndFiles:
         point = payload["summary"]["points"][0]
         assert point["extra"]["meets_delta"] is (point["pass_fraction"] >= 0.9)
 
+    def test_trials_csv_columns_pinned(self):
+        first = typicality.ExperimentOutcome(
+            np.array([0.30000000000000004, 2.5]), np.array([True, False]),
+            np.array([np.nan, 1e-17]), 0.0, 0.5)
+        later = typicality.ExperimentOutcome(
+            np.array([1.0]), np.array([True]), np.array([0.125]), 0.0, 0.5,
+            first_trial=3)
+        report = ExperimentReport(
+            config={"experiment": "theorem1"},
+            points=[_summarize(16, first, 0.1), _summarize(64, later, 0.1)],
+            wall_time_s=0.0, version="test", seed=0)
+        assert trials_csv(report) == (
+            "experiment,dim,trial,discrepancy,pass,auxiliary\n"
+            "theorem1,16,0,0.30000000000000004,1,nan\n"
+            "theorem1,16,1,2.5,0,1e-17\n"
+            "theorem1,64,3,1.0,1,0.125\n"
+        )
+
     def test_plotdata_columns_pinned(self):
         report = run(ExperimentConfig.from_dict(dict(TINY)))
         text = emit_plot_data(report)
@@ -214,7 +260,9 @@ class TestReproducibility:
         for chunk in (1, 7):  # trials per chunk
             monkeypatch.setattr(typicality, "CHUNK_ENTRIES", chunk * entries)
             report = run(ExperimentConfig.from_dict(dict(TINY)))
-            assert report.rows == default.rows
+            for column in ("discrepancies", "passed", "auxiliary"):
+                np.testing.assert_array_equal(getattr(report.points[0].outcome, column),
+                                              getattr(default.points[0].outcome, column))
             assert trials_csv(report) == trials_csv(default)
 
     def test_different_seed_changes_outputs(self):
@@ -266,6 +314,21 @@ class TestPresets:
         assert len(lines) == 4
         medians = [float(row.split(",")[1]) for row in lines[1:]]
         assert medians[0] > medians[1] > medians[2]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_runs_end_to_end(tmp_path, name):
+    out = tmp_path / name
+    assert main(["run", "--preset", name, "--trials", "3", "--out", str(out)]) == 0
+    cfg = preset_config(name)
+    n_points = len(next(iter(cfg.sweep.values()))) if cfg.sweep else 1
+    rows_per_point = 1 if cfg.experiment == "submatrix" else 3
+    trials = (out / "trials.csv").read_text().splitlines()
+    plot = (out / "plotdata.csv").read_text().splitlines()
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(trials) == 1 + rows_per_point * n_points
+    assert len(plot) == 1 + n_points
+    assert summary["summary"]["n_records"] == len(trials) - 1
 
 
 class TestMainEntry:

@@ -217,6 +217,9 @@ class TestDensityMatrixValidation:
     def test_wrong_trace_rejected(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.eye(2, dtype=complex))
+        with pytest.raises(DomainError, match="got 1.1$") as err:
+            DensityMatrix(np.diag([0.6, 0.5]).astype(complex))
+        assert "np.float64" not in str(err.value)
 
     def test_nan_entries_rejected(self):
         with pytest.raises(DomainError, match="finite"):
@@ -224,8 +227,9 @@ class TestDensityMatrixValidation:
 
     def test_negative_eigenvalue_rejected(self):
         m = np.diag([1.001, -0.001]).astype(complex)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="eigenvalue -0.001 ") as err:
             DensityMatrix(m).spectrum()
+        assert "np.float64" not in str(err.value)
 
     def test_tiny_negative_eigenvalue_repaired(self):
         eps = 5e-11

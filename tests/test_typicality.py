@@ -145,7 +145,8 @@ class TestRandomPurificationExperiment:
         for chunk in (1, 7):  # trials per chunk of the 2 x 8 states
             monkeypatch.setattr(T, "CHUNK_ENTRIES", chunk * 2 * 8)
             out = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40)
-            assert out.records == default.records
+            for column in ("discrepancies", "passed", "auxiliary"):
+                np.testing.assert_array_equal(getattr(out, column), getattr(default, column))
 
     def test_trials_do_not_seed_through_seed_sequence(self, monkeypatch):
         # The engine derives its per-trial generators in bulk, never through
@@ -159,7 +160,7 @@ class TestRandomPurificationExperiment:
         f = cap_indicator(np.array([1.0, 0.0]), 0.5)
         out = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40,
                                                reference=0.3)
-        assert len(out.records) == 40
+        assert len(out.discrepancies) == 40
 
 
 class TestTrialCountLimit:
@@ -503,6 +504,14 @@ class TestSubmatrixConvergence:
         monkeypatch.setattr(RngStream, "generator", no_draws)
         with pytest.raises(DomainError, match=name):
             T.submatrix_convergence_experiment(RngStream(154), k, n_values, n_samples)
+
+    def test_one_point_runs_alone(self):
+        sweep = T.submatrix_convergence_experiment(RngStream(157), 1, [4, 16], 200)
+        alone = T.submatrix_convergence_experiment(RngStream(157), 1, [16], 200,
+                                                   first_point=1)
+        assert alone == sweep[1:]
+        assert sweep[0] != T.submatrix_convergence_experiment(
+            RngStream(157), 1, [4], 200, first_point=1)[0]
 
     def test_numpy_integer_arguments_accepted(self):
         metrics = T.submatrix_convergence_experiment(
