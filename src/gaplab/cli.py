@@ -239,14 +239,15 @@ def _resolve_bath(cfg: ExperimentConfig) -> np.ndarray:
 # The experiment table
 # ---------------------------------------------------------------------------
 #
-# Each entry runs one sweep point: it takes the configuration with the swept
-# value in place and the point's index, resolves its inputs (a library check
-# that a config value fails becomes a ConfigError naming the key) and returns
-# the point's dimension and its trials as one ExperimentOutcome.  Points of
-# theorem1-4 and canonical_typicality draw from RngStream(seed, point), with
-# the point's state or subspace from substream n_trials + 1; submatrix point
-# p draws from RngStream(seed, 0).substream(p); the experiments that do not
-# sweep draw from RngStream(seed, 0).
+# Each entry checks the configuration of one sweep point, with the swept
+# value in place (a library check that a config value fails becomes a
+# ConfigError naming the key), and returns the point's dimension and a
+# function that draws the point's trials, given its index, as one
+# ExperimentOutcome.  Points of theorem1-4 and canonical_typicality draw
+# from RngStream(seed, point), with the point's state or subspace from
+# substream n_trials + 1; submatrix point p draws from
+# RngStream(seed, 0).substream(p); the experiments that do not sweep draw
+# from RngStream(seed, 0).
 
 def _purification_inputs(cfg: ExperimentConfig):
     if cfg.d2 < cfg.d1:
@@ -254,70 +255,79 @@ def _purification_inputs(cfg: ExperimentConfig):
     return _resolve_rho(cfg, cfg.d1), _resolve_f(cfg, cfg.d1)
 
 
-def _theorem1(cfg: ExperimentConfig, point: int):
+def _theorem1(cfg: ExperimentConfig):
     rho1, f = _purification_inputs(cfg)
-    return cfg.d2, T.random_purification_experiment(
+    return cfg.d2, lambda point: T.random_purification_experiment(
         RngStream(cfg.seed, point), rho1, cfg.d2, f, cfg.epsilon, cfg.n_trials)
 
 
-def _theorem2(cfg: ExperimentConfig, point: int):
+def _theorem2(cfg: ExperimentConfig):
     rho1, f = _purification_inputs(cfg)
-    stream = RngStream(cfg.seed, point)
-    psi = random_purification(stream.substream(cfg.n_trials + 1).generator(), rho1, cfg.d2)
-    return cfg.d2, T.random_basis_experiment(stream, psi, f, cfg.epsilon, cfg.n_trials)
+
+    def draw(point):
+        stream = RngStream(cfg.seed, point)
+        psi = random_purification(stream.substream(cfg.n_trials + 1).generator(),
+                                  rho1, cfg.d2)
+        return T.random_basis_experiment(stream, psi, f, cfg.epsilon, cfg.n_trials)
+    return cfg.d2, draw
 
 
-def _subspace(cfg: ExperimentConfig, point: int):
-    """The point's dimension dR (default d1 * d2), stream and random subspace."""
-    dr = cfg.dR if cfg.dR is not None else cfg.d1 * cfg.d2
-    stream = RngStream(cfg.seed, point)
-    basis = _named("dR", T.random_subspace,
-                   stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr)
-    return dr, stream, basis
+def _on_subspace(cfg: ExperimentConfig, driver):
+    """The point's dimension dR (default d1 * d2) and its draw function,
+    which runs ``driver(stream, basis)`` on the point's stream and random
+    dR-dimensional subspace."""
+    total = cfg.d1 * cfg.d2
+    dr = cfg.dR if cfg.dR is not None else total
+    if dr > total:
+        raise ConfigError(f"dR: subspace dimension must lie in [1, {total}], got {dr}")
+
+    def draw(point):
+        stream = RngStream(cfg.seed, point)
+        return driver(stream, T.random_subspace(
+            stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr))
+    return dr, draw
 
 
-def _theorem3(cfg: ExperimentConfig, point: int):
+def _theorem3(cfg: ExperimentConfig):
     f = _resolve_f(cfg, cfg.d1)
     if not f.is_continuous:
         raise ConfigError(f"f_spec.kind: theorem3 needs a continuous test function, "
                           f"got {f.kind!r}")
-    dr, stream, basis = _subspace(cfg, point)
-    return dr, T.shell_universality_experiment(
-        stream, basis, cfg.d1, cfg.d2, f, cfg.epsilon, cfg.n_trials)
+    return _on_subspace(cfg, lambda stream, basis: T.shell_universality_experiment(
+        stream, basis, cfg.d1, cfg.d2, f, cfg.epsilon, cfg.n_trials))
 
 
-def _theorem4(cfg: ExperimentConfig, point: int):
+def _theorem4(cfg: ExperimentConfig):
     f = _resolve_f(cfg, cfg.d1)
     omega = _resolve_rho(cfg, cfg.d1)
     if omega.min_eigenvalue <= 0.0:
         raise ConfigError("rho_spec.spectrum: theorem4 needs a strictly positive target")
-    dr, stream, basis = _subspace(cfg, point)
-    return dr, T.shell_vs_target_experiment(
-        stream, basis, cfg.d1, cfg.d2, omega, f, cfg.epsilon, cfg.n_trials)
+    return _on_subspace(cfg, lambda stream, basis: T.shell_vs_target_experiment(
+        stream, basis, cfg.d1, cfg.d2, omega, f, cfg.epsilon, cfg.n_trials))
 
 
-def _canonical_typicality(cfg: ExperimentConfig, point: int):
-    dr, stream, basis = _subspace(cfg, point)
-    return dr, T.canonical_typicality_experiment(stream, basis, cfg.d1, cfg.d2, cfg.n_trials)
+def _canonical_typicality(cfg: ExperimentConfig):
+    return _on_subspace(cfg, lambda stream, basis: T.canonical_typicality_experiment(
+        stream, basis, cfg.d1, cfg.d2, cfg.n_trials))
 
 
-def _submatrix(cfg: ExperimentConfig, point: int):
+def _submatrix(cfg: ExperimentConfig):
     if cfg.d2 < 2 * cfg.d1:
         raise ConfigError(f"d2: submatrix needs d2 >= 2 d1 = {2 * cfg.d1}, got {cfg.d2}")
-    [m] = T.submatrix_convergence_experiment(RngStream(cfg.seed, 0), cfg.d1, [cfg.d2],
-                                             cfg.n_samples, first_point=point)
-    return m.n, m.as_outcome(cfg.epsilon, first_trial=point)
+    return cfg.d2, lambda point: replace(T.submatrix_convergence_experiment(
+        RngStream(cfg.seed, 0).substream(point), cfg.d1, cfg.d2, cfg.n_samples,
+        cfg.epsilon), first_trial=point)
 
 
-def _continuity(cfg: ExperimentConfig, point: int):
+def _continuity(cfg: ExperimentConfig):
     if not cfg.gamma < 1.0 / cfg.d1:
         raise ConfigError(f"gamma: must lie below 1/d1 = {1.0 / cfg.d1}, got {cfg.gamma}")
-    out = T.continuity_probe(RngStream(cfg.seed, point), cfg.d1, cfg.gamma,
-                             cfg.n_trials, n_probe=cfg.n_samples)
-    return cfg.d1, out.as_outcome(cfg.epsilon)
+    return cfg.d1, lambda point: T.continuity_probe(
+        RngStream(cfg.seed, point), cfg.d1, cfg.gamma, cfg.n_trials, cfg.epsilon,
+        n_probe=cfg.n_samples)
 
 
-def _thermal(cfg: ExperimentConfig, point: int):
+def _thermal(cfg: ExperimentConfig):
     system = _numbers("system_levels", cfg.system_levels)
     bath = _resolve_bath(cfg)
     shell = _named("window", T.microcanonical_shell, system, bath,
@@ -326,19 +336,19 @@ def _thermal(cfg: ExperimentConfig, point: int):
         raise ConfigError(f"window: every system level needs a level pair in the "
                           f"window, got counts {shell.counts.tolist()}")
     f = _resolve_f(cfg, shell.d1)
-    return shell.dim, T.thermal_experiment(RngStream(cfg.seed, point), shell, f,
-                                           cfg.epsilon, cfg.n_trials)
+    return shell.dim, lambda point: T.thermal_experiment(
+        RngStream(cfg.seed, point), shell, f, cfg.epsilon, cfg.n_trials)
 
 
-def _gap_selftest(cfg: ExperimentConfig, point: int):
-    return cfg.d1, T.gap_selftest_experiment(RngStream(cfg.seed, point), cfg.d1,
-                                             cfg.gamma, cfg.epsilon, cfg.n_trials,
-                                             cfg.n_samples)
+def _gap_selftest(cfg: ExperimentConfig):
+    return cfg.d1, lambda point: T.gap_selftest_experiment(
+        RngStream(cfg.seed, point), cfg.d1, cfg.gamma, cfg.epsilon, cfg.n_trials,
+        cfg.n_samples)
 
 
 class Experiment(NamedTuple):
     sweeps: tuple          # the config keys this experiment may sweep
-    run: Callable          # (config at the point, point index) -> (dim, outcome)
+    run: Callable          # config at the point -> (dim, point index -> outcome)
 
 
 EXPERIMENTS = {
@@ -405,16 +415,16 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 
     A sweep (of a key the experiment's table entry allows, checked with the
     config) runs the entry once per value, with the value in place of the
-    swept key; each point is labelled by its swept value, or by the entry's
-    own dimension when nothing is swept."""
+    swept key, and checks every point before the first one draws; each point
+    is labelled by its swept value, or by the entry's own dimension when
+    nothing is swept."""
     start = time.perf_counter()
     experiment = EXPERIMENTS[cfg.experiment]
     param, values = next(iter(cfg.sweep.items())) if cfg.sweep else (None, [None])
-    points = []
-    for point, value in enumerate(values):
-        point_cfg = cfg if param is None else replace(cfg, **{param: value})
-        dim, outcome = experiment.run(point_cfg, point)
-        points.append(_summarize(dim if param is None else value, outcome, cfg.delta))
+    checked = [experiment.run(cfg if param is None else replace(cfg, **{param: value}))
+               for value in values]
+    points = [_summarize(dim if param is None else value, draw(point), cfg.delta)
+              for point, (value, (dim, draw)) in enumerate(zip(values, checked))]
     return ExperimentReport(config=cfg.to_dict(), points=points,
                             wall_time_s=time.perf_counter() - start,
                             version=__version__, seed=cfg.seed)

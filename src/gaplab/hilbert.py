@@ -30,7 +30,6 @@ __all__ = [
     "DensityMatrix",
     "BipartiteState",
     "SchmidtDecomposition",
-    "normalize",
     "partial_inner",
     "reduced_density_matrix",
     "schmidt",
@@ -45,14 +44,6 @@ HERMITIAN_ATOL = 1e-10
 EIGENVALUE_FLOOR = 1e-10
 # Below this an eigenvalue counts as an exact zero (kernel direction).
 KERNEL_CUTOFF = 1e-12
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||, raising on the zero vector."""
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return np.asarray(v, dtype=complex) / n
 
 
 class DensityMatrix:

@@ -9,8 +9,9 @@ constants with no usable closed form, so the drivers sweep dimensions and
 check monotone convergence plus the explicit concentration bound that is
 available for subspace states.
 
-Every driver takes an :class:`~gaplab.randomness.RngStream` and derives one
-substream per trial.  The Monte Carlo drivers run their trials through one
+Every driver takes an :class:`~gaplab.randomness.RngStream`, runs one sweep
+point and returns its trials as one :class:`ExperimentOutcome`.  The Monte
+Carlo drivers derive one substream per trial and run their trials through one
 batched engine: it draws each trial's Gaussians from that trial's substream,
 in the order the per-trial public functions (``random_purification``,
 ``random_basis_measure``, ``uniform_subspace_state``) draw them, and does the
@@ -65,7 +66,6 @@ __all__ = [
     "reduced_of_subspace",
     "uniform_subspace_state",
     "concentration_bound",
-    "CanonicalTypicalityOutcome",
     "canonical_typicality_experiment",
     "shell_universality_experiment",
     "shell_vs_target_experiment",
@@ -77,9 +77,7 @@ __all__ = [
     "submatrix_density",
     "submatrix_density_k1",
     "submatrix_l1_distance",
-    "SubmatrixMetrics",
     "submatrix_convergence_experiment",
-    "ContinuityProbeOutcome",
     "continuity_probe",
     "random_floor_density",
     "gap_selftest_experiment",
@@ -114,8 +112,8 @@ class TestFunction:
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=complex)
         n = np.linalg.norm(phi)
-        if n == 0:
-            raise DomainError("phi must be a nonzero vector")
+        if not 0 < n < np.inf:  # NaN fails too
+            raise DomainError("phi must be a finite nonzero vector")
         phi = phi / n
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
@@ -133,6 +131,8 @@ class TestFunction:
             coeffs = np.asarray(self.coefficients, dtype=float)
             if coeffs.size == 0:
                 raise DomainError("polynomial needs at least one coefficient")
+            if not np.all(np.isfinite(coeffs)):
+                raise DomainError("polynomial coefficients must be finite")
             coeffs.setflags(write=False)
             object.__setattr__(self, "coefficients", coeffs)
             bound = _poly_sup_on_unit_interval(coeffs)
@@ -205,8 +205,7 @@ def gap_expectation(rng: np.random.Generator, rho: DensityMatrix,
     For ``overlap_sq`` the closed form <phi|rho|phi> (the GAP covariance in
     direction phi) is attached for cross-checking.
     """
-    if n_samples < 1:
-        raise DomainError("need at least one sample")
+    n_samples = _integer("n_samples", n_samples, 1)
     vals = np.asarray(f(sample_gap(rng, rho, size=n_samples)), dtype=float)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -368,8 +367,14 @@ REFERENCE_BUDGET_FACTOR = 10
 REFERENCE_BUDGET_FLOOR = 2000
 
 
-def _reference_budget(n_trials: int) -> int:
-    return max(REFERENCE_BUDGET_FACTOR * n_trials, REFERENCE_BUDGET_FLOOR)
+def _reference(reference, stream: RngStream, rho: DensityMatrix, f: TestFunction,
+               n_trials: int) -> float:
+    """``reference`` when given, else ``gap_reference`` of GAP(rho)(f) on
+    substream ``n_trials`` of ``stream`` (past every trial's substream)."""
+    if reference is not None:
+        return reference
+    return gap_reference(stream.substream(n_trials), rho, f,
+                         max(REFERENCE_BUDGET_FACTOR * n_trials, REFERENCE_BUDGET_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +395,7 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
     d1 = rho1.dim
     if d2 < d1:
         raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
-    if reference is None:
-        reference = gap_reference(stream.substream(n_trials), rho1, f,
-                                  _reference_budget(n_trials))
+    reference = _reference(reference, stream, rho1, f, n_trials)
     threshold = epsilon * f.bound
     # psi = (v sqrt(p)) Phi with Phi the (d1, d2) random system, so the
     # branch rows <j|psi> are the rows of Phi^T (v sqrt(p))^T.
@@ -417,9 +420,7 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
     record |mu(f) - GAP(rho1)(f)| with rho1 the reduced density matrix of psi.
     """
     rho1 = reduced_density_matrix(psi)
-    if reference is None:
-        reference = gap_reference(stream.substream(n_trials), rho1, f,
-                                  _reference_budget(n_trials))
+    reference = _reference(reference, stream, rho1, f, n_trials)
     threshold = epsilon * f.bound
     m = psi.as_matrix()[None]
 
@@ -483,56 +484,29 @@ def concentration_bound(dim: int, eta: np.ndarray) -> np.ndarray:
                         / CONCENTRATION_DENOMINATOR)
 
 
-@dataclass(frozen=True, kw_only=True)
-class CanonicalTypicalityOutcome(ExperimentOutcome):
-    """Distances ||rho1(psi) - tr_2 rho_R||_tr for uniform subspace states as
-    the discrepancy column (reference 0), with the explicit tail bound
-    evaluated on a grid of eta values.  ``extra`` repeats the tail-bound
-    check for the report."""
-
-    eta_grid: np.ndarray
-    exceedance: np.ndarray       # empirical fraction above eta + d1/sqrt(dim)
-    bound: np.ndarray            # 4 exp(-dim eta^2 / 18 pi^3)
-    offset: float                # d1 / sqrt(dim)
-    subspace_dim: int
-    target: DensityMatrix
-
-    @property
-    def distances(self) -> np.ndarray:
-        return self.discrepancies
-
-    @property
-    def mean_distance(self) -> float:
-        return float(self.distances.mean())
-
-
 def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
-                                    d1: int, d2: int, n_trials: int, *,
-                                    eta_grid=None,
-                                    pass_threshold: float | None = None
-                                    ) -> CanonicalTypicalityOutcome:
+                                    d1: int, d2: int, n_trials: int) -> ExperimentOutcome:
     """Concentration of the reduced density matrix over a subspace.
 
     Per trial: draw psi uniformly on the subspace sphere and record the
     trace distance between its reduced density matrix and the subspace
-    average tr_2 rho_R.  The outcome reports empirical exceedance fractions
-    of the thresholds eta + d1/sqrt(dim) against the explicit bound
-    4 exp(-dim eta^2 / 18 pi^3).
+    average tr_2 rho_R as the discrepancy (reference 0).  ``extra`` reports
+    the mean distance and, on a grid of ten eta in [0.05, 2], the empirical
+    exceedance fractions of eta + d1/sqrt(dim) (``offset``) against the
+    explicit bound 4 exp(-dim eta^2 / 18 pi^3), with ``bound_violated``.
 
-    The per-trial pass flag uses ``pass_threshold`` (default twice
-    d1/sqrt(dim), a reporting heuristic; the scientific check is the bound).
+    A trial passes below twice the offset, a reporting heuristic; the
+    scientific check is the bound.
     """
     target = reduced_of_subspace(basis, d1, d2)
     dim = basis.shape[1]
     offset = float(d1 / np.sqrt(dim))
-    threshold = 2.0 * offset if pass_threshold is None else float(pass_threshold)
 
     def evaluate(z):
         return _reduced_distances(_subspace_states(basis, z, d1, d2), target), np.nan
 
     distances, aux = _run_trials(stream, n_trials, d1 * d2, [(dim, 1)], evaluate)
-    eta_grid = (np.linspace(0.05, 2.0, 10) if eta_grid is None
-                else np.asarray(eta_grid, dtype=float))
+    eta_grid = np.linspace(0.05, 2.0, 10)
     exceed = np.array([(distances >= eta + offset).mean() for eta in eta_grid])
     bound = concentration_bound(dim, eta_grid)
     extra = {
@@ -540,11 +514,8 @@ def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
         "eta_grid": eta_grid.tolist(), "exceedance": exceed.tolist(),
         "bound": bound.tolist(), "bound_violated": bool(np.any(exceed > bound)),
     }
-    return CanonicalTypicalityOutcome(
-        distances, distances < threshold, aux, 0.0, threshold, extra,
-        eta_grid=eta_grid, exceedance=exceed, bound=bound, offset=offset,
-        subspace_dim=dim, target=target,
-    )
+    return ExperimentOutcome(distances, distances < 2.0 * offset, aux, 0.0,
+                             2.0 * offset, extra)
 
 
 def shell_universality_experiment(stream: RngStream, basis: np.ndarray,
@@ -562,9 +533,7 @@ def shell_universality_experiment(stream: RngStream, basis: np.ndarray,
     if not f.is_continuous:
         raise DomainError("this experiment requires a continuous test function")
     target = reduced_of_subspace(basis, d1, d2)
-    if reference is None:
-        reference = gap_reference(stream.substream(n_trials), target, f,
-                                  _reference_budget(n_trials))
+    reference = _reference(reference, stream, target, f, n_trials)
 
     values, aux = _shell_trials(stream, basis, d1, d2, f, target, n_trials)
     return _collect(values, reference, epsilon, aux)
@@ -602,9 +571,7 @@ def shell_vs_target_experiment(stream: RngStream, basis: np.ndarray,
         raise DomainError("target density matrix must be strictly positive")
     reduced = reduced_of_subspace(basis, d1, d2)
     target_distance = trace_norm(reduced.matrix - omega.matrix)
-    if reference is None:
-        reference = gap_reference(stream.substream(n_trials), omega, f,
-                                  _reference_budget(n_trials))
+    reference = _reference(reference, stream, omega, f, n_trials)
     threshold = epsilon * f.bound
 
     values, aux = _shell_trials(stream, basis, d1, d2, f, omega, n_trials)
@@ -670,8 +637,12 @@ def microcanonical_shell(system_levels, bath_levels, energy: float,
     two-component Hamiltonian given both eigenvalue lists."""
     system_levels = np.asarray(system_levels, dtype=float)
     bath_levels = np.asarray(bath_levels, dtype=float)
-    if width <= 0:
-        raise DomainError(f"window width must be positive, got {width}")
+    for name, value in (("system_levels", system_levels), ("bath_levels", bath_levels),
+                        ("energy", energy)):
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} must be finite")
+    if not 0 < width < np.inf:  # NaN fails too
+        raise DomainError(f"window width must be positive and finite, got {width}")
     tol = 1e-9 * max(1.0, abs(energy) + abs(width))
     pairs = [
         (i, j)
@@ -693,12 +664,11 @@ class BetaFit:
     residual: float
 
 
-def fit_beta(system_levels, rho_target: DensityMatrix, *,
-             beta_max: float = 50.0, tol: float = 1e-10) -> BetaFit:
+def fit_beta(system_levels, rho_target: DensityMatrix) -> BetaFit:
     """Inverse temperature whose thermal state best matches a diagonal target.
 
-    Minimizes ||rho_beta - rho_target||_tr over beta in [-beta_max, beta_max]
-    by golden-section search.  The target must be diagonal in the system
+    Minimizes ||rho_beta - rho_target||_tr over beta in [-50, 50] by
+    golden-section search down to an interval of 1e-10.  The target must be diagonal in the system
     eigenbasis and strictly positive.
     """
     m = rho_target.matrix
@@ -716,10 +686,10 @@ def fit_beta(system_levels, rho_target: DensityMatrix, *,
         return float(np.sum(np.abs(p - t)))
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = -beta_max, beta_max
+    a, b = -50.0, 50.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = residual(c), residual(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -740,17 +710,17 @@ def thermal_experiment(stream: RngStream, shell: MicrocanonicalShell,
     Fits the inverse temperature beta whose canonical state rho_beta best
     matches the shell average tr_2 rho_R, then runs
     :func:`shell_vs_target_experiment` on the shell against rho_beta.
-    ``extra`` adds the fit, ||tr_2 rho_R - rho_beta||_tr, the shell
-    dimension and the shell's member count per system level.
+    ``extra`` adds the fit, ||tr_2 rho_R - rho_beta||_tr (the target
+    distance again), the shell dimension and the shell's member count per
+    system level.
     """
-    reduced = shell.reduced_density()
-    fit = fit_beta(shell.system_levels, reduced)
+    fit = fit_beta(shell.system_levels, shell.reduced_density())
     omega = canonical_density(shell.system_levels, fit.beta)
     out = shell_vs_target_experiment(stream, shell.basis(), shell.d1, shell.d2,
                                      omega, f, epsilon, n_trials)
     return replace(out, extra={
         **out.extra, "beta": fit.beta, "fit_residual": fit.residual,
-        "thermal_target_distance": trace_norm(reduced.matrix - omega.matrix),
+        "thermal_target_distance": out.extra["target_distance"],
         "shell_dim": shell.dim, "counts": shell.counts.tolist(),
     })
 
@@ -804,30 +774,6 @@ def submatrix_l1_distance(n: int) -> float:
     return float(inner + tail)
 
 
-@dataclass(frozen=True)
-class SubmatrixMetrics:
-    """Convergence diagnostics of scaled Haar blocks at one matrix size."""
-
-    n: int
-    ks_entry: float                  # KS of |X_11|^2 against Exp(1)
-    ks_entry_max: float              # max of the same KS over all k^2 entries
-    l1_distance: float | None        # quadrature L1 to the Gaussian (k=1 only)
-    expectation_gaps: dict
-
-    def as_outcome(self, epsilon: float, first_trial: int = 0) -> ExperimentOutcome:
-        """This size as one trial: the L1 distance (the KS distance when
-        k > 1) as the discrepancy and ``ks_entry`` as the auxiliary value,
-        passing when ``ks_entry < epsilon``."""
-        distance = self.ks_entry if self.l1_distance is None else self.l1_distance
-        return ExperimentOutcome(
-            np.array([distance]), np.array([self.ks_entry < epsilon]),
-            np.array([self.ks_entry]), 0.0, float(epsilon),
-            {"ks_entry": self.ks_entry, "ks_entry_max": self.ks_entry_max,
-             "expectation_gaps": self.expectation_gaps},
-            first_trial,
-        )
-
-
 def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
                         n_samples: int) -> np.ndarray:
     """(n_samples, k, k) blocks X_ij = sqrt(n) U_ij of Haar unitaries U,
@@ -849,82 +795,51 @@ def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
     return blocks
 
 
-def submatrix_convergence_experiment(stream: RngStream, k: int, n_values,
-                                     n_samples: int, *,
-                                     first_point: int = 0) -> list[SubmatrixMetrics]:
-    """Convergence of sqrt(n)-scaled Haar blocks to i.i.d. complex Gaussians.
+def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
+                                     n_samples: int, epsilon: float) -> ExperimentOutcome:
+    """Convergence of sqrt(n)-scaled Haar blocks of size n to i.i.d. complex
+    Gaussians, as one trial.
 
-    For each n: samples the scaled top-left k x k block, reports the KS
-    distance of each entry's squared modulus to Exp(1), the quadrature L1
-    distance of the k=1 density to its Gaussian limit, and the gaps
-    |E g(scaled first column) - E g(Gaussian column)| for the standard test
-    function kinds g (probing the first coordinate direction).
-
-    Sweep point p draws from ``stream.substream(first_point + p).generator()``
-    (so one point of a longer sweep can run alone): its
-    ``n_samples`` blocks in chunks of stacked QRs (``_scaled_haar_blocks``;
-    the outputs do not depend on the chunk length), then the Gaussian
-    comparison sample.  ``k`` and ``n_samples`` must be integers >= 1 and
-    every n an integer >= 2k; all are checked before anything is drawn.
+    Draws from ``stream.generator()``: ``n_samples`` scaled top-left k x k
+    blocks in chunks of stacked QRs (``_scaled_haar_blocks``; the outputs do
+    not depend on the chunk length), then the Gaussian comparison sample.
+    The trial's auxiliary value ``ks_entry`` is the KS distance of |X_11|^2
+    to Exp(1), and it passes when ``ks_entry < epsilon``; its discrepancy is
+    the quadrature L1 distance of the k=1 density to its Gaussian limit
+    (``ks_entry`` when k > 1).  ``extra`` adds the max of the same KS over
+    all k^2 entries and the gaps |E g(scaled first column) - E g(Gaussian
+    column)| for the standard test function kinds g (probing the first
+    coordinate direction).  ``k`` and ``n_samples`` must be integers >= 1
+    and n an integer >= 2k; all are checked before anything is drawn.
     """
     k = _integer("k", k, 1)
+    n = _integer("n", n, 2 * k)
     n_samples = _integer("n_samples", n_samples, 1)
-    n_values = [_integer("n in n_values", n, 2 * k) for n in n_values]
-    metrics = []
-    probes = {
-        "overlap_sq": overlap_sq(np.eye(k)[0]),
-        "real_part": real_part(np.eye(k)[0]),
-        "cap_indicator": cap_indicator(np.eye(k)[0], 0.5),
-        "polynomial": polynomial(np.eye(k)[0], [0.0, 0.0, 1.0]),
-    }
-    for point, n in enumerate(n_values, start=first_point):
-        rng = stream.substream(point).generator()
-        blocks = _scaled_haar_blocks(rng, n, k, n_samples)
-        gauss = ginibre(rng, n_samples, k)
+    e1 = np.eye(k)[0]
+    probes = (overlap_sq(e1), real_part(e1), cap_indicator(e1, 0.5),
+              polynomial(e1, [0.0, 0.0, 1.0]))
+    rng = stream.generator()
+    blocks = _scaled_haar_blocks(rng, n, k, n_samples)
+    gauss = ginibre(rng, n_samples, k)
 
-        ks = np.array([
-            [ks_vs_exponential(np.abs(blocks[:, i, j]) ** 2) for j in range(k)]
-            for i in range(k)
-        ])
-        gaps = {}
-        first_col = blocks[:, :, 0]
-        for name, g in probes.items():
-            gaps[name] = float(abs(np.mean(g(first_col)) - np.mean(g(gauss))))
-        metrics.append(SubmatrixMetrics(
-            n=n,
-            ks_entry=float(ks[0, 0]),
-            ks_entry_max=float(ks.max()),
-            l1_distance=submatrix_l1_distance(n) if k == 1 else None,
-            expectation_gaps=gaps,
-        ))
-    return metrics
+    ks = np.array([
+        [ks_vs_exponential(np.abs(blocks[:, i, j]) ** 2) for j in range(k)]
+        for i in range(k)
+    ])
+    ks_entry = float(ks[0, 0])
+    gaps = {g.kind: float(abs(np.mean(g(blocks[:, :, 0])) - np.mean(g(gauss))))
+            for g in probes}
+    distance = submatrix_l1_distance(n) if k == 1 else ks_entry
+    return ExperimentOutcome(
+        np.array([distance]), np.array([ks_entry < epsilon]), np.array([ks_entry]),
+        0.0, float(epsilon),
+        {"ks_entry": ks_entry, "ks_entry_max": float(ks.max()), "expectation_gaps": gaps},
+    )
 
 
 # ---------------------------------------------------------------------------
 # Continuity of GAP in the density matrix
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContinuityProbeOutcome:
-    """Per-pair records relating trace distance to GAP density distance."""
-
-    trace_distances: np.ndarray
-    density_gaps: np.ndarray        # sup over probe points of |density difference|
-    expectation_gaps: np.ndarray    # exact |GAP(rho)(f) - GAP(omega)(f)|, f = overlap_sq(e1)
-    gamma: float
-
-    def as_outcome(self, threshold: float) -> ExperimentOutcome:
-        """The pairs as trials: density gap as the discrepancy and trace
-        distance as the auxiliary value.  A pair passes when its expectation
-        gap is within its trace distance (up to 1e-12); ``extra`` has the
-        Spearman rank correlation of the two columns and gamma."""
-        passed = self.expectation_gaps <= self.trace_distances + 1e-12
-        return ExperimentOutcome(
-            self.density_gaps, passed, self.trace_distances, 0.0, float(threshold),
-            {"spearman": spearman(self.trace_distances, self.density_gaps),
-             "gamma": self.gamma},
-        )
-
 
 def random_floor_density(rng: np.random.Generator, d: int, gamma: float) -> DensityMatrix:
     """Random density matrix with all eigenvalues >= gamma: a uniform simplex
@@ -935,19 +850,22 @@ def random_floor_density(rng: np.random.Generator, d: int, gamma: float) -> Dens
     return DensityMatrix.from_spectrum(spectrum, haar_unitary(rng, d))
 
 
-def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int, *,
-                     n_probe: int = 10_000) -> ContinuityProbeOutcome:
+def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
+                     threshold: float, *, n_probe: int = 10_000) -> ExperimentOutcome:
     """Modulus-of-continuity scatter for rho -> GAP(rho) on the set of
-    density matrices with spectrum >= gamma.
+    density matrices with spectrum >= gamma, one trial per pair.
 
     Pairs are built by convex interpolation between two independent draws,
-    so their trace distances span a range; for each pair the sup of the
-    sphere-density difference over a shared set of uniform probe points is
-    recorded, together with the exact expectation gap for f = overlap_sq(e1).
-    Smaller gamma exhibits the blow-up of the density modulus.
+    so their trace distances span a range.  A pair's discrepancy is the sup
+    of the sphere-density difference over a shared set of ``n_probe``
+    uniform probe points and its auxiliary value the trace distance; it
+    passes when the exact expectation gap for f = overlap_sq(e1) is within
+    the trace distance (up to 1e-12).  ``threshold`` is recorded as given.
+    ``extra`` has the Spearman rank correlation of the two columns and
+    gamma.  Smaller gamma exhibits the blow-up of the density modulus.
     """
-    if n_pairs < 1:
-        raise DomainError("need at least one pair")
+    n_pairs = _integer("n_pairs", n_pairs, 1)
+    n_probe = _integer("n_probe", n_probe, 1)
     rng = stream.generator()
     probes = uniform_sphere(rng, d, size=n_probe)
     e1 = np.eye(d)[0]
@@ -967,7 +885,10 @@ def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int, *,
             gap_sphere_density(rho, probes) - gap_sphere_density(omega, probes)
         )))
         expe_gap[m] = abs(float(np.real(e1 @ diff @ e1)))
-    return ContinuityProbeOutcome(trace_d, dens_gap, expe_gap, float(gamma))
+    return ExperimentOutcome(
+        dens_gap, expe_gap <= trace_d + 1e-12, trace_d, 0.0, float(threshold),
+        {"spearman": spearman(trace_d, dens_gap), "gamma": float(gamma)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +906,8 @@ def gap_selftest_experiment(stream: RngStream, d: int, gamma: float,
     is the largest entry of |covariance estimate - rho|, passing below
     epsilon; the auxiliary value is |mean sphere density - 1|.
     """
+    n_trials = _integer("n_trials", n_trials, 1)
+    n_samples = _integer("n_samples", n_samples, 1)
     cov_err = np.empty(n_trials)
     norm_err = np.empty(n_trials)
     for i in range(n_trials):

@@ -175,20 +175,24 @@ def test_criterion_07_concentration_bound():
     basis = T.random_subspace(RngStream(1007, 0).generator(), d1, d2, dim)
     out = T.canonical_typicality_experiment(RngStream(1007, 1), basis, d1, d2,
                                             n_trials)
-    clipped = np.clip(out.bound, 0.0, 1.0)
+    bound = np.asarray(out.extra["bound"])
+    exceedance = np.asarray(out.extra["exceedance"])
+    mean_distance = out.extra["mean_distance"]
+    clipped = np.clip(bound, 0.0, 1.0)
     slack = 3.0 * np.sqrt(clipped * (1.0 - clipped) / n_trials)
-    bound_ok = bool(np.all(out.exceedance <= out.bound + slack))
-    mean_ok = out.mean_distance < 0.4
+    bound_ok = bool(np.all(exceedance <= bound + slack))
+    mean_ok = mean_distance < 0.4
     report(7, "reduced-state concentration bound", bound_ok and mean_ok,
-           f"mean distance {out.mean_distance:.4f} (need < 0.4); "
+           f"mean distance {mean_distance:.4f} (need < 0.4); "
            f"max exceedance-bound margin "
-           f"{float(np.max(out.exceedance - out.bound)):.3e} (need <= 3 SE)")
+           f"{float(np.max(exceedance - bound)):.3e} (need <= 3 SE)")
 
 
 def test_criterion_08_submatrix_convergence():
-    metrics = T.submatrix_convergence_experiment(
-        RngStream(1008), 1, [4, 16, 64, 256], 10_000)
-    l1 = [m.l1_distance for m in metrics]
+    stream = RngStream(1008)
+    outs = [T.submatrix_convergence_experiment(stream.substream(p), 1, n, 10_000, 0.02)
+            for p, n in enumerate((4, 16, 64, 256))]
+    l1 = [out.discrepancies[0] for out in outs]
     decreasing = all(a > b for a, b in zip(l1, l1[1:]))
 
     from scipy.integrate import quad
@@ -197,7 +201,7 @@ def test_criterion_08_submatrix_convergence():
                  0, np.sqrt(n))[0] - 1.0)
         for n in (4, 16, 64, 256)
     )
-    ks = metrics[-1].ks_entry
+    ks = outs[-1].extra["ks_entry"]
     ok = decreasing and norm_err < 1e-6 and ks < 0.02
     report(8, "scaled Haar entry convergence", ok,
            f"L1 sequence {[f'{v:.4f}' for v in l1]} decreasing={decreasing}; "

@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gaplab.cli import (
+    EXPERIMENTS,
     ExperimentConfig,
     ExperimentReport,
     PRESETS,
@@ -19,6 +21,7 @@ from gaplab.cli import (
 )
 from gaplab import typicality
 from gaplab.errors import ConfigError
+from gaplab.randomness import RngStream
 
 
 TINY = {
@@ -167,6 +170,24 @@ class TestConfigErrorsNameTheKey:
     ])
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+
+
+class TestSweepCheckedBeforeDrawing:
+    @pytest.mark.parametrize("key, payload", [
+        ("d2", {"experiment": "submatrix", "d1": 2, "sweep": {"d2": [256, 3]}}),
+        ("d2", {"experiment": "theorem1", "d1": 2, "sweep": {"d2": [64, 1]}}),
+        ("dR", {"experiment": "theorem3", "d1": 2, "d2": 4, "sweep": {"dR": [4, 9]}}),
+    ])
+    def test_bad_late_sweep_value_exits_1_before_any_draw(self, tmp_path, capsys,
+                                                          monkeypatch, key, payload):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking every sweep point")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        monkeypatch.setattr(RngStream, "trial_generators", no_draws)
+        path = write_config(tmp_path, payload)
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
         assert f"error: {key}:" in capsys.readouterr().err
 
@@ -322,6 +343,13 @@ def test_every_preset_runs_end_to_end(tmp_path, name):
     assert main(["run", "--preset", name, "--trials", "3", "--out", str(out)]) == 0
     cfg = preset_config(name)
     n_points = len(next(iter(cfg.sweep.values()))) if cfg.sweep else 1
+    # Every table entry returns a plain ExperimentOutcome at every point.
+    small = preset_config(name, {"n_trials": 3})
+    param, values = next(iter(small.sweep.items())) if small.sweep else (None, [None])
+    for point, value in enumerate(values):
+        point_cfg = small if param is None else replace(small, **{param: value})
+        _, draw = EXPERIMENTS[small.experiment].run(point_cfg)
+        assert type(draw(point)) is typicality.ExperimentOutcome
     rows_per_point = 1 if cfg.experiment == "submatrix" else 3
     trials = (out / "trials.csv").read_text().splitlines()
     plot = (out / "plotdata.csv").read_text().splitlines()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -58,6 +60,18 @@ class TestTestFunction:
     def test_empty_polynomial_rejected(self):
         with pytest.raises(DomainError, match="at least one coefficient"):
             polynomial(np.array([1.0, 0.0]), [])
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: T.TestFunction("overlap_sq", [np.nan, 1.0]), "phi"),
+        (lambda: T.TestFunction("overlap_sq", [np.inf, 1.0]), "phi"),
+        (lambda: real_part([1.0, -np.inf]), "phi"),
+        (lambda: polynomial([1.0, 0.0], [0.0, np.nan]), "coefficients"),
+        (lambda: polynomial([1.0, 0.0], [np.inf]), "coefficients"),
+        (lambda: cap_indicator([1.0, 0.0], np.nan), "threshold"),
+    ])
+    def test_non_finite_arguments_rejected(self, make, name):
+        with pytest.raises(DomainError, match=name):
+            make()
 
     def test_continuity_flag(self):
         phi = np.array([1.0, 0.0])
@@ -252,16 +266,17 @@ class TestCanonicalTypicality:
         rng = RngStream(120).generator()
         basis = T.random_subspace(rng, 2, 3, 1)
         out = T.canonical_typicality_experiment(RngStream(121), basis, 2, 3, 20)
-        assert np.max(out.distances) - np.min(out.distances) < 1e-10
+        assert np.max(out.discrepancies) - np.min(out.discrepancies) < 1e-10
 
     def test_concentration_at_moderate_dimension(self):
         rng = RngStream(122).generator()
         basis = T.random_subspace(rng, 2, 50, 100)
         out = T.canonical_typicality_experiment(RngStream(123), basis, 2, 50, 300)
-        assert out.mean_distance < 0.4
-        binom_se = np.sqrt(np.clip(out.bound, 0, 1) * (1 - np.clip(out.bound, 0, 1))
-                           / len(out.distances))
-        assert np.all(out.exceedance <= out.bound + 3 * binom_se)
+        assert out.extra["mean_distance"] < 0.4
+        bound = np.asarray(out.extra["bound"])
+        binom_se = np.sqrt(np.clip(bound, 0, 1) * (1 - np.clip(bound, 0, 1))
+                           / len(out.discrepancies))
+        assert np.all(np.asarray(out.extra["exceedance"]) <= bound + 3 * binom_se)
 
     def test_mean_distance_decreases_with_subspace_dimension(self):
         # d2 is held large enough that the environment-size floor on the
@@ -272,7 +287,7 @@ class TestCanonicalTypicality:
             basis = T.random_subspace(rng, 2, 800, dim)
             out = T.canonical_typicality_experiment(
                 RngStream(125, idx), basis, 2, 800, 200)
-            means.append(out.mean_distance)
+            means.append(out.extra["mean_distance"])
         assert means[2] < means[1] < means[0]
 
 
@@ -360,6 +375,18 @@ class TestMicrocanonicalShell:
         with pytest.raises(DomainError):
             T.microcanonical_shell([0.0, 1.0], [0.0, 0.5], 1.0, 0.0)
 
+    @pytest.mark.parametrize("system, bath, energy, width, name", [
+        ([0.0, np.inf], [0.0, 0.5], 0.0, 0.5, "system_levels"),
+        ([0.0, np.nan], [0.0, 0.5], 0.0, 0.5, "system_levels"),
+        ([0.0, 1.0], [0.0, -np.inf], 0.0, 0.5, "bath_levels"),
+        ([0.0, 1.0], [0.0, 0.5], np.nan, 0.5, "energy"),
+        ([0.0, 1.0], [0.0, 0.5], 0.0, np.nan, "width"),
+        ([0.0, 1.0], [0.0, 0.5], 0.0, np.inf, "width"),
+    ])
+    def test_non_finite_arguments_rejected(self, system, bath, energy, width, name):
+        with pytest.raises(DomainError, match=name):
+            T.microcanonical_shell(system, bath, energy, width)
+
     def test_basis_columns_are_member_product_states(self):
         shell = T.microcanonical_shell([0.0, 1.0], [0.0, 0.5, 1.0, 1.5], 1.0, 0.5)
         b = shell.basis()
@@ -433,20 +460,32 @@ class TestSubmatrixDensity:
             assert abs(total - 1.0) < 1e-6
 
 
+def _submatrix_sweep(stream, k, n_values, n_samples, epsilon=0.02):
+    """Point p of a sweep over n draws from ``stream.substream(p)``."""
+    return [T.submatrix_convergence_experiment(stream.substream(p), k, n, n_samples, epsilon)
+            for p, n in enumerate(n_values)]
+
+
+def _same_outcome(a, b):
+    return (a.discrepancies.tobytes() == b.discrepancies.tobytes()
+            and a.passed.tobytes() == b.passed.tobytes()
+            and a.auxiliary.tobytes() == b.auxiliary.tobytes()
+            and a.extra == b.extra and (a.reference, a.threshold, a.first_trial)
+            == (b.reference, b.threshold, b.first_trial))
+
+
 class TestSubmatrixConvergence:
     def test_l1_decreasing_and_ks_small(self):
-        metrics = T.submatrix_convergence_experiment(
-            RngStream(142), 1, [4, 16, 64, 256], 3000)
-        l1 = [m.l1_distance for m in metrics]
+        outs = _submatrix_sweep(RngStream(142), 1, [4, 16, 64, 256], 3000)
+        l1 = [out.discrepancies[0] for out in outs]
         assert all(a > b for a, b in zip(l1, l1[1:]))
-        assert metrics[-1].ks_entry < 0.04
+        assert outs[-1].extra["ks_entry"] < 0.04
 
     def test_expectation_gaps_shrink(self):
-        metrics = T.submatrix_convergence_experiment(
-            RngStream(143), 1, [4, 256], 4000)
+        outs = _submatrix_sweep(RngStream(143), 1, [4, 256], 4000)
         for kind in ("cap_indicator", "polynomial"):
-            assert (metrics[1].expectation_gaps[kind]
-                    < metrics[0].expectation_gaps[kind])
+            assert (outs[1].extra["expectation_gaps"][kind]
+                    < outs[0].extra["expectation_gaps"][kind])
 
     def test_columns_exchangeable(self):
         from gaplab import random_ons
@@ -462,7 +501,7 @@ class TestSubmatrixConvergence:
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
-            T.submatrix_convergence_experiment(RngStream(145), 2, [3], 10)
+            T.submatrix_convergence_experiment(RngStream(145), 2, 3, 10, 0.02)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", ["2k", 16, 256])
@@ -476,48 +515,56 @@ class TestSubmatrixConvergence:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [4, 16])
     def test_chunk_size_does_not_change_metrics(self, monkeypatch, k, n):
-        default = T.submatrix_convergence_experiment(RngStream(153), k, [n], 50)
+        default = T.submatrix_convergence_experiment(RngStream(153), k, n, 50, 0.02)
         assert T.CHUNK_ENTRIES // (n * k) >= 50  # one chunk holds every sample
         for chunk in (1, 7):  # samples per chunk
             monkeypatch.setattr(T, "CHUNK_ENTRIES", chunk * n * k)
-            assert T.submatrix_convergence_experiment(RngStream(153), k, [n], 50) == default
+            assert _same_outcome(
+                T.submatrix_convergence_experiment(RngStream(153), k, n, 50, 0.02), default)
 
-    @pytest.mark.parametrize("k, n_values, n_samples, name", [
-        (0, [4], 10, "k"),
-        (-1, [4], 10, "k"),
-        (1.5, [4], 10, "k"),
-        (True, [4], 10, "k"),
-        (1, [4], 0, "n_samples"),
-        (1, [4], -3, "n_samples"),
-        (1, [4], 2.5, "n_samples"),
-        (1, [4], True, "n_samples"),
-        (1, [4.5], 10, "n_values"),
-        (1, [True], 10, "n_values"),
-        (1, [4, 1], 10, "n_values"),
-        (2, [16, 3], 10, "n_values"),
+    @pytest.mark.parametrize("k, n, n_samples, name", [
+        (0, 4, 10, "k"),
+        (-1, 4, 10, "k"),
+        (1.5, 4, 10, "k"),
+        (True, 4, 10, "k"),
+        (1, 4, 0, "n_samples"),
+        (1, 4, -3, "n_samples"),
+        (1, 4, 2.5, "n_samples"),
+        (1, 4, True, "n_samples"),
+        (1, 4.5, 10, "n"),
+        (1, True, 10, "n"),
+        (1, 1, 10, "n"),
+        (2, 3, 10, "n"),
     ])
-    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, k, n_values,
+    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, k, n,
                                                    n_samples, name):
         def no_draws(stream):
             raise AssertionError("drew before validating")
 
         monkeypatch.setattr(RngStream, "generator", no_draws)
-        with pytest.raises(DomainError, match=name):
-            T.submatrix_convergence_experiment(RngStream(154), k, n_values, n_samples)
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            T.submatrix_convergence_experiment(RngStream(154), k, n, n_samples, 0.02)
 
     def test_one_point_runs_alone(self):
-        sweep = T.submatrix_convergence_experiment(RngStream(157), 1, [4, 16], 200)
-        alone = T.submatrix_convergence_experiment(RngStream(157), 1, [16], 200,
-                                                   first_point=1)
-        assert alone == sweep[1:]
-        assert sweep[0] != T.submatrix_convergence_experiment(
-            RngStream(157), 1, [4], 200, first_point=1)[0]
+        # CLI sweep point p is the driver on RngStream(seed, 0).substream(p).
+        from gaplab.cli import ExperimentConfig, run
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "submatrix", "d1": 1, "sweep": {"d2": [4, 16]},
+            "n_samples": 200, "epsilon": 0.02, "seed": 157})
+        points = run(cfg).points
+        for p, n in enumerate((4, 16)):
+            alone = T.submatrix_convergence_experiment(
+                RngStream(157, 0).substream(p), 1, n, 200, 0.02)
+            assert _same_outcome(points[p].outcome, replace(alone, first_trial=p))
+        # Negative control: the same size on another substream differs.
+        assert not _same_outcome(points[0].outcome, T.submatrix_convergence_experiment(
+            RngStream(157, 0).substream(1), 1, 4, 200, 0.02))
 
     def test_numpy_integer_arguments_accepted(self):
-        metrics = T.submatrix_convergence_experiment(
-            RngStream(155), np.int64(1), np.array([4, 16]), np.int32(20))
-        assert [m.n for m in metrics] == [4, 16]
-        assert all(type(m.n) is int for m in metrics)
+        out = T.submatrix_convergence_experiment(
+            RngStream(155), np.int64(1), np.int64(16), np.int32(20), 0.02)
+        assert _same_outcome(
+            out, T.submatrix_convergence_experiment(RngStream(155), 1, 16, 20, 0.02))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_entry_follows_exact_finite_n_law(self, k):
@@ -544,23 +591,38 @@ class TestContinuityProbe:
                              - gap_sphere_density(rho, pts))) == 0.0
 
     def test_monotone_relation(self):
-        out = T.continuity_probe(RngStream(147), 2, 0.1, 200, n_probe=10_000)
-        assert spearman(out.trace_distances, out.density_gaps) > 0.8
+        out = T.continuity_probe(RngStream(147), 2, 0.1, 200, 0.5, n_probe=10_000)
+        assert spearman(out.auxiliary, out.discrepancies) > 0.8
 
     def test_blow_up_near_singularity(self):
         # Worst observed density change per unit trace distance explodes as
         # the spectrum floor approaches zero.
-        tight = T.continuity_probe(RngStream(148), 2, 0.001, 50, n_probe=2000)
-        loose = T.continuity_probe(RngStream(149), 2, 0.2, 50, n_probe=2000)
-        ratio_tight = np.max(tight.density_gaps / np.maximum(tight.trace_distances, 1e-12))
-        ratio_loose = np.max(loose.density_gaps / np.maximum(loose.trace_distances, 1e-12))
+        tight = T.continuity_probe(RngStream(148), 2, 0.001, 50, 0.5, n_probe=2000)
+        loose = T.continuity_probe(RngStream(149), 2, 0.2, 50, 0.5, n_probe=2000)
+        ratio_tight = np.max(tight.discrepancies / np.maximum(tight.auxiliary, 1e-12))
+        ratio_loose = np.max(loose.discrepancies / np.maximum(loose.auxiliary, 1e-12))
         assert ratio_tight >= 10 * ratio_loose
 
     def test_gamma_out_of_range(self):
         with pytest.raises(DomainError):
-            T.continuity_probe(RngStream(150), 2, 0.6, 10)
+            T.continuity_probe(RngStream(150), 2, 0.6, 10, 0.5)
 
     def test_expectation_gap_bounded_by_trace_distance(self):
         # |<e1|(rho - omega)|e1>| <= ||rho - omega||_tr always.
-        out = T.continuity_probe(RngStream(151), 3, 0.05, 50, n_probe=500)
-        assert np.all(out.expectation_gaps <= out.trace_distances + 1e-12)
+        out = T.continuity_probe(RngStream(151), 3, 0.05, 50, 0.5, n_probe=500)
+        assert out.passed.all()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: T.gap_selftest_experiment(RngStream(158), 2, 0.1, 0.1, 0, 100), "n_trials"),
+    (lambda: T.gap_selftest_experiment(RngStream(158), 2, 0.1, 0.1, 2, 0), "n_samples"),
+    (lambda: T.continuity_probe(RngStream(159), 2, 0.1, 0, 0.5), "n_pairs"),
+    (lambda: T.continuity_probe(RngStream(159), 2, 0.1, 5, 0.5, n_probe=0), "n_probe"),
+    (lambda: gap_expectation(RngStream(160).generator(), DensityMatrix.maximally_mixed(2),
+                             overlap_sq([1.0, 0.0]), 2.5), "n_samples"),
+    (lambda: gap_expectation(RngStream(160).generator(), DensityMatrix.maximally_mixed(2),
+                             overlap_sq([1.0, 0.0]), 0), "n_samples"),
+])
+def test_count_arguments_raise_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        call()
