@@ -4,8 +4,8 @@ Reads a declarative JSON configuration (or a named built-in preset) and
 runs it through one table of experiments, ``EXPERIMENTS``: each entry names
 the keys it may sweep and maps the configuration of one sweep point to a
 library driver call, whose trials come back as the columns of one
-``ExperimentOutcome``.  The report summarizes each point from those columns
-and persists three files to the output directory:
+``ExperimentOutcome``.  The report reads each point's statistics from its
+outcome and persists three files to the output directory:
 
 * ``trials.csv``   -- one row per trial, in trial order, pinned CSV dialect
   (comma separated, LF line endings, '.' decimal, no quoting).
@@ -218,9 +218,7 @@ def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
     if basis_seed is not None:
         seed = _integer("rho_spec.basis_seed", basis_seed, 0)
         basis = haar_unitary(RngStream(seed).generator(), dim)
-    rho = _named("rho_spec.spectrum", DensityMatrix.from_spectrum, spectrum, basis)
-    _named("rho_spec.spectrum", rho.spectrum)  # the PSD check runs on first use
-    return rho
+    return _named("rho_spec.spectrum", DensityMatrix.from_spectrum, spectrum, basis)
 
 
 def _resolve_bath(cfg: ExperimentConfig) -> np.ndarray:
@@ -368,38 +366,18 @@ EXPERIMENTS = {
 # Running and reporting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointSummary:
-    """One sweep point: its trials and their summary statistics."""
+class Point(NamedTuple):
+    """One sweep point: its label and its trials."""
 
     dim: int
     outcome: T.ExperimentOutcome
-    pass_fraction: float
-    median: float
-    q10: float
-    q90: float
-    extra: dict           # the outcome's extra plus meets_delta
-
-
-def _summarize(dim: int, outcome: T.ExperimentOutcome, delta: float) -> PointSummary:
-    disc = outcome.discrepancies
-    pass_fraction = outcome.pass_fraction
-    return PointSummary(
-        dim=dim, outcome=outcome, pass_fraction=pass_fraction,
-        median=float(np.median(disc)), q10=float(np.quantile(disc, 0.1)),
-        q90=float(np.quantile(disc, 0.9)),
-        # the configured confidence target: at least 1 - delta of trials pass
-        extra={**outcome.extra, "meets_delta": bool(pass_fraction >= 1.0 - delta)},
-    )
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     config: dict
-    points: list          # PointSummary per sweep point
+    points: list          # Point per sweep point
     wall_time_s: float
-    version: str
-    seed: int
 
     @property
     def n_records(self) -> int:
@@ -423,24 +401,15 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     param, values = next(iter(cfg.sweep.items())) if cfg.sweep else (None, [None])
     checked = [experiment.run(cfg if param is None else replace(cfg, **{param: value}))
                for value in values]
-    points = [_summarize(dim if param is None else value, draw(point), cfg.delta)
+    points = [Point(dim if param is None else value, draw(point))
               for point, (value, (dim, draw)) in enumerate(zip(values, checked))]
     return ExperimentReport(config=cfg.to_dict(), points=points,
-                            wall_time_s=time.perf_counter() - start,
-                            version=__version__, seed=cfg.seed)
+                            wall_time_s=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
 
 def trials_csv(report: ExperimentReport) -> str:
     """One row per trial, formatted a column at a time: floats by ``repr``,
@@ -464,50 +433,42 @@ def emit_plot_data(report: ExperimentReport) -> str:
     if not report.points:
         raise ConfigError("report contains no sweep points")
     lines = ["dim,median,q10,q90,pass_fraction"]
-    for p in report.points:
-        lines.append(",".join([
-            _fmt(p.dim), _fmt(p.median), _fmt(p.q10), _fmt(p.q90),
-            _fmt(p.pass_fraction),
-        ]))
+    for dim, o in report.points:
+        lines.append(",".join([str(dim)] + [repr(v) for v in (
+            o.median_discrepancy, o.quantile(0.1), o.quantile(0.9), o.pass_fraction)]))
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.ndarray, list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+def _json_default(obj):
+    """numpy scalars and arrays as their Python values (np.float64 is
+    already a float)."""
+    return obj.item() if isinstance(obj, np.generic) else obj.tolist()
 
 
 def summary_json(report: ExperimentReport) -> str:
+    delta = report.config["delta"]
     payload = {
-        "config": _jsonable(report.config),
-        "library_version": report.version,
-        "seed": report.seed,
+        "config": report.config,
+        "library_version": __version__,
+        "seed": report.config["seed"],
         "wall_time_s": report.wall_time_s,
         "summary": {
             "n_records": report.n_records,
             "pass_fraction": report.pass_fraction,
             "points": [
                 {
-                    "dim": p.dim, "pass_fraction": p.pass_fraction,
-                    "median_discrepancy": p.median, "q10": p.q10, "q90": p.q90,
-                    "reference": p.outcome.reference,
-                    "threshold": p.outcome.threshold,
-                    "extra": _jsonable(p.extra),
+                    "dim": dim, "pass_fraction": o.pass_fraction,
+                    "median_discrepancy": o.median_discrepancy,
+                    "q10": o.quantile(0.1), "q90": o.quantile(0.9),
+                    "reference": o.reference, "threshold": o.threshold,
+                    # the configured confidence target: at least 1 - delta of trials pass
+                    "extra": {**o.extra, "meets_delta": o.pass_fraction >= 1.0 - delta},
                 }
-                for p in report.points
+                for dim, o in report.points
             ],
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> None:

@@ -17,7 +17,6 @@ may be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +48,12 @@ KERNEL_CUTOFF = 1e-12
 class DensityMatrix:
     """Hermitian positive-semidefinite trace-one complex matrix.
 
-    Validation: finite entries, Hermiticity and unit trace within 1e-10 are
-    required; eigenvalues in [-1e-10, 0) are clipped to zero and the
-    spectrum is renormalized, while larger violations raise.  The
-    eigendecomposition is computed once and cached, so repeated sampling
-    against the same matrix always uses one fixed eigenbasis.
+    Validation, all at construction: finite entries, Hermiticity and unit
+    trace within 1e-10 are required, and the eigendecomposition is computed
+    once, so a matrix that is not PSD raises before any use; eigenvalues in
+    [-1e-10, 0) are clipped to zero and the spectrum is renormalized.
+    Repeated sampling against the same matrix always uses one fixed
+    eigenbasis.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -71,6 +71,13 @@ class DensityMatrix:
             raise DomainError(f"trace must be 1 within 1e-10, got {float(tr)!r}")
         self._matrix = (m + m.conj().T) / 2.0
         self._matrix.setflags(write=False)
+        p, v = np.linalg.eigh(self._matrix)
+        if p[0] < -EIGENVALUE_FLOOR:
+            raise DomainError(f"eigenvalue {float(p[0])!r} below -1e-10; matrix is not PSD")
+        p = np.where(p < KERNEL_CUTOFF, 0.0, p)
+        p = p / p.sum()
+        order = np.argsort(-p, kind="stable")  # descending, ties keep eigh order
+        self._spectrum, self._eigenbasis = p[order], v[:, order]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -80,23 +87,13 @@ class DensityMatrix:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    @cached_property
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        p, v = np.linalg.eigh(self._matrix)
-        if p[0] < -EIGENVALUE_FLOOR:
-            raise DomainError(f"eigenvalue {float(p[0])!r} below -1e-10; matrix is not PSD")
-        p = np.where(p < KERNEL_CUTOFF, 0.0, p)
-        p = p / p.sum()
-        order = np.argsort(-p, kind="stable")  # descending, ties keep eigh order
-        return p[order], v[:, order]
-
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, descending, clipped to [0, 1] and summing to 1."""
-        return self._eigensystem[0]
+        return self._spectrum
 
     def eigenbasis(self) -> np.ndarray:
         """Unitary whose COLUMNS are eigenvectors matching ``spectrum()``."""
-        return self._eigensystem[1]
+        return self._eigenbasis
 
     @property
     def support_rank(self) -> int:

@@ -252,7 +252,7 @@ class ExperimentOutcome:
 
     @property
     def median_discrepancy(self) -> float:
-        return self.quantile(0.5)
+        return float(np.median(self.discrepancies))
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +589,17 @@ class MicrocanonicalShell:
 
     For system levels E1_i and bath levels E2_j, the shell collects all
     product eigenvectors with E <= E1_i + E2_j <= E + width (closed window,
-    with a 1e-9 relative tolerance at the edges).  In the product eigenbasis
-    the shell average tr_2 rho_R is exactly diagonal with entries n_i / dim,
-    where n_i counts the member pairs of system level i.
+    with a 1e-9 relative tolerance at the edges).  ``member_pairs`` is the
+    (dim, 2) integer array of their (i, j), in row-major order.  In the
+    product eigenbasis the shell average tr_2 rho_R is exactly diagonal with
+    entries n_i / dim, where n_i counts the member pairs of system level i.
     """
 
     system_levels: np.ndarray
     bath_levels: np.ndarray
     energy: float
     width: float
-    member_pairs: tuple[tuple[int, int], ...]
+    member_pairs: np.ndarray
 
     @property
     def d1(self) -> int:
@@ -614,16 +615,13 @@ class MicrocanonicalShell:
 
     @property
     def counts(self) -> np.ndarray:
-        n = np.zeros(self.d1, dtype=int)
-        for i, _ in self.member_pairs:
-            n[i] += 1
-        return n
+        return np.bincount(self.member_pairs[:, 0], minlength=self.d1)
 
     def basis(self) -> np.ndarray:
         """(d1*d2, dim) array of shell basis vectors (product eigenvectors)."""
         out = np.zeros((self.d1 * self.d2, self.dim), dtype=complex)
-        for col, (i, j) in enumerate(self.member_pairs):
-            out[i * self.d2 + j, col] = 1.0
+        i, j = self.member_pairs.T
+        out[i * self.d2 + j, np.arange(self.dim)] = 1.0
         return out
 
     def reduced_density(self) -> DensityMatrix:
@@ -644,18 +642,14 @@ def microcanonical_shell(system_levels, bath_levels, energy: float,
     if not 0 < width < np.inf:  # NaN fails too
         raise DomainError(f"window width must be positive and finite, got {width}")
     tol = 1e-9 * max(1.0, abs(energy) + abs(width))
-    pairs = [
-        (i, j)
-        for i in range(system_levels.size)
-        for j in range(bath_levels.size)
-        if energy - tol <= system_levels[i] + bath_levels[j] <= energy + width + tol
-    ]
-    if not pairs:
+    total = system_levels[:, None] + bath_levels[None, :]
+    pairs = np.argwhere((energy - tol <= total) & (total <= energy + width + tol))
+    if not len(pairs):
         raise EmptyShellError(
             f"no eigenvalue pair falls in [{energy}, {energy + width}]"
         )
     return MicrocanonicalShell(system_levels, bath_levels, float(energy),
-                               float(width), tuple(pairs))
+                               float(width), pairs)
 
 
 @dataclass(frozen=True)
@@ -682,8 +676,10 @@ def fit_beta(system_levels, rho_target: DensityMatrix) -> BetaFit:
         raise DimensionError("one level per target entry is required")
 
     def residual(beta: float) -> float:
-        p = np.real(np.diagonal(canonical_density(energies, beta).matrix))
-        return float(np.sum(np.abs(p - t)))
+        # the diagonal of canonical_density(energies, beta), without the matrix
+        logw = -beta * energies
+        w = np.exp(logw - logw.max())
+        return float(np.sum(np.abs(w / w.sum() - t)))
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = -50.0, 50.0

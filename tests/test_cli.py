@@ -10,7 +10,7 @@ from gaplab.cli import (
     ExperimentConfig,
     ExperimentReport,
     PRESETS,
-    _summarize,
+    Point,
     emit_plot_data,
     main,
     parse_config,
@@ -243,8 +243,7 @@ class TestRunAndFiles:
             first_trial=3)
         report = ExperimentReport(
             config={"experiment": "theorem1"},
-            points=[_summarize(16, first, 0.1), _summarize(64, later, 0.1)],
-            wall_time_s=0.0, version="test", seed=0)
+            points=[Point(16, first), Point(64, later)], wall_time_s=0.0)
         assert trials_csv(report) == (
             "experiment,dim,trial,discrepancy,pass,auxiliary\n"
             "theorem1,16,0,0.30000000000000004,1,nan\n"
@@ -312,12 +311,12 @@ class TestPresets:
         cfg = preset_config("theorem1-default", {"n_trials": 100})
         cfg.sweep = {"d2": [64]}
         report = run(cfg)
-        assert report.points[0].pass_fraction >= 0.9
+        assert report.points[0].outcome.pass_fraction >= 0.9
 
     def test_thermal_preset_smoke(self):
         cfg = preset_config("thermal-twolevel", {"n_trials": 10})
         report = run(cfg)
-        extra = report.points[0].extra
+        extra = report.points[0].outcome.extra
         assert abs(extra["beta"]) < 1e-6
         assert extra["thermal_target_distance"] < 0.05
         assert extra["shell_dim"] == 10
@@ -325,7 +324,7 @@ class TestPresets:
     def test_submatrix_preset_smoke(self):
         cfg = preset_config("submatrix-k1", {"n_samples": 500})
         report = run(cfg)
-        medians = [p.median for p in report.points]
+        medians = [p.outcome.median_discrepancy for p in report.points]
         assert medians == sorted(medians, reverse=True)
 
     def test_cap_sweep_plotdata_median_monotone(self):
@@ -346,10 +345,12 @@ def test_every_preset_runs_end_to_end(tmp_path, name):
     # Every table entry returns a plain ExperimentOutcome at every point.
     small = preset_config(name, {"n_trials": 3})
     param, values = next(iter(small.sweep.items())) if small.sweep else (None, [None])
+    outcomes = []
     for point, value in enumerate(values):
         point_cfg = small if param is None else replace(small, **{param: value})
         _, draw = EXPERIMENTS[small.experiment].run(point_cfg)
-        assert type(draw(point)) is typicality.ExperimentOutcome
+        outcomes.append(draw(point))
+        assert type(outcomes[-1]) is typicality.ExperimentOutcome
     rows_per_point = 1 if cfg.experiment == "submatrix" else 3
     trials = (out / "trials.csv").read_text().splitlines()
     plot = (out / "plotdata.csv").read_text().splitlines()
@@ -357,6 +358,12 @@ def test_every_preset_runs_end_to_end(tmp_path, name):
     assert len(trials) == 1 + rows_per_point * n_points
     assert len(plot) == 1 + n_points
     assert summary["summary"]["n_records"] == len(trials) - 1
+    # Both files read each point's statistics from its outcome.
+    for o, row, p in zip(outcomes, plot[1:], summary["summary"]["points"], strict=True):
+        stats = [o.median_discrepancy, o.quantile(0.1), o.quantile(0.9), o.pass_fraction]
+        assert [float(v) for v in row.split(",")[1:]] == stats
+        assert [p[k] for k in ("median_discrepancy", "q10", "q90", "pass_fraction")] == stats
+        assert p["extra"]["meets_delta"] is (o.pass_fraction >= 1.0 - cfg.delta)
 
 
 class TestMainEntry:

@@ -231,6 +231,14 @@ class TestDensityMatrixValidation:
             DensityMatrix(m).spectrum()
         assert "np.float64" not in str(err.value)
 
+    @pytest.mark.parametrize("build", [
+        lambda: DensityMatrix(np.diag([1.5, -0.5]).astype(complex)),
+        lambda: DensityMatrix.from_spectrum([1.5, -0.5]),
+    ], ids=["matrix", "from_spectrum"])
+    def test_non_psd_rejected_at_construction(self, build):
+        with pytest.raises(DomainError, match="not PSD"):
+            build()
+
     def test_tiny_negative_eigenvalue_repaired(self):
         eps = 5e-11
         repaired = DensityMatrix(np.diag([1.0 + eps, -eps, 0.0]).astype(complex))

@@ -363,9 +363,26 @@ class TestMicrocanonicalShell:
     def test_counting_example(self):
         shell = T.microcanonical_shell([0.0, 1.0], [0.0, 0.5, 1.0, 1.5], 1.0, 0.5)
         assert shell.dim == 4
-        assert set(shell.member_pairs) == {(0, 2), (0, 3), (1, 0), (1, 1)}
+        assert set(map(tuple, shell.member_pairs.tolist())) == {(0, 2), (0, 3), (1, 0), (1, 1)}
         assert np.allclose(shell.reduced_density().matrix, np.eye(2) / 2)
         assert list(shell.counts) == [2, 2]
+
+    def test_members_match_brute_force(self):
+        rng = np.random.default_rng(12)
+        system, bath = rng.uniform(0, 3, 5), rng.uniform(0, 10, 60)
+        energy, width = system[1] + bath[7], 2.0
+        bath[11] = energy + width - system[3]  # a pair exactly on each edge
+        shell = T.microcanonical_shell(system, bath, energy, width)
+        tol = 1e-9 * (abs(energy) + width)
+        expected = [(i, j) for i in range(5) for j in range(60)
+                    if energy - tol <= system[i] + bath[j] <= energy + width + tol]
+        assert (1, 7) in expected and (3, 11) in expected
+        assert shell.member_pairs.tolist() == [list(p) for p in expected]
+        assert shell.counts.tolist() == [sum(i == k for i, _ in expected) for k in range(5)]
+        b = shell.basis()
+        assert b.shape == (300, len(expected))
+        assert [tuple(divmod(int(r), 60)) for r in np.argmax(np.abs(b), axis=0)] == expected
+        assert np.count_nonzero(b) == len(expected)
 
     def test_window_below_spectrum_rejected(self):
         with pytest.raises(EmptyShellError):
