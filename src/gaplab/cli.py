@@ -37,7 +37,7 @@ from . import __version__
 from .conditional import random_purification
 from .errors import ConfigError, GaplabError
 from .hilbert import DensityMatrix
-from .randomness import RngStream, haar_unitary
+from .randomness import MAX_TRIALS, RngStream, haar_unitary
 from . import typicality as T
 
 F_KINDS = ("overlap_sq", "real_part", "cap_indicator", "polynomial")
@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"experiment: unknown value {self.experiment!r}")
         for key in ("d1", "d2", "n_trials", "n_samples"):
             setattr(self, key, _integer(key, getattr(self, key), 1))
+        if self.n_trials > MAX_TRIALS:
+            raise ConfigError(f"n_trials: must be at most 2**32, got {self.n_trials}")
         if self.dR is not None:
             self.dR = _integer("dR", self.dR, 1)
         self.seed = _integer("seed", self.seed, 0)
@@ -108,6 +110,7 @@ class ExperimentConfig:
             v = _number(key, getattr(self, key))
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"{key}: must lie in (0, 1), got {v}")
+            setattr(self, key, v)
         for key in ("rho_spec", "f_spec", "bath_spec", "window"):
             if not isinstance(getattr(self, key), dict):
                 raise ConfigError(f"{key}: expected a JSON object, got {getattr(self, key)!r}")
@@ -439,12 +442,6 @@ def emit_plot_data(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_default(obj):
-    """numpy scalars and arrays as their Python values (np.float64 is
-    already a float)."""
-    return obj.item() if isinstance(obj, np.generic) else obj.tolist()
-
-
 def summary_json(report: ExperimentReport) -> str:
     delta = report.config["delta"]
     payload = {
@@ -468,7 +465,7 @@ def summary_json(report: ExperimentReport) -> str:
             ],
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> None:

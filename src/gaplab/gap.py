@@ -29,6 +29,7 @@ from scipy.special import gammainccinv, gammaln
 
 from .errors import DimensionError, DomainError, SingularDensityError
 from .hilbert import DensityMatrix
+from .randomness import sample_complex_gaussian
 
 __all__ = [
     "TailRadius",
@@ -56,13 +57,6 @@ class TailRadius:
     radius: float
 
 
-def _gaussian_coefficients(rng, p: np.ndarray, n: int) -> np.ndarray:
-    """(n, d) eigenbasis coefficients of G(rho) draws; kernel columns are 0."""
-    scale = np.sqrt(p / 2.0)
-    z = rng.standard_normal((n, p.size)) + 1j * rng.standard_normal((n, p.size))
-    return z * scale
-
-
 def sample_gaussian(rng: np.random.Generator, rho: DensityMatrix, size: int | None = None):
     """Draw from the complex Gaussian with mean 0 and covariance rho.
 
@@ -71,7 +65,7 @@ def sample_gaussian(rng: np.random.Generator, rho: DensityMatrix, size: int | No
     """
     n = 1 if size is None else int(size)
     p, v = rho.spectrum(), rho.eigenbasis()
-    psi = _gaussian_coefficients(rng, p, n) @ v.T
+    psi = sample_complex_gaussian(rng, p, (n, p.size)) @ v.T
     return psi[0] if size is None else psi
 
 
@@ -101,7 +95,7 @@ def sample_adjusted_gaussian(rng: np.random.Generator, rho: DensityMatrix,
     """Draw from the size-biased Gaussian GA(rho) = ||psi||^2 G(rho)(dpsi)."""
     n = 1 if size is None else int(size)
     p, v = rho.spectrum(), rho.eigenbasis()
-    z = _gaussian_coefficients(rng, p, n)
+    z = sample_complex_gaussian(rng, p, (n, p.size))
 
     on = np.flatnonzero(p > 0.0)
     biased = on[rng.choice(on.size, size=n, p=p[on] / p[on].sum())]

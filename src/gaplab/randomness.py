@@ -67,10 +67,10 @@ class RngStream:
         """``[self.substream(i).generator() for i in range(start, stop)]``,
         bit-identical, for 0 <= start <= stop <= MAX_TRIALS.
 
-        The SeedSequence hash of the words every child shares is computed
-        once per stream; the child index word and the PCG64 seed words are
-        then hashed for the whole range at once, and PCG64 seeds itself from
-        those words.
+        The SeedSequence pool of the words every child shares comes from
+        numpy, once per stream; the child index word and the PCG64 seed
+        words are then hashed for the whole range at once, and PCG64 seeds
+        itself from those words.
         """
         return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
                 for w in self._trial_words(start, stop)]
@@ -96,30 +96,17 @@ class RngStream:
                         axis=-1)
 
     @cached_property
-    def _spawn_pool(self) -> tuple[tuple[int, ...], int]:
+    def _spawn_pool(self) -> tuple[list[int], int]:
         """SeedSequence's entropy pool and running hash constant after mixing
         every word a child ``substream(i)`` shares: the seed words, padded
-        with zeros to the pool size, then stream_index and the path.  The
-        child index word is always mixed after these, one word at a time."""
-        entropy = _uint32_words(self.master_seed)
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-        for k in (self.stream_index,) + self._path:
-            entropy += _uint32_words(k)
-        hash_const = _INIT_A
-        pool = []
-        for word in entropy[:_POOL_SIZE]:
-            hashed, hash_const = _hashmix(word, hash_const, _MULT_A)
-            pool.append(hashed)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    hashed, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                    pool[dst] = _mix(pool[dst], hashed)
-        for word in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                hashed, hash_const = _hashmix(word, hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-        return tuple(pool), hash_const
+        with zeros to the pool size, then stream_index and the path.  numpy
+        computes the pool; mixing L words runs 4 L hashes, which fixes the
+        constant.  The child index word is always mixed after these."""
+        key = (self.stream_index,) + self._path
+        pool = np.random.SeedSequence(self.master_seed, spawn_key=key).pool.tolist()
+        words = [max(1, -(-k.bit_length() // 32)) for k in (self.master_seed,) + key]
+        n_words = max(_POOL_SIZE, words[0]) + sum(words[1:])
+        return pool, (_INIT_A * pow(_MULT_A, 4 * n_words, 2 ** 32)) & _MASK32
 
 
 def _integer(name: str, value, minimum: int = 0) -> int:
@@ -150,23 +137,17 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool of
-# four 32-bit words, two multiplicative hashes and the word mixer.  Every
-# helper below works on Python ints and on uint32 arrays alike.
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).  numpy
+# mixes the shared pool itself; these remain for the steps done in bulk:
+# the pool size and the first hash give the word count's padding and the
+# running constant, the first hash and the mixer fold in each child's index
+# word, and the second hash draws the PCG64 seed words.  The helpers below
+# work on Python ints and on uint32 arrays alike.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _uint32_words(n: int) -> list[int]:
-    """n >= 0 as little-endian 32-bit words; 0 is the single word 0."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 def _hashmix(value, hash_const: int, mult: int):
@@ -183,13 +164,14 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def sample_complex_gaussian(rng: np.random.Generator, variance: float, size=None):
+def sample_complex_gaussian(rng: np.random.Generator, variance, size=None):
     """Mean-zero complex Gaussian with E|z|^2 = variance.
 
     Real and imaginary parts are independent real Gaussians with variance
-    ``variance / 2`` each.
+    ``variance / 2`` each.  ``variance`` may be an array of per-entry
+    variances that broadcasts against ``size``.
     """
-    if variance < 0:
+    if np.any(np.asarray(variance) < 0):
         raise DomainError(f"variance must be nonnegative, got {variance}")
     scale = np.sqrt(variance / 2.0)
     z = rng.standard_normal(size) + 1j * rng.standard_normal(size)

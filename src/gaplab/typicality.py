@@ -215,13 +215,26 @@ def gap_expectation(rng: np.random.Generator, rho: DensityMatrix,
     return GapExpectation(est, se, closed)
 
 
-def gap_reference(stream: RngStream, rho: DensityMatrix, f: TestFunction,
-                  n_samples: int) -> float:
-    """Reference value of GAP(rho)(f): the closed form when one exists,
-    otherwise a Monte Carlo mean with its own dedicated substream."""
+# Reference expectations use 10x the trial budget so that their Monte Carlo
+# error is negligible against the acceptance tolerances.
+REFERENCE_BUDGET_FACTOR = 10
+REFERENCE_BUDGET_FLOOR = 2000
+
+
+def gap_reference(reference, stream: RngStream, rho: DensityMatrix, f: TestFunction,
+                  n_trials: int) -> float:
+    """``reference`` when given, else GAP(rho)(f): the closed form when one
+    exists, otherwise the Monte Carlo mean of max(10 n_trials, 2000) draws
+    on substream ``n_trials`` of ``stream`` (past every trial's substream).
+    The drivers call it after their trials, so that a trial count the engine
+    rejects is rejected before the reference draws."""
+    if reference is not None:
+        return reference
     if f.kind == "overlap_sq":
         return float(np.real(f.phi.conj() @ rho.matrix @ f.phi))
-    return gap_expectation(stream.generator(), rho, f, n_samples).estimate
+    n_samples = max(REFERENCE_BUDGET_FACTOR * n_trials, REFERENCE_BUDGET_FLOOR)
+    return gap_expectation(stream.substream(n_trials).generator(), rho, f,
+                           n_samples).estimate
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +374,6 @@ def _collect(values, reference, threshold, auxiliary, extra=None) -> ExperimentO
                              float(reference), float(threshold), extra or {})
 
 
-# Reference expectations use 10x the trial budget so that their Monte Carlo
-# error is negligible against the acceptance tolerances.
-REFERENCE_BUDGET_FACTOR = 10
-REFERENCE_BUDGET_FLOOR = 2000
-
-
-def _reference(reference, stream: RngStream, rho: DensityMatrix, f: TestFunction,
-               n_trials: int) -> float:
-    """``reference`` when given, else ``gap_reference`` of GAP(rho)(f) on
-    substream ``n_trials`` of ``stream`` (past every trial's substream)."""
-    if reference is not None:
-        return reference
-    return gap_reference(stream.substream(n_trials), rho, f,
-                         max(REFERENCE_BUDGET_FACTOR * n_trials, REFERENCE_BUDGET_FLOOR))
-
-
 # ---------------------------------------------------------------------------
 # Universality for random states / random bases
 # ---------------------------------------------------------------------------
@@ -395,7 +392,6 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
     d1 = rho1.dim
     if d2 < d1:
         raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
-    reference = _reference(reference, stream, rho1, f, n_trials)
     threshold = epsilon * f.bound
     # psi = (v sqrt(p)) Phi with Phi the (d1, d2) random system, so the
     # branch rows <j|psi> are the rows of Phi^T (v sqrt(p))^T.
@@ -407,6 +403,7 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
         return _conditional_integrals(branches, f), np.nan
 
     values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, d1)], evaluate)
+    reference = gap_reference(reference, stream, rho1, f, n_trials)
     return _collect(values, reference, threshold, aux)
 
 
@@ -420,7 +417,6 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
     record |mu(f) - GAP(rho1)(f)| with rho1 the reduced density matrix of psi.
     """
     rho1 = reduced_density_matrix(psi)
-    reference = _reference(reference, stream, rho1, f, n_trials)
     threshold = epsilon * f.bound
     m = psi.as_matrix()[None]
 
@@ -429,6 +425,7 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
 
     k = min(psi.d1, psi.d2)
     values, aux = _run_trials(stream, n_trials, psi.dim, [(psi.d2, k)], evaluate)
+    reference = gap_reference(reference, stream, rho1, f, n_trials)
     return _collect(values, reference, threshold, aux)
 
 
@@ -533,9 +530,8 @@ def shell_universality_experiment(stream: RngStream, basis: np.ndarray,
     if not f.is_continuous:
         raise DomainError("this experiment requires a continuous test function")
     target = reduced_of_subspace(basis, d1, d2)
-    reference = _reference(reference, stream, target, f, n_trials)
-
     values, aux = _shell_trials(stream, basis, d1, d2, f, target, n_trials)
+    reference = gap_reference(reference, stream, target, f, n_trials)
     return _collect(values, reference, epsilon, aux)
 
 
@@ -571,10 +567,9 @@ def shell_vs_target_experiment(stream: RngStream, basis: np.ndarray,
         raise DomainError("target density matrix must be strictly positive")
     reduced = reduced_of_subspace(basis, d1, d2)
     target_distance = trace_norm(reduced.matrix - omega.matrix)
-    reference = _reference(reference, stream, omega, f, n_trials)
     threshold = epsilon * f.bound
-
     values, aux = _shell_trials(stream, basis, d1, d2, f, omega, n_trials)
+    reference = gap_reference(reference, stream, omega, f, n_trials)
     return _collect(values, reference, threshold, aux,
                     extra={"target_distance": target_distance})
 

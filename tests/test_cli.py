@@ -16,12 +16,13 @@ from gaplab.cli import (
     parse_config,
     preset_config,
     run,
+    summary_json,
     trials_csv,
     write_report,
 )
 from gaplab import typicality
 from gaplab.errors import ConfigError
-from gaplab.randomness import RngStream
+from gaplab.randomness import RngStream, haar_unitary
 
 
 TINY = {
@@ -167,11 +168,35 @@ class TestConfigErrorsNameTheKey:
         ("d2", {"experiment": "submatrix", "d1": 2, "d2": 3}),
         ("rho_spec.spectrum", {"experiment": "theorem4", "rho_spec": {"spectrum": [1.0, 0.0]}}),
         ("rho_spec.spectrum", {"rho_spec": {"spectrum": [1.5, -0.5]}}),
+        ("rho_spec.spectrum", {"rho_spec": {"spectrum": [0.2, 0.3, 0.5]}}),
+        ("sweep", {"sweep": {"d2": 16}}),
+        ("sweep", {"sweep": {"d2": [16], "dR": [4]}}),
+        ("sweep", {"sweep": [16, 32]}),
+        ("sweep", {"sweep": {"d2": []}}),
+        ("f_spec.kind", {"f_spec": {"kind": "cubic"}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": "e"}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": "x1"}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": 5}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": [[1, 0]]}}),
+        ("bath_spec", {"experiment": "thermal", "bath_spec": {"count": 10, "max": 1.0}}),
+        # A closed-form reference, so nothing is drawn before the count check.
+        ("n_trials", {"n_trials": 2**33, "f_spec": {"kind": "overlap_sq", "phi": "e1"}}),
     ])
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
         assert f"error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"d1": 2}', "experiment: required key is missing"),
+        ('{"experiment": "theorem1",', "config file is not valid JSON"),
+        ('["theorem1"]', "config root must be a JSON object"),
+    ])
+    def test_bad_config_text_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestSweepCheckedBeforeDrawing:
@@ -234,6 +259,14 @@ class TestRunAndFiles:
         point = payload["summary"]["points"][0]
         assert point["extra"]["meets_delta"] is (point["pass_fraction"] >= 0.9)
 
+    def test_numpy_scalars_echo_as_python_numbers(self):
+        cfg = ExperimentConfig.from_dict(dict(TINY, n_trials=np.int64(2), seed=np.uint32(5),
+                                              epsilon=np.float32(0.2), delta=np.float16(0.5)))
+        payload = json.loads(summary_json(run(cfg)))["config"]
+        assert (payload["n_trials"], payload["seed"]) == (2, 5)
+        assert payload["epsilon"] == float(np.float32(0.2))
+        assert payload["delta"] == 0.5
+
     def test_trials_csv_columns_pinned(self):
         first = typicality.ExperimentOutcome(
             np.array([0.30000000000000004, 2.5]), np.array([True, False]),
@@ -250,6 +283,22 @@ class TestRunAndFiles:
             "theorem1,16,1,2.5,0,1e-17\n"
             "theorem1,64,3,1.0,1,0.125\n"
         )
+
+    def test_rho_basis_seed_rotates_the_spectrum(self):
+        payload = dict(TINY, n_trials=3, f_spec={"kind": "overlap_sq", "phi": "e1"},
+                       rho_spec={"spectrum": [0.7, 0.3], "basis_seed": 5})
+        u = haar_unitary(RngStream(5).generator(), 2)
+        expected = 0.7 * abs(u[0, 0]) ** 2 + 0.3 * abs(u[0, 1]) ** 2
+        reference = run(ExperimentConfig.from_dict(payload)).points[0].outcome.reference
+        assert reference == pytest.approx(expected, abs=1e-12)
+        assert abs(reference - 0.7) > 1e-3
+
+    def test_bath_levels_match_the_evenly_spaced_spec(self):
+        spaced = dict(PRESETS["thermal-twolevel"], n_trials=3)
+        listed = dict(spaced, bath_spec={"levels": np.linspace(0.0, 20.0, 200).tolist()})
+        reports = [run(ExperimentConfig.from_dict(raw)) for raw in (spaced, listed)]
+        assert reports[0].points[0].dim == 10
+        assert trials_csv(reports[1]) == trials_csv(reports[0])
 
     def test_plotdata_columns_pinned(self):
         report = run(ExperimentConfig.from_dict(dict(TINY)))

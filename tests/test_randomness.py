@@ -125,6 +125,18 @@ class TestComplexGaussian:
         with pytest.raises(DomainError):
             sample_complex_gaussian(rng, -1.0)
 
+    def test_negative_entry_of_array_variance_rejected(self):
+        rng = RngStream(1).generator()
+        with pytest.raises(DomainError):
+            sample_complex_gaussian(rng, np.array([0.5, -1e-3, 0.5]), size=(4, 3))
+
+    def test_array_variance_scales_each_entry(self):
+        rng = RngStream(2).generator()
+        z = sample_complex_gaussian(rng, np.array([1.0, 0.0, 4.0]), size=(100_000, 3))
+        assert np.all(z[:, 1] == 0.0)
+        assert abs(np.mean(np.abs(z[:, 0]) ** 2) - 1.0) < 0.02
+        assert abs(np.mean(np.abs(z[:, 2]) ** 2) - 4.0) < 0.08
+
     def test_moments(self):
         rng = RngStream(2).generator()
         z = sample_complex_gaussian(rng, 1.0, size=100_000)

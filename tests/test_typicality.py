@@ -199,6 +199,30 @@ class TestTrialCountLimit:
         with pytest.raises(self.Allocated):
             self._run(monkeypatch, 2**32)
 
+    @pytest.mark.parametrize("driver", ["purification", "basis", "shell", "target"])
+    def test_drivers_reject_the_count_before_the_reference(self, monkeypatch, driver):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("drew the reference before checking the trial count")
+
+        monkeypatch.setattr(T, "gap_expectation", no_reference)
+        rho = DensityMatrix.maximally_mixed(2)
+        cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
+        basis = T.random_subspace(RngStream(1).generator(), 2, 2, 4)
+        stream, n = RngStream(2), 2**32 + 1
+        calls = {
+            "purification": lambda: T.random_purification_experiment(
+                stream, rho, 2, cap, 0.1, n),
+            "basis": lambda: T.random_basis_experiment(
+                stream, random_purification(RngStream(3).generator(), rho, 2), cap, 0.1, n),
+            "shell": lambda: T.shell_universality_experiment(
+                stream, basis, 2, 2, polynomial(np.array([1.0, 0.0]), [0.0, 1.0, 1.0]),
+                0.1, n),
+            "target": lambda: T.shell_vs_target_experiment(
+                stream, basis, 2, 2, rho, cap, 0.1, n),
+        }
+        with pytest.raises(DomainError, match="2\\*\\*32 trials"):
+            calls[driver]()
+
 
 class TestRandomBasisExperiment:
     def test_product_state_zero_discrepancy(self):
