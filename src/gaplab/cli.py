@@ -129,6 +129,11 @@ class ExperimentConfig:
             self.sweep = {param: [_integer("sweep", v, 1) for v in values]}
         if self.f_spec.get("kind") not in F_KINDS:
             raise ConfigError(f"f_spec.kind: unknown value {self.f_spec.get('kind')!r}")
+        for f in fields(self):  # summary.json echoes every field
+            try:
+                json.dumps(getattr(self, f.name))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{f.name}: not JSON-serializable ({exc})") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

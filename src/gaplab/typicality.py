@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .conditional import WEIGHT_CUTOFF, _check_orthonormal_rows
 from .errors import DimensionError, DomainError, EmptyShellError
@@ -49,7 +49,7 @@ from .randomness import (
     random_ons,
     uniform_sphere,
 )
-from .stats import ks_vs_exponential, spearman
+from .stats import ks_statistic, ks_vs_exponential, spearman
 
 __all__ = [
     "TestFunction",
@@ -749,41 +749,45 @@ def submatrix_density_k1(n: int, x: complex) -> float:
     return float((n - 1) / (np.pi * n) * (1.0 - r2 / n) ** (n - 2))
 
 
-def _gaussian_density_c1(r: float) -> float:
-    return float(np.exp(-r * r) / np.pi)
-
-
 def submatrix_l1_distance(n: int) -> float:
-    """L1 distance (by radial quadrature over C) between the exact scaled
-    single-entry density and its unit complex Gaussian limit."""
-    root_n = np.sqrt(n)
-    inner = quad(
-        lambda r: 2 * np.pi * r * abs(submatrix_density_k1(n, r) - _gaussian_density_c1(r)),
-        0.0, root_n, limit=200,
-    )[0]
-    tail = quad(lambda r: 2 * np.pi * r * _gaussian_density_c1(r), root_n, np.inf)[0]
-    return float(inner + tail)
+    """L1 distance between the exact law of sqrt(n) times a single Haar entry
+    on C and its unit complex Gaussian limit, in closed form.
+
+    In u = |x|^2 the exact CDF is F(u) = 1 - (1 - u/n)^(n-1) on [0, n] and
+    the limit's is G(u) = 1 - exp(-u).  The log density ratio
+    ln(1 - 1/n) + (n - 2) ln(1 - u/n) + u is concave with its maximum at
+    u = 2 and positive at u = 1, so the exact density exceeds the limit
+    exactly on (u1, u2), with u1 in (0, 1) and u2 in (2, n) (u2 = n when
+    n = 2), and the distance is 2 [(F - G)(u2) - (F - G)(u1)].
+    """
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    log_ratio = lambda u: np.log1p(-1.0 / n) + (n - 2) * np.log1p(-u / n) + u
+    excess = lambda u: np.exp(-u) - (1.0 - u / n) ** (n - 1)  # (F - G)(u)
+    u1 = brentq(log_ratio, 0.0, 1.0)
+    u2 = n if n == 2 else brentq(log_ratio, 2.0, n * (1.0 - 1e-12))
+    return float(2.0 * (excess(u2) - excess(u1)))
 
 
 def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
                         n_samples: int) -> np.ndarray:
-    """(n_samples, k, k) blocks X_ij = sqrt(n) U_ij of Haar unitaries U,
-    byte-identical to one ``sqrt(n) * random_ons(rng, n, k)[:, :k].T`` per
-    sample, drawn in chunks of at most CHUNK_ENTRIES // (n k) samples.
+    """(n_samples, k, k) blocks X_ij = sqrt(n) U_ij of Haar unitaries U of
+    size n >= 2k, at O(k^3) per sample.
 
-    Each chunk is one (B, 2, n, k) fill from ``rng``: in C order each
-    sample's real n x k block, then its imaginary block, as ``ginibre`` draws
-    them.  The stacked phase-fixed QR factorizes every sample on its own, so
-    the blocks and the generator's state afterwards do not depend on the
-    chunk length.
+    The phase-fixed QR of an n x k Ginibre matrix [G_top; G_bot] has
+    U[:k, :k] = G_top R^-1 with R^H R = G_top^H G_top + G_bot^H G_bot, and
+    by Bartlett's decomposition G_bot^H G_bot equals T^H T in law: T upper
+    triangular, independent of G_top, T_jj^2 ~ Gamma(n - k - j, 1) and
+    T_ij ~ CN(0, 1) for i < j.  So the top k rows of the phase-fixed QR of
+    [G_top; T] have the law of U[:k, :k].  Draws: G_top's normals (real
+    block, then imaginary), the above-diagonal normals, the Gamma draws.
     """
-    blocks = np.empty((n_samples, k, k), dtype=complex)
-    size = max(1, CHUNK_ENTRIES // (n * k))
-    for start in range(0, n_samples, size):
-        stop = min(start + size, n_samples)
-        q = _haar_columns(_complex_gaussians(rng.standard_normal((stop - start, 2, n, k))))
-        blocks[start:stop] = np.sqrt(n) * q[:, :k, :]
-    return blocks
+    top = _complex_gaussians(rng.standard_normal((n_samples, 2, k, k)))
+    rows, cols = np.triu_indices(k, 1)
+    t = np.zeros_like(top)
+    t[:, rows, cols] = _complex_gaussians(rng.standard_normal((n_samples, 2, rows.size)))
+    t[:, range(k), range(k)] = np.sqrt(rng.standard_gamma(n - k - np.arange(k), (n_samples, k)))
+    return np.sqrt(n) * _haar_columns(np.concatenate([top, t], axis=1))[:, :k, :]
 
 
 def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
@@ -792,16 +796,19 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
     Gaussians, as one trial.
 
     Draws from ``stream.generator()``: ``n_samples`` scaled top-left k x k
-    blocks in chunks of stacked QRs (``_scaled_haar_blocks``; the outputs do
-    not depend on the chunk length), then the Gaussian comparison sample.
-    The trial's auxiliary value ``ks_entry`` is the KS distance of |X_11|^2
-    to Exp(1), and it passes when ``ks_entry < epsilon``; its discrepancy is
-    the quadrature L1 distance of the k=1 density to its Gaussian limit
-    (``ks_entry`` when k > 1).  ``extra`` adds the max of the same KS over
-    all k^2 entries and the gaps |E g(scaled first column) - E g(Gaussian
-    column)| for the standard test function kinds g (probing the first
-    coordinate direction).  ``k`` and ``n_samples`` must be integers >= 1
-    and n an integer >= 2k; all are checked before anything is drawn.
+    blocks from their exact law at O(k^3) each (``_scaled_haar_blocks``),
+    then the Gaussian comparison sample.  The trial passes when ``ks_exact``,
+    the KS distance of |X_11|^2 to its exact finite-n CDF
+    1 - (1 - x/n)^(n-1) on [0, n] (Zyczkowski & Sommers), is below
+    ``epsilon``.  Its auxiliary value ``ks_entry`` is the KS distance of
+    |X_11|^2 to the n = infinity limit Exp(1); its discrepancy is the
+    closed-form L1 distance of the k=1 density to its Gaussian limit
+    (``ks_entry`` when k > 1).  ``extra`` adds both KS distances, the max of
+    the Exp(1) KS over all k^2 entries and the gaps |E g(scaled first
+    column) - E g(Gaussian column)| for the standard test function kinds g
+    (probing the first coordinate direction).  ``k`` and ``n_samples`` must
+    be integers >= 1 and n an integer >= 2k; all are checked before anything
+    is drawn.
     """
     k = _integer("k", k, 1)
     n = _integer("n", n, 2 * k)
@@ -818,13 +825,16 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
         for i in range(k)
     ])
     ks_entry = float(ks[0, 0])
+    ks_exact = ks_statistic(np.abs(blocks[:, 0, 0]) ** 2,
+                            lambda x: 1.0 - (1.0 - np.clip(x, 0.0, n) / n) ** (n - 1))
     gaps = {g.kind: float(abs(np.mean(g(blocks[:, :, 0])) - np.mean(g(gauss))))
             for g in probes}
     distance = submatrix_l1_distance(n) if k == 1 else ks_entry
     return ExperimentOutcome(
-        np.array([distance]), np.array([ks_entry < epsilon]), np.array([ks_entry]),
+        np.array([distance]), np.array([ks_exact < epsilon]), np.array([ks_entry]),
         0.0, float(epsilon),
-        {"ks_entry": ks_entry, "ks_entry_max": float(ks.max()), "expectation_gaps": gaps},
+        {"ks_entry": ks_entry, "ks_exact": ks_exact, "ks_entry_max": float(ks.max()),
+         "expectation_gaps": gaps},
     )
 
 

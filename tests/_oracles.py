@@ -5,6 +5,7 @@ genuinely different routes to the same quantity.
 """
 
 import numpy as np
+from scipy.integrate import quad
 
 from gaplab import (
     BipartiteState,
@@ -18,7 +19,7 @@ from gaplab import (
     sample_gaussian,
     trace_norm,
 )
-from gaplab.typicality import uniform_subspace_state
+from gaplab.typicality import submatrix_density_k1, uniform_subspace_state
 
 
 def rejection_adjusted_gaussian(rng, rho, n_accept, batch=20_000):
@@ -94,14 +95,32 @@ def canonical_trials(stream, basis, d1, d2, target, n_trials):
 
 def submatrix_blocks_per_sample(rng, n, k, n_samples):
     """sqrt(n)-scaled top-left k x k blocks of Haar unitaries, one
-    ``random_ons`` call per sample: the loop that
-    ``submatrix_convergence_experiment`` replaces by stacked QRs.  The rows of
-    ``random_ons`` are the first k columns of a Haar unitary, so the transpose
-    restores matrix orientation X_ij = sqrt(n) U_ij."""
+    ``random_ons`` call (an n x k Ginibre matrix and its phase-fixed QR) per
+    sample: the independent O(n k^2) route that the Bartlett draw of
+    ``submatrix_convergence_experiment`` replaces.  The rows of ``random_ons``
+    are the first k columns of a Haar unitary, so the transpose restores
+    matrix orientation X_ij = sqrt(n) U_ij."""
     blocks = np.empty((n_samples, k, k), dtype=complex)
     for s in range(n_samples):
         blocks[s] = np.sqrt(n) * random_ons(rng, n, k)[:, :k].T
     return blocks
+
+
+def _gaussian_density_c1(r):
+    return float(np.exp(-r * r) / np.pi)
+
+
+def quadrature_l1_distance(n):
+    """L1 distance between the exact density of sqrt(n) times a single Haar
+    entry and the unit complex Gaussian, by radial quadrature over C: the
+    route that the closed form ``submatrix_l1_distance`` replaces."""
+    root_n = np.sqrt(n)
+    inner = quad(
+        lambda r: 2 * np.pi * r * abs(submatrix_density_k1(n, r) - _gaussian_density_c1(r)),
+        0.0, root_n, limit=200,
+    )[0]
+    tail = quad(lambda r: 2 * np.pi * r * _gaussian_density_c1(r), root_n, np.inf)[0]
+    return float(inner + tail)
 
 
 def hermitian_abs_eigensum(m):

@@ -136,6 +136,24 @@ class TestConfigErrorsNameTheKey:
         cfg = parse_config(write_config(tmp_path, dict(TINY, n_trials=20.0)))
         assert cfg.n_trials == 20 and isinstance(cfg.n_trials, int)
 
+    def test_numpy_scalar_in_spec_rejected_before_drawing(self, monkeypatch):
+        # summary.json echoes the config, and json cannot write a float32.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the config")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        spec = {"kind": "cap_indicator", "phi": "e1", "threshold": np.float32(0.5)}
+        with pytest.raises(ConfigError, match="^f_spec: not JSON-serializable"):
+            run(ExperimentConfig.from_dict(dict(TINY, f_spec=spec)))
+
+    def test_float64_in_spec_accepted_and_echoed(self, tmp_path):
+        # np.float64 is a float subclass, so json writes it as a plain number.
+        spec = {"kind": "cap_indicator", "phi": "e1", "threshold": np.float64(0.5)}
+        cfg = ExperimentConfig.from_dict(dict(TINY, f_spec=spec))
+        write_report(run(cfg), str(tmp_path))
+        echo = json.loads((tmp_path / "summary.json").read_text())["config"]["f_spec"]
+        assert echo == {"kind": "cap_indicator", "phi": "e1", "threshold": 0.5}
+
     def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(TINY))
         assert main(["run", "--config", path, "--out", str(tmp_path / "x"),

@@ -23,7 +23,7 @@ from gaplab import (
 from gaplab.stats import spearman, two_sample_ks
 from gaplab import typicality as T
 
-from _oracles import submatrix_blocks_per_sample
+from _oracles import quadrature_l1_distance, submatrix_blocks_per_sample
 
 
 class TestTestFunction:
@@ -493,6 +493,10 @@ class TestSubmatrixDensity:
         with pytest.raises(DomainError):
             T.submatrix_density(2, 3, np.zeros((2, 2), dtype=complex))
 
+    def test_l1_closed_form_matches_quadrature(self):
+        for n in (2, 3, 4, 16, 64, 256):
+            assert abs(T.submatrix_l1_distance(n) - quadrature_l1_distance(n)) < 1e-9
+
     def test_quadrature_normalization(self):
         from scipy.integrate import quad
         for n in (4, 16):
@@ -545,13 +549,19 @@ class TestSubmatrixConvergence:
             T.submatrix_convergence_experiment(RngStream(145), 2, 3, 10, 0.02)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("n", ["2k", 16, 256])
-    def test_blocks_match_per_sample_loop(self, k, n):
+    @pytest.mark.parametrize("n", ["2k", 16])
+    def test_blocks_match_per_sample_law(self, k, n):
+        # The Bartlett draw against the independent n x k QR route, sample by
+        # sample from another substream: same law, checked on the corner
+        # entries and on a phase-sensitive statistic.
         n = 2 * k if n == "2k" else n
-        rng, oracle_rng = RngStream(152, k).generator(), RngStream(152, k).generator()
-        blocks = T._scaled_haar_blocks(rng, n, k, 150)
-        assert blocks.tobytes() == submatrix_blocks_per_sample(oracle_rng, n, k, 150).tobytes()
-        assert rng.standard_normal() == oracle_rng.standard_normal()
+        stream = RngStream(152, k)
+        blocks = T._scaled_haar_blocks(stream.substream(0).generator(), n, k, 2000)
+        oracle = submatrix_blocks_per_sample(stream.substream(1).generator(), n, k, 2000)
+        for stat in (lambda x: np.abs(x[:, 0, 0]) ** 2, lambda x: np.abs(x[:, -1, -1]) ** 2,
+                     lambda x: x[:, 0, 0].real):
+            _, p = two_sample_ks(stat(blocks), stat(oracle))
+            assert p > 1e-3
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [4, 16])
@@ -607,19 +617,47 @@ class TestSubmatrixConvergence:
         assert _same_outcome(
             out, T.submatrix_convergence_experiment(RngStream(155), 1, 16, 20, 0.02))
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_entry_follows_exact_finite_n_law(self, k):
-        # n |U_11|^2 ~ n Beta(1, n - 1): CDF 1 - (1 - x/n)^(n-1) on [0, n]
-        # (Zyczkowski & Sommers), for every block size k <= n/2.
+        # Every entry of a Haar unitary has the same marginal:
+        # n |U_ij|^2 ~ n Beta(1, n - 1), CDF 1 - (1 - x/n)^(n-1) on [0, n]
+        # (Zyczkowski & Sommers), for every block size k <= n/2.  A misplaced
+        # Bartlett factor shows in X_kk first.
         samples = {}
-        for n in (4, 16):
-            x = np.abs(T._scaled_haar_blocks(RngStream(156, k).generator(), n, k,
-                                             5000)[:, 0, 0]) ** 2
+        for n in (2 * k, 16):
+            blocks = T._scaled_haar_blocks(RngStream(156, k).generator(), n, k, 5000)
             exact = lambda t, n=n: 1.0 - (1.0 - np.clip(t, 0.0, n) / n) ** (n - 1)
-            assert stats.kstest(x, exact).pvalue > 1e-3
-            samples[n] = x
-        # Negative control: at n = 4 the same sample is far from the Exp(1) limit.
-        assert stats.kstest(samples[4], stats.expon.cdf).pvalue < 1e-3
+            for i in range(k):
+                for j in range(k):
+                    assert stats.kstest(np.abs(blocks[:, i, j]) ** 2, exact).pvalue > 1e-3
+            samples[n] = np.abs(blocks[:, -1, -1]) ** 2
+        # Negative control: at n = 2k the same sample is far from the Exp(1) limit.
+        assert stats.kstest(samples[2 * k], stats.expon.cdf).pvalue < 1e-3
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pass_flag_judges_the_finite_n_law(self, monkeypatch, k):
+        # At n = 2k the exact law is far from the n = infinity limit, yet
+        # correct blocks pass; blocks drawn with every Bartlett Gamma shape
+        # raised by 1 (the law of a size n + 1 unitary, scaled by sqrt(n))
+        # must fail.
+        n = 2 * k
+        out = T.submatrix_convergence_experiment(RngStream(158, k), k, n, 4000, 0.03)
+        assert out.passed.tolist() == [True]
+
+        class ShiftedGamma:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_gamma(self, shape, size=None):
+                return self.rng.standard_gamma(np.asarray(shape) + 1, size)
+
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda s: ShiftedGamma(generator(s)))
+        out = T.submatrix_convergence_experiment(RngStream(158, k), k, n, 4000, 0.03)
+        assert out.passed.tolist() == [False]
 
 
 class TestContinuityProbe:

@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Compare the outputs of every CLI preset between two gaplab source trees.
+
+    python tools/preset_diff.py PARENT_ROOT [CHANGE_ROOT]
+
+CHANGE_ROOT defaults to the tree this script belongs to.  For each tree one
+subprocess, with PYTHONPATH=<root>/src, writes every preset of that tree at
+its preset seed and at --seed 7.  The script then compares trials.csv,
+plotdata.csv and summary.json (without its wall_time_s and library_version
+fields), prints one line per file that differs and exits 1 if any does.
+The two trees run at once; the script uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = ("preset", "7")
+FILES = ("trials.csv", "plotdata.csv", "summary.json")
+VOLATILE = ("wall_time_s", "library_version")
+
+# Run inside each tree's subprocess: argv[1] is the output directory, the
+# rest are the seeds ("preset" keeps the preset's own seed).
+_WRITE_PRESETS = """
+import os, sys
+from gaplab.cli import PRESETS, main
+out, seeds = sys.argv[1], sys.argv[2:]
+for name in sorted(PRESETS):
+    for seed in seeds:
+        args = ["run", "--preset", name, "--out", os.path.join(out, name, seed)]
+        if seed != "preset":
+            args += ["--seed", seed]
+        if main(args) != 0:
+            sys.exit(f"preset {name} at seed {seed} failed")
+"""
+
+
+def _start(root: Path, out: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.Popen([sys.executable, "-c", _WRITE_PRESETS, str(out), *SEEDS],
+                            cwd=out, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def _content(path: Path):
+    if path.name != "summary.json":
+        return path.read_bytes()
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    for key in VOLATILE:
+        summary.pop(key, None)
+    return summary
+
+
+def compare(parent: Path, change: Path) -> list[str]:
+    """One line per output file that differs or exists in one tree only."""
+    names = {p.relative_to(parent) for p in parent.rglob("*") if p.name in FILES}
+    names |= {p.relative_to(change) for p in change.rglob("*") if p.name in FILES}
+    lines = []
+    for name in sorted(names):
+        a, b = parent / name, change / name
+        if not a.exists() or not b.exists():
+            lines.append(f"only in {'change' if b.exists() else 'parent'}: {name}")
+        elif _content(a) != _content(b):
+            lines.append(f"differs: {name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_root", type=Path)
+    parser.add_argument("change_root", type=Path, nargs="?",
+                        default=Path(__file__).resolve().parent.parent)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "parent", Path(tmp) / "change"]
+        runs = []
+        for root, out in zip((args.parent_root, args.change_root), outs):
+            out.mkdir()
+            runs.append((root, _start(root.resolve(), out)))
+        for root, proc in runs:
+            _, err = proc.communicate()
+            if proc.returncode != 0:
+                print(f"{root}: presets failed\n{err}", file=sys.stderr)
+                return 2
+        lines = compare(*outs)
+        total = len({p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.name in FILES})
+    print("\n".join(lines + [f"{len(lines)} of {total} files differ"]))
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
