@@ -1,7 +1,7 @@
 """gaplab: GAP measures, conditional wave functions, and Haar-random Monte
 Carlo experiments on finite-dimensional complex Hilbert spaces."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (
     BasisError,
@@ -12,16 +12,12 @@ from .errors import (
     GaplabError,
     SingularDensityError,
     SingularProjectionError,
-    UnsupportedShapeError,
 )
 from .hilbert import (
     BipartiteState,
     DensityMatrix,
-    SchmidtDecomposition,
     canonical_density,
-    partial_inner,
     reduced_density_matrix,
-    schmidt,
     trace_norm,
 )
 from .randomness import (
@@ -34,20 +30,16 @@ from .randomness import (
     uniform_sphere,
 )
 from .gap import (
-    TailRadius,
     covariance_estimate,
     gap_sphere_density,
     gaussian_density,
     sample_adjusted_gaussian,
     sample_gap,
     sample_gaussian,
-    tail_radius,
 )
 from .conditional import (
-    ConditionalSample,
     DiscreteMeasure,
     adjust,
-    conditional_draw,
     conditional_measure,
     integrate,
     project_to_sphere,

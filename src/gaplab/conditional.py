@@ -36,7 +36,6 @@ from .randomness import random_ons
 __all__ = [
     "WEIGHT_CUTOFF",
     "DiscreteMeasure",
-    "ConditionalSample",
     "conditional_measure",
     "random_basis_measure",
     "raw_conditional_measure",
@@ -44,7 +43,6 @@ __all__ = [
     "project_to_sphere",
     "integrate",
     "random_purification",
-    "conditional_draw",
 ]
 
 # Atoms below this weight carry no mass and are dropped where normalization
@@ -93,16 +91,6 @@ class DiscreteMeasure:
 
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-
-@dataclass(frozen=True)
-class ConditionalSample:
-    """One draw of the conditional wave function: the chosen basis index, the
-    normalized conditional vector, and the branch weight ||<b_j|psi>||^2."""
-
-    index: int
-    vector: np.ndarray
-    weight: float
 
 
 def _check_orthonormal_rows(vectors: np.ndarray) -> None:
@@ -235,19 +223,3 @@ def random_purification(rng: np.random.Generator, rho1: DensityMatrix, d2: int) 
     phis = random_ons(rng, d2, d1)
     m = (v * np.sqrt(p)) @ phis
     return BipartiteState.from_matrix(m)
-
-
-def conditional_draw(rng: np.random.Generator, psi: BipartiteState,
-                     basis: np.ndarray | None = None) -> ConditionalSample:
-    """Draw one conditional wave function of system 1.
-
-    The branch index J is sampled with probability ||<b_J|psi>||^2; the
-    returned vector is the normalized partial inner product.
-    """
-    branches = _branch_vectors(psi, basis)
-    w = np.sum(np.abs(branches) ** 2, axis=1)
-    j = int(rng.choice(w.size, p=w / w.sum()))
-    weight = float(w[j])
-    if weight < WEIGHT_CUTOFF:
-        raise SingularProjectionError("drew a zero-mass branch")
-    return ConditionalSample(index=j, vector=branches[j] / np.sqrt(weight), weight=weight)

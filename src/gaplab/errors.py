@@ -17,10 +17,6 @@ class DomainError(GaplabError):
     """A scalar parameter lies outside its admissible range."""
 
 
-class UnsupportedShapeError(GaplabError):
-    """The operation is defined only for d1 <= d2 factorizations."""
-
-
 class BasisError(GaplabError):
     """A family of vectors fails the orthonormality requirement."""
 

@@ -22,39 +22,23 @@ as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import gammainccinv, gammaln
 
 from .errors import DimensionError, DomainError, SingularDensityError
 from .hilbert import DensityMatrix
 from .randomness import sample_complex_gaussian
 
 __all__ = [
-    "TailRadius",
     "sample_gaussian",
     "gaussian_density",
     "sample_adjusted_gaussian",
     "sample_gap",
     "gap_sphere_density",
-    "tail_radius",
     "covariance_estimate",
-    "log_sphere_area",
 ]
 
 # Squared-norm component below this counts as lying outside the support.
 SUPPORT_ATOL = 1e-8
-
-
-@dataclass(frozen=True)
-class TailRadius:
-    """Radius R such that the Gaussian ball {||psi|| < R} carries all but
-    epsilon of the adjusted mass, uniformly over covariances of trace one."""
-
-    epsilon: float
-    dim: int
-    radius: float
 
 
 def sample_gaussian(rng: np.random.Generator, rho: DensityMatrix, size: int | None = None):
@@ -145,23 +129,6 @@ def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
     return float(out[0]) if single else out
 
 
-def tail_radius(epsilon: float, d: int) -> TailRadius:
-    """Smallest R with E[S ; S < R^2] > d - epsilon for S ~ Gamma(d, 1).
-
-    S is the squared norm of a standard complex Gaussian vector in C^d, the
-    worst case over all trace-one covariances; hence for every density
-    matrix rho the adjusted mass of {||psi|| < R} under G(rho) exceeds
-    1 - epsilon.  Solved on the regularized upper incomplete gamma.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    # E[S ; S < x] = d * P(d+1, x), so the condition is Q(d+1, x) < eps/d.
-    x = float(gammainccinv(d + 1, epsilon / d))
-    return TailRadius(epsilon=epsilon, dim=d, radius=float(np.sqrt(x)))
-
-
 def covariance_estimate(samples) -> np.ndarray:
     """Empirical covariance (1/N) sum |psi><psi| of a batch of vectors.
 
@@ -175,8 +142,3 @@ def covariance_estimate(samples) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise DomainError("need a nonempty batch of equal-length vectors")
     return arr.T @ arr.conj() / arr.shape[0]
-
-
-def log_sphere_area(d: int) -> float:
-    """log of the surface area 2 pi^d / (d-1)! of the unit sphere in C^d."""
-    return float(np.log(2.0) + d * np.log(np.pi) - gammaln(d))

@@ -1,5 +1,5 @@
 """Finite-dimensional complex linear algebra: states, density matrices,
-tensor structure, partial operations, Schmidt decomposition, norms.
+tensor structure, the partial trace, norms.
 
 Conventions
 -----------
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, UnsupportedShapeError
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "NORM_ATOL",
@@ -28,10 +28,7 @@ __all__ = [
     "EIGENVALUE_FLOOR",
     "DensityMatrix",
     "BipartiteState",
-    "SchmidtDecomposition",
-    "partial_inner",
     "reduced_density_matrix",
-    "schmidt",
     "trace_norm",
     "canonical_density",
 ]
@@ -155,58 +152,11 @@ class BipartiteState:
         m = np.asarray(m, dtype=complex)
         return cls(m.shape[0], m.shape[1], m.reshape(-1))
 
-    @classmethod
-    def product(cls, chi: np.ndarray, phi: np.ndarray) -> "BipartiteState":
-        """The product state chi (x) phi."""
-        return cls.from_matrix(np.outer(chi, phi))
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """psi = sum_i coefficients[i] * left_vectors[i] (x) right_vectors[i],
-    with nonnegative coefficients in descending order and orthonormal rows
-    on both sides."""
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray   # (k, d1) rows
-    right_vectors: np.ndarray  # (k, d2) rows
-
-    def reconstruct(self) -> BipartiteState:
-        m = (self.left_vectors.T * self.coefficients) @ self.right_vectors
-        return BipartiteState.from_matrix(m)
-
-
-def partial_inner(psi: BipartiteState, b: np.ndarray) -> np.ndarray:
-    """Partial inner product <b|psi> taken in the second factor.
-
-    Returns the (generally unnormalized) vector v in C^{d1} with
-    v[i] = sum_j conj(b[j]) * amplitude(i, j).
-    """
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (psi.d2,):
-        raise DimensionError(f"basis vector has shape {b.shape}, expected ({psi.d2},)")
-    return psi.as_matrix() @ b.conj()
-
 
 def reduced_density_matrix(psi: BipartiteState) -> DensityMatrix:
     """Partial trace over the second factor, as a validated DensityMatrix."""
     m = psi.as_matrix()
     return DensityMatrix(m @ m.conj().T)
-
-
-def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the coefficient matrix.
-
-    Requires d1 <= d2.  The squared coefficients are the eigenvalues of the
-    reduced density matrix; ties are resolved by the deterministic SVD
-    output order.
-    """
-    if psi.d1 > psi.d2:
-        raise UnsupportedShapeError(
-            f"schmidt requires d1 <= d2, got d1={psi.d1}, d2={psi.d2}"
-        )
-    u, s, vh = np.linalg.svd(psi.as_matrix(), full_matrices=False)
-    return SchmidtDecomposition(coefficients=s, left_vectors=u.T, right_vectors=vh)
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Thin statistical helpers shared by the experiment drivers and tests."""
+"""Thin statistical helpers used by the experiment drivers."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from .errors import DomainError
 __all__ = [
     "ks_statistic",
     "ks_vs_exponential",
-    "two_sample_ks",
-    "two_sample_chi2",
     "spearman",
 ]
 
@@ -31,32 +29,6 @@ def ks_statistic(sample, cdf) -> float:
 def ks_vs_exponential(sample) -> float:
     """KS statistic of a sample against the unit exponential distribution."""
     return ks_statistic(sample, lambda x: 1.0 - np.exp(-np.maximum(x, 0.0)))
-
-
-def two_sample_ks(a, b) -> tuple[float, float]:
-    """Two-sample KS statistic and p-value."""
-    res = sps.ks_2samp(np.asarray(a, float), np.asarray(b, float))
-    return float(res.statistic), float(res.pvalue)
-
-
-def two_sample_chi2(a, b, bins: int = 32) -> tuple[float, float]:
-    """Chi-square homogeneity test of two samples on quantile bins.
-
-    Bin edges are the pooled-sample quantiles, so expected counts are
-    balanced; empty bin pairs are merged away by construction.
-    """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    pooled = np.concatenate([a, b])
-    edges = np.quantile(pooled, np.linspace(0.0, 1.0, bins + 1))
-    edges[0], edges[-1] = -np.inf, np.inf
-    edges = np.unique(edges)
-    ca, _ = np.histogram(a, bins=edges)
-    cb, _ = np.histogram(b, bins=edges)
-    keep = (ca + cb) > 0
-    table = np.vstack([ca[keep], cb[keep]])
-    res = sps.chi2_contingency(table)
-    return float(res.statistic), float(res.pvalue)
 
 
 def spearman(x, y) -> float:

@@ -74,8 +74,6 @@ __all__ = [
     "microcanonical_shell",
     "BetaFit",
     "fit_beta",
-    "submatrix_density",
-    "submatrix_density_k1",
     "submatrix_l1_distance",
     "submatrix_convergence_experiment",
     "continuity_probe",
@@ -719,35 +717,6 @@ def thermal_experiment(stream: RngStream, shell: MicrocanonicalShell,
 # ---------------------------------------------------------------------------
 # Truncated Haar submatrices
 # ---------------------------------------------------------------------------
-
-def submatrix_density(k: int, n: int, x: np.ndarray) -> float:
-    """Unnormalized density of the sqrt(n)-scaled top-left k x k block of a
-    Haar unitary of size n, valid for n >= 2k:
-
-        1_{||X||_op < sqrt(n)} * det(I - X X* / n)^(n - 2k).
-    """
-    if n < 2 * k:
-        raise DomainError(f"density formula requires n >= 2k, got n={n}, k={k}")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (k, k):
-        raise DimensionError(f"X must be ({k}, {k}), got {x.shape}")
-    opnorm = np.linalg.norm(x, ord=2)
-    if opnorm >= np.sqrt(n):
-        return 0.0
-    eig = np.linalg.eigvalsh(np.eye(k) - x @ x.conj().T / n)
-    return float(np.exp((n - 2 * k) * np.sum(np.log(eig))))
-
-
-def submatrix_density_k1(n: int, x: complex) -> float:
-    """Exact normalized density (on C) of sqrt(n) times a single Haar entry:
-    ((n-1)/(pi n)) (1 - |x|^2/n)^(n-2) for |x| < sqrt(n)."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    r2 = abs(x) ** 2
-    if r2 >= n:
-        return 0.0
-    return float((n - 1) / (np.pi * n) * (1.0 - r2 / n) ** (n - 2))
-
 
 def submatrix_l1_distance(n: int) -> float:
     """L1 distance between the exact law of sqrt(n) times a single Haar entry

@@ -1,10 +1,13 @@
-"""Independent reference implementations used only by the tests.
+"""Independent reference implementations and statistics used only by the
+tests.
 
-These deliberately avoid the library's fast paths so each check compares two
-genuinely different routes to the same quantity.
+The reference routes deliberately avoid the library's fast paths so each
+check compares two genuinely different routes to the same quantity.  The
+two-sample tests compare the laws of two such routes.
 """
 
 import numpy as np
+from scipy import stats as sps
 from scipy.integrate import quad
 
 from gaplab import (
@@ -19,7 +22,38 @@ from gaplab import (
     sample_gaussian,
     trace_norm,
 )
-from gaplab.typicality import submatrix_density_k1, uniform_subspace_state
+from gaplab.typicality import uniform_subspace_state
+
+
+def product_state(chi, phi):
+    """The product state chi (x) phi."""
+    return BipartiteState.from_matrix(np.outer(chi, phi))
+
+
+def two_sample_ks(a, b):
+    """Two-sample KS statistic and p-value."""
+    res = sps.ks_2samp(np.asarray(a, float), np.asarray(b, float))
+    return float(res.statistic), float(res.pvalue)
+
+
+def two_sample_chi2(a, b, bins=32):
+    """Chi-square homogeneity test of two samples on quantile bins.
+
+    Bin edges are the pooled-sample quantiles, so expected counts are
+    balanced; empty bin pairs are merged away by construction.
+    """
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    pooled = np.concatenate([a, b])
+    edges = np.quantile(pooled, np.linspace(0.0, 1.0, bins + 1))
+    edges[0], edges[-1] = -np.inf, np.inf
+    edges = np.unique(edges)
+    ca, _ = np.histogram(a, bins=edges)
+    cb, _ = np.histogram(b, bins=edges)
+    keep = (ca + cb) > 0
+    table = np.vstack([ca[keep], cb[keep]])
+    res = sps.chi2_contingency(table)
+    return float(res.statistic), float(res.pvalue)
 
 
 def rejection_adjusted_gaussian(rng, rho, n_accept, batch=20_000):
@@ -106,6 +140,16 @@ def submatrix_blocks_per_sample(rng, n, k, n_samples):
     return blocks
 
 
+def submatrix_density_k1(n, x):
+    """Exact normalized density (on C) of sqrt(n) times a single entry of a
+    Haar unitary of size n >= 2: ((n-1)/(pi n)) (1 - |x|^2/n)^(n-2) for
+    |x| < sqrt(n), else 0."""
+    r2 = abs(x) ** 2
+    if r2 >= n:
+        return 0.0
+    return float((n - 1) / (np.pi * n) * (1.0 - r2 / n) ** (n - 2))
+
+
 def _gaussian_density_c1(r):
     return float(np.exp(-r * r) / np.pi)
 
@@ -127,8 +171,3 @@ def hermitian_abs_eigensum(m):
     """Sum of |eigenvalues| of a Hermitian matrix (trace-norm oracle)."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
-
-def quadrature_sphere_area_check(d):
-    """Surface area of the unit sphere of C^d: 2 pi^d / (d-1)!."""
-    from math import factorial, pi
-    return 2 * pi ** d / factorial(d - 1)

@@ -34,9 +34,13 @@ from gaplab import (
 )
 from gaplab import typicality as T
 from gaplab.cli import ExperimentConfig, run, trials_csv
-from gaplab.stats import two_sample_chi2, two_sample_ks, ks_vs_exponential
 
-from _oracles import rejection_adjusted_gaussian
+from _oracles import (
+    rejection_adjusted_gaussian,
+    submatrix_density_k1,
+    two_sample_chi2,
+    two_sample_ks,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -197,7 +201,7 @@ def test_criterion_08_submatrix_convergence():
 
     from scipy.integrate import quad
     norm_err = max(
-        abs(quad(lambda r: 2 * np.pi * r * T.submatrix_density_k1(n, r),
+        abs(quad(lambda r: 2 * np.pi * r * submatrix_density_k1(n, r),
                  0, np.sqrt(n))[0] - 1.0)
         for n in (4, 16, 64, 256)
     )

@@ -18,7 +18,6 @@ from gaplab import (
     gaussian_density,
     ginibre,
     overlap_sq,
-    tail_radius,
 )
 from gaplab import typicality as T
 
@@ -52,9 +51,6 @@ PRODUCT = BipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
      DimensionError, "one level per target entry"),
     (lambda: T.reduced_of_subspace(np.zeros((5, 2)), 2, 2),
      DimensionError, r"basis must be \(4, dim\)"),
-    (lambda: T.submatrix_density(1, 4, np.zeros((2, 2))),
-     DimensionError, r"X must be \(1, 1\)"),
-    (lambda: T.submatrix_density_k1(1, 0.0), DomainError, "need n >= 2"),
     (lambda: canonical_density([0.0, 1.0], np.nan), DomainError, "beta must be finite"),
     (lambda: DensityMatrix(np.eye(2, 3)), DimensionError, "must be square"),
     (lambda: DensityMatrix(np.zeros((0, 0))), DimensionError, "positive dimension"),
@@ -62,7 +58,6 @@ PRODUCT = BipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
      "factor dimensions must be positive"),
     (lambda: gaussian_density(MIXED2, np.zeros(3)), DimensionError, "psi has shape"),
     (lambda: gap_sphere_density(MIXED2, np.ones(3)), DimensionError, "psi dimension 3 != 2"),
-    (lambda: tail_radius(0.1, 0), DomainError, "dimension must be >= 1"),
     (lambda: ginibre(RngStream(1).generator(), 0), DomainError,
      "matrix dimension must be >= 1"),
     (lambda: DiscreteMeasure(np.eye(2), np.array([0.5, 0.4]), normalized=True),

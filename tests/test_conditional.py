@@ -11,7 +11,6 @@ from gaplab import (
     SingularProjectionError,
     adjust,
     cap_indicator,
-    conditional_draw,
     conditional_measure,
     haar_unitary,
     integrate,
@@ -23,8 +22,8 @@ from gaplab import (
     reduced_density_matrix,
     uniform_sphere,
 )
-from gaplab.stats import two_sample_ks
-from scipy.stats import chisquare
+
+from _oracles import product_state, two_sample_ks
 
 
 def random_bipartite(rng, d1, d2):
@@ -60,7 +59,7 @@ class TestConditionalMeasure:
         rng = RngStream(70).generator()
         chi = uniform_sphere(rng, 2)
         phi = uniform_sphere(rng, 5)
-        psi = BipartiteState.product(chi, phi)
+        psi = product_state(chi, phi)
         basis = random_onb(rng, 5)
         m = conditional_measure(psi, basis)
         assert abs(m.total_mass() - 1.0) < 1e-12
@@ -68,13 +67,19 @@ class TestConditionalMeasure:
         overlaps = np.abs(m.vectors @ chi.conj())
         assert np.max(np.abs(overlaps - 1.0)) < 1e-10
 
-    def test_two_branch_state(self):
-        e, b = np.eye(2), np.eye(2)
-        m = (np.outer(e[0], b[0]) + np.outer(e[1], b[1])) / np.sqrt(2)
-        meas = conditional_measure(BipartiteState.from_matrix(m))
-        assert meas.n_atoms == 2
-        assert np.allclose(np.sort(meas.weights), [0.5, 0.5], atol=1e-12)
-        assert np.allclose(np.abs(meas.vectors), np.eye(2), atol=1e-12)
+    @pytest.mark.parametrize("psi, atoms, weights", [
+        (BipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)),
+         np.eye(2), [0.5, 0.5]),
+        # Row-major amplitudes: chi (x) e_1 stores chi_i at i * d2 + 1, so its
+        # one branch is j = 1 and sits at chi itself, phase included.
+        (BipartiteState(2, 3, np.array([0.0, 0.6, 0.0, 0.0, 0.8j, 0.0])),
+         [[0.6, 0.8j]], [1.0]),
+    ], ids=["two_branch", "product"])
+    def test_atoms_in_computational_basis(self, psi, atoms, weights):
+        meas = conditional_measure(psi)
+        assert meas.n_atoms == len(weights)
+        assert np.allclose(meas.vectors, atoms, atol=1e-12)
+        assert np.allclose(meas.weights, weights, atol=1e-12)
 
     def test_weights_are_branch_probabilities(self):
         rng = RngStream(71).generator()
@@ -96,7 +101,7 @@ class TestConditionalMeasure:
     def test_nan_basis_rejected(self):
         # psi meets only b_0, so the NaN row's branch would be dropped as
         # weightless and the measure would look valid without the check.
-        psi = BipartiteState.product(np.array([1.0, 0.0]), np.eye(3)[0])
+        psi = product_state(np.array([1.0, 0.0]), np.eye(3)[0])
         bad = np.eye(3, dtype=complex)
         bad[2, 2] = np.nan
         with pytest.raises(BasisError):
@@ -116,7 +121,7 @@ class TestRawConditionalMeasure:
         d2 = 4
         chi = np.array([1.0, 0.0])
         b = np.eye(d2)
-        psi = BipartiteState.product(chi, b[1])
+        psi = product_state(chi, b[1])
         m = raw_conditional_measure(psi)
         norms = squared_norms(m.vectors)
         assert abs(norms[1] - d2) < 1e-12
@@ -125,7 +130,7 @@ class TestRawConditionalMeasure:
 
     def test_mean_atom_squared_norm_for_product(self):
         rng = RngStream(74).generator()
-        psi = BipartiteState.product(uniform_sphere(rng, 2), uniform_sphere(rng, 7))
+        psi = product_state(uniform_sphere(rng, 2), uniform_sphere(rng, 7))
         m = raw_conditional_measure(psi, random_onb(rng, 7))
         assert abs(integrate(m, squared_norms) - 1.0) < 1e-12
 
@@ -192,7 +197,7 @@ class TestRandomBasisMeasure:
     def test_product_state_all_atoms_equal(self):
         rng = RngStream(91).generator()
         chi = uniform_sphere(rng, 3)
-        psi = BipartiteState.product(chi, uniform_sphere(rng, 6))
+        psi = product_state(chi, uniform_sphere(rng, 6))
         m = random_basis_measure(rng, psi)
         assert np.allclose(np.abs(m.vectors @ chi.conj()), 1.0, atol=1e-10)
 
@@ -267,35 +272,6 @@ class TestRandomPurification:
         _, p = two_sample_ks(statistics(rho_a, 1), statistics(rho_b, 2))
         assert p > 0.01
 
-
-class TestConditionalDraw:
-    def test_product_state_always_returns_first_factor(self):
-        rng = RngStream(82).generator()
-        chi = uniform_sphere(rng, 3)
-        psi = BipartiteState.product(chi, uniform_sphere(rng, 4))
-        for _ in range(20):
-            s = conditional_draw(rng, psi)
-            assert abs(abs(s.vector @ chi.conj()) - 1.0) < 1e-10
-
-    def test_balanced_branch_frequencies(self):
-        rng = RngStream(83).generator()
-        e, b = np.eye(2), np.eye(2)
-        m = (np.outer(e[0], b[0]) + np.outer(e[1], b[1])) / np.sqrt(2)
-        psi = BipartiteState.from_matrix(m)
-        hits = sum(conditional_draw(rng, psi).index == 0 for _ in range(10_000))
-        assert abs(hits / 10_000 - 0.5) < 0.01
-
-    def test_index_distribution_matches_measure(self):
-        rng = RngStream(84).generator()
-        psi = random_bipartite(rng, 2, 8)
-        branches = psi.as_matrix().T
-        weights = squared_norms(branches)
-        n = 10_000
-        counts = np.zeros(8)
-        for _ in range(n):
-            counts[conditional_draw(rng, psi).index] += 1
-        res = chisquare(counts, weights / weights.sum() * n)
-        assert res.pvalue > 0.01
 
 
 class TestExactIdentities:

@@ -13,12 +13,11 @@ from gaplab import (
     sample_adjusted_gaussian,
     sample_gap,
     sample_gaussian,
-    tail_radius,
     uniform_sphere,
 )
-from gaplab.stats import two_sample_chi2, two_sample_ks, ks_vs_exponential
+from gaplab.stats import ks_vs_exponential
 
-from _oracles import rejection_adjusted_gaussian
+from _oracles import rejection_adjusted_gaussian, two_sample_chi2, two_sample_ks
 
 
 def random_density(rng, d):
@@ -177,10 +176,9 @@ class TestGapSphereDensity:
             gap_sphere_density(rho, np.array([1.0, 0.0]))
 
     def test_normalization_convention(self):
-        # Dividing out the sphere area recovers the raw power law
-        # d! <psi|rho^{-1}|psi>^{-(d+1)} / (2 pi^d det rho).
+        # Dividing out the sphere area 2 pi^d / (d-1)! recovers the raw power
+        # law d! <psi|rho^{-1}|psi>^{-(d+1)} / (2 pi^d det rho).
         from math import factorial
-        from gaplab.gap import log_sphere_area
         rng = RngStream(49).generator()
         d = 3
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
@@ -188,8 +186,7 @@ class TestGapSphereDensity:
         quad_form = float(np.real(psi.conj() @ np.linalg.inv(rho.matrix) @ psi))
         power_law = (factorial(d) / (2 * np.pi ** d * np.linalg.det(rho.matrix).real)
                      * quad_form ** (-(d + 1)))
-        area = np.exp(log_sphere_area(d))
-        assert abs(area - 2 * np.pi ** d / factorial(d - 1)) < 1e-10
+        area = 2 * np.pi ** d / factorial(d - 1)
         assert abs(gap_sphere_density(rho, psi) - power_law * area) < 1e-10
 
     def test_density_sampler_consistency(self):
@@ -202,37 +199,6 @@ class TestGapSphereDensity:
         direct = f(sample_gap(rng, rho, size=50_000))
         se = np.sqrt(weighted.var() / weighted.size + direct.var() / direct.size)
         assert abs(weighted.mean() - direct.mean()) < 3 * se + 1e-12
-
-
-class TestTailRadius:
-    def test_one_dimensional_root(self):
-        r = tail_radius(0.05, 1).radius
-        assert abs(r - 2.1780414) < 1e-6
-        # root-finder oracle: (1 + R^2) exp(-R^2) = epsilon exactly
-        assert abs((1 + r ** 2) * np.exp(-r ** 2) - 0.05) < 1e-10
-
-    def test_monotone_in_epsilon(self):
-        for d in (1, 2, 5):
-            assert tail_radius(0.01, d).radius > tail_radius(0.1, d).radius
-
-    def test_radius_exceeds_unit_ball(self):
-        for eps in (0.01, 0.3):
-            for d in (1, 2, 8):
-                assert tail_radius(eps, d).radius > 1.0
-
-    def test_adjusted_mass_inside_ball(self):
-        rng = RngStream(46).generator()
-        eps = 0.05
-        r = tail_radius(eps, 4).radius
-        rho = random_density(rng, 4)
-        draws = sample_gaussian(rng, rho, size=100_000)
-        norm_sq = np.sum(np.abs(draws) ** 2, axis=1)
-        inside = np.where(np.sqrt(norm_sq) < r, norm_sq, 0.0)
-        assert inside.mean() > 1.0 - eps
-
-    def test_epsilon_out_of_range(self):
-        with pytest.raises(DomainError):
-            tail_radius(1.5, 2)
 
 
 class TestCovarianceEstimate:

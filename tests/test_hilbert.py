@@ -7,18 +7,14 @@ from gaplab import (
     DimensionError,
     DomainError,
     RngStream,
-    UnsupportedShapeError,
     canonical_density,
     haar_unitary,
-    partial_inner,
-    random_onb,
     reduced_density_matrix,
-    schmidt,
     trace_norm,
     uniform_sphere,
 )
 
-from _oracles import hermitian_abs_eigensum
+from _oracles import hermitian_abs_eigensum, product_state
 
 
 def bell_state(chi1, chi2, b1, b2):
@@ -48,49 +44,10 @@ class TestBipartiteState:
             BipartiteState(2, 2, np.array([np.nan, 1.0, 0, 0]))
 
 
-class TestPartialInner:
-    def test_product_state(self):
-        chi = np.array([0.6, 0.8j])
-        phi = np.array([0, 1.0, 0, 0])
-        psi = BipartiteState.product(chi, phi)
-        v = partial_inner(psi, phi)
-        assert np.allclose(v, chi, atol=1e-12)
-
-    def test_orthogonal_component(self):
-        chi = np.array([1.0, 0])
-        phi = np.array([1.0, 0, 0])
-        perp = np.array([0, 1.0, 0])
-        psi = BipartiteState.product(chi, phi)
-        assert np.allclose(partial_inner(psi, perp), 0.0, atol=1e-14)
-
-    def test_superposition_branch(self):
-        e = np.eye(2)
-        b = np.eye(2)
-        psi = bell_state(e[0], e[1], b[0], b[1])
-        v = partial_inner(psi, b[0])
-        assert np.allclose(v, e[0] / np.sqrt(2), atol=1e-12)
-
-    def test_dimension_error(self):
-        psi = BipartiteState.product(np.array([1.0, 0]), np.array([1.0, 0, 0]))
-        with pytest.raises(DimensionError):
-            partial_inner(psi, np.array([1.0, 0]))
-
-    def test_completeness_over_any_basis(self):
-        # The squared norms of the partial inner products resolve unity.
-        rng = RngStream(11).generator()
-        for _ in range(50):
-            psi = BipartiteState(3, 5, uniform_sphere(rng, 15))
-            basis = random_onb(rng, 5)
-            total = sum(
-                np.sum(np.abs(partial_inner(psi, b)) ** 2) for b in basis
-            )
-            assert abs(total - 1.0) < 1e-12
-
-
 class TestReducedDensityMatrix:
     def test_pure_product(self):
         chi = np.array([0.6, 0.8])
-        psi = BipartiteState.product(chi, np.array([0, 1.0, 0]))
+        psi = product_state(chi, np.array([0, 1.0, 0]))
         rho = reduced_density_matrix(psi)
         assert np.allclose(rho.matrix, np.outer(chi, chi.conj()), atol=1e-12)
 
@@ -106,51 +63,6 @@ class TestReducedDensityMatrix:
             rho = reduced_density_matrix(psi)  # constructor validates
             assert rho.min_eigenvalue >= 0.0
             assert abs(rho.spectrum().sum() - 1.0) < 1e-12
-
-
-class TestSchmidt:
-    def test_product_state(self):
-        psi = BipartiteState.product(np.array([1.0, 0]), np.array([0, 1.0, 0]))
-        dec = schmidt(psi)
-        assert np.allclose(dec.coefficients, [1.0, 0.0], atol=1e-12)
-
-    def test_balanced_superposition(self):
-        e, b = np.eye(2), np.eye(2)
-        dec = schmidt(bell_state(e[0], e[1], b[0], b[1]))
-        assert np.allclose(dec.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
-
-    def test_coefficients_match_eigenvalue_oracle(self):
-        rng = RngStream(13).generator()
-        for _ in range(100):
-            psi = BipartiteState(3, 7, uniform_sphere(rng, 21))
-            dec = schmidt(psi)
-            m = psi.as_matrix()
-            eigs = np.sort(np.linalg.eigvalsh(m @ m.conj().T))[::-1]
-            assert np.allclose(dec.coefficients ** 2, eigs, atol=1e-8)
-            assert abs(np.sum(dec.coefficients ** 2) - 1.0) < 1e-10
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = RngStream(14).generator()
-        for _ in range(100):
-            psi = BipartiteState(2, 6, uniform_sphere(rng, 12))
-            dec = schmidt(psi)
-            rebuilt = dec.reconstruct()
-            assert np.max(np.abs(rebuilt.amplitudes - psi.amplitudes)) < 1e-8
-            for vecs in (dec.left_vectors, dec.right_vectors):
-                gram = vecs @ vecs.conj().T
-                assert np.max(np.abs(gram - np.eye(len(vecs)))) < 1e-10
-
-    def test_descending_order(self):
-        rng = RngStream(15).generator()
-        psi = BipartiteState(4, 5, uniform_sphere(rng, 20))
-        c = schmidt(psi).coefficients
-        assert np.all(np.diff(c) <= 0)
-
-    def test_wide_shape_rejected(self):
-        rng = RngStream(16).generator()
-        psi = BipartiteState(3, 2, uniform_sphere(rng, 6))
-        with pytest.raises(UnsupportedShapeError):
-            schmidt(psi)
 
 
 class TestTraceNorm:

@@ -23,9 +23,7 @@ from gaplab import (
     random_purification,
 )
 from gaplab import typicality as T
-from gaplab.stats import two_sample_ks
-
-from _oracles import full_haar_basis_measure
+from _oracles import full_haar_basis_measure, two_sample_ks
 
 N_TRIALS = 1000
 # Both test functions are nonnegative, so with reference 0 each recorded

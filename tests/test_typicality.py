@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from gaplab import (
-    BipartiteState,
     DensityMatrix,
     DomainError,
     EmptyShellError,
@@ -20,10 +19,16 @@ from gaplab import (
     reduced_density_matrix,
     uniform_sphere,
 )
-from gaplab.stats import spearman, two_sample_ks
+from gaplab.stats import spearman
 from gaplab import typicality as T
 
-from _oracles import quadrature_l1_distance, submatrix_blocks_per_sample
+from _oracles import (
+    product_state,
+    quadrature_l1_distance,
+    submatrix_blocks_per_sample,
+    submatrix_density_k1,
+    two_sample_ks,
+)
 
 
 class TestTestFunction:
@@ -228,7 +233,7 @@ class TestRandomBasisExperiment:
     def test_product_state_zero_discrepancy(self):
         stream = RngStream(110)
         chi = np.array([0.0, 1.0])
-        psi = BipartiteState.product(chi, np.eye(6)[0])
+        psi = product_state(chi, np.eye(6)[0])
         out = T.random_basis_experiment(stream, psi, cap_indicator(chi, 0.5),
                                         0.1, 30)
         assert np.max(out.discrepancies) < 1e-12
@@ -475,23 +480,13 @@ class TestFitBeta:
 
 class TestSubmatrixDensity:
     def test_normalized_value_at_origin(self):
-        assert abs(T.submatrix_density_k1(2, 0.0) - 1 / (2 * np.pi)) < 1e-14
+        assert abs(submatrix_density_k1(2, 0.0) - 1 / (2 * np.pi)) < 1e-14
 
     def test_gaussian_limit(self):
-        assert abs(T.submatrix_density_k1(10 ** 6, 0.0) - 1 / np.pi) < 1e-5
+        assert abs(submatrix_density_k1(10 ** 6, 0.0) - 1 / np.pi) < 1e-5
 
     def test_indicator_cutoff(self):
-        assert T.submatrix_density(1, 4, np.array([[2.5 + 0j]])) == 0.0
-        assert T.submatrix_density_k1(4, 2.5) == 0.0
-
-    def test_unnormalized_matches_k1_shape(self):
-        n, x = 9, 1.3
-        un = T.submatrix_density(1, n, np.array([[x + 0j]]))
-        assert abs(un - (1 - x ** 2 / n) ** (n - 2)) < 1e-12
-
-    def test_regime_violation_rejected(self):
-        with pytest.raises(DomainError):
-            T.submatrix_density(2, 3, np.zeros((2, 2), dtype=complex))
+        assert submatrix_density_k1(4, 2.5) == 0.0
 
     def test_l1_closed_form_matches_quadrature(self):
         for n in (2, 3, 4, 16, 64, 256):
@@ -500,7 +495,7 @@ class TestSubmatrixDensity:
     def test_quadrature_normalization(self):
         from scipy.integrate import quad
         for n in (4, 16):
-            total = quad(lambda r: 2 * np.pi * r * T.submatrix_density_k1(n, r),
+            total = quad(lambda r: 2 * np.pi * r * submatrix_density_k1(n, r),
                          0, np.sqrt(n))[0]
             assert abs(total - 1.0) < 1e-6
 
@@ -562,16 +557,6 @@ class TestSubmatrixConvergence:
                      lambda x: x[:, 0, 0].real):
             _, p = two_sample_ks(stat(blocks), stat(oracle))
             assert p > 1e-3
-
-    @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("n", [4, 16])
-    def test_chunk_size_does_not_change_metrics(self, monkeypatch, k, n):
-        default = T.submatrix_convergence_experiment(RngStream(153), k, n, 50, 0.02)
-        assert T.CHUNK_ENTRIES // (n * k) >= 50  # one chunk holds every sample
-        for chunk in (1, 7):  # samples per chunk
-            monkeypatch.setattr(T, "CHUNK_ENTRIES", chunk * n * k)
-            assert _same_outcome(
-                T.submatrix_convergence_experiment(RngStream(153), k, n, 50, 0.02), default)
 
     @pytest.mark.parametrize("k, n, n_samples, name", [
         (0, 4, 10, "k"),
