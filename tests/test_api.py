@@ -6,19 +6,32 @@ import pytest
 
 import gaplab
 from gaplab import (
+    BasisError,
     BipartiteState,
     DensityMatrix,
     DimensionError,
     DiscreteMeasure,
     DomainError,
+    EmptyShellError,
     RngStream,
+    SingularProjectionError,
     canonical_density,
+    cap_indicator,
     conditional_measure,
+    covariance_estimate,
     gap_sphere_density,
     gaussian_density,
     ginibre,
+    haar_unitary,
     overlap_sq,
+    polynomial,
+    project_to_sphere,
+    random_ons,
+    sample_complex_gaussian,
+    trace_norm,
+    uniform_sphere,
 )
+from gaplab.stats import ks_statistic
 from gaplab import typicality as T
 
 MODULES = ("hilbert", "randomness", "gap", "conditional", "typicality", "stats")
@@ -39,6 +52,11 @@ def test_version_matches_pyproject():
 
 MIXED2 = DensityMatrix.maximally_mixed(2)
 PRODUCT = BipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
+E0 = np.array([1.0, 0.0])
+
+
+def rng():
+    return RngStream(1).generator()
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -64,6 +82,38 @@ PRODUCT = BipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
      DomainError, "not 1"),
     (lambda: conditional_measure(PRODUCT, np.eye(3)), DimensionError,
      r"basis must be \(2, 2\)"),
+    (lambda: conditional_measure(PRODUCT, 2 * np.eye(2)), BasisError,
+     "not orthonormal"),
+    (lambda: DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]])), DomainError,
+     "not Hermitian"),
+    (lambda: BipartiteState(2, 3, np.ones(5) / np.sqrt(5)), DimensionError,
+     r"amplitudes must have shape \(6,\)"),
+    (lambda: canonical_density([], 1.0), DomainError, "eigenvalue list must be nonempty"),
+    (lambda: trace_norm(np.ones((2, 3))), DimensionError, "trace norm needs a square matrix"),
+    (lambda: uniform_sphere(rng(), 0), DomainError, "dimension must be >= 1"),
+    (lambda: haar_unitary(rng(), 0), DomainError, "unitary dimension must be >= 1"),
+    (lambda: random_ons(rng(), 3, 4), DomainError, "need 1 <= k <= n"),
+    (lambda: sample_complex_gaussian(rng(), -1.0), DomainError,
+     "variance must be nonnegative"),
+    (lambda: RngStream(1).trial_generators(3, 2), DomainError,
+     "trial range must satisfy"),
+    (lambda: covariance_estimate(np.zeros((0, 2))), DomainError, "nonempty batch"),
+    (lambda: DiscreteMeasure(np.eye(2), np.array([1.0])), DimensionError,
+     "one weight per atom"),
+    (lambda: DiscreteMeasure(np.eye(2), np.array([1.5, -0.5])), DomainError,
+     "weights must be nonnegative"),
+    (lambda: project_to_sphere(DiscreteMeasure(np.zeros((1, 2)), np.array([1.0]))),
+     SingularProjectionError, "weighted zero atom"),
+    (lambda: cap_indicator(E0, 1.5), DomainError, r"threshold in \[0, 1\]"),
+    (lambda: polynomial(E0, []), DomainError, "at least one coefficient"),
+    (lambda: T.TestFunction("cubic", E0), DomainError, "unknown test function kind"),
+    (lambda: ks_statistic([], lambda x: x), DomainError, "empty sample"),
+    (lambda: T.random_subspace(rng(), 2, 2, 5), DomainError,
+     r"subspace dimension must lie in \[1, 4\]"),
+    (lambda: T.microcanonical_shell([0.0], [0.0], 5.0, 1.0), EmptyShellError,
+     "no eigenvalue pair"),
+    (lambda: T.random_floor_density(rng(), 2, 0.5), DomainError, "need 0 < gamma < 1/d"),
+    (lambda: T.submatrix_l1_distance(1), DomainError, "need n >= 2"),
 ])
 def test_bad_arguments_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):

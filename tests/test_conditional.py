@@ -128,6 +128,24 @@ class TestRawConditionalMeasure:
         assert np.max(np.abs(np.delete(norms, 1))) < 1e-14
         assert np.allclose(m.weights, 1.0 / d2)
 
+    def test_product_state_branch_in_any_basis(self):
+        # With phi = b_2 the branch <b_j|chi (x) phi> is chi at j = 2, phase
+        # included, and zero at every basis vector orthogonal to phi.
+        rng = RngStream(75).generator()
+        basis = random_onb(rng, 4)
+        chi = uniform_sphere(rng, 3)
+        m = raw_conditional_measure(product_state(chi, basis[2]), basis)
+        assert np.max(np.abs(m.vectors[2] - 2.0 * chi)) < 1e-12
+        assert np.max(np.abs(np.delete(m.vectors, 2, axis=0))) < 1e-12
+
+    def test_bell_state_branches_in_conjugate_basis(self):
+        # (e0 (x) e0 + e1 (x) e1)/sqrt2 read in the basis (e0 +- e1)/sqrt2
+        # has branches (e0 +- e1)/2, scaled by sqrt(d2) = sqrt2.
+        psi = BipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+        basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        m = raw_conditional_measure(psi, basis)
+        assert np.allclose(m.vectors, basis, atol=1e-12)
+
     def test_mean_atom_squared_norm_for_product(self):
         rng = RngStream(74).generator()
         psi = product_state(uniform_sphere(rng, 2), uniform_sphere(rng, 7))

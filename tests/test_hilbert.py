@@ -65,6 +65,40 @@ class TestReducedDensityMatrix:
             assert abs(rho.spectrum().sum() - 1.0) < 1e-12
 
 
+class TestReducedSpectrum:
+    """The spectrum of rho1 holds the squared Schmidt coefficients of psi."""
+
+    def test_matches_singular_value_oracle(self):
+        rng = RngStream(13).generator()
+        for _ in range(100):
+            psi = BipartiteState(3, 7, uniform_sphere(rng, 21))
+            s = np.linalg.svd(psi.as_matrix(), compute_uv=False)  # descending
+            assert np.allclose(reduced_density_matrix(psi).spectrum(), s ** 2, atol=1e-10)
+
+    def test_eigenbasis_rebuilds_matrix(self):
+        rng = RngStream(14).generator()
+        for _ in range(100):
+            rho = reduced_density_matrix(BipartiteState(4, 5, uniform_sphere(rng, 20)))
+            v, p = rho.eigenbasis(), rho.spectrum()
+            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-10
+            assert np.max(np.abs((v * p) @ v.conj().T - rho.matrix)) < 1e-10
+
+    @pytest.mark.parametrize("d1, d2", [(3, 2), (2, 3), (4, 1)])
+    def test_rank_is_smaller_factor(self, d1, d2):
+        rng = RngStream(15).generator()
+        rho = reduced_density_matrix(BipartiteState(d1, d2, uniform_sphere(rng, d1 * d2)))
+        assert rho.support_rank == min(d1, d2)
+
+    def test_factors_share_nonzero_spectrum(self):
+        rng = RngStream(16).generator()
+        psi = BipartiteState(2, 5, uniform_sphere(rng, 10))
+        swapped = BipartiteState.from_matrix(psi.as_matrix().T)
+        p1 = reduced_density_matrix(psi).spectrum()
+        p2 = reduced_density_matrix(swapped).spectrum()
+        assert np.allclose(p2[:2], p1, atol=1e-12)
+        assert np.allclose(p2[2:], 0.0, atol=1e-12)
+
+
 class TestTraceNorm:
     def test_diagonal(self):
         assert abs(trace_norm(np.diag([0.3, -0.3])) - 0.6) < 1e-14
