@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import DomainError
 
@@ -31,6 +30,16 @@ def ks_vs_exponential(sample) -> float:
     return ks_statistic(sample, lambda x: 1.0 - np.exp(-np.maximum(x, 0.0)))
 
 
+def _ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``a``; tied values share the mean of their ranks."""
+    s = np.sort(a)
+    return 0.5 * (np.searchsorted(s, a, "left") + np.searchsorted(s, a, "right") + 1)
+
+
 def spearman(x, y) -> float:
-    """Spearman rank correlation coefficient."""
-    return float(sps.spearmanr(np.asarray(x, float), np.asarray(y, float)).statistic)
+    """Spearman rank correlation coefficient, as ``scipy.stats.spearmanr``:
+    NaN for fewer than two pairs, a NaN or a constant input."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if x.size < 2 or any(np.isnan(v).any() or (v == v[0]).all() for v in (x, y)):
+        return float("nan")
+    return float(np.corrcoef(_ranks(x), _ranks(y))[1, 0])

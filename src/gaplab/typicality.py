@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .conditional import WEIGHT_CUTOFF, _check_orthonormal_rows
 from .errors import DimensionError, DomainError, EmptyShellError
@@ -731,6 +730,8 @@ def submatrix_l1_distance(n: int) -> float:
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    from scipy.optimize import brentq  # only this driver pays for scipy's import
+
     log_ratio = lambda u: np.log1p(-1.0 / n) + (n - 2) * np.log1p(-u / n) + u
     excess = lambda u: np.exp(-u) - (1.0 - u / n) ** (n - 1)  # (F - G)(u)
     u1 = brentq(log_ratio, 0.0, 1.0)

@@ -26,7 +26,6 @@ from gaplab import (
     random_onb,
     random_purification,
     raw_conditional_measure,
-    reduced_density_matrix,
     sample_adjusted_gaussian,
     sample_gap,
     trace_norm,

@@ -1,6 +1,8 @@
 import json
-import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gaplab.cli import (
     trials_csv,
     write_report,
 )
+import gaplab
 from gaplab import typicality
 from gaplab.errors import ConfigError
 from gaplab.randomness import RngStream, haar_unitary
@@ -471,3 +474,18 @@ class TestMainEntry:
         assert main(["run", "--preset", "gap-selftest", "--trials", "1",
                      "--out", str(out)]) == 0
         assert (out / "plotdata.csv").exists()
+
+    def test_run_does_not_import_scipy(self, tmp_path):
+        # scipy's import costs about ten times numpy's; only submatrix loads it.
+        code = (
+            "import sys\n"
+            "from gaplab import cli\n"
+            f"assert cli.main(['run', '--preset', 'theorem1-default', '--trials', '3',"
+            f" '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = Path(gaplab.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

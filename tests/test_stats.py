@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from gaplab import DomainError, RngStream
 from gaplab.stats import ks_statistic, ks_vs_exponential, spearman
@@ -53,3 +56,30 @@ def test_spearman_monotone():
     x = np.arange(50.0)
     assert spearman(x, np.exp(x / 10)) == pytest.approx(1.0)
     assert spearman(x, -x) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+def test_spearman_equals_scipy_exactly(decimals):
+    # Rounding to one decimal gives many ties, which share averaged ranks.
+    rng = RngStream(205).generator()
+    for n in (2, 3, 10, 57, 200, 1000):
+        for _ in range(20):
+            x = rng.standard_normal(n)
+            y = x * rng.random() + rng.standard_normal(n)
+            if decimals is not None:
+                x, y = np.round(x, decimals), np.round(y, decimals)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sps.ConstantInputWarning)
+                expected = sps.spearmanr(x, y).statistic
+            np.testing.assert_array_equal(spearman(x, y), expected)  # NaN equals NaN
+
+
+@pytest.mark.parametrize("x, y", [([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                                  ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]),
+                                  ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+                                  ([1.0], [2.0])])
+def test_spearman_is_nan_where_scipy_is(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sps.ConstantInputWarning)
+        assert np.isnan(sps.spearmanr(x, y).statistic)
+    assert np.isnan(spearman(x, y))

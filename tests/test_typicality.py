@@ -16,7 +16,6 @@ from gaplab import (
     polynomial,
     random_purification,
     real_part,
-    reduced_density_matrix,
     uniform_sphere,
 )
 from gaplab.stats import spearman
