@@ -21,6 +21,7 @@ bit-reproducible and do not depend on the chunk length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,6 +42,7 @@ from .randomness import (
     MAX_TRIALS,
     RngStream,
     _complex_gaussians,
+    _gram_schmidt_twice,
     _haar_columns,
     _integer,
     ginibre,
@@ -727,16 +729,36 @@ def submatrix_l1_distance(n: int) -> float:
     u = 2 and positive at u = 1, so the exact density exceeds the limit
     exactly on (u1, u2), with u1 in (0, 1) and u2 in (2, n) (u2 = n when
     n = 2), and the distance is 2 [(F - G)(u2) - (F - G)(u1)].
+
+    Both crossings are found by bisection until the midpoint stops moving;
+    the distance is stationary in them, so a root error of size e moves it
+    by O(e^2).  The excess (F - G)(u) is evaluated as
+    -exp(-u) expm1((n - 1) ln(1 - u/n) + u), which keeps its relative
+    accuracy where (1 - u/n)^(n-1) and exp(-u) nearly cancel (large n), and
+    as exp(-2) at u2 = n = 2.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    from scipy.optimize import brentq  # only this driver pays for scipy's import
 
-    log_ratio = lambda u: np.log1p(-1.0 / n) + (n - 2) * np.log1p(-u / n) + u
-    excess = lambda u: np.exp(-u) - (1.0 - u / n) ** (n - 1)  # (F - G)(u)
-    u1 = brentq(log_ratio, 0.0, 1.0)
-    u2 = n if n == 2 else brentq(log_ratio, 2.0, n * (1.0 - 1e-12))
-    return float(2.0 * (excess(u2) - excess(u1)))
+    def log_ratio(u):
+        return math.log1p(-1.0 / n) + (n - 2) * math.log1p(-u / n) + u
+
+    def crossing(below, above):
+        # log_ratio < 0 at `below` and > 0 at `above`; neither end is evaluated.
+        while True:
+            mid = 0.5 * (below + above)
+            if mid in (below, above):
+                return mid
+            if log_ratio(mid) < 0.0:
+                below = mid
+            else:
+                above = mid
+
+    def excess(u):
+        return -math.exp(-u) * math.expm1((n - 1) * math.log1p(-u / n) + u)
+
+    upper = math.exp(-2.0) if n == 2 else excess(crossing(float(n), 2.0))
+    return 2.0 * (upper - excess(crossing(0.0, 1.0)))
 
 
 def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
@@ -751,13 +773,18 @@ def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
     T_ij ~ CN(0, 1) for i < j.  So the top k rows of the phase-fixed QR of
     [G_top; T] have the law of U[:k, :k].  Draws: G_top's normals (real
     block, then imaginary), the above-diagonal normals, the Gamma draws.
+
+    The 2k x k stack is orthonormalized by ``_gram_schmidt_twice``, which
+    is the phase-fixed QR of ``_haar_columns`` in exact arithmetic and
+    agrees with it to rounding (the tests compare the two on the same
+    stacks); it avoids one LAPACK call per sample.
     """
     top = _complex_gaussians(rng.standard_normal((n_samples, 2, k, k)))
     rows, cols = np.triu_indices(k, 1)
     t = np.zeros_like(top)
     t[:, rows, cols] = _complex_gaussians(rng.standard_normal((n_samples, 2, rows.size)))
     t[:, range(k), range(k)] = np.sqrt(rng.standard_gamma(n - k - np.arange(k), (n_samples, k)))
-    return np.sqrt(n) * _haar_columns(np.concatenate([top, t], axis=1))[:, :k, :]
+    return np.sqrt(n) * _gram_schmidt_twice(np.concatenate([top, t], axis=1))[:, :k, :]
 
 
 def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,

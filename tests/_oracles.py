@@ -6,6 +6,7 @@ check compares two genuinely different routes to the same quantity.  The
 two-sample tests compare the laws of two such routes.
 """
 
+import mpmath
 import numpy as np
 from scipy import stats as sps
 from scipy.integrate import quad
@@ -165,6 +166,22 @@ def quadrature_l1_distance(n):
     )[0]
     tail = quad(lambda r: 2 * np.pi * r * _gaussian_density_c1(r), root_n, np.inf)[0]
     return float(inner + tail)
+
+
+def mpmath_l1_distance(n, dps=50):
+    """The L1 distance of ``submatrix_l1_distance`` at ``dps`` digits, for
+    n >= 3: the two crossings of the exact and limit densities by mpmath's
+    bracketing root finder, and the CDFs F(u) = 1 - (1 - u/n)^(n-1) and
+    G(u) = 1 - exp(-u) in their textbook form, whose cancellation costs
+    about log10(n) of the ``dps`` digits."""
+    with mpmath.workdps(dps):
+        n = mpmath.mpf(n)
+        log_ratio = lambda u: mpmath.log(1 - 1 / n) + (n - 2) * mpmath.log(1 - u / n) + u
+        excess = lambda u: mpmath.exp(-u) - (1 - u / n) ** (n - 1)
+        tol = mpmath.mpf(10) ** (10 - dps)
+        u1 = mpmath.findroot(log_ratio, (0, 1), solver="anderson", tol=tol)
+        u2 = mpmath.findroot(log_ratio, (2, n * (1 - tol)), solver="anderson", tol=tol)
+        return float(2 * (excess(u2) - excess(u1)))
 
 
 def hermitian_abs_eigensum(m):

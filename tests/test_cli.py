@@ -476,12 +476,14 @@ class TestMainEntry:
         assert (out / "plotdata.csv").exists()
 
     def test_run_does_not_import_scipy(self, tmp_path):
-        # scipy's import costs about ten times numpy's; only submatrix loads it.
+        # scipy's import costs about ten times numpy's.
         code = (
             "import sys\n"
             "from gaplab import cli\n"
             f"assert cli.main(['run', '--preset', 'theorem1-default', '--trials', '3',"
             f" '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            f"assert cli.main(['run', '--preset', 'submatrix-k1',"
+            f" '--out', {str(tmp_path / 'sub')!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = Path(gaplab.__file__).resolve().parent.parent

@@ -18,10 +18,12 @@ from gaplab import (
     real_part,
     uniform_sphere,
 )
+from gaplab.randomness import _gram_schmidt_twice, _haar_columns
 from gaplab.stats import spearman
 from gaplab import typicality as T
 
 from _oracles import (
+    mpmath_l1_distance,
     product_state,
     quadrature_l1_distance,
     submatrix_blocks_per_sample,
@@ -491,6 +493,14 @@ class TestSubmatrixDensity:
         for n in (2, 3, 4, 16, 64, 256):
             assert abs(T.submatrix_l1_distance(n) - quadrature_l1_distance(n)) < 1e-9
 
+    @pytest.mark.parametrize("n", [3, 4, 16, 64, 256, 1024, 4096])
+    def test_l1_closed_form_relative_error(self, n):
+        # exp(-u) - (1 - u/n)^(n-1) loses about log10(n) digits to
+        # cancellation (2.7e-12 at n = 256, 1.3e-9 at n = 4096); the expm1
+        # form stays below 1e-12 up to n = 4096.
+        exact = mpmath_l1_distance(n)
+        assert abs(T.submatrix_l1_distance(n) - exact) <= 1e-12 * exact
+
     def test_quadrature_normalization(self):
         from scipy.integrate import quad
         for n in (4, 16):
@@ -556,6 +566,22 @@ class TestSubmatrixConvergence:
                      lambda x: x[:, 0, 0].real):
             _, p = two_sample_ks(stat(blocks), stat(oracle))
             assert p > 1e-3
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", ["2k", "2k+1", 64, 256])
+    def test_gram_schmidt_matches_qr_on_the_same_stacks(self, monkeypatch, k, n):
+        # The Bartlett stacks the draw orthonormalizes, against the
+        # phase-fixed LAPACK QR of the same stacks.
+        n = {"2k": 2 * k, "2k+1": 2 * k + 1}.get(n, n)
+        stacks = []
+        monkeypatch.setattr(T, "_gram_schmidt_twice",
+                            lambda a: stacks.append(a) or _gram_schmidt_twice(a))
+        T._scaled_haar_blocks(RngStream(153, k).generator(), n, k, 2000)
+        (a,) = stacks
+        q = _gram_schmidt_twice(a)
+        assert np.max(np.abs(q - _haar_columns(a))) < 1e-13
+        # Negative control: without the phase fix the QR is another Q.
+        assert np.max(np.abs(q - np.linalg.qr(a)[0])) > 0.1
 
     @pytest.mark.parametrize("k, n, n_samples, name", [
         (0, 4, 10, "k"),
