@@ -60,18 +60,21 @@ def _integer(key: str, value, minimum: int) -> int:
 
 def _number(key: str, value) -> float:
     """``value`` as a finite float, or a ConfigError naming the key."""
-    if (isinstance(value, bool)
-            or not isinstance(value, _NUMERIC)
-            or not math.isfinite(value)):
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, _NUMERIC)
+                  and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
 def _numbers(key: str, value) -> np.ndarray:
-    """A list of finite numbers as a float array, or a ConfigError naming the
-    key."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
+    """A nonempty list of finite numbers as a float array, or a ConfigError
+    naming the key."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{key}: expected a nonempty list of numbers, got {value!r}")
     return np.array([_number(key, v) for v in value], dtype=float)
 
 
@@ -111,9 +114,16 @@ class ExperimentConfig:
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"{key}: must lie in (0, 1), got {v}")
             setattr(self, key, v)
-        for key in ("rho_spec", "f_spec", "bath_spec", "window"):
-            if not isinstance(getattr(self, key), dict):
-                raise ConfigError(f"{key}: expected a JSON object, got {getattr(self, key)!r}")
+        for key, allowed in (("rho_spec", {"spectrum", "basis_seed"}),
+                             ("f_spec", {"kind", "phi", "threshold", "coefficients"}),
+                             ("bath_spec", {"count", "min", "max", "levels"}),
+                             ("window", {"energy", "width"})):
+            spec = getattr(self, key)
+            if not isinstance(spec, dict):
+                raise ConfigError(f"{key}: expected a JSON object, got {spec!r}")
+            unknown = sorted(map(str, set(spec) - allowed))
+            if unknown:
+                raise ConfigError(f"{key}: unknown key(s): {', '.join(unknown)}")
         for key in ("energy", "width"):
             _number(f"window.{key}", self.window.get(key))
         if self.sweep is not None:
@@ -155,7 +165,7 @@ def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -196,8 +206,10 @@ def _resolve_phi(spec, dim: int) -> np.ndarray:
     arr = np.array([complex(re, im) for re, im in pairs])
     if arr.shape != (dim,):
         raise ConfigError(f"f_spec.phi: expected {dim} entries, got {arr.shape}")
-    if not np.any(arr):
-        raise ConfigError("f_spec.phi: must be a nonzero vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr)
+    if not 0.0 < norm < math.inf:  # the norm TestFunction divides by
+        raise ConfigError(f"f_spec.phi: must be a nonzero vector of finite norm, got {spec!r}")
     return arr
 
 

@@ -17,6 +17,15 @@ in the order the per-trial public functions (``random_purification``,
 ``random_basis_measure``, ``uniform_subspace_state``) draw them, and does the
 linear algebra once per chunk of trials on stacked arrays.  Results are
 bit-reproducible and do not depend on the chunk length.
+
+The universality drivers (theorems 1-4, thermal) form every branch matrix as
+W^T A, with W a trial's Haar k-system and a (k, d1) amplitude factor A:
+(v sqrt(p))^T from rho1 for theorem 1, conj(R) of the fixed state's
+M^dagger = V R for theorem 2, conj(R) of each trial's state for the subspace
+drivers.  The engine checks each invariant once, where it is strictest:
+unit total conditional weight (which a non-orthonormal or NaN W fails) and
+unit-trace Hermitian reduced matrices.  The per-trial public routes keep
+every check and are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conditional import WEIGHT_CUTOFF, _check_orthonormal_rows
+from .conditional import WEIGHT_CUTOFF
 from .errors import DimensionError, DomainError, EmptyShellError
 from .gap import covariance_estimate, gap_sphere_density, sample_gap
 from .hilbert import (
@@ -307,14 +316,6 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
     return out[0], out[1]
 
 
-def _check_states(amplitudes: np.ndarray) -> None:
-    """The BipartiteState check on a stack of states (B, ...): each must be
-    finite and of unit norm within NORM_ATOL (NaN fails the comparison)."""
-    norms = np.linalg.norm(amplitudes.reshape(len(amplitudes), -1), axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):
-        raise DomainError("bipartite state must be finite and normalized within 1e-10")
-
-
 def _conditional_integrals(branches: np.ndarray, f: TestFunction) -> np.ndarray:
     """mu(f) for the conditional measure of each branch matrix (B, d2, d1),
     whose row j is <b_j|psi>: as ``integrate(conditional_measure(...), f)``,
@@ -329,23 +330,19 @@ def _conditional_integrals(branches: np.ndarray, f: TestFunction) -> np.ndarray:
     return np.sum(mass * f(atoms), axis=-1)
 
 
-def _random_basis_branches(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Branch matrices (B, d2, d1) of ``random_basis_measure`` for coefficient
-    matrices m (B or 1, d1, d2) and Ginibre draws z (B, d2, k): with
-    M^dagger = V R and W^T the phase-fixed Q factor of z, the rows of
-    (R^dagger W)^T = W^T conj(R)."""
-    r = np.linalg.qr(np.swapaxes(m.conj(), -1, -2), mode="r")
-    wt = _haar_columns(z)
-    _check_orthonormal_rows(np.swapaxes(wt, -1, -2))
-    return wt @ r.conj()
+def _amplitude_factor(m: np.ndarray) -> np.ndarray:
+    """The (B or 1, k, d1) factor A = conj(R) of coefficient matrices m
+    (B or 1, d1, d2), k = min(d1, d2), with M^dagger = V R a reduced QR.
+    For a Haar basis the branch matrix is (R^dagger W)^T = W^T A with W a
+    Haar k-system (see ``random_basis_measure``)."""
+    return np.linalg.qr(np.swapaxes(m.conj(), -1, -2), mode="r").conj()
 
 
 def _subspace_states(basis: np.ndarray, z: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """``uniform_subspace_state`` for Gaussian coordinates z (B, dim, 1), as
-    checked (B, d1, d2) coefficient matrices."""
+    (B, d1, d2) coefficient matrices."""
     psi = (basis @ z)[..., 0]
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    _check_states(psi)
     return psi.reshape(-1, d1, d2)
 
 
@@ -391,19 +388,11 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
     d1 = rho1.dim
     if d2 < d1:
         raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
-    threshold = epsilon * f.bound
     # psi = (v sqrt(p)) Phi with Phi the (d1, d2) random system, so the
     # branch rows <j|psi> are the rows of Phi^T (v sqrt(p))^T.
-    amplitudes_t = (rho1.eigenbasis() * np.sqrt(rho1.spectrum())).T
-
-    def evaluate(z):
-        branches = _haar_columns(z) @ amplitudes_t
-        _check_states(branches)
-        return _conditional_integrals(branches, f), np.nan
-
-    values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, d1)], evaluate)
-    reference = gap_reference(reference, stream, rho1, f, n_trials)
-    return _collect(values, reference, threshold, aux)
+    amplitudes = (rho1.eigenbasis() * np.sqrt(rho1.spectrum())).T
+    return _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials,
+                               reference)
 
 
 def random_basis_experiment(stream: RngStream, psi: BipartiteState,
@@ -416,16 +405,24 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
     record |mu(f) - GAP(rho1)(f)| with rho1 the reduced density matrix of psi.
     """
     rho1 = reduced_density_matrix(psi)
-    threshold = epsilon * f.bound
-    m = psi.as_matrix()[None]
+    amplitudes = _amplitude_factor(psi.as_matrix()[None])
+    return _haar_system_trials(stream, amplitudes, psi.d2, rho1, f, epsilon, n_trials,
+                               reference)
+
+
+def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials, reference):
+    """Trials of theorems 1 and 2: mu(f) for the branch matrix W^T A of a
+    Haar k-system W of C^{d2} and the fixed (k, d1) amplitude factor A (or
+    a (1, k, d1) stack), judged against GAP(rho1)(f) below
+    epsilon * ||f||_inf."""
+    k, d1 = amplitudes.shape[-2:]
 
     def evaluate(z):
-        return _conditional_integrals(_random_basis_branches(m, z), f), np.nan
+        return _conditional_integrals(_haar_columns(z) @ amplitudes, f), np.nan
 
-    k = min(psi.d1, psi.d2)
-    values, aux = _run_trials(stream, n_trials, psi.dim, [(psi.d2, k)], evaluate)
+    values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, k)], evaluate)
     reference = gap_reference(reference, stream, rho1, f, n_trials)
-    return _collect(values, reference, threshold, aux)
+    return _collect(values, reference, epsilon * f.bound, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +539,7 @@ def _shell_trials(stream: RngStream, basis: np.ndarray, d1: int, d2: int,
     in the order ``uniform_subspace_state`` and ``random_basis_measure`` do."""
     def evaluate(z, w):
         m = _subspace_states(basis, z, d1, d2)
-        return (_conditional_integrals(_random_basis_branches(m, w), f),
+        return (_conditional_integrals(_haar_columns(w) @ _amplitude_factor(m), f),
                 _reduced_distances(m, target))
 
     shapes = [(basis.shape[1], 1), (d2, min(d1, d2))]

@@ -202,7 +202,28 @@ class TestConfigErrorsNameTheKey:
         ("bath_spec", {"experiment": "thermal", "bath_spec": {"count": 10, "max": 1.0}}),
         # A closed-form reference, so nothing is drawn before the count check.
         ("n_trials", {"n_trials": 2**33, "f_spec": {"kind": "overlap_sq", "phi": "e1"}}),
+        # Unknown keys inside the nested specs.
+        ("f_spec", {"f_spec": {"kind": "cap_indicator", "threshhold": 0.3}}),
+        ("rho_spec", {"rho_spec": {"spectrum": [0.5, 0.5], "basis": 5}}),
+        ("bath_spec", {"experiment": "thermal",
+                       "bath_spec": {"count": 10, "min": 0, "max": 1, "step": 0.1}}),
+        ("window", {"experiment": "thermal",
+                    "window": {"energy": 10.0, "width": 0.5, "centre": 10.25}}),
+        # Integers beyond the float range.
+        ("epsilon", {"epsilon": 10**400}),
+        ("window.energy", {"experiment": "thermal",
+                           "window": {"energy": 10**400, "width": 0.5}}),
+        ("rho_spec.spectrum", {"rho_spec": {"spectrum": [10**400, 0]}}),
+        # phi whose norm overflows.
+        ("f_spec.phi", {"f_spec": {"kind": "cap_indicator",
+                                   "phi": [[1e308, 1e308], [1e308, 0]]}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq",
+                                   "phi": [[1e308, 1e308], [1e308, 0]]}}),
+        # Empty level lists.
+        ("system_levels", {"experiment": "thermal", "system_levels": []}),
+        ("bath_spec.levels", {"experiment": "thermal", "bath_spec": {"levels": []}}),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
@@ -212,6 +233,8 @@ class TestConfigErrorsNameTheKey:
         ('{"d1": 2}', "experiment: required key is missing"),
         ('{"experiment": "theorem1",', "config file is not valid JSON"),
         ('["theorem1"]', "config root must be a JSON object"),
+        ('{"experiment": "theorem1", "seed": 1' + "0" * 5000 + "}",
+         "config file is not valid JSON"),
     ])
     def test_bad_config_text_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"

@@ -145,16 +145,47 @@ def test_chunk_checks_reject_what_the_public_constructors_reject():
     nan[1, 0, 0] = np.nan
     f = overlap_sq(np.array([1.0, 0.0]))
     target = DensityMatrix.maximally_mixed(2)
-    T._check_states(good)
     assert np.array_equal(T._conditional_integrals(good, f), [1.0, 1.0])
     assert np.allclose(T._reduced_distances(np.swapaxes(good, -1, -2), target), 1.0)
     for bad in (nan, 2.0 * good):
         with pytest.raises(DomainError):
-            T._check_states(bad)
-        with pytest.raises(DomainError):
             T._conditional_integrals(bad, f)
         with pytest.raises(DomainError):
             T._reduced_distances(np.swapaxes(bad, -1, -2), target)
+
+
+def _scaled(q):
+    return q * (1.0 + 1e-9)
+
+
+def _one_nan(q):
+    q = q.copy()
+    q[..., 0, 0] = np.nan
+    return q
+
+
+def _thermal_driver():
+    shell = T.microcanonical_shell([0.0, 1.0], np.linspace(0.0, 20.0, 40), 10.0, 1.0)
+    f = polynomial(np.ones(2), [0.0, 0.0, 1.0])
+    return lambda: T.thermal_experiment(RngStream(316), shell, f, 0.15, N)
+
+
+DRIVERS = {"theorem1": lambda: CASES["theorem1"]()[0],
+           "theorem2": lambda: CASES["theorem2"]()[0],
+           "theorem3": lambda: CASES["theorem3"]()[0],
+           "thermal": _thermal_driver}
+
+
+@pytest.mark.parametrize("name", DRIVERS)
+@pytest.mark.parametrize("spoil", [_scaled, _one_nan])
+def test_spoiled_haar_system_fails_the_weight_check(monkeypatch, name, spoil):
+    # The engine keeps no Gram check of its Haar systems: Q (1 + 1e-9) would
+    # pass one at 1e-8, yet its weights sum to 1 + 2e-9 and fail.
+    run = DRIVERS[name]()
+    haar_columns = T._haar_columns
+    monkeypatch.setattr(T, "_haar_columns", lambda z: spoil(haar_columns(z)))
+    with pytest.raises(DomainError, match="conditional weights"):
+        run()
 
 
 def test_zero_trials_rejected():

@@ -27,6 +27,7 @@ class TestBipartiteState:
         rng = RngStream(0).generator()
         psi = BipartiteState(2, 3, uniform_sphere(rng, 6))
         m = psi.as_matrix()
+        assert psi.dim == m.size == 6
         for i in range(2):
             for j in range(3):
                 assert m[i, j] == psi.amplitudes[i * 3 + j]

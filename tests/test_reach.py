@@ -29,6 +29,8 @@ ORACLES = (
      "the paper's conditional measure; the per-trial oracles of theorem1-4 use it"),
     ("conditional.py", "_check_basis",
      "validates the explicit basis of conditional_measure"),
+    ("conditional.py", "_check_orthonormal_rows",
+     "the Gram check of the oracle routes' bases; the engine's weight check is stricter"),
     ("conditional.py", "_branch_vectors",
      "partial inner products behind conditional_measure"),
     ("conditional.py", "_measure_from_branches",
@@ -50,6 +52,8 @@ ORACLES = (
     ("typicality.py", "uniform_subspace_state",
      "per-trial subspace state the batched theorem3-4 engine reproduces"),
     ("hilbert.py", "DensityMatrix.__repr__", "debugging aid"),
+    ("hilbert.py", "BipartiteState.dim",
+     "d1 * d2 of a state, in the public state API the tests check; no driver needs it"),
 )
 
 
