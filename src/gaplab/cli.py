@@ -165,6 +165,8 @@ def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -486,14 +488,22 @@ def summary_json(report: ExperimentReport) -> str:
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for fname, text in (
-        ("trials.csv", trials_csv(report)),
-        ("summary.json", summary_json(report)),
-        ("plotdata.csv", emit_plot_data(report)),
-    ):
-        with open(os.path.join(out_dir, fname), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    """Write the three report files into ``out_dir``, creating it; an OS
+    error (``out_dir`` names a file, no write permission, ...) becomes a
+    ConfigError naming the path."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for fname, text in (
+            ("trials.csv", trials_csv(report)),
+            ("summary.json", summary_json(report)),
+            ("plotdata.csv", emit_plot_data(report)),
+        ):
+            with open(os.path.join(out_dir, fname), "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {exc.filename or out_dir}: "
+                          f"{exc.strerror}")
 
 
 # ---------------------------------------------------------------------------

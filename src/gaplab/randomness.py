@@ -72,8 +72,7 @@ class RngStream:
         words are then hashed for the whole range at once, and PCG64 seeds
         itself from those words.
         """
-        return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
-                for w in self._trial_words(start, stop)]
+        return [_seeded_generator(w) for w in self._trial_words(start, stop)]
 
     def _trial_words(self, start: int, stop: int) -> np.ndarray:
         """(stop - start, 4) uint64 array whose row i - start equals
@@ -122,6 +121,11 @@ def _integer(name: str, value, minimum: int = 0) -> int:
     if value < minimum:
         raise DomainError(message)
     return value
+
+
+def _seeded_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator whose PCG64 is seeded with one row of ``_trial_words``."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 class _SeedWords(ISeedSequence):

@@ -15,14 +15,20 @@ Carlo drivers derive one substream per trial and run their trials through one
 batched engine: it draws each trial's Gaussians from that trial's substream,
 in the order the per-trial public functions (``random_purification``,
 ``random_basis_measure``, ``uniform_subspace_state``) draw them, and does the
-linear algebra once per chunk of trials on stacked arrays.  Results are
-bit-reproducible and do not depend on the chunk length.
+linear algebra once per chunk of trials on stacked arrays.  It derives the
+trials' seed words once per block of at least SEED_BLOCK trials.  Results
+are bit-reproducible and depend neither on the chunk length nor on the
+block length.
 
 The universality drivers (theorems 1-4, thermal) form every branch matrix as
 W^T A, with W a trial's Haar k-system and a (k, d1) amplitude factor A:
 (v sqrt(p))^T from rho1 for theorem 1, conj(R) of the fixed state's
 M^dagger = V R for theorem 2, conj(R) of each trial's state for the subspace
-drivers.  The engine checks each invariant once, where it is strictest:
+drivers.  The engine lays each product out as A^T W, a (d1, d2) matrix whose
+column j is <b_j|psi>, and evaluates f on <phi|b_j> / sqrt(w_j) without
+forming the normalized atoms.  The thermal shell's states are scattered
+into its flat indices instead of multiplied out of a one-hot basis.  The
+engine checks each invariant once, where it is strictest:
 unit total conditional weight (which a non-orthonormal or NaN W fails) and
 unit-trace Hermitian reduced matrices.  The per-trial public routes keep
 every check and are the tests' oracles.
@@ -54,6 +60,7 @@ from .randomness import (
     _gram_schmidt_twice,
     _haar_columns,
     _integer,
+    _seeded_generator,
     ginibre,
     haar_unitary,
     random_ons,
@@ -153,8 +160,10 @@ class TestFunction:
         return self.kind != "cap_indicator"
 
     def __call__(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.asarray(vectors, dtype=complex)
-        amp = vectors @ self.phi.conj()
+        return self.of_overlaps(np.asarray(vectors, dtype=complex) @ self.phi.conj())
+
+    def of_overlaps(self, amp: np.ndarray) -> np.ndarray:
+        """f(psi) from the overlaps amp = <phi|psi> of unit vectors psi."""
         if self.kind == "real_part":
             return np.real(amp)
         x = np.abs(amp) ** 2
@@ -283,51 +292,70 @@ class ExperimentOutcome:
 # Budget, in complex entries, for the largest per-trial array (the d1 x d2
 # state or branch matrix) stacked over one chunk of trials: each stacked
 # array stays at a few hundred kilobytes.  On a 2-core VM with one BLAS
-# thread, 2^12 ran theorem1 at d2 <= 256 about 22 % slower; 2^16 ran it 6 %
-# faster but the thermal driver 16 % slower, with 4 % more peak memory.
+# thread, 2^12 ran theorem1 at d2 <= 256 and the thermal driver about 9 %
+# slower; 2^16 ran theorem1 4 % slower and the thermal driver 28 % slower,
+# with 10 % more peak memory; 2^13 and 2^15 were no faster on either.
 CHUNK_ENTRIES = 2 ** 14
+
+# Trials whose seed words one pass of the vectorized SeedSequence hash
+# derives.  A pass costs about as much for 40 trials as for 4096 (about
+# 0.6 ms on a 2-core VM), so the engine hashes once per block of whole
+# chunks holding at least this many trials.  A block's words take 32 bytes
+# per trial but a generator about 800, so generators are made per chunk.
+SEED_BLOCK = 2 ** 12
 
 
 def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate):
     """Run ``n_trials`` independent trials in chunks of stacked arrays.
 
     Trial i draws from its own generator, bit-identical to
-    ``stream.substream(i).generator()`` (``stream.trial_generators`` derives
-    a chunk's generators at once), one complex Gaussian array per shape in
-    ``shapes``, in order, with the same values ``ginibre(rng, *shape)``
-    would return.  ``evaluate`` maps a chunk's draws, one (B, *shape) array
-    per shape, to a pair of (B,) arrays (value, auxiliary).  A chunk holds
-    CHUNK_ENTRIES // entries trials, where ``entries`` is the size of the
-    largest per-trial array.  Every batched operation acts on each trial's
-    slice alone, so the outputs do not depend on the chunk length.
+    ``stream.substream(i).generator()`` (the seed words of a block of
+    trials are derived at once, as ``stream.trial_generators`` does), one
+    complex Gaussian array per shape in ``shapes``, in order, with the same
+    values ``ginibre(rng, *shape)`` would return.  ``evaluate`` maps a
+    chunk's draws, one (B, *shape) array per shape, to a pair of (B,)
+    arrays (value, auxiliary).  A chunk holds CHUNK_ENTRIES // entries
+    trials, where ``entries`` is the size of the largest per-trial array.
+    Every batched operation acts on each trial's slice alone, so the outputs
+    depend neither on the chunk length nor on SEED_BLOCK.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise DomainError(f"need between 1 and 2**32 trials, got {n_trials}")
     size = max(1, CHUNK_ENTRIES // entries)
+    block = size * -(-SEED_BLOCK // size)  # whole chunks
     out = np.empty((2, n_trials))
-    for start in range(0, n_trials, size):
-        stop = min(start + size, n_trials)
-        draws = [np.empty((stop - start, 2) + s) for s in shapes]
-        for b, rng in enumerate(stream.trial_generators(start, stop)):
-            for d in draws:
-                rng.standard_normal(out=d[b])
-        gaussians = [_complex_gaussians(d) for d in draws]
-        out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
+    for first in range(0, n_trials, block):
+        last = min(first + block, n_trials)
+        words = stream._trial_words(first, last)
+        for start in range(first, last, size):
+            stop = min(start + size, last)
+            draws = [np.empty((stop - start, 2) + s) for s in shapes]
+            for b, w in enumerate(words[start - first:stop - first]):
+                rng = _seeded_generator(w)
+                for d in draws:
+                    rng.standard_normal(out=d[b])
+            gaussians = [_complex_gaussians(d) for d in draws]
+            out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
     return out[0], out[1]
 
 
-def _conditional_integrals(branches: np.ndarray, f: TestFunction) -> np.ndarray:
-    """mu(f) for the conditional measure of each branch matrix (B, d2, d1),
-    whose row j is <b_j|psi>: as ``integrate(conditional_measure(...), f)``,
-    with rows of weight below WEIGHT_CUTOFF masked out instead of dropped."""
-    w = np.sum(branches.real ** 2 + branches.imag ** 2, axis=-1)
+def _conditional_integrals(q: np.ndarray, a: np.ndarray, f: TestFunction) -> np.ndarray:
+    """mu(f) for the conditional measure of each branch matrix W^T A, given
+    q = W^T (B, d2, k) and the amplitude factor a ((B,) k, d1): as
+    ``integrate(conditional_measure(...), f)``, with branches of weight below
+    WEIGHT_CUTOFF masked out instead of dropped.  The branches are laid out
+    as A^T W (B, d1, d2), column j being <b_j|psi>, so the weights w_j and
+    the overlaps <phi|b_j> reduce over d1 contiguous rows; f is evaluated on
+    <phi|b_j> / sqrt(w_j), the normalized atom's overlap."""
+    branches = np.swapaxes(a, -1, -2) @ np.swapaxes(q, -1, -2)
+    w = np.sum(branches.real ** 2 + branches.imag ** 2, axis=-2)
     keep = w >= WEIGHT_CUTOFF
     mass = np.where(keep, w, 0.0)
     # NaN fails both comparisons and inf the second, as in DiscreteMeasure.
     if not (np.all(w >= 0.0) and np.all(np.abs(mass.sum(axis=-1) - 1.0) <= 1e-10)):
         raise DomainError("conditional weights must be finite, nonnegative and sum to 1")
-    atoms = branches / np.sqrt(np.where(keep, w, 1.0))[..., None]
-    return np.sum(mass * f(atoms), axis=-1)
+    overlaps = f.phi.conj() @ branches / np.sqrt(np.where(keep, w, 1.0))
+    return np.sum(mass * f.of_overlaps(overlaps), axis=-1)
 
 
 def _amplitude_factor(m: np.ndarray) -> np.ndarray:
@@ -340,7 +368,14 @@ def _amplitude_factor(m: np.ndarray) -> np.ndarray:
 
 def _subspace_states(basis: np.ndarray, z: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """``uniform_subspace_state`` for Gaussian coordinates z (B, dim, 1), as
-    (B, d1, d2) coefficient matrices."""
+    (B, d1, d2) coefficient matrices.  A coordinate subspace, given by its
+    flat indices (dim,), gets the normalized coordinates scattered into those
+    entries at O(dim) per trial, equal to the dense route up to rounding."""
+    if basis.ndim == 1:
+        z = z[..., 0]
+        psi = np.zeros((len(z), d1 * d2), dtype=complex)
+        psi[:, basis] = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        return psi.reshape(-1, d1, d2)
     psi = (basis @ z)[..., 0]
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     return psi.reshape(-1, d1, d2)
@@ -418,7 +453,7 @@ def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials, refe
     k, d1 = amplitudes.shape[-2:]
 
     def evaluate(z):
-        return _conditional_integrals(_haar_columns(z) @ amplitudes, f), np.nan
+        return _conditional_integrals(_haar_columns(z), amplitudes, f), np.nan
 
     values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, k)], evaluate)
     reference = gap_reference(reference, stream, rho1, f, n_trials)
@@ -443,8 +478,21 @@ def random_subspace(rng: np.random.Generator, d1: int, d2: int, dim: int) -> np.
 
 def reduced_of_subspace(basis: np.ndarray, d1: int, d2: int) -> DensityMatrix:
     """Partial trace over the second factor of the normalized projection onto
-    the subspace spanned by the given orthonormal columns."""
-    basis = np.asarray(basis, dtype=complex)
+    the subspace spanned by the given orthonormal columns.
+
+    A 1-D integer ``basis`` lists the flat indices i*d2 + j of a coordinate
+    subspace, spanned by product vectors |i>|j> as an energy shell is; its
+    reduced matrix is diag(n_i / dim), n_i counting the indices with row i.
+    """
+    basis = np.asarray(basis)
+    if basis.ndim == 1:
+        if not (basis.dtype.kind in "iu" and basis.size
+                and np.unique(basis).size == basis.size
+                and 0 <= basis.min() and basis.max() < d1 * d2):
+            raise DimensionError(f"flat indices must be distinct integers in [0, {d1 * d2})")
+        counts = np.bincount(basis // d2, minlength=d1)
+        return DensityMatrix(np.diag(counts / basis.size).astype(complex))
+    basis = basis.astype(complex, copy=False)
     if basis.ndim != 2 or basis.shape[0] != d1 * d2:
         raise DimensionError(
             f"basis must be ({d1 * d2}, dim) with orthonormal columns, got {basis.shape}"
@@ -539,10 +587,10 @@ def _shell_trials(stream: RngStream, basis: np.ndarray, d1: int, d2: int,
     in the order ``uniform_subspace_state`` and ``random_basis_measure`` do."""
     def evaluate(z, w):
         m = _subspace_states(basis, z, d1, d2)
-        return (_conditional_integrals(_haar_columns(w) @ _amplitude_factor(m), f),
+        return (_conditional_integrals(_haar_columns(w), _amplitude_factor(m), f),
                 _reduced_distances(m, target))
 
-    shapes = [(basis.shape[1], 1), (d2, min(d1, d2))]
+    shapes = [(basis.shape[-1], 1), (d2, min(d1, d2))]
     return _run_trials(stream, n_trials, d1 * d2, shapes, evaluate)
 
 
@@ -557,7 +605,9 @@ def shell_vs_target_experiment(stream: RngStream, basis: np.ndarray,
     GAP(Omega)(f), the pass threshold is epsilon * ||f||_inf, and f may be
     any bounded measurable kind (including cap_indicator).  The outcome's
     ``extra['target_distance']`` reports ||tr_2 rho_R - Omega||_tr, which the
-    caller is responsible for keeping small.
+    caller is responsible for keeping small.  ``basis`` may also be the flat
+    indices (dim,) of a coordinate subspace (see ``reduced_of_subspace``),
+    whose states are then scattered rather than multiplied out.
     """
     if omega.min_eigenvalue <= 0.0:
         raise DomainError("target density matrix must be strictly positive")
@@ -608,11 +658,15 @@ class MicrocanonicalShell:
     def counts(self) -> np.ndarray:
         return np.bincount(self.member_pairs[:, 0], minlength=self.d1)
 
+    @property
+    def flat_indices(self) -> np.ndarray:
+        """(dim,) flat product indices i*d2 + j of the member pairs."""
+        return self.member_pairs[:, 0] * self.d2 + self.member_pairs[:, 1]
+
     def basis(self) -> np.ndarray:
         """(d1*d2, dim) array of shell basis vectors (product eigenvectors)."""
         out = np.zeros((self.d1 * self.d2, self.dim), dtype=complex)
-        i, j = self.member_pairs.T
-        out[i * self.d2 + j, np.arange(self.dim)] = 1.0
+        out[self.flat_indices, np.arange(self.dim)] = 1.0
         return out
 
     def reduced_density(self) -> DensityMatrix:
@@ -696,19 +750,17 @@ def thermal_experiment(stream: RngStream, shell: MicrocanonicalShell,
 
     Fits the inverse temperature beta whose canonical state rho_beta best
     matches the shell average tr_2 rho_R, then runs
-    :func:`shell_vs_target_experiment` on the shell against rho_beta.
-    ``extra`` adds the fit, ||tr_2 rho_R - rho_beta||_tr (the target
-    distance again), the shell dimension and the shell's member count per
-    system level.
+    :func:`shell_vs_target_experiment` on the shell's flat indices against
+    rho_beta.  ``extra`` adds the fit and the shell's member count per system
+    level.
     """
     fit = fit_beta(shell.system_levels, shell.reduced_density())
     omega = canonical_density(shell.system_levels, fit.beta)
-    out = shell_vs_target_experiment(stream, shell.basis(), shell.d1, shell.d2,
+    out = shell_vs_target_experiment(stream, shell.flat_indices, shell.d1, shell.d2,
                                      omega, f, epsilon, n_trials)
     return replace(out, extra={
         **out.extra, "beta": fit.beta, "fit_residual": fit.residual,
-        "thermal_target_distance": out.extra["target_distance"],
-        "shell_dim": shell.dim, "counts": shell.counts.tolist(),
+        "counts": shell.counts.tolist(),
     })
 
 
@@ -839,10 +891,18 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
 def random_floor_density(rng: np.random.Generator, d: int, gamma: float) -> DensityMatrix:
     """Random density matrix with all eigenvalues >= gamma: a uniform simplex
     spectrum compressed onto the floor set and a Haar-random eigenbasis."""
+    return DensityMatrix(_floor_density_matrix(rng, d, gamma))
+
+
+def _floor_density_matrix(rng: np.random.Generator, d: int, gamma: float) -> np.ndarray:
+    """The matrix of ``random_floor_density`` from the same draws, without its
+    eigendecomposition, symmetrized as DensityMatrix does it."""
     if not 0.0 < gamma < 1.0 / d:
         raise DomainError(f"need 0 < gamma < 1/d, got gamma={gamma}, d={d}")
     spectrum = gamma + (1.0 - d * gamma) * rng.dirichlet(np.ones(d))
-    return DensityMatrix.from_spectrum(spectrum, haar_unitary(rng, d))
+    v = haar_unitary(rng, d)
+    m = v @ np.diag(spectrum).astype(complex) @ v.conj().T
+    return (m + m.conj().T) / 2.0
 
 
 def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
@@ -870,10 +930,10 @@ def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
     expe_gap = np.empty(n_pairs)
     for m in range(n_pairs):
         omega = random_floor_density(rng, d, gamma)
-        other = random_floor_density(rng, d, gamma)
+        other = _floor_density_matrix(rng, d, gamma)
         t = rng.random()
         # Convex combinations keep the spectrum floor.
-        rho = DensityMatrix((1 - t) * omega.matrix + t * other.matrix)
+        rho = DensityMatrix((1 - t) * omega.matrix + t * other)
         diff = rho.matrix - omega.matrix
         trace_d[m] = trace_norm(diff)
         dens_gap[m] = float(np.max(np.abs(

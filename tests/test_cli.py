@@ -229,18 +229,25 @@ class TestConfigErrorsNameTheKey:
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
         assert f"error: {key}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, message", [
-        ('{"d1": 2}', "experiment: required key is missing"),
-        ('{"experiment": "theorem1",', "config file is not valid JSON"),
-        ('["theorem1"]', "config root must be a JSON object"),
-        ('{"experiment": "theorem1", "seed": 1' + "0" * 5000 + "}",
+    @pytest.mark.parametrize("text, out, message", [
+        ('{"d1": 2}', "x", "experiment: required key is missing"),
+        ('{"experiment": "theorem1",', "x", "config file is not valid JSON"),
+        ('["theorem1"]', "x", "config root must be a JSON object"),
+        ('{"experiment": "theorem1", "seed": 1' + "0" * 5000 + "}", "x",
          "config file is not valid JSON"),
+        # OS errors name the path: the config path is a directory (text
+        # None), or --out names an existing file, here the config file.
+        (None, "x", "cannot read config file {config}: "),
+        (json.dumps(TINY), "config.json", "cannot write the report to {out}: "),
     ])
-    def test_bad_config_text_exits_1(self, tmp_path, capsys, text, message):
-        path = tmp_path / "config.json"
-        path.write_text(text)
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+    def test_bad_config_text_exits_1(self, tmp_path, capsys, text, out, message):
+        path, out = tmp_path / "config.json", tmp_path / out
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert f"error: {message.format(config=path, out=out)}" in capsys.readouterr().err
 
 
 class TestSweepCheckedBeforeDrawing:
@@ -256,6 +263,7 @@ class TestSweepCheckedBeforeDrawing:
 
         monkeypatch.setattr(RngStream, "generator", no_draws)
         monkeypatch.setattr(RngStream, "trial_generators", no_draws)
+        monkeypatch.setattr(RngStream, "_trial_words", no_draws)
         path = write_config(tmp_path, payload)
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
         assert f"error: {key}:" in capsys.readouterr().err
@@ -411,8 +419,8 @@ class TestPresets:
         report = run(cfg)
         extra = report.points[0].outcome.extra
         assert abs(extra["beta"]) < 1e-6
-        assert extra["thermal_target_distance"] < 0.05
-        assert extra["shell_dim"] == 10
+        assert extra["target_distance"] < 0.05
+        assert report.points[0].dim == 10
 
     def test_submatrix_preset_smoke(self):
         cfg = preset_config("submatrix-k1", {"n_samples": 500})

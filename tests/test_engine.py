@@ -14,10 +14,12 @@ import pytest
 from gaplab import (
     BipartiteState,
     DensityMatrix,
+    DimensionError,
     DomainError,
     RngStream,
     canonical_density,
     cap_indicator,
+    ginibre,
     overlap_sq,
     polynomial,
     random_purification,
@@ -83,14 +85,16 @@ def _theorem4():
     return run, lambda: O.shell_trials(stream, basis, 2, 8, f, ref, omega, N), 16
 
 
-def _thermal():
+def _thermal(scattered=False):
     system = np.array([0.0, 1.0])
     shell = T.microcanonical_shell(system, np.linspace(0.0, 20.0, 40), 10.0, 1.0)
     omega = canonical_density(system, T.fit_beta(system, shell.reduced_density()).beta)
     basis, d1, d2 = shell.basis(), shell.d1, shell.d2
+    # thermal_experiment passes the shell's flat indices, whose states are scattered.
+    states = shell.flat_indices if scattered else basis
     f = polynomial(np.ones(2), [0.0, 0.0, 1.0])
     stream, ref = RngStream(313), 0.3
-    run = lambda: T.shell_vs_target_experiment(stream, basis, d1, d2, omega, f, 0.15, N,
+    run = lambda: T.shell_vs_target_experiment(stream, states, d1, d2, omega, f, 0.15, N,
                                                reference=ref)
     return run, lambda: O.shell_trials(stream, basis, d1, d2, f, ref, omega, N), d1 * d2
 
@@ -106,7 +110,8 @@ def _canonical():
 CASES = {
     "theorem1": _theorem1, "theorem2": _theorem2, "theorem2-wide": _theorem2_wide,
     "theorem3": _theorem3, "theorem3-wide": _theorem3_wide, "theorem4": _theorem4,
-    "thermal": _thermal, "canonical_typicality": _canonical,
+    "thermal": _thermal, "thermal-scattered": lambda: _thermal(scattered=True),
+    "canonical_typicality": _canonical,
 }
 
 
@@ -138,18 +143,20 @@ def test_chunk_length_does_not_change_records(monkeypatch, name):
 
 
 def test_chunk_checks_reject_what_the_public_constructors_reject():
-    # Two (d2, d1) = (4, 2) branch stacks of the product state e1 (x) e1.
+    # Two (d2, d1) = (4, 2) branch stacks of the product state e1 (x) e1,
+    # given as Haar systems W with the amplitude factor A = I.
     good = np.zeros((2, 4, 2), dtype=complex)
     good[:, 0, 0] = 1.0
     nan = good.copy()
     nan[1, 0, 0] = np.nan
     f = overlap_sq(np.array([1.0, 0.0]))
     target = DensityMatrix.maximally_mixed(2)
-    assert np.array_equal(T._conditional_integrals(good, f), [1.0, 1.0])
+    identity = np.eye(2, dtype=complex)
+    assert np.array_equal(T._conditional_integrals(good, identity, f), [1.0, 1.0])
     assert np.allclose(T._reduced_distances(np.swapaxes(good, -1, -2), target), 1.0)
     for bad in (nan, 2.0 * good):
         with pytest.raises(DomainError):
-            T._conditional_integrals(bad, f)
+            T._conditional_integrals(bad, identity, f)
         with pytest.raises(DomainError):
             T._reduced_distances(np.swapaxes(bad, -1, -2), target)
 
@@ -186,6 +193,61 @@ def test_spoiled_haar_system_fails_the_weight_check(monkeypatch, name, spoil):
     monkeypatch.setattr(T, "_haar_columns", lambda z: spoil(haar_columns(z)))
     with pytest.raises(DomainError, match="conditional weights"):
         run()
+
+
+def test_scattered_shell_states_equal_the_dense_route():
+    shell = T.microcanonical_shell([0.0, 1.0, 2.5], np.linspace(0.0, 20.0, 40), 10.0, 1.5)
+    d1, d2, basis = shell.d1, shell.d2, shell.basis()
+    rng = RngStream(318).generator()
+    z = rng.standard_normal((N, shell.dim, 1)) + 1j * rng.standard_normal((N, shell.dim, 1))
+    dense = np.stack([basis @ zb[:, 0] / np.linalg.norm(basis @ zb[:, 0]) for zb in z])
+    scattered = T._subspace_states(shell.flat_indices, z, d1, d2).reshape(N, d1 * d2)
+    np.testing.assert_array_equal(scattered == 0, dense == 0)
+    # Only the norm is summed in another order, so entries are a few ulps apart.
+    np.testing.assert_allclose(scattered, dense, rtol=4 * np.finfo(float).eps, atol=0)
+    assert np.array_equal(T.reduced_of_subspace(shell.flat_indices, d1, d2).matrix,
+                          T.reduced_of_subspace(basis, d1, d2).matrix)
+
+
+@pytest.mark.parametrize("indices", [[0, 2, 2], [0, 6], [-1, 2], [0.0, 1.0], []])
+def test_bad_flat_indices_rejected(indices):
+    with pytest.raises(DimensionError, match="flat indices"):
+        T.reduced_of_subspace(np.array(indices), 2, 3)
+
+
+def _engine_draws(stream, n_trials, entries, shapes):
+    """Every Gaussian array ``_run_trials`` hands ``evaluate``, stacked over
+    the trials."""
+    seen = []
+
+    def evaluate(*gaussians):
+        seen.append(gaussians)
+        return np.zeros(len(gaussians[0])), np.zeros(len(gaussians[0]))
+
+    T._run_trials(stream, n_trials, entries, shapes, evaluate)
+    return [np.concatenate(parts) for parts in zip(*seen)]
+
+
+def test_seed_word_blocks_do_not_change_the_draws(monkeypatch):
+    stream, shapes, n_trials = RngStream(319), [(3, 1), (4, 2)], 23
+    trials = [[ginibre(rng, *shape) for shape in shapes]
+              for rng in (stream.substream(i).generator() for i in range(n_trials))]
+    per_trial = [np.stack(draws) for draws in zip(*trials)]
+    spans, trial_words = [], RngStream._trial_words
+    monkeypatch.setattr(RngStream, "_trial_words",
+                        lambda self, *span: spans.append(span) or trial_words(self, *span))
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 3 * 8)  # 3 trials per chunk
+    # Blocks of 6 trials: chunks 0-2 and 3-5 share one, and the last block
+    # is short.  A block of at most one chunk derives words per chunk.
+    for block, expected_spans in ((5, [(0, 6), (6, 12), (12, 18), (18, 23)]),
+                                  (1, [(i, min(i + 3, 23)) for i in range(0, 23, 3)]),
+                                  (T.SEED_BLOCK, [(0, 23)])):
+        monkeypatch.setattr(T, "SEED_BLOCK", block)
+        spans.clear()
+        draws = _engine_draws(stream, n_trials, 8, shapes)
+        assert spans == expected_spans
+        for got, expected in zip(draws, per_trial, strict=True):
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_zero_trials_rejected():

@@ -49,8 +49,12 @@ ORACLES = (
     ("gap.py", "sample_gaussian", "G(rho) sampler behind the rejection oracle for GA(rho)"),
     ("gap.py", "gaussian_density", "Lebesgue density of G(rho), checked against sampling"),
     ("randomness.py", "random_onb", "full Haar basis of the O(d2^3) oracle route"),
+    ("randomness.py", "RngStream.trial_generators",
+     "the generators of a trial range; the engine derives their seed words once per block"),
     ("typicality.py", "uniform_subspace_state",
      "per-trial subspace state the batched theorem3-4 engine reproduces"),
+    ("typicality.py", "MicrocanonicalShell.basis",
+     "the dense route the scattered shell states are checked against"),
     ("hilbert.py", "DensityMatrix.__repr__", "debugging aid"),
     ("hilbert.py", "BipartiteState.dim",
      "d1 * d2 of a state, in the public state API the tests check; no driver needs it"),
