@@ -294,7 +294,7 @@ def _theorem2(cfg: ExperimentConfig):
 
 def _on_subspace(cfg: ExperimentConfig, driver):
     """The point's dimension dR (default d1 * d2) and its draw function,
-    which runs ``driver(stream, basis)`` on the point's stream and random
+    which runs ``driver(stream, subspace)`` on the point's stream and random
     dR-dimensional subspace."""
     total = cfg.d1 * cfg.d2
     dr = cfg.dR if cfg.dR is not None else total
@@ -313,8 +313,8 @@ def _theorem3(cfg: ExperimentConfig):
     if not f.is_continuous:
         raise ConfigError(f"f_spec.kind: theorem3 needs a continuous test function, "
                           f"got {f.kind!r}")
-    return _on_subspace(cfg, lambda stream, basis: T.shell_universality_experiment(
-        stream, basis, cfg.d1, cfg.d2, f, cfg.epsilon, cfg.n_trials))
+    return _on_subspace(cfg, lambda stream, subspace: T.shell_universality_experiment(
+        stream, subspace, f, cfg.epsilon, cfg.n_trials))
 
 
 def _theorem4(cfg: ExperimentConfig):
@@ -322,13 +322,13 @@ def _theorem4(cfg: ExperimentConfig):
     omega = _resolve_rho(cfg, cfg.d1)
     if omega.min_eigenvalue <= 0.0:
         raise ConfigError("rho_spec.spectrum: theorem4 needs a strictly positive target")
-    return _on_subspace(cfg, lambda stream, basis: T.shell_vs_target_experiment(
-        stream, basis, cfg.d1, cfg.d2, omega, f, cfg.epsilon, cfg.n_trials))
+    return _on_subspace(cfg, lambda stream, subspace: T.shell_vs_target_experiment(
+        stream, subspace, omega, f, cfg.epsilon, cfg.n_trials))
 
 
 def _canonical_typicality(cfg: ExperimentConfig):
-    return _on_subspace(cfg, lambda stream, basis: T.canonical_typicality_experiment(
-        stream, basis, cfg.d1, cfg.d2, cfg.n_trials))
+    return _on_subspace(cfg, lambda stream, subspace: T.canonical_typicality_experiment(
+        stream, subspace, cfg.n_trials))
 
 
 def _submatrix(cfg: ExperimentConfig):

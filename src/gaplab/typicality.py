@@ -26,8 +26,9 @@ W^T A, with W a trial's Haar k-system and a (k, d1) amplitude factor A:
 M^dagger = V R for theorem 2, conj(R) of each trial's state for the subspace
 drivers.  The engine lays each product out as A^T W, a (d1, d2) matrix whose
 column j is <b_j|psi>, and evaluates f on <phi|b_j> / sqrt(w_j) without
-forming the normalized atoms.  The thermal shell's states are scattered
-into its flat indices instead of multiplied out of a one-hot basis.  The
+forming the normalized atoms.  A subspace H_R is a :class:`Subspace`
+(dense orthonormal basis) or a :class:`MicrocanonicalShell` (states
+scattered into its flat indices), and each forms its own states.  The
 engine checks each invariant once, where it is strictest:
 unit total conditional weight (which a non-orthonormal or NaN W fails) and
 unit-trace Hermitian reduced matrices.  The per-trial public routes keep
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conditional import WEIGHT_CUTOFF
+from .conditional import WEIGHT_CUTOFF, _check_orthonormal_rows
 from .errors import DimensionError, DomainError, EmptyShellError
 from .gap import covariance_estimate, gap_sphere_density, sample_gap
 from .hilbert import (
@@ -79,8 +80,8 @@ __all__ = [
     "ExperimentOutcome",
     "random_purification_experiment",
     "random_basis_experiment",
+    "Subspace",
     "random_subspace",
-    "reduced_of_subspace",
     "uniform_subspace_state",
     "concentration_bound",
     "canonical_typicality_experiment",
@@ -89,7 +90,6 @@ __all__ = [
     "thermal_experiment",
     "MicrocanonicalShell",
     "microcanonical_shell",
-    "BetaFit",
     "fit_beta",
     "submatrix_l1_distance",
     "submatrix_convergence_experiment",
@@ -366,21 +366,6 @@ def _amplitude_factor(m: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.swapaxes(m.conj(), -1, -2), mode="r").conj()
 
 
-def _subspace_states(basis: np.ndarray, z: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """``uniform_subspace_state`` for Gaussian coordinates z (B, dim, 1), as
-    (B, d1, d2) coefficient matrices.  A coordinate subspace, given by its
-    flat indices (dim,), gets the normalized coordinates scattered into those
-    entries at O(dim) per trial, equal to the dense route up to rounding."""
-    if basis.ndim == 1:
-        z = z[..., 0]
-        psi = np.zeros((len(z), d1 * d2), dtype=complex)
-        psi[:, basis] = z / np.linalg.norm(z, axis=-1, keepdims=True)
-        return psi.reshape(-1, d1, d2)
-    psi = (basis @ z)[..., 0]
-    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    return psi.reshape(-1, d1, d2)
-
-
 def _reduced_distances(m: np.ndarray, target: DensityMatrix) -> np.ndarray:
     """||tr_2 |psi><psi| - target||_tr for coefficient matrices m (B, d1, d2),
     as the sum of |eigenvalues| of the Hermitian difference.  The reduced
@@ -464,43 +449,47 @@ def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials, refe
 # Random subspaces and canonical typicality
 # ---------------------------------------------------------------------------
 
-def random_subspace(rng: np.random.Generator, d1: int, d2: int, dim: int) -> np.ndarray:
-    """Uniformly random ``dim``-dimensional subspace of C^{d1*d2}.
+@dataclass(frozen=True)
+class Subspace:
+    """Subspace H_R of C^{d1} (x) C^{d2} spanned by the orthonormal columns
+    of ``basis`` (d1*d2, dim), amplitude (i, j) at row i*d2 + j."""
 
-    Returns a (d1*d2, dim) array with orthonormal columns (the first ``dim``
-    columns of a Haar unitary), to be read as the subspace basis.
-    """
+    basis: np.ndarray
+    d1: int
+    d2: int
+
+    def __post_init__(self):
+        basis = np.asarray(self.basis, dtype=complex)
+        if basis.ndim != 2 or basis.shape[0] != self.d1 * self.d2:
+            raise DimensionError(f"basis must be ({self.d1 * self.d2}, dim) with "
+                                 f"orthonormal columns, got {basis.shape}")
+        _check_orthonormal_rows(basis.T)
+        object.__setattr__(self, "basis", basis)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def states(self, z: np.ndarray) -> np.ndarray:
+        """``uniform_subspace_state`` for Gaussian coordinates z (B, dim, 1),
+        as (B, d1, d2) coefficient matrices."""
+        psi = (self.basis @ z)[..., 0]
+        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+        return psi.reshape(-1, self.d1, self.d2)
+
+    def reduced_density(self) -> DensityMatrix:
+        """tr_2 P_R / dim, the partial trace of the normalized projection."""
+        blocks = self.basis.T.reshape(self.dim, self.d1, self.d2)
+        return DensityMatrix(np.einsum("kil,kjl->ij", blocks, blocks.conj()) / self.dim)
+
+
+def random_subspace(rng: np.random.Generator, d1: int, d2: int, dim: int) -> Subspace:
+    """Uniformly random ``dim``-dimensional subspace of C^{d1*d2}, spanned by
+    the first ``dim`` columns of a Haar unitary."""
     total = d1 * d2
     if not 1 <= dim <= total:
         raise DomainError(f"subspace dimension must lie in [1, {total}], got {dim}")
-    return random_ons(rng, total, dim).T
-
-
-def reduced_of_subspace(basis: np.ndarray, d1: int, d2: int) -> DensityMatrix:
-    """Partial trace over the second factor of the normalized projection onto
-    the subspace spanned by the given orthonormal columns.
-
-    A 1-D integer ``basis`` lists the flat indices i*d2 + j of a coordinate
-    subspace, spanned by product vectors |i>|j> as an energy shell is; its
-    reduced matrix is diag(n_i / dim), n_i counting the indices with row i.
-    """
-    basis = np.asarray(basis)
-    if basis.ndim == 1:
-        if not (basis.dtype.kind in "iu" and basis.size
-                and np.unique(basis).size == basis.size
-                and 0 <= basis.min() and basis.max() < d1 * d2):
-            raise DimensionError(f"flat indices must be distinct integers in [0, {d1 * d2})")
-        counts = np.bincount(basis // d2, minlength=d1)
-        return DensityMatrix(np.diag(counts / basis.size).astype(complex))
-    basis = basis.astype(complex, copy=False)
-    if basis.ndim != 2 or basis.shape[0] != d1 * d2:
-        raise DimensionError(
-            f"basis must be ({d1 * d2}, dim) with orthonormal columns, got {basis.shape}"
-        )
-    dim = basis.shape[1]
-    blocks = basis.T.reshape(dim, d1, d2)
-    rho1 = np.einsum("kil,kjl->ij", blocks, blocks.conj()) / dim
-    return DensityMatrix(rho1)
+    return Subspace(random_ons(rng, total, dim).T, d1, d2)
 
 
 def uniform_subspace_state(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
@@ -525,8 +514,8 @@ def concentration_bound(dim: int, eta: np.ndarray) -> np.ndarray:
                         / CONCENTRATION_DENOMINATOR)
 
 
-def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
-                                    d1: int, d2: int, n_trials: int) -> ExperimentOutcome:
+def canonical_typicality_experiment(stream: RngStream, subspace: Subspace,
+                                    n_trials: int) -> ExperimentOutcome:
     """Concentration of the reduced density matrix over a subspace.
 
     Per trial: draw psi uniformly on the subspace sphere and record the
@@ -539,12 +528,12 @@ def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
     A trial passes below twice the offset, a reporting heuristic; the
     scientific check is the bound.
     """
-    target = reduced_of_subspace(basis, d1, d2)
-    dim = basis.shape[1]
+    target = subspace.reduced_density()
+    d1, d2, dim = subspace.d1, subspace.d2, subspace.dim
     offset = float(d1 / np.sqrt(dim))
 
     def evaluate(z):
-        return _reduced_distances(_subspace_states(basis, z, d1, d2), target), np.nan
+        return _reduced_distances(subspace.states(z), target), np.nan
 
     distances, aux = _run_trials(stream, n_trials, d1 * d2, [(dim, 1)], evaluate)
     eta_grid = np.linspace(0.05, 2.0, 10)
@@ -559,9 +548,8 @@ def canonical_typicality_experiment(stream: RngStream, basis: np.ndarray,
                              2.0 * offset, extra)
 
 
-def shell_universality_experiment(stream: RngStream, basis: np.ndarray,
-                                  d1: int, d2: int, f: TestFunction,
-                                  epsilon: float, n_trials: int, *,
+def shell_universality_experiment(stream: RngStream, subspace: Subspace,
+                                  f: TestFunction, epsilon: float, n_trials: int, *,
                                   reference: float | None = None) -> ExperimentOutcome:
     """Random subspace state and random basis versus GAP(tr_2 rho_R).
 
@@ -573,30 +561,32 @@ def shell_universality_experiment(stream: RngStream, basis: np.ndarray,
     """
     if not f.is_continuous:
         raise DomainError("this experiment requires a continuous test function")
-    target = reduced_of_subspace(basis, d1, d2)
-    values, aux = _shell_trials(stream, basis, d1, d2, f, target, n_trials)
+    target = subspace.reduced_density()
+    values, aux = _shell_trials(stream, subspace, f, target, n_trials)
     reference = gap_reference(reference, stream, target, f, n_trials)
     return _collect(values, reference, epsilon, aux)
 
 
-def _shell_trials(stream: RngStream, basis: np.ndarray, d1: int, d2: int,
+def _shell_trials(stream: RngStream, subspace: Subspace | MicrocanonicalShell,
                   f: TestFunction, target: DensityMatrix, n_trials: int):
     """Per trial: psi uniform on the subspace sphere, then mu(f) for the
     conditional measure of psi in a Haar-random basis and the auxiliary
     ||tr_2 |psi><psi| - target||_tr.  Trial i draws its two Ginibre arrays
     in the order ``uniform_subspace_state`` and ``random_basis_measure`` do."""
     def evaluate(z, w):
-        m = _subspace_states(basis, z, d1, d2)
+        m = subspace.states(z)
         return (_conditional_integrals(_haar_columns(w), _amplitude_factor(m), f),
                 _reduced_distances(m, target))
 
-    shapes = [(basis.shape[-1], 1), (d2, min(d1, d2))]
+    d1, d2 = subspace.d1, subspace.d2
+    shapes = [(subspace.dim, 1), (d2, min(d1, d2))]
     return _run_trials(stream, n_trials, d1 * d2, shapes, evaluate)
 
 
-def shell_vs_target_experiment(stream: RngStream, basis: np.ndarray,
-                               d1: int, d2: int, omega: DensityMatrix,
-                               f: TestFunction, epsilon: float, n_trials: int, *,
+def shell_vs_target_experiment(stream: RngStream,
+                               subspace: Subspace | MicrocanonicalShell,
+                               omega: DensityMatrix, f: TestFunction,
+                               epsilon: float, n_trials: int, *,
                                reference: float | None = None) -> ExperimentOutcome:
     """Random subspace state and random basis versus GAP(Omega) for a fixed,
     strictly positive target Omega.
@@ -605,16 +595,14 @@ def shell_vs_target_experiment(stream: RngStream, basis: np.ndarray,
     GAP(Omega)(f), the pass threshold is epsilon * ||f||_inf, and f may be
     any bounded measurable kind (including cap_indicator).  The outcome's
     ``extra['target_distance']`` reports ||tr_2 rho_R - Omega||_tr, which the
-    caller is responsible for keeping small.  ``basis`` may also be the flat
-    indices (dim,) of a coordinate subspace (see ``reduced_of_subspace``),
-    whose states are then scattered rather than multiplied out.
+    caller is responsible for keeping small.  ``subspace`` may also be a
+    microcanonical shell, whose states are scattered, not multiplied out.
     """
     if omega.min_eigenvalue <= 0.0:
         raise DomainError("target density matrix must be strictly positive")
-    reduced = reduced_of_subspace(basis, d1, d2)
-    target_distance = trace_norm(reduced.matrix - omega.matrix)
+    target_distance = trace_norm(subspace.reduced_density().matrix - omega.matrix)
     threshold = epsilon * f.bound
-    values, aux = _shell_trials(stream, basis, d1, d2, f, omega, n_trials)
+    values, aux = _shell_trials(stream, subspace, f, omega, n_trials)
     reference = gap_reference(reference, stream, omega, f, n_trials)
     return _collect(values, reference, threshold, aux,
                     extra={"target_distance": target_distance})
@@ -631,9 +619,10 @@ class MicrocanonicalShell:
     For system levels E1_i and bath levels E2_j, the shell collects all
     product eigenvectors with E <= E1_i + E2_j <= E + width (closed window,
     with a 1e-9 relative tolerance at the edges).  ``member_pairs`` is the
-    (dim, 2) integer array of their (i, j), in row-major order.  In the
-    product eigenbasis the shell average tr_2 rho_R is exactly diagonal with
-    entries n_i / dim, where n_i counts the member pairs of system level i.
+    (dim, 2) integer array of their (i, j), in row-major order; a shell built
+    by hand must give nonempty, distinct, in-range pairs.  In the product
+    eigenbasis the shell average tr_2 rho_R is exactly diagonal with entries
+    n_i / dim, where n_i counts the member pairs of system level i.
     """
 
     system_levels: np.ndarray
@@ -641,6 +630,15 @@ class MicrocanonicalShell:
     energy: float
     width: float
     member_pairs: np.ndarray
+
+    def __post_init__(self):
+        pairs = np.asarray(self.member_pairs)
+        object.__setattr__(self, "member_pairs", pairs)
+        if not (pairs.dtype.kind in "iu" and pairs.ndim == 2 and pairs.shape[1] == 2
+                and len(pairs) and np.all((0 <= pairs) & (pairs < (self.d1, self.d2)))
+                and np.unique(self.flat_indices).size == len(pairs)):
+            raise DimensionError(f"member pairs must be distinct integer pairs in "
+                                 f"[0, {self.d1}) x [0, {self.d2})")
 
     @property
     def d1(self) -> int:
@@ -663,6 +661,14 @@ class MicrocanonicalShell:
         """(dim,) flat product indices i*d2 + j of the member pairs."""
         return self.member_pairs[:, 0] * self.d2 + self.member_pairs[:, 1]
 
+    def states(self, z: np.ndarray) -> np.ndarray:
+        """``Subspace.states`` on ``basis()`` at O(dim) per trial: z normalized
+        and scattered into the flat indices, equal up to rounding."""
+        z = z[..., 0]
+        psi = np.zeros((len(z), self.d1 * self.d2), dtype=complex)
+        psi[:, self.flat_indices] = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        return psi.reshape(-1, self.d1, self.d2)
+
     def basis(self) -> np.ndarray:
         """(d1*d2, dim) array of shell basis vectors (product eigenvectors)."""
         out = np.zeros((self.d1 * self.d2, self.dim), dtype=complex)
@@ -670,8 +676,9 @@ class MicrocanonicalShell:
         return out
 
     def reduced_density(self) -> DensityMatrix:
-        """tr_2 rho_R = diag(n_i / dim) in the system eigenbasis, exact."""
-        return DensityMatrix(np.diag(self.counts / self.dim).astype(complex))
+        """tr_2 rho_R = diag(n_i / dim) in the system eigenbasis, divided as
+        ``Subspace.reduced_density`` divides, so both forms agree bit for bit."""
+        return DensityMatrix(np.diag(self.counts).astype(complex) / self.dim)
 
 
 def microcanonical_shell(system_levels, bath_levels, energy: float,
@@ -697,13 +704,7 @@ def microcanonical_shell(system_levels, bath_levels, energy: float,
                                float(width), pairs)
 
 
-@dataclass(frozen=True)
-class BetaFit:
-    beta: float
-    residual: float
-
-
-def fit_beta(system_levels, rho_target: DensityMatrix) -> BetaFit:
+def fit_beta(system_levels, rho_target: DensityMatrix) -> float:
     """Inverse temperature whose thermal state best matches a diagonal target.
 
     Minimizes ||rho_beta - rho_target||_tr over beta in [-50, 50] by
@@ -739,8 +740,7 @@ def fit_beta(system_levels, rho_target: DensityMatrix) -> BetaFit:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = residual(d)
-    beta = (a + b) / 2.0
-    return BetaFit(beta=float(beta), residual=residual(beta))
+    return float((a + b) / 2.0)
 
 
 def thermal_experiment(stream: RngStream, shell: MicrocanonicalShell,
@@ -750,18 +750,14 @@ def thermal_experiment(stream: RngStream, shell: MicrocanonicalShell,
 
     Fits the inverse temperature beta whose canonical state rho_beta best
     matches the shell average tr_2 rho_R, then runs
-    :func:`shell_vs_target_experiment` on the shell's flat indices against
-    rho_beta.  ``extra`` adds the fit and the shell's member count per system
-    level.
+    :func:`shell_vs_target_experiment` on the shell against rho_beta.
+    ``extra`` adds beta and the shell's member count per system level.
     """
-    fit = fit_beta(shell.system_levels, shell.reduced_density())
-    omega = canonical_density(shell.system_levels, fit.beta)
-    out = shell_vs_target_experiment(stream, shell.flat_indices, shell.d1, shell.d2,
-                                     omega, f, epsilon, n_trials)
-    return replace(out, extra={
-        **out.extra, "beta": fit.beta, "fit_residual": fit.residual,
-        "counts": shell.counts.tolist(),
-    })
+    beta = fit_beta(shell.system_levels, shell.reduced_density())
+    omega = canonical_density(shell.system_levels, beta)
+    out = shell_vs_target_experiment(stream, shell, omega, f, epsilon, n_trials)
+    return replace(out, extra={**out.extra, "beta": beta,
+                               "counts": shell.counts.tolist()})
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,8 @@ def test_criterion_06_state_basis_duality():
 
 def test_criterion_07_concentration_bound():
     d1, d2, dim, n_trials = 2, 50, 100, 1000
-    basis = T.random_subspace(RngStream(1007, 0).generator(), d1, d2, dim)
-    out = T.canonical_typicality_experiment(RngStream(1007, 1), basis, d1, d2,
-                                            n_trials)
+    subspace = T.random_subspace(RngStream(1007, 0).generator(), d1, d2, dim)
+    out = T.canonical_typicality_experiment(RngStream(1007, 1), subspace, n_trials)
     bound = np.asarray(out.extra["bound"])
     exceedance = np.asarray(out.extra["exceedance"])
     mean_distance = out.extra["mean_distance"]
@@ -216,16 +215,16 @@ def test_criterion_09_thermal_scenario():
     system = np.array([0.0, 1.0])
     bath = np.linspace(0.0, 20.0, 200)
     shell = T.microcanonical_shell(system, bath, 10.0, 0.5)
-    fit = T.fit_beta(system, shell.reduced_density())
-    omega = canonical_density(system, fit.beta)
+    beta = T.fit_beta(system, shell.reduced_density())
+    omega = canonical_density(system, beta)
     thermal_dist = trace_norm(shell.reduced_density().matrix - omega.matrix)
 
     f = polynomial(np.ones(2) / np.sqrt(2), [0.0, 0.0, 1.0])
-    out = T.shell_vs_target_experiment(
-        RngStream(1009), shell.basis(), shell.d1, shell.d2, omega, f, 0.15, 300)
+    dense = T.Subspace(shell.basis(), shell.d1, shell.d2)
+    out = T.shell_vs_target_experiment(RngStream(1009), dense, omega, f, 0.15, 300)
     ok = thermal_dist < 0.05 and out.pass_fraction >= 0.85
     report(9, "thermal scenario", ok,
-           f"fitted beta {fit.beta:.4f}, ||tr2 rho_R - rho_beta||_tr = "
+           f"fitted beta {beta:.4f}, ||tr2 rho_R - rho_beta||_tr = "
            f"{thermal_dist:.3e} (tol 0.05); pass fraction {out.pass_fraction:.3f} "
            f"(need >= 0.85) at shell dim {shell.dim}")
 

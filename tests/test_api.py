@@ -67,7 +67,7 @@ def rng():
      DomainError, "target must be strictly positive"),
     (lambda: T.fit_beta([0.0, 1.0, 2.0], MIXED2),
      DimensionError, "one level per target entry"),
-    (lambda: T.reduced_of_subspace(np.zeros((5, 2)), 2, 2),
+    (lambda: T.Subspace(np.zeros((5, 2)), 2, 2),
      DimensionError, r"basis must be \(4, dim\)"),
     (lambda: canonical_density([0.0, 1.0], np.nan), DomainError, "beta must be finite"),
     (lambda: DensityMatrix(np.eye(2, 3)), DimensionError, "must be square"),
@@ -114,6 +114,9 @@ def rng():
      "no eigenvalue pair"),
     (lambda: T.random_floor_density(rng(), 2, 0.5), DomainError, "need 0 < gamma < 1/d"),
     (lambda: T.submatrix_l1_distance(1), DomainError, "need n >= 2"),
+    # Two copies of e1 span a line, not the plane of dimension 2 they claim.
+    (lambda: T.Subspace(np.eye(4)[:, [0, 0]], 2, 2), BasisError, "rows are not orthonormal"),
+    (lambda: T.Subspace(np.full((4, 2), np.nan), 2, 2), BasisError, "orthonormal within 1e-8"),
 ])
 def test_bad_arguments_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):

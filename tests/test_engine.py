@@ -10,6 +10,8 @@ must also be identical whatever the chunk length.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
     BipartiteState,
@@ -57,54 +59,54 @@ def _theorem2_wide():
 
 
 def _theorem3():
-    basis = T.random_subspace(RngStream(306).generator(), 2, 8, 12)
-    target = T.reduced_of_subspace(basis, 2, 8)
+    subspace = T.random_subspace(RngStream(306).generator(), 2, 8, 12)
+    target = subspace.reduced_density()
     stream, ref = RngStream(307), 0.1
     f = real_part(uniform_sphere(RngStream(308).generator(), 2))
-    run = lambda: T.shell_universality_experiment(stream, basis, 2, 8, f, 0.1, N,
+    run = lambda: T.shell_universality_experiment(stream, subspace, f, 0.1, N,
                                                   reference=ref)
-    return run, lambda: O.shell_trials(stream, basis, 2, 8, f, ref, target, N), 16
+    return run, lambda: O.shell_trials(stream, subspace.basis, 2, 8, f, ref, target, N), 16
 
 
 def _theorem3_wide():
-    basis = T.random_subspace(RngStream(309).generator(), 3, 2, 4)
-    target = T.reduced_of_subspace(basis, 3, 2)
+    subspace = T.random_subspace(RngStream(309).generator(), 3, 2, 4)
+    target = subspace.reduced_density()
     stream, ref = RngStream(310), 0.3
     f = polynomial(np.array([0.0, 1.0, 0.0]), [0.0, 1.0, -1.0])
-    run = lambda: T.shell_universality_experiment(stream, basis, 3, 2, f, 0.1, N,
+    run = lambda: T.shell_universality_experiment(stream, subspace, f, 0.1, N,
                                                   reference=ref)
-    return run, lambda: O.shell_trials(stream, basis, 3, 2, f, ref, target, N), 6
+    return run, lambda: O.shell_trials(stream, subspace.basis, 3, 2, f, ref, target, N), 6
 
 
 def _theorem4():
-    basis = T.random_subspace(RngStream(311).generator(), 2, 8, 16)
+    subspace = T.random_subspace(RngStream(311).generator(), 2, 8, 16)
     omega = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
     stream, f, ref = RngStream(312), cap_indicator(np.array([1.0, 0.0]), 0.5), 0.55
-    run = lambda: T.shell_vs_target_experiment(stream, basis, 2, 8, omega, f, 0.15, N,
+    run = lambda: T.shell_vs_target_experiment(stream, subspace, omega, f, 0.15, N,
                                                reference=ref)
-    return run, lambda: O.shell_trials(stream, basis, 2, 8, f, ref, omega, N), 16
+    return run, lambda: O.shell_trials(stream, subspace.basis, 2, 8, f, ref, omega, N), 16
 
 
 def _thermal(scattered=False):
     system = np.array([0.0, 1.0])
     shell = T.microcanonical_shell(system, np.linspace(0.0, 20.0, 40), 10.0, 1.0)
-    omega = canonical_density(system, T.fit_beta(system, shell.reduced_density()).beta)
+    omega = canonical_density(system, T.fit_beta(system, shell.reduced_density()))
     basis, d1, d2 = shell.basis(), shell.d1, shell.d2
-    # thermal_experiment passes the shell's flat indices, whose states are scattered.
-    states = shell.flat_indices if scattered else basis
+    # thermal_experiment passes the shell itself, whose states are scattered.
+    subspace = shell if scattered else T.Subspace(basis, d1, d2)
     f = polynomial(np.ones(2), [0.0, 0.0, 1.0])
     stream, ref = RngStream(313), 0.3
-    run = lambda: T.shell_vs_target_experiment(stream, states, d1, d2, omega, f, 0.15, N,
+    run = lambda: T.shell_vs_target_experiment(stream, subspace, omega, f, 0.15, N,
                                                reference=ref)
     return run, lambda: O.shell_trials(stream, basis, d1, d2, f, ref, omega, N), d1 * d2
 
 
 def _canonical():
-    basis = T.random_subspace(RngStream(314).generator(), 3, 5, 9)
-    target = T.reduced_of_subspace(basis, 3, 5)
+    subspace = T.random_subspace(RngStream(314).generator(), 3, 5, 9)
+    target = subspace.reduced_density()
     stream = RngStream(315)
-    run = lambda: T.canonical_typicality_experiment(stream, basis, 3, 5, N)
-    return run, lambda: O.canonical_trials(stream, basis, 3, 5, target, N), 15
+    run = lambda: T.canonical_typicality_experiment(stream, subspace, N)
+    return run, lambda: O.canonical_trials(stream, subspace.basis, 3, 5, target, N), 15
 
 
 CASES = {
@@ -195,24 +197,41 @@ def test_spoiled_haar_system_fails_the_weight_check(monkeypatch, name, spoil):
         run()
 
 
-def test_scattered_shell_states_equal_the_dense_route():
-    shell = T.microcanonical_shell([0.0, 1.0, 2.5], np.linspace(0.0, 20.0, 40), 10.0, 1.5)
-    d1, d2, basis = shell.d1, shell.d2, shell.basis()
-    rng = RngStream(318).generator()
-    z = rng.standard_normal((N, shell.dim, 1)) + 1j * rng.standard_normal((N, shell.dim, 1))
-    dense = np.stack([basis @ zb[:, 0] / np.linalg.norm(basis @ zb[:, 0]) for zb in z])
-    scattered = T._subspace_states(shell.flat_indices, z, d1, d2).reshape(N, d1 * d2)
-    np.testing.assert_array_equal(scattered == 0, dense == 0)
+@st.composite
+def _shells(draw):
+    """A shell of random levels whose window starts at one level pair's sum,
+    so that it is never empty."""
+    levels = st.floats(-10.0, 10.0, allow_nan=False)
+    system = draw(st.lists(levels, min_size=1, max_size=4))
+    bath = draw(st.lists(levels, min_size=1, max_size=40))
+    i, j = draw(st.integers(0, len(system) - 1)), draw(st.integers(0, len(bath) - 1))
+    return T.microcanonical_shell(system, bath, system[i] + bath[j],
+                                  draw(st.floats(1e-3, 30.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(shell=_shells(), seed=st.integers(0, 2**32 - 1))
+def test_scattered_shell_states_equal_the_dense_route(shell, seed):
+    dense = T.Subspace(shell.basis(), shell.d1, shell.d2)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((5, shell.dim, 1)) + 1j * rng.standard_normal((5, shell.dim, 1))
+    scattered, multiplied = shell.states(z), dense.states(z)
+    np.testing.assert_array_equal(scattered == 0, multiplied == 0)
     # Only the norm is summed in another order, so entries are a few ulps apart.
-    np.testing.assert_allclose(scattered, dense, rtol=4 * np.finfo(float).eps, atol=0)
-    assert np.array_equal(T.reduced_of_subspace(shell.flat_indices, d1, d2).matrix,
-                          T.reduced_of_subspace(basis, d1, d2).matrix)
+    np.testing.assert_allclose(scattered, multiplied, rtol=4 * np.finfo(float).eps, atol=0)
+    assert np.array_equal(shell.reduced_density().matrix, dense.reduced_density().matrix)
 
 
-@pytest.mark.parametrize("indices", [[0, 2, 2], [0, 6], [-1, 2], [0.0, 1.0], []])
-def test_bad_flat_indices_rejected(indices):
-    with pytest.raises(DimensionError, match="flat indices"):
-        T.reduced_of_subspace(np.array(indices), 2, 3)
+@pytest.mark.parametrize("pairs", [
+    [[0, 2], [0, 2]],                     # duplicate
+    [[0, 0], [2, 0]],                     # out of range
+    [[-1, 2]],                            # negative
+    [[0.0, 1.0]],                         # float
+    np.empty((0, 2), dtype=int),          # empty
+])
+def test_bad_member_pairs_rejected(pairs):
+    with pytest.raises(DimensionError, match="member pairs"):
+        T.MicrocanonicalShell(np.zeros(2), np.zeros(3), 0.0, 1.0, np.array(pairs))
 
 
 def _engine_draws(stream, n_trials, entries, shapes):

@@ -82,12 +82,12 @@ def test_thermal_shell_matches_full_basis_oracle():
     # The shell, thermal fit and test function of acceptance criterion 09.
     system = np.array([0.0, 1.0])
     shell = T.microcanonical_shell(system, np.linspace(0.0, 20.0, 200), 10.0, 0.5)
-    omega = canonical_density(system, T.fit_beta(system, shell.reduced_density()).beta)
+    omega = canonical_density(system, T.fit_beta(system, shell.reduced_density()))
     f = polynomial(np.ones(2) / np.sqrt(2), [0.0, 0.0, 1.0])
     basis = shell.basis()
     new = T.shell_vs_target_experiment(
-        RngStream(2009, 0), basis, shell.d1, shell.d2, omega, f, 0.15, N_TRIALS,
-        reference=REFERENCE).discrepancies
+        RngStream(2009, 0), T.Subspace(basis, shell.d1, shell.d2), omega, f, 0.15,
+        N_TRIALS, reference=REFERENCE).discrepancies
 
     def shell_state(rng):
         return BipartiteState(shell.d1, shell.d2, T.uniform_subspace_state(rng, basis))

@@ -29,8 +29,6 @@ ORACLES = (
      "the paper's conditional measure; the per-trial oracles of theorem1-4 use it"),
     ("conditional.py", "_check_basis",
      "validates the explicit basis of conditional_measure"),
-    ("conditional.py", "_check_orthonormal_rows",
-     "the Gram check of the oracle routes' bases; the engine's weight check is stricter"),
     ("conditional.py", "_branch_vectors",
      "partial inner products behind conditional_measure"),
     ("conditional.py", "_measure_from_branches",

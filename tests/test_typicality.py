@@ -11,11 +11,13 @@ from gaplab import (
     RngStream,
     cap_indicator,
     gap_expectation,
+    canonical_density,
     haar_unitary,
     overlap_sq,
     polynomial,
     random_purification,
     real_part,
+    trace_norm,
     uniform_sphere,
 )
 from gaplab.randomness import _gram_schmidt_twice, _haar_columns
@@ -213,7 +215,7 @@ class TestTrialCountLimit:
         monkeypatch.setattr(T, "gap_expectation", no_reference)
         rho = DensityMatrix.maximally_mixed(2)
         cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
-        basis = T.random_subspace(RngStream(1).generator(), 2, 2, 4)
+        subspace = T.random_subspace(RngStream(1).generator(), 2, 2, 4)
         stream, n = RngStream(2), 2**32 + 1
         calls = {
             "purification": lambda: T.random_purification_experiment(
@@ -221,10 +223,10 @@ class TestTrialCountLimit:
             "basis": lambda: T.random_basis_experiment(
                 stream, random_purification(RngStream(3).generator(), rho, 2), cap, 0.1, n),
             "shell": lambda: T.shell_universality_experiment(
-                stream, basis, 2, 2, polynomial(np.array([1.0, 0.0]), [0.0, 1.0, 1.0]),
+                stream, subspace, polynomial(np.array([1.0, 0.0]), [0.0, 1.0, 1.0]),
                 0.1, n),
             "target": lambda: T.shell_vs_target_experiment(
-                stream, basis, 2, 2, rho, cap, 0.1, n),
+                stream, subspace, rho, cap, 0.1, n),
         }
         with pytest.raises(DomainError, match="2\\*\\*32 trials"):
             calls[driver]()
@@ -266,14 +268,14 @@ class TestRandomBasisExperiment:
 class TestRandomSubspace:
     def test_full_space_reduces_to_maximally_mixed(self):
         rng = RngStream(116).generator()
-        basis = T.random_subspace(rng, 2, 3, 6)
-        target = T.reduced_of_subspace(basis, 2, 3)
+        target = T.random_subspace(rng, 2, 3, 6).reduced_density()
         assert np.max(np.abs(target.matrix - np.eye(2) / 2)) < 1e-10
 
     def test_orthonormal_columns(self):
         rng = RngStream(117).generator()
-        basis = T.random_subspace(rng, 2, 4, 5)
-        gram = basis.conj().T @ basis
+        subspace = T.random_subspace(rng, 2, 4, 5)
+        assert (subspace.d1, subspace.d2, subspace.dim) == (2, 4, 5)
+        gram = subspace.basis.conj().T @ subspace.basis
         assert np.max(np.abs(gram - np.eye(5))) < 1e-10
 
     def test_out_of_range_rejected(self):
@@ -286,22 +288,21 @@ class TestRandomSubspace:
         acc = np.zeros((2, 2), dtype=complex)
         n = 1000
         for _ in range(n):
-            basis = T.random_subspace(rng, 2, 4, 3)
-            acc += T.reduced_of_subspace(basis, 2, 4).matrix
+            acc += T.random_subspace(rng, 2, 4, 3).reduced_density().matrix
         assert np.max(np.abs(acc / n - np.eye(2) / 2)) < 0.01
 
 
 class TestCanonicalTypicality:
     def test_one_dimensional_subspace_is_deterministic(self):
         rng = RngStream(120).generator()
-        basis = T.random_subspace(rng, 2, 3, 1)
-        out = T.canonical_typicality_experiment(RngStream(121), basis, 2, 3, 20)
+        subspace = T.random_subspace(rng, 2, 3, 1)
+        out = T.canonical_typicality_experiment(RngStream(121), subspace, 20)
         assert np.max(out.discrepancies) - np.min(out.discrepancies) < 1e-10
 
     def test_concentration_at_moderate_dimension(self):
         rng = RngStream(122).generator()
-        basis = T.random_subspace(rng, 2, 50, 100)
-        out = T.canonical_typicality_experiment(RngStream(123), basis, 2, 50, 300)
+        subspace = T.random_subspace(rng, 2, 50, 100)
+        out = T.canonical_typicality_experiment(RngStream(123), subspace, 300)
         assert out.extra["mean_distance"] < 0.4
         bound = np.asarray(out.extra["bound"])
         binom_se = np.sqrt(np.clip(bound, 0, 1) * (1 - np.clip(bound, 0, 1))
@@ -314,9 +315,8 @@ class TestCanonicalTypicality:
         means = []
         for idx, dim in enumerate((25, 100, 400)):
             rng = RngStream(124, idx).generator()
-            basis = T.random_subspace(rng, 2, 800, dim)
-            out = T.canonical_typicality_experiment(
-                RngStream(125, idx), basis, 2, 800, 200)
+            subspace = T.random_subspace(rng, 2, 800, dim)
+            out = T.canonical_typicality_experiment(RngStream(125, idx), subspace, 200)
             means.append(out.extra["mean_distance"])
         assert means[2] < means[1] < means[0]
 
@@ -324,68 +324,63 @@ class TestCanonicalTypicality:
 class TestShellUniversality:
     def test_full_space_pass_fraction(self):
         rng = RngStream(126).generator()
-        basis = T.random_subspace(rng, 2, 64, 128)
+        subspace = T.random_subspace(rng, 2, 64, 128)
         out = T.shell_universality_experiment(
-            RngStream(127), basis, 2, 64, overlap_sq(np.array([1.0, 0.0])),
-            0.1, 200)
+            RngStream(127), subspace, overlap_sq(np.array([1.0, 0.0])), 0.1, 200)
         assert out.pass_fraction >= 0.9
 
     def test_constant_function_zero_discrepancy(self):
         rng = RngStream(128).generator()
-        basis = T.random_subspace(rng, 2, 8, 16)
+        subspace = T.random_subspace(rng, 2, 8, 16)
         f = polynomial(np.array([1.0, 0.0]), [0.25])
-        out = T.shell_universality_experiment(RngStream(129), basis, 2, 8, f,
-                                              0.1, 20)
+        out = T.shell_universality_experiment(RngStream(129), subspace, f, 0.1, 20)
         assert np.max(out.discrepancies) < 1e-12
 
     def test_discontinuous_function_rejected(self):
         rng = RngStream(130).generator()
-        basis = T.random_subspace(rng, 2, 8, 16)
+        subspace = T.random_subspace(rng, 2, 8, 16)
         with pytest.raises(DomainError):
             T.shell_universality_experiment(
-                RngStream(131), basis, 2, 8,
+                RngStream(131), subspace,
                 cap_indicator(np.array([1.0, 0.0]), 0.5), 0.1, 10)
 
     def test_improves_with_both_dimensions(self):
         f = overlap_sq(np.array([1.0, 0.0]))
         rng_small = RngStream(132).generator()
         small = T.shell_universality_experiment(
-            RngStream(133), T.random_subspace(rng_small, 2, 16, 20), 2, 16,
-            f, 0.1, 200)
+            RngStream(133), T.random_subspace(rng_small, 2, 16, 20), f, 0.1, 200)
         rng_big = RngStream(134).generator()
         big = T.shell_universality_experiment(
-            RngStream(135), T.random_subspace(rng_big, 2, 64, 120), 2, 64,
-            f, 0.1, 200)
+            RngStream(135), T.random_subspace(rng_big, 2, 64, 120), f, 0.1, 200)
         assert big.pass_fraction >= small.pass_fraction - 0.02
 
 
 class TestShellVsTarget:
     def test_exact_target_matches_universality_behavior(self):
         rng = RngStream(136).generator()
-        basis = T.random_subspace(rng, 2, 64, 128)
-        omega = T.reduced_of_subspace(basis, 2, 64)
+        subspace = T.random_subspace(rng, 2, 64, 128)
+        omega = subspace.reduced_density()
         f = overlap_sq(np.array([1.0, 0.0]))
-        out = T.shell_vs_target_experiment(RngStream(137), basis, 2, 64, omega,
-                                           f, 0.1, 200)
+        out = T.shell_vs_target_experiment(RngStream(137), subspace, omega, f, 0.1, 200)
         assert out.extra["target_distance"] < 1e-10
         assert out.pass_fraction >= 0.9
 
     def test_bounded_measurable_function_allowed(self):
         rng = RngStream(138).generator()
-        basis = T.random_subspace(rng, 2, 64, 128)
+        subspace = T.random_subspace(rng, 2, 64, 128)
         f = cap_indicator(np.array([1.0, 0.0]), 0.5)
         out = T.shell_vs_target_experiment(
-            RngStream(139), basis, 2, 64, DensityMatrix.maximally_mixed(2),
+            RngStream(139), subspace, DensityMatrix.maximally_mixed(2),
             f, 0.15, 200)
         assert out.pass_fraction >= 0.85
 
     def test_singular_target_rejected(self):
         rng = RngStream(140).generator()
-        basis = T.random_subspace(rng, 2, 4, 8)
+        subspace = T.random_subspace(rng, 2, 4, 8)
         omega = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(DomainError):
             T.shell_vs_target_experiment(
-                RngStream(141), basis, 2, 4, omega,
+                RngStream(141), subspace, omega,
                 overlap_sq(np.array([1.0, 0.0])), 0.1, 10)
 
 
@@ -439,28 +434,27 @@ class TestMicrocanonicalShell:
         b = shell.basis()
         assert b.shape == (8, 4)
         assert np.max(np.abs(b.conj().T @ b - np.eye(4))) < 1e-14
-        assert T.reduced_of_subspace(b, 2, 4).matrix == pytest.approx(
+        assert T.Subspace(b, 2, 4).reduced_density().matrix == pytest.approx(
             shell.reduced_density().matrix)
 
     def test_dense_bath_is_nearly_thermal(self):
         bath = np.linspace(0.0, 20.0, 200)
         shell = T.microcanonical_shell([0.0, 1.0], bath, 10.0, 0.5)
-        fit = T.fit_beta([0.0, 1.0], shell.reduced_density())
-        assert fit.residual < 0.05
+        target = shell.reduced_density()
+        beta = T.fit_beta([0.0, 1.0], target)
+        assert trace_norm(canonical_density([0.0, 1.0], beta).matrix - target.matrix) < 0.05
 
 
 class TestFitBeta:
     def test_round_trip(self):
-        from gaplab import canonical_density
         target = canonical_density([0.0, 1.0], 1.0)
-        fit = T.fit_beta([0.0, 1.0], target)
-        assert abs(fit.beta - 1.0) < 1e-6
-        assert fit.residual < 1e-10
+        beta = T.fit_beta([0.0, 1.0], target)
+        assert abs(beta - 1.0) < 1e-6
+        assert trace_norm(canonical_density([0.0, 1.0], beta).matrix - target.matrix) < 1e-10
 
     def test_infinite_temperature_target(self):
         target = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-        fit = T.fit_beta([0.0, 1.0], target)
-        assert abs(fit.beta) < 1e-6
+        assert abs(T.fit_beta([0.0, 1.0], target)) < 1e-6
 
     def test_two_level_closed_form(self):
         # A diagonal two-level target is matched exactly at
@@ -469,9 +463,10 @@ class TestFitBeta:
         shell = T.microcanonical_shell([0.0, 1.0], bath, 10.0, 0.5)
         n0, n1 = shell.counts
         assert n0 != n1
-        fit = T.fit_beta([0.0, 1.0], shell.reduced_density())
-        assert abs(fit.beta - np.log(n0 / n1)) < 1e-6
-        assert fit.residual < 1e-10
+        target = shell.reduced_density()
+        beta = T.fit_beta([0.0, 1.0], target)
+        assert abs(beta - np.log(n0 / n1)) < 1e-6
+        assert trace_norm(canonical_density([0.0, 1.0], beta).matrix - target.matrix) < 1e-10
 
     def test_non_diagonal_target_rejected(self):
         m = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
