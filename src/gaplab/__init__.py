@@ -1,7 +1,7 @@
 """gaplab: GAP measures, conditional wave functions, and Haar-random Monte
 Carlo experiments on finite-dimensional complex Hilbert spaces."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .errors import (
     BasisError,
@@ -11,7 +11,6 @@ from .errors import (
     EmptyShellError,
     GaplabError,
     SingularDensityError,
-    SingularProjectionError,
 )
 from .hilbert import (
     BipartiteState,
@@ -24,7 +23,6 @@ from .randomness import (
     RngStream,
     ginibre,
     haar_unitary,
-    random_onb,
     random_ons,
     sample_complex_gaussian,
     uniform_sphere,
@@ -32,20 +30,8 @@ from .randomness import (
 from .gap import (
     covariance_estimate,
     gap_sphere_density,
-    gaussian_density,
     sample_adjusted_gaussian,
     sample_gap,
-    sample_gaussian,
-)
-from .conditional import (
-    DiscreteMeasure,
-    adjust,
-    conditional_measure,
-    integrate,
-    project_to_sphere,
-    random_basis_measure,
-    random_purification,
-    raw_conditional_measure,
 )
 from .typicality import (
     TestFunction,
@@ -53,5 +39,6 @@ from .typicality import (
     gap_expectation,
     overlap_sq,
     polynomial,
+    random_purification,
     real_part,
 )

@@ -34,7 +34,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .conditional import random_purification
 from .errors import ConfigError, GaplabError
 from .hilbert import DensityMatrix
 from .randomness import MAX_TRIALS, RngStream, haar_unitary
@@ -286,8 +285,8 @@ def _theorem2(cfg: ExperimentConfig):
 
     def draw(point):
         stream = RngStream(cfg.seed, point)
-        psi = random_purification(stream.substream(cfg.n_trials + 1).generator(),
-                                  rho1, cfg.d2)
+        psi = T.random_purification(stream.substream(cfg.n_trials + 1).generator(),
+                                    rho1, cfg.d2)
         return T.random_basis_experiment(stream, psi, f, cfg.epsilon, cfg.n_trials)
     return cfg.d2, draw
 

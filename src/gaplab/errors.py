@@ -21,10 +21,6 @@ class BasisError(GaplabError):
     """A family of vectors fails the orthonormality requirement."""
 
 
-class SingularProjectionError(GaplabError):
-    """A zero vector with positive weight cannot be projected to the sphere."""
-
-
 class SingularDensityError(GaplabError):
     """The requested density does not exist for a rank-deficient matrix."""
 

@@ -17,7 +17,7 @@ with probability p_i, draw coordinate i from the norm-square-biased complex
 Gaussian of variance p_i (squared radius ~ Gamma(shape 2, scale p_i),
 uniform phase), and draw every other coordinate unbiased.  This is O(d) per
 draw with no rejection step; a rejection sampler is kept in the test suite
-as an independent oracle.
+as an independent oracle, with the plain G(rho) sampler it proposes from.
 """
 
 from __future__ import annotations
@@ -29,50 +29,11 @@ from .hilbert import DensityMatrix
 from .randomness import sample_complex_gaussian
 
 __all__ = [
-    "sample_gaussian",
-    "gaussian_density",
     "sample_adjusted_gaussian",
     "sample_gap",
     "gap_sphere_density",
     "covariance_estimate",
 ]
-
-# Squared-norm component below this counts as lying outside the support.
-SUPPORT_ATOL = 1e-8
-
-
-def sample_gaussian(rng: np.random.Generator, rho: DensityMatrix, size: int | None = None):
-    """Draw from the complex Gaussian with mean 0 and covariance rho.
-
-    Returns shape (d,) for size=None, else (size, d).  Draws are generally
-    unnormalized; E||psi||^2 = 1.
-    """
-    n = 1 if size is None else int(size)
-    p, v = rho.spectrum(), rho.eigenbasis()
-    psi = sample_complex_gaussian(rng, p, (n, p.size)) @ v.T
-    return psi[0] if size is None else psi
-
-
-def gaussian_density(rho: DensityMatrix, psi: np.ndarray) -> float:
-    """Lebesgue density of G(rho) on its support subspace, evaluated at psi.
-
-    With d' the rank and rho+ the restriction of rho to its support, the
-    value is exp(-<psi|rho+^{-1}|psi>) / (pi^{d'} det rho+).  Points with a
-    component of squared norm above 1e-8 outside the support have density 0.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (rho.dim,):
-        raise DimensionError(f"psi has shape {psi.shape}, expected ({rho.dim},)")
-    p, v = rho.spectrum(), rho.eigenbasis()
-    coeff = v.conj().T @ psi
-    on = p > 0.0
-    off_mass = float(np.sum(np.abs(coeff[~on]) ** 2))
-    if off_mass > SUPPORT_ATOL:
-        return 0.0
-    quad = float(np.sum(np.abs(coeff[on]) ** 2 / p[on]))
-    log_norm = rho.support_rank * np.log(np.pi) + np.sum(np.log(p[on]))
-    return float(np.exp(-quad - log_norm))
-
 
 def sample_adjusted_gaussian(rng: np.random.Generator, rho: DensityMatrix,
                              size: int | None = None):

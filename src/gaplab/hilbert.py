@@ -113,9 +113,6 @@ class DensityMatrix:
     def maximally_mixed(cls, d: int) -> "DensityMatrix":
         return cls(np.eye(d, dtype=complex) / d)
 
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
-
 
 @dataclass(frozen=True)
 class BipartiteState:
@@ -138,10 +135,6 @@ class BipartiteState:
             raise DomainError("bipartite state must be finite and normalized within 1e-10")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.d1 * self.d2
 
     def as_matrix(self) -> np.ndarray:
         """(d1, d2) coefficient matrix M with M[i, j] = amplitude(i, j)."""

@@ -26,14 +26,13 @@ __all__ = [
     "sample_complex_gaussian",
     "ginibre",
     "haar_unitary",
-    "random_onb",
     "random_ons",
     "uniform_sphere",
 ]
 
 
-# Trial indices that ``RngStream.trial_generators`` derives in bulk: each
-# must fit the one 32-bit entropy word the vectorized hash assumes.
+# Trial indices whose seed words ``RngStream._trial_words`` derives in bulk:
+# each must fit the one 32-bit entropy word the vectorized hash assumes.
 MAX_TRIALS = 2 ** 32
 
 
@@ -63,21 +62,16 @@ class RngStream:
         """Independent child stream; children with distinct indices never overlap."""
         return RngStream(self.master_seed, self.stream_index, self._path + (index,))
 
-    def trial_generators(self, start: int, stop: int) -> list[np.random.Generator]:
-        """``[self.substream(i).generator() for i in range(start, stop)]``,
-        bit-identical, for 0 <= start <= stop <= MAX_TRIALS.
-
-        The SeedSequence pool of the words every child shares comes from
-        numpy, once per stream; the child index word and the PCG64 seed
-        words are then hashed for the whole range at once, and PCG64 seeds
-        itself from those words.
-        """
-        return [_seeded_generator(w) for w in self._trial_words(start, stop)]
-
     def _trial_words(self, start: int, stop: int) -> np.ndarray:
         """(stop - start, 4) uint64 array whose row i - start equals
         ``SeedSequence(master_seed, spawn_key=(stream_index, *path, i))
-        .generate_state(4, np.uint64)``."""
+        .generate_state(4, np.uint64)``, for 0 <= start <= stop <= MAX_TRIALS.
+        ``_seeded_generator`` of row i - start is bit-identical to
+        ``self.substream(i).generator()``.
+
+        The SeedSequence pool of the words every child shares comes from
+        numpy, once per stream; the child index word and the PCG64 seed
+        words are then hashed for the whole range at once."""
         if not 0 <= start <= stop <= MAX_TRIALS:
             raise DomainError(f"trial range must satisfy 0 <= start <= stop <= 2**32, "
                               f"got [{start}, {stop})")
@@ -241,15 +235,6 @@ def _gram_schmidt_twice(a: np.ndarray) -> np.ndarray:
                               np.einsum("...ij,...i->...j", basis.conj(), v))
         q[..., j] = v / np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1, keepdims=True))
     return q
-
-
-def random_onb(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniformly random orthonormal basis of C^n.
-
-    Returns an (n, n) array whose ROWS are the basis vectors (the columns of
-    a Haar unitary).
-    """
-    return haar_unitary(rng, n).T
 
 
 def random_ons(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

@@ -13,12 +13,11 @@ Every driver takes an :class:`~gaplab.randomness.RngStream`, runs one sweep
 point and returns its trials as one :class:`ExperimentOutcome`.  The Monte
 Carlo drivers derive one substream per trial and run their trials through one
 batched engine: it draws each trial's Gaussians from that trial's substream,
-in the order the per-trial public functions (``random_purification``,
-``random_basis_measure``, ``uniform_subspace_state``) draw them, and does the
-linear algebra once per chunk of trials on stacked arrays.  It derives the
-trials' seed words once per block of at least SEED_BLOCK trials.  Results
-are bit-reproducible and depend neither on the chunk length nor on the
-block length.
+in the order the per-trial routes in ``tests/_oracles.py`` draw them, and
+does the linear algebra once per chunk of trials on stacked arrays.  It
+derives the trials' seed words once per block of at least SEED_BLOCK
+trials.  Results are bit-reproducible and depend neither on the chunk length
+nor on the block length.
 
 The universality drivers (theorems 1-4, thermal) form every branch matrix as
 W^T A, with W a trial's Haar k-system and a (k, d1) amplitude factor A:
@@ -31,8 +30,8 @@ forming the normalized atoms.  A subspace H_R is a :class:`Subspace`
 scattered into its flat indices), and each forms its own states.  The
 engine checks each invariant once, where it is strictest:
 unit total conditional weight (which a non-orthonormal or NaN W fails) and
-unit-trace Hermitian reduced matrices.  The per-trial public routes keep
-every check and are the tests' oracles.
+unit-trace Hermitian reduced matrices.  The per-trial routes keep every
+check and are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conditional import WEIGHT_CUTOFF, _check_orthonormal_rows
-from .errors import DimensionError, DomainError, EmptyShellError
+from .errors import BasisError, DimensionError, DomainError, EmptyShellError
 from .gap import covariance_estimate, gap_sphere_density, sample_gap
 from .hilbert import (
     HERMITIAN_ATOL,
@@ -82,7 +80,7 @@ __all__ = [
     "random_basis_experiment",
     "Subspace",
     "random_subspace",
-    "uniform_subspace_state",
+    "random_purification",
     "concentration_bound",
     "canonical_typicality_experiment",
     "shell_universality_experiment",
@@ -207,29 +205,20 @@ def polynomial(phi, coefficients) -> TestFunction:
 
 @dataclass(frozen=True)
 class GapExpectation:
-    """Monte Carlo estimate of a GAP expectation, with its standard error and,
-    for overlap_sq, the exact closed form <phi|rho|phi>."""
+    """Monte Carlo estimate of a GAP expectation, with its standard error."""
 
     estimate: float
     standard_error: float
-    closed_form: float | None = None
 
 
 def gap_expectation(rng: np.random.Generator, rho: DensityMatrix,
                     f: TestFunction, n_samples: int) -> GapExpectation:
-    """Estimate the expectation of f under GAP(rho).
-
-    For ``overlap_sq`` the closed form <phi|rho|phi> (the GAP covariance in
-    direction phi) is attached for cross-checking.
-    """
+    """Estimate the expectation of f under GAP(rho) from ``n_samples`` draws."""
     n_samples = _integer("n_samples", n_samples, 1)
     vals = np.asarray(f(sample_gap(rng, rho, size=n_samples)), dtype=float)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    closed = None
-    if f.kind == "overlap_sq":
-        closed = float(np.real(f.phi.conj() @ rho.matrix @ f.phi))
-    return GapExpectation(est, se, closed)
+    return GapExpectation(est, se)
 
 
 # Reference expectations use 10x the trial budget so that their Monte Carlo
@@ -240,8 +229,9 @@ REFERENCE_BUDGET_FLOOR = 2000
 
 def gap_reference(reference, stream: RngStream, rho: DensityMatrix, f: TestFunction,
                   n_trials: int) -> float:
-    """``reference`` when given, else GAP(rho)(f): the closed form when one
-    exists, otherwise the Monte Carlo mean of max(10 n_trials, 2000) draws
+    """``reference`` when given, else GAP(rho)(f): the closed form
+    <phi|rho|phi> (the GAP covariance in direction phi) for overlap_sq,
+    otherwise the Monte Carlo mean of max(10 n_trials, 2000) draws
     on substream ``n_trials`` of ``stream`` (past every trial's substream).
     The drivers call it after their trials, so that a trial count the engine
     rejects is rejected before the reference draws."""
@@ -304,13 +294,17 @@ CHUNK_ENTRIES = 2 ** 14
 # per trial but a generator about 800, so generators are made per chunk.
 SEED_BLOCK = 2 ** 12
 
+# Atoms below this weight carry no mass and are dropped where normalization
+# would otherwise divide by ~0.
+WEIGHT_CUTOFF = 1e-14
+
 
 def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate):
     """Run ``n_trials`` independent trials in chunks of stacked arrays.
 
     Trial i draws from its own generator, bit-identical to
     ``stream.substream(i).generator()`` (the seed words of a block of
-    trials are derived at once, as ``stream.trial_generators`` does), one
+    trials are derived at once by ``stream._trial_words``), one
     complex Gaussian array per shape in ``shapes``, in order, with the same
     values ``ginibre(rng, *shape)`` would return.  ``evaluate`` maps a
     chunk's draws, one (B, *shape) array per shape, to a pair of (B,)
@@ -341,8 +335,8 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
 
 def _conditional_integrals(q: np.ndarray, a: np.ndarray, f: TestFunction) -> np.ndarray:
     """mu(f) for the conditional measure of each branch matrix W^T A, given
-    q = W^T (B, d2, k) and the amplitude factor a ((B,) k, d1): as
-    ``integrate(conditional_measure(...), f)``, with branches of weight below
+    q = W^T (B, d2, k) and the amplitude factor a ((B,) k, d1): the sum over
+    branches j of w_j f(<b_j|psi> / sqrt(w_j)), with branches of weight below
     WEIGHT_CUTOFF masked out instead of dropped.  The branches are laid out
     as A^T W (B, d1, d2), column j being <b_j|psi>, so the weights w_j and
     the overlaps <phi|b_j> reduce over d1 contiguous rows; f is evaluated on
@@ -351,7 +345,7 @@ def _conditional_integrals(q: np.ndarray, a: np.ndarray, f: TestFunction) -> np.
     w = np.sum(branches.real ** 2 + branches.imag ** 2, axis=-2)
     keep = w >= WEIGHT_CUTOFF
     mass = np.where(keep, w, 0.0)
-    # NaN fails both comparisons and inf the second, as in DiscreteMeasure.
+    # NaN fails both comparisons and inf the second.
     if not (np.all(w >= 0.0) and np.all(np.abs(mass.sum(axis=-1) - 1.0) <= 1e-10)):
         raise DomainError("conditional weights must be finite, nonnegative and sum to 1")
     overlaps = f.phi.conj() @ branches / np.sqrt(np.where(keep, w, 1.0))
@@ -361,8 +355,9 @@ def _conditional_integrals(q: np.ndarray, a: np.ndarray, f: TestFunction) -> np.
 def _amplitude_factor(m: np.ndarray) -> np.ndarray:
     """The (B or 1, k, d1) factor A = conj(R) of coefficient matrices m
     (B or 1, d1, d2), k = min(d1, d2), with M^dagger = V R a reduced QR.
-    For a Haar basis the branch matrix is (R^dagger W)^T = W^T A with W a
-    Haar k-system (see ``random_basis_measure``)."""
+    For a Haar basis B the branch matrix M B^dagger is R^dagger (V^dagger
+    B^dagger), and by Haar invariance V^dagger B^dagger is a Haar k-system W
+    of C^{d2}, so the branch rows are (R^dagger W)^T = W^T A."""
     return np.linalg.qr(np.swapaxes(m.conj(), -1, -2), mode="r").conj()
 
 
@@ -421,7 +416,7 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
     """Fixed state, uniformly random environment basis.
 
     Per trial: draw the conditional measure mu of psi in a Haar-random
-    orthonormal basis of the second factor (as ``random_basis_measure``) and
+    orthonormal basis of the second factor (see ``_amplitude_factor``) and
     record |mu(f) - GAP(rho1)(f)| with rho1 the reduced density matrix of psi.
     """
     rho1 = reduced_density_matrix(psi)
@@ -449,6 +444,18 @@ def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials, refe
 # Random subspaces and canonical typicality
 # ---------------------------------------------------------------------------
 
+BASIS_GRAM_ATOL = 1e-8
+
+
+def _check_orthonormal_rows(vectors: np.ndarray) -> None:
+    """Raise BasisError unless the k rows are finite and orthonormal; O(k^2 n)
+    for (k, n).  Leading axes are a batch, checked matrix by matrix."""
+    gram = vectors @ np.swapaxes(vectors.conj(), -1, -2)
+    # Written so that a NaN entry, whose Gram deviation is NaN, fails.
+    if not np.max(np.abs(gram - np.eye(vectors.shape[-2]))) <= BASIS_GRAM_ATOL:
+        raise BasisError("basis rows are not orthonormal within 1e-8")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace H_R of C^{d1} (x) C^{d2} spanned by the orthonormal columns
@@ -459,6 +466,8 @@ class Subspace:
     d2: int
 
     def __post_init__(self):
+        for name in ("d1", "d2"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.d1 * self.d2:
             raise DimensionError(f"basis must be ({self.d1 * self.d2}, dim) with "
@@ -471,8 +480,9 @@ class Subspace:
         return self.basis.shape[1]
 
     def states(self, z: np.ndarray) -> np.ndarray:
-        """``uniform_subspace_state`` for Gaussian coordinates z (B, dim, 1),
-        as (B, d1, d2) coefficient matrices."""
+        """Uniform points on the unit sphere of the subspace for Gaussian
+        coordinates z (B, dim, 1) in its basis, as (B, d1, d2) coefficient
+        matrices."""
         psi = (self.basis @ z)[..., 0]
         psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
         return psi.reshape(-1, self.d1, self.d2)
@@ -492,13 +502,22 @@ def random_subspace(rng: np.random.Generator, d1: int, d2: int, dim: int) -> Sub
     return Subspace(random_ons(rng, total, dim).T, d1, d2)
 
 
-def uniform_subspace_state(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    """Uniform point on the unit sphere of the subspace, embedded in the full
-    space: Gaussian coordinates in the subspace basis, normalized."""
-    dim = basis.shape[1]
-    z = ginibre(rng, dim, 1)[:, 0]
-    psi = basis @ z
-    return psi / np.linalg.norm(psi)
+def random_purification(rng: np.random.Generator, rho1: DensityMatrix, d2: int) -> BipartiteState:
+    """Uniformly random normalized state with reduced density matrix rho1.
+
+    Built as sum_i sqrt(p_i) chi_i (x) phi_i from the fixed eigensystem
+    (p_i, chi_i) of rho1 and a uniformly random orthonormal system {phi_i}
+    in C^{d2}.  The resulting law does not depend on the stored eigenbasis,
+    which the test suite checks statistically for degenerate spectra.
+    Requires d2 >= d1.
+    """
+    d1 = rho1.dim
+    if d2 < d1:
+        raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
+    p, v = rho1.spectrum(), rho1.eigenbasis()
+    phis = random_ons(rng, d2, d1)
+    m = (v * np.sqrt(p)) @ phis
+    return BipartiteState.from_matrix(m)
 
 
 # Constant in the concentration bound 4 exp(-dim * eta^2 / (18 pi^3)) for the
@@ -572,7 +591,7 @@ def _shell_trials(stream: RngStream, subspace: Subspace | MicrocanonicalShell,
     """Per trial: psi uniform on the subspace sphere, then mu(f) for the
     conditional measure of psi in a Haar-random basis and the auxiliary
     ||tr_2 |psi><psi| - target||_tr.  Trial i draws its two Ginibre arrays
-    in the order ``uniform_subspace_state`` and ``random_basis_measure`` do."""
+    in that order: the state's coordinates, then the basis's k-system."""
     def evaluate(z, w):
         m = subspace.states(z)
         return (_conditional_integrals(_haar_columns(w), _amplitude_factor(m), f),
@@ -620,9 +639,10 @@ class MicrocanonicalShell:
     product eigenvectors with E <= E1_i + E2_j <= E + width (closed window,
     with a 1e-9 relative tolerance at the edges).  ``member_pairs`` is the
     (dim, 2) integer array of their (i, j), in row-major order; a shell built
-    by hand must give nonempty, distinct, in-range pairs.  In the product
-    eigenbasis the shell average tr_2 rho_R is exactly diagonal with entries
-    n_i / dim, where n_i counts the member pairs of system level i.
+    by hand must give finite 1-D levels and nonempty, distinct, in-range
+    pairs.  In the product eigenbasis the shell average tr_2 rho_R is exactly
+    diagonal with entries n_i / dim, where n_i counts the member pairs of
+    system level i.
     """
 
     system_levels: np.ndarray
@@ -632,6 +652,8 @@ class MicrocanonicalShell:
     member_pairs: np.ndarray
 
     def __post_init__(self):
+        for name in ("system_levels", "bath_levels"):
+            object.__setattr__(self, name, _levels(name, getattr(self, name)))
         pairs = np.asarray(self.member_pairs)
         object.__setattr__(self, "member_pairs", pairs)
         if not (pairs.dtype.kind in "iu" and pairs.ndim == 2 and pairs.shape[1] == 2
@@ -662,18 +684,13 @@ class MicrocanonicalShell:
         return self.member_pairs[:, 0] * self.d2 + self.member_pairs[:, 1]
 
     def states(self, z: np.ndarray) -> np.ndarray:
-        """``Subspace.states`` on ``basis()`` at O(dim) per trial: z normalized
-        and scattered into the flat indices, equal up to rounding."""
+        """``Subspace.states`` on the shell's basis of member product
+        eigenvectors at O(dim) per trial: z normalized and scattered into the
+        flat indices, equal up to rounding."""
         z = z[..., 0]
         psi = np.zeros((len(z), self.d1 * self.d2), dtype=complex)
         psi[:, self.flat_indices] = z / np.linalg.norm(z, axis=-1, keepdims=True)
         return psi.reshape(-1, self.d1, self.d2)
-
-    def basis(self) -> np.ndarray:
-        """(d1*d2, dim) array of shell basis vectors (product eigenvectors)."""
-        out = np.zeros((self.d1 * self.d2, self.dim), dtype=complex)
-        out[self.flat_indices, np.arange(self.dim)] = 1.0
-        return out
 
     def reduced_density(self) -> DensityMatrix:
         """tr_2 rho_R = diag(n_i / dim) in the system eigenbasis, divided as
@@ -681,16 +698,22 @@ class MicrocanonicalShell:
         return DensityMatrix(np.diag(self.counts).astype(complex) / self.dim)
 
 
+def _levels(name: str, levels) -> np.ndarray:
+    """``levels`` as a float array, which must be 1-D and finite."""
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or not np.all(np.isfinite(levels)):
+        raise DomainError(f"{name} must be a 1-D array of finite levels")
+    return levels
+
+
 def microcanonical_shell(system_levels, bath_levels, energy: float,
                          width: float) -> MicrocanonicalShell:
     """Enumerate the energy shell [energy, energy + width] of a separable
     two-component Hamiltonian given both eigenvalue lists."""
-    system_levels = np.asarray(system_levels, dtype=float)
-    bath_levels = np.asarray(bath_levels, dtype=float)
-    for name, value in (("system_levels", system_levels), ("bath_levels", bath_levels),
-                        ("energy", energy)):
-        if not np.all(np.isfinite(value)):
-            raise DomainError(f"{name} must be finite")
+    system_levels = _levels("system_levels", system_levels)
+    bath_levels = _levels("bath_levels", bath_levels)
+    if not np.isfinite(energy):
+        raise DomainError("energy must be finite")
     if not 0 < width < np.inf:  # NaN fails too
         raise DomainError(f"window width must be positive and finite, got {width}")
     tol = 1e-9 * max(1.0, abs(energy) + abs(width))

@@ -4,7 +4,29 @@ tests.
 The reference routes deliberately avoid the library's fast paths so each
 check compares two genuinely different routes to the same quantity.  The
 two-sample tests compare the laws of two such routes.
+
+The first part holds the per-trial routes the batched engine of
+``gaplab.typicality`` reproduces: the conditional measure of the paper as a
+weighted point measure, built one state and one basis at a time, and the
+adjust-and-project calculus on such measures.  Given a bipartite state psi
+and an orthonormal basis {b_j} of the second factor, the conditional wave
+function of system 1 is the normalized partial inner product
+<b_J|psi> / ||<b_J|psi>|| with the index J drawn with probability
+||<b_j|psi>||^2.  Its distribution ``conditional_measure`` is a weighted sum
+of point masses on the unit sphere of the first factor.  The companion
+``raw_conditional_measure`` places equal weights 1/d2 on the unnormalized,
+sqrt(d2)-scaled partial inner products; adjusting it by the squared norm and
+projecting to the sphere reproduces ``conditional_measure`` atom by atom,
+which the test suite checks as an exact identity.
+
+``random_basis_measure`` draws the conditional measure in a Haar-random
+basis without forming that basis.  Only the k = min(d1, d2) directions of
+the second factor that psi occupies meet the basis, and by Haar invariance
+their overlaps with it form a uniformly random orthonormal k-system (see
+Mezzadri, Notices AMS 2007, and Zyczkowski & Sommers, J. Phys. A 2000).
 """
+
+from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
@@ -13,17 +35,229 @@ from scipy.integrate import quad
 
 from gaplab import (
     BipartiteState,
-    conditional_measure,
-    integrate,
-    random_basis_measure,
-    random_onb,
+    DensityMatrix,
+    ginibre,
+    haar_unitary,
     random_ons,
     random_purification,
     reduced_density_matrix,
-    sample_gaussian,
+    sample_complex_gaussian,
     trace_norm,
 )
-from gaplab.typicality import uniform_subspace_state
+from gaplab.errors import DimensionError, DomainError, GaplabError
+from gaplab.typicality import WEIGHT_CUTOFF, _check_orthonormal_rows
+
+
+class SingularProjectionError(GaplabError):
+    """A zero vector with positive weight cannot be projected to the sphere."""
+
+
+@dataclass(frozen=True)
+class DiscreteMeasure:
+    """Finitely supported weighted point measure on vectors.
+
+    ``vectors`` is an (n_atoms, dim) array of finite atom locations and
+    ``weights`` the matching finite nonnegative masses.  ``normalized``
+    records whether the weights sum to 1 (within 1e-10), which is checked at
+    construction.
+    """
+
+    vectors: np.ndarray
+    weights: np.ndarray
+    normalized: bool = field(default=False)
+
+    def __post_init__(self):
+        vecs = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1 or vecs.shape[0] != w.shape[0]:
+            raise DimensionError("one weight per atom is required")
+        total = float(w.sum())  # NaN or inf if any weight is
+        if not (np.isfinite(total) and np.isfinite(vecs).all()):
+            raise DomainError("weights and atom vectors must be finite")
+        if np.any(w < 0):
+            raise DomainError("weights must be nonnegative")
+        normalized = abs(total - 1.0) <= 1e-10
+        if self.normalized and not normalized:
+            raise DomainError(f"weights sum to {total!r}, not 1")
+        vecs.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "normalized", normalized)
+
+    @property
+    def n_atoms(self) -> int:
+        return self.weights.shape[0]
+
+    def total_mass(self) -> float:
+        return float(self.weights.sum())
+
+
+def _check_basis(basis: np.ndarray, d2: int) -> np.ndarray:
+    basis = np.asarray(basis, dtype=complex)
+    if basis.shape != (d2, d2):
+        raise DimensionError(f"basis must be ({d2}, {d2}) with vectors as rows")
+    _check_orthonormal_rows(basis)
+    return basis
+
+
+def _branch_vectors(psi: BipartiteState, basis: np.ndarray | None) -> np.ndarray:
+    """(d2, d1) array whose row j is the partial inner product <b_j|psi>."""
+    m = psi.as_matrix()
+    if basis is None:
+        return m.T
+    basis = _check_basis(basis, psi.d2)
+    return (m @ basis.conj().T).T
+
+
+def _measure_from_branches(branches: np.ndarray) -> DiscreteMeasure:
+    """Atoms at the normalized rows of ``branches``, weighted by their squared
+    norms; rows with weight below 1e-14 carry no mass and are dropped."""
+    w = np.sum(np.abs(branches) ** 2, axis=1)
+    keep = w >= WEIGHT_CUTOFF
+    vecs = branches[keep] / np.sqrt(w[keep])[:, None]
+    return DiscreteMeasure(vecs, w[keep], normalized=True)
+
+
+def conditional_measure(psi: BipartiteState, basis: np.ndarray | None = None) -> DiscreteMeasure:
+    """Distribution of the conditional wave function of system 1.
+
+    Atom j sits at <b_j|psi> / ||<b_j|psi>|| with weight ||<b_j|psi>||^2.
+    ``basis`` is a (d2, d2) array with orthonormal rows; None means the
+    computational basis.  Branches with weight below 1e-14 carry no mass and
+    are dropped.  Atoms are kept unmerged even when vectors coincide up to
+    phase.
+    """
+    return _measure_from_branches(_branch_vectors(psi, basis))
+
+
+def random_basis_measure(rng: np.random.Generator, psi: BipartiteState) -> DiscreteMeasure:
+    """Conditional measure of psi in a uniformly random basis of the second
+    factor.
+
+    Same law as ``conditional_measure(psi, random_onb(rng, psi.d2))``, drawn
+    without the d2 x d2 basis.  Let M be the (d1, d2) coefficient matrix,
+    k = min(d1, d2), and M^dagger = V R a reduced QR, so M = R^dagger V^dagger.
+    For a Haar basis B the branch matrix M B^dagger equals R^dagger
+    (V^dagger B^dagger), and V^dagger B^dagger is a uniformly random
+    orthonormal k-system of C^{d2}.  The branches are therefore drawn as
+    R^dagger W with W = random_ons(rng, d2, k), at O(d1 k d2) cost instead of
+    O(d2^3).  As in ``conditional_measure``, branches with weight below
+    1e-14 carry no mass and are dropped.
+    """
+    r = np.linalg.qr(psi.as_matrix().conj().T, mode="r")
+    w = random_ons(rng, psi.d2, r.shape[0])
+    _check_orthonormal_rows(w)
+    return _measure_from_branches((r.conj().T @ w).T)
+
+
+def raw_conditional_measure(psi: BipartiteState, basis: np.ndarray | None = None) -> DiscreteMeasure:
+    """Equal-weight measure on the scaled partial inner products.
+
+    All d2 atoms are kept, each with weight 1/d2, located at the generally
+    unnormalized vectors sqrt(d2) * <b_j|psi>.  Its second moment
+    sum_j (1/d2) ||sqrt(d2)<b_j|psi>||^2 equals ||psi||^2 = 1 exactly.
+    """
+    branches = _branch_vectors(psi, basis)
+    d2 = psi.d2
+    vecs = np.sqrt(d2) * branches
+    return DiscreteMeasure(vecs, np.full(d2, 1.0 / d2), normalized=True)
+
+
+def adjust(m: DiscreteMeasure) -> DiscreteMeasure:
+    """Reweight every atom by its squared norm: w_j -> w_j * ||v_j||^2.
+
+    Does not renormalize; the total mass is preserved exactly when the input
+    has unit second moment.
+    """
+    w = m.weights * np.sum(np.abs(m.vectors) ** 2, axis=1)
+    return DiscreteMeasure(m.vectors, w)
+
+
+def project_to_sphere(m: DiscreteMeasure) -> DiscreteMeasure:
+    """Normalize every atom vector, keeping weights.
+
+    Atoms with weight below 1e-14 are dropped (projection of a zero vector
+    carrying no mass is immaterial); a zero vector with larger weight
+    raises SingularProjectionError.
+    """
+    keep = m.weights >= WEIGHT_CUTOFF
+    vecs, w = m.vectors[keep], m.weights[keep]
+    norms = np.linalg.norm(vecs, axis=1)
+    if np.any(norms == 0.0):
+        raise SingularProjectionError("cannot project a weighted zero atom")
+    return DiscreteMeasure(vecs / norms[:, None], w)
+
+
+def integrate(m: DiscreteMeasure, f) -> float:
+    """sum_j w_j f(v_j) for a test function f.
+
+    ``f`` must accept an (n_atoms, dim) array and return (n_atoms,) values,
+    as the TestFunction kinds and any numpy-vectorized callable do.
+    """
+    return float(np.dot(m.weights, np.asarray(f(m.vectors), dtype=float)))
+
+
+def random_onb(rng, n):
+    """Uniformly random orthonormal basis of C^n as the ROWS of an (n, n)
+    array: the columns of a Haar unitary."""
+    return haar_unitary(rng, n).T
+
+
+def uniform_subspace_state(rng, basis):
+    """Uniform point on the unit sphere of the subspace spanned by the
+    orthonormal columns of ``basis``, embedded in the full space: Gaussian
+    coordinates in the subspace basis, normalized."""
+    dim = basis.shape[1]
+    z = ginibre(rng, dim, 1)[:, 0]
+    psi = basis @ z
+    return psi / np.linalg.norm(psi)
+
+
+def shell_basis(shell):
+    """(d1*d2, dim) array of a microcanonical shell's basis vectors, the
+    member product eigenvectors: the dense route its scattered states are
+    checked against."""
+    out = np.zeros((shell.d1 * shell.d2, shell.dim), dtype=complex)
+    out[shell.flat_indices, np.arange(shell.dim)] = 1.0
+    return out
+
+
+# Squared-norm component below this counts as lying outside the support.
+SUPPORT_ATOL = 1e-8
+
+
+def sample_gaussian(rng: np.random.Generator, rho: DensityMatrix, size: int | None = None):
+    """Draw from the complex Gaussian G(rho) with mean 0 and covariance rho.
+
+    Returns shape (d,) for size=None, else (size, d).  Draws are generally
+    unnormalized; E||psi||^2 = 1.
+    """
+    n = 1 if size is None else int(size)
+    p, v = rho.spectrum(), rho.eigenbasis()
+    psi = sample_complex_gaussian(rng, p, (n, p.size)) @ v.T
+    return psi[0] if size is None else psi
+
+
+def gaussian_density(rho: DensityMatrix, psi: np.ndarray) -> float:
+    """Lebesgue density of G(rho) on its support subspace, evaluated at psi.
+
+    With d' the rank and rho+ the restriction of rho to its support, the
+    value is exp(-<psi|rho+^{-1}|psi>) / (pi^{d'} det rho+).  Points with a
+    component of squared norm above 1e-8 outside the support have density 0.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (rho.dim,):
+        raise DimensionError(f"psi has shape {psi.shape}, expected ({rho.dim},)")
+    p, v = rho.spectrum(), rho.eigenbasis()
+    coeff = v.conj().T @ psi
+    on = p > 0.0
+    off_mass = float(np.sum(np.abs(coeff[~on]) ** 2))
+    if off_mass > SUPPORT_ATOL:
+        return 0.0
+    quad = float(np.sum(np.abs(coeff[on]) ** 2 / p[on]))
+    log_norm = rho.support_rank * np.log(np.pi) + np.sum(np.log(p[on]))
+    return float(np.exp(-quad - log_norm))
 
 
 def product_state(chi, phi):

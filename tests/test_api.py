@@ -10,22 +10,17 @@ from gaplab import (
     BipartiteState,
     DensityMatrix,
     DimensionError,
-    DiscreteMeasure,
     DomainError,
     EmptyShellError,
     RngStream,
-    SingularProjectionError,
     canonical_density,
     cap_indicator,
-    conditional_measure,
     covariance_estimate,
     gap_sphere_density,
-    gaussian_density,
     ginibre,
     haar_unitary,
     overlap_sq,
     polynomial,
-    project_to_sphere,
     random_ons,
     sample_complex_gaussian,
     trace_norm,
@@ -34,7 +29,15 @@ from gaplab import (
 from gaplab.stats import ks_statistic
 from gaplab import typicality as T
 
-MODULES = ("hilbert", "randomness", "gap", "conditional", "typicality", "stats")
+from _oracles import (
+    DiscreteMeasure,
+    SingularProjectionError,
+    conditional_measure,
+    gaussian_density,
+    project_to_sphere,
+)
+
+MODULES = ("hilbert", "randomness", "gap", "typicality", "stats")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -69,6 +72,13 @@ def rng():
      DimensionError, "one level per target entry"),
     (lambda: T.Subspace(np.zeros((5, 2)), 2, 2),
      DimensionError, r"basis must be \(4, dim\)"),
+    # 2.0 * 2 rows match the basis, but states() cannot reshape to (2.0, 2).
+    (lambda: T.Subspace(np.eye(4)[:, :2], 2.0, 2), DomainError,
+     "d1 must be an integer >= 1"),
+    (lambda: T.Subspace(np.eye(4)[:, :2], 4, 1.0), DomainError,
+     "d2 must be an integer >= 1"),
+    (lambda: T.Subspace(np.zeros((0, 1)), 0, 3), DomainError,
+     "d1 must be an integer >= 1"),
     (lambda: canonical_density([0.0, 1.0], np.nan), DomainError, "beta must be finite"),
     (lambda: DensityMatrix(np.eye(2, 3)), DimensionError, "must be square"),
     (lambda: DensityMatrix(np.zeros((0, 0))), DimensionError, "positive dimension"),
@@ -95,7 +105,7 @@ def rng():
     (lambda: random_ons(rng(), 3, 4), DomainError, "need 1 <= k <= n"),
     (lambda: sample_complex_gaussian(rng(), -1.0), DomainError,
      "variance must be nonnegative"),
-    (lambda: RngStream(1).trial_generators(3, 2), DomainError,
+    (lambda: RngStream(1)._trial_words(3, 2), DomainError,
      "trial range must satisfy"),
     (lambda: covariance_estimate(np.zeros((0, 2))), DomainError, "nonempty batch"),
     (lambda: DiscreteMeasure(np.eye(2), np.array([1.0])), DimensionError,

@@ -262,7 +262,6 @@ class TestSweepCheckedBeforeDrawing:
             raise AssertionError("drew before checking every sweep point")
 
         monkeypatch.setattr(RngStream, "generator", no_draws)
-        monkeypatch.setattr(RngStream, "trial_generators", no_draws)
         monkeypatch.setattr(RngStream, "_trial_words", no_draws)
         path = write_config(tmp_path, payload)
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1

@@ -5,25 +5,28 @@ from gaplab import (
     BasisError,
     BipartiteState,
     DensityMatrix,
-    DiscreteMeasure,
     DomainError,
     RngStream,
-    SingularProjectionError,
-    adjust,
     cap_indicator,
-    conditional_measure,
     haar_unitary,
-    integrate,
-    project_to_sphere,
-    random_basis_measure,
-    random_onb,
     random_purification,
-    raw_conditional_measure,
     reduced_density_matrix,
     uniform_sphere,
 )
 
-from _oracles import product_state, two_sample_ks
+from _oracles import (
+    DiscreteMeasure,
+    SingularProjectionError,
+    adjust,
+    conditional_measure,
+    integrate,
+    product_state,
+    project_to_sphere,
+    random_basis_measure,
+    random_onb,
+    raw_conditional_measure,
+    two_sample_ks,
+)
 
 
 def random_bipartite(rng, d1, d2):

@@ -1,7 +1,7 @@
 """The batched trial engine against the per-trial route it replaced.
 
 Each Monte Carlo driver runs its trials in chunks of stacked arrays.  The
-per-trial route in ``_oracles`` composes the validating public functions
+per-trial route in ``_oracles`` composes the validating per-trial functions
 (``random_purification``, ``conditional_measure``, ``random_basis_measure``,
 ``integrate``, ``reduced_density_matrix``, ``trace_norm``) with the same
 substreams, so both must agree trial by trial up to rounding.  The outputs
@@ -91,7 +91,7 @@ def _thermal(scattered=False):
     system = np.array([0.0, 1.0])
     shell = T.microcanonical_shell(system, np.linspace(0.0, 20.0, 40), 10.0, 1.0)
     omega = canonical_density(system, T.fit_beta(system, shell.reduced_density()))
-    basis, d1, d2 = shell.basis(), shell.d1, shell.d2
+    basis, d1, d2 = O.shell_basis(shell), shell.d1, shell.d2
     # thermal_experiment passes the shell itself, whose states are scattered.
     subspace = shell if scattered else T.Subspace(basis, d1, d2)
     f = polynomial(np.ones(2), [0.0, 0.0, 1.0])
@@ -212,7 +212,7 @@ def _shells(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(shell=_shells(), seed=st.integers(0, 2**32 - 1))
 def test_scattered_shell_states_equal_the_dense_route(shell, seed):
-    dense = T.Subspace(shell.basis(), shell.d1, shell.d2)
+    dense = T.Subspace(O.shell_basis(shell), shell.d1, shell.d2)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((5, shell.dim, 1)) + 1j * rng.standard_normal((5, shell.dim, 1))
     scattered, multiplied = shell.states(z), dense.states(z)

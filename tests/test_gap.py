@@ -8,16 +8,20 @@ from gaplab import (
     SingularDensityError,
     covariance_estimate,
     gap_sphere_density,
-    gaussian_density,
     haar_unitary,
     sample_adjusted_gaussian,
     sample_gap,
-    sample_gaussian,
     uniform_sphere,
 )
 from gaplab.stats import ks_vs_exponential
 
-from _oracles import rejection_adjusted_gaussian, two_sample_chi2, two_sample_ks
+from _oracles import (
+    gaussian_density,
+    rejection_adjusted_gaussian,
+    sample_gaussian,
+    two_sample_chi2,
+    two_sample_ks,
+)
 
 
 def random_density(rng, d):

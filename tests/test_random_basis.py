@@ -16,14 +16,19 @@ from gaplab import (
     RngStream,
     canonical_density,
     cap_indicator,
-    conditional_measure,
-    integrate,
     polynomial,
     random_ons,
     random_purification,
 )
 from gaplab import typicality as T
-from _oracles import full_haar_basis_measure, two_sample_ks
+from _oracles import (
+    conditional_measure,
+    full_haar_basis_measure,
+    integrate,
+    shell_basis,
+    two_sample_ks,
+    uniform_subspace_state,
+)
 
 N_TRIALS = 1000
 # Both test functions are nonnegative, so with reference 0 each recorded
@@ -84,13 +89,13 @@ def test_thermal_shell_matches_full_basis_oracle():
     shell = T.microcanonical_shell(system, np.linspace(0.0, 20.0, 200), 10.0, 0.5)
     omega = canonical_density(system, T.fit_beta(system, shell.reduced_density()))
     f = polynomial(np.ones(2) / np.sqrt(2), [0.0, 0.0, 1.0])
-    basis = shell.basis()
+    basis = shell_basis(shell)
     new = T.shell_vs_target_experiment(
         RngStream(2009, 0), T.Subspace(basis, shell.d1, shell.d2), omega, f, 0.15,
         N_TRIALS, reference=REFERENCE).discrepancies
 
     def shell_state(rng):
-        return BipartiteState(shell.d1, shell.d2, T.uniform_subspace_state(rng, basis))
+        return BipartiteState(shell.d1, shell.d2, uniform_subspace_state(rng, basis))
 
     old = sampled_discrepancies(RngStream(2009, 1), shell_state,
                                 full_haar_basis_measure, f)

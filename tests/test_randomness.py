@@ -9,16 +9,15 @@ from gaplab import (
     RngStream,
     ginibre,
     haar_unitary,
-    random_onb,
     random_ons,
     sample_complex_gaussian,
     sample_gap,
     uniform_sphere,
 )
-from gaplab.randomness import MAX_TRIALS
+from gaplab.randomness import MAX_TRIALS, _seeded_generator
 from gaplab.stats import ks_statistic, ks_vs_exponential
 
-from _oracles import two_sample_ks
+from _oracles import random_onb, two_sample_ks
 
 # Property tests replay the same examples on every run.
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -68,7 +67,9 @@ def _reference_words(seed, stream_index, path, start, stop):
 
 
 def _assert_generators_match(stream, start, stop):
-    bulk = stream.trial_generators(start, stop)
+    """The engine's generators, ``_seeded_generator`` of each row of
+    ``_trial_words``, against ``substream(i).generator()``."""
+    bulk = [_seeded_generator(w) for w in stream._trial_words(start, stop)]
     assert len(bulk) == stop - start
     for i, rng in zip(range(start, stop), bulk):
         ref = stream.substream(i).generator()
@@ -77,7 +78,8 @@ def _assert_generators_match(stream, start, stop):
 
 
 class TestTrialGenerators:
-    """``trial_generators`` against the per-trial route it replaces."""
+    """The engine's bulk seed words and generators against the per-trial
+    route they replace."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
     @pytest.mark.parametrize("stream_index", [0, 3, 2**33])
@@ -107,14 +109,14 @@ class TestTrialGenerators:
                               _reference_words(seed, stream_index, path, start, start + length))
 
     def test_empty_range(self):
-        assert RngStream(1).trial_generators(5, 5) == []
+        _assert_generators_match(RngStream(1), 5, 5)
         assert RngStream(1)._trial_words(5, 5).shape == (0, 4)
 
     @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (MAX_TRIALS, MAX_TRIALS + 1),
                                              (0, MAX_TRIALS + 1)])
     def test_range_outside_one_index_word_rejected(self, start, stop):
         with pytest.raises(DomainError):
-            RngStream(1).trial_generators(start, stop)
+            RngStream(1)._trial_words(start, stop)
 
 
 class TestComplexGaussian:

@@ -28,6 +28,7 @@ from _oracles import (
     mpmath_l1_distance,
     product_state,
     quadrature_l1_distance,
+    shell_basis,
     submatrix_blocks_per_sample,
     submatrix_density_k1,
     two_sample_ks,
@@ -93,8 +94,8 @@ class TestGapExpectation:
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         f = overlap_sq(np.array([1.0, 0.0]))
         res = gap_expectation(rng, rho, f, 50_000)
-        assert res.closed_form == pytest.approx(0.7)
-        assert abs(res.estimate - res.closed_form) < 3 * res.standard_error + 1e-9
+        assert T.gap_reference(None, RngStream(0), rho, f, 1) == pytest.approx(0.7)
+        assert abs(res.estimate - 0.7) < 3 * res.standard_error + 1e-9
 
     def test_constant_function(self):
         rng = RngStream(102).generator()
@@ -108,7 +109,8 @@ class TestGapExpectation:
         phi = uniform_sphere(rng, 2)
         res = gap_expectation(rng, DensityMatrix.maximally_mixed(2),
                               overlap_sq(phi), 50_000)
-        assert res.closed_form == pytest.approx(0.5)
+        assert T.gap_reference(None, RngStream(0), DensityMatrix.maximally_mixed(2),
+                               overlap_sq(phi), 1) == pytest.approx(0.5)
         assert abs(res.estimate - 0.5) < 4 * res.standard_error + 1e-9
 
     def test_twenty_random_targets(self):
@@ -118,7 +120,8 @@ class TestGapExpectation:
             rho = DensityMatrix.from_spectrum(spectrum, haar_unitary(rng, 3))
             f = overlap_sq(uniform_sphere(rng, 3))
             res = gap_expectation(rng, rho, f, 20_000)
-            assert abs(res.estimate - res.closed_form) < 4 * res.standard_error + 1e-9
+            closed_form = np.real(f.phi.conj() @ rho.matrix @ f.phi)
+            assert abs(res.estimate - closed_form) < 4 * res.standard_error + 1e-9
 
 
 class TestRandomPurificationExperiment:
@@ -404,7 +407,7 @@ class TestMicrocanonicalShell:
         assert (1, 7) in expected and (3, 11) in expected
         assert shell.member_pairs.tolist() == [list(p) for p in expected]
         assert shell.counts.tolist() == [sum(i == k for i, _ in expected) for k in range(5)]
-        b = shell.basis()
+        b = shell_basis(shell)
         assert b.shape == (300, len(expected))
         assert [tuple(divmod(int(r), 60)) for r in np.argmax(np.abs(b), axis=0)] == expected
         assert np.count_nonzero(b) == len(expected)
@@ -429,9 +432,25 @@ class TestMicrocanonicalShell:
         with pytest.raises(DomainError, match=name):
             T.microcanonical_shell(system, bath, energy, width)
 
+    def test_hand_built_shell_takes_list_levels(self):
+        pairs = np.array([[0, 2], [0, 3], [1, 0], [1, 1]])
+        shell = T.MicrocanonicalShell([0.0, 1.0], [0.0, 0.5, 1.0, 1.5], 1.0, 0.5, pairs)
+        assert (shell.d1, shell.d2, shell.dim) == (2, 4, 4)
+        assert shell.reduced_density().matrix == pytest.approx(np.eye(2) / 2)
+
+    @pytest.mark.parametrize("system, bath, name", [
+        ([0.0, np.nan], [0.0, 0.5], "system_levels"),
+        ([0.0, 1.0], [[0.0, 0.5]], "bath_levels"),
+    ])
+    def test_hand_built_shell_rejects_bad_levels(self, system, bath, name):
+        with pytest.raises(DomainError, match=name):
+            T.MicrocanonicalShell(system, bath, 0.0, 0.5, np.array([[0, 0], [1, 0]]))
+        with pytest.raises(DomainError, match=name):
+            T.microcanonical_shell(system, bath, 0.0, 0.5)
+
     def test_basis_columns_are_member_product_states(self):
         shell = T.microcanonical_shell([0.0, 1.0], [0.0, 0.5, 1.0, 1.5], 1.0, 0.5)
-        b = shell.basis()
+        b = shell_basis(shell)
         assert b.shape == (8, 4)
         assert np.max(np.abs(b.conj().T @ b - np.eye(4))) < 1e-14
         assert T.Subspace(b, 2, 4).reduced_density().matrix == pytest.approx(
