@@ -356,7 +356,7 @@ def _thermal(cfg: ExperimentConfig):
                           f"window, got counts {shell.counts.tolist()}")
     f = _resolve_f(cfg, shell.d1)
     return shell.dim, lambda point: T.thermal_experiment(
-        RngStream(cfg.seed, point), shell, f, cfg.epsilon, cfg.n_trials)
+        RngStream(cfg.seed, point), system, shell, f, cfg.epsilon, cfg.n_trials)
 
 
 def _gap_selftest(cfg: ExperimentConfig):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SingularDensityError
 from .hilbert import DensityMatrix
-from .randomness import sample_complex_gaussian
+from .randomness import _integer, sample_complex_gaussian
 
 __all__ = [
     "sample_adjusted_gaussian",
@@ -38,7 +38,7 @@ __all__ = [
 def sample_adjusted_gaussian(rng: np.random.Generator, rho: DensityMatrix,
                              size: int | None = None):
     """Draw from the size-biased Gaussian GA(rho) = ||psi||^2 G(rho)(dpsi)."""
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _integer("size", size, 1)
     p, v = rho.spectrum(), rho.eigenbasis()
     z = sample_complex_gaussian(rng, p, (n, p.size))
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .randomness import _integer
 
 __all__ = [
     "NORM_ATOL",
@@ -111,6 +112,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityMatrix":
+        d = _integer("d", d, 1)
         return cls(np.eye(d, dtype=complex) / d)
 
 
@@ -123,9 +125,9 @@ class BipartiteState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        for name in ("d1", "d2"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if self.d1 < 1 or self.d2 < 1:
-            raise DimensionError("factor dimensions must be positive")
         if amps.shape != (self.d1 * self.d2,):
             raise DimensionError(
                 f"amplitudes must have shape ({self.d1 * self.d2},), got {amps.shape}"
@@ -161,17 +163,18 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 def canonical_density(h1_eigenvalues, beta: float) -> DensityMatrix:
-    """Thermal density matrix diag(exp(-beta*E_i) / Z) in the given eigenbasis.
-
-    Exponentials are max-shifted so that inverse temperatures up to ~1e3 do
-    not overflow.
-    """
+    """Thermal density matrix diag(exp(-beta*E_i) / Z) in the given eigenbasis."""
     energies = np.asarray(h1_eigenvalues, dtype=float)
     if energies.size == 0:
         raise DomainError("eigenvalue list must be nonempty")
     if not np.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
+    return DensityMatrix(np.diag(_canonical_weights(energies, beta)).astype(complex))
+
+
+def _canonical_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    """The Gibbs weights exp(-beta*E_i) / Z of 1-D float levels.  Exponentials
+    are max-shifted so that inverse temperatures up to ~1e3 do not overflow."""
     logw = -beta * energies
-    logw -= logw.max()
-    w = np.exp(logw)
-    return DensityMatrix(np.diag(w / w.sum()).astype(complex))
+    w = np.exp(logw - logw.max())
+    return w / w.sum()

@@ -177,18 +177,19 @@ def sample_complex_gaussian(rng: np.random.Generator, variance, size=None):
 
 
 def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
-    """n x m matrix of i.i.d. complex Gaussians with unit variance per entry."""
-    if n < 1:
-        raise DomainError(f"matrix dimension must be >= 1, got {n}")
-    m = n if m is None else m
-    return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+    """n x m matrix of i.i.d. complex Gaussians with unit variance per entry:
+    the real parts are drawn first, then the imaginary parts."""
+    n = _integer("n", n, 1)
+    m = n if m is None else _integer("m", m, 1)
+    return _complex_gaussians(rng.standard_normal((1, 2, n, m)))[0]
 
 
 def _complex_gaussians(pairs: np.ndarray) -> np.ndarray:
     """Unit-variance complex Gaussians (B, ...) from a stack of real standard
     normals (B, 2, ...): real parts pairs[:, 0], imaginary parts pairs[:, 1].
-    If one generator filled pairs[b] in C order, entry b holds exactly the
-    values ``ginibre`` returns from the same draws."""
+    ``ginibre`` is this map on one (1, 2, n, m) draw, so if one generator
+    filled pairs[b] in C order, entry b holds exactly the values ``ginibre``
+    returns from the same draws."""
     return (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
 
 
@@ -199,8 +200,6 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     positive reals.  The phase correction is essential: without it the QR
     output is not Haar (its first column has a deterministic phase bias).
     """
-    if n < 1:
-        raise DomainError(f"unitary dimension must be >= 1, got {n}")
     return _haar_columns(ginibre(rng, n))
 
 
@@ -247,7 +246,8 @@ def random_ons(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     identical construction restricted to the first k columns, at O(n k^2)
     cost instead of O(n^3).
     """
-    if not 1 <= k <= n:
+    n, k = _integer("n", n, 1), _integer("k", k, 1)
+    if k > n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     return _haar_columns(ginibre(rng, n, k)).T
 
@@ -258,8 +258,7 @@ def uniform_sphere(rng: np.random.Generator, d: int, size: int | None = None) ->
     A normalized standard complex Gaussian vector; its law is the normalized
     surface measure.  Returns shape (d,) or (size, d).
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    shape = (d,) if size is None else (size, d)
+    d = _integer("d", d, 1)
+    shape = (d,) if size is None else (_integer("size", size, 1), d)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return z / np.linalg.norm(z, axis=-1, keepdims=True)

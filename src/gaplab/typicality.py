@@ -26,7 +26,8 @@ M^dagger = V R for theorem 2, conj(R) of each trial's state for the subspace
 drivers.  The engine lays each product out as A^T W, a (d1, d2) matrix whose
 column j is <b_j|psi>, and evaluates f on <phi|b_j> / sqrt(w_j) without
 forming the normalized atoms.  A subspace H_R is a :class:`Subspace`
-(dense orthonormal basis) or a :class:`MicrocanonicalShell` (states
+(dense orthonormal basis) or a :class:`CoordinateSubspace` (spanned by
+product vectors |i>|j>, such as a microcanonical shell, with states
 scattered into its flat indices), and each forms its own states.  The
 engine checks each invariant once, where it is strictest:
 unit total conditional weight (which a non-orthonormal or NaN W fails) and
@@ -48,6 +49,7 @@ from .hilbert import (
     NORM_ATOL,
     BipartiteState,
     DensityMatrix,
+    _canonical_weights,
     canonical_density,
     reduced_density_matrix,
     trace_norm,
@@ -79,6 +81,7 @@ __all__ = [
     "random_purification_experiment",
     "random_basis_experiment",
     "Subspace",
+    "CoordinateSubspace",
     "random_subspace",
     "random_purification",
     "concentration_bound",
@@ -86,7 +89,6 @@ __all__ = [
     "shell_universality_experiment",
     "shell_vs_target_experiment",
     "thermal_experiment",
-    "MicrocanonicalShell",
     "microcanonical_shell",
     "fit_beta",
     "submatrix_l1_distance",
@@ -313,7 +315,8 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
     Every batched operation acts on each trial's slice alone, so the outputs
     depend neither on the chunk length nor on SEED_BLOCK.
     """
-    if not 1 <= n_trials <= MAX_TRIALS:
+    n_trials = _integer("n_trials", n_trials, 1)
+    if n_trials > MAX_TRIALS:
         raise DomainError(f"need between 1 and 2**32 trials, got {n_trials}")
     size = max(1, CHUNK_ENTRIES // entries)
     block = size * -(-SEED_BLOCK // size)  # whole chunks
@@ -400,7 +403,7 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
     computational environment basis, and record |mu(f) - GAP(rho1)(f)|.  A
     trial passes when the discrepancy is below epsilon * ||f||_inf.
     """
-    d1 = rho1.dim
+    d1, d2 = rho1.dim, _integer("d2", d2, 1)
     if d2 < d1:
         raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
     # psi = (v sqrt(p)) Phi with Phi the (d1, d2) random system, so the
@@ -496,8 +499,9 @@ class Subspace:
 def random_subspace(rng: np.random.Generator, d1: int, d2: int, dim: int) -> Subspace:
     """Uniformly random ``dim``-dimensional subspace of C^{d1*d2}, spanned by
     the first ``dim`` columns of a Haar unitary."""
-    total = d1 * d2
-    if not 1 <= dim <= total:
+    total = _integer("d1", d1, 1) * _integer("d2", d2, 1)
+    dim = _integer("dim", dim, 1)
+    if dim > total:
         raise DomainError(f"subspace dimension must lie in [1, {total}], got {dim}")
     return Subspace(random_ons(rng, total, dim).T, d1, d2)
 
@@ -511,7 +515,7 @@ def random_purification(rng: np.random.Generator, rho1: DensityMatrix, d2: int) 
     which the test suite checks statistically for degenerate spectra.
     Requires d2 >= d1.
     """
-    d1 = rho1.dim
+    d1, d2 = rho1.dim, _integer("d2", d2, 1)
     if d2 < d1:
         raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
     p, v = rho1.spectrum(), rho1.eigenbasis()
@@ -586,7 +590,7 @@ def shell_universality_experiment(stream: RngStream, subspace: Subspace,
     return _collect(values, reference, epsilon, aux)
 
 
-def _shell_trials(stream: RngStream, subspace: Subspace | MicrocanonicalShell,
+def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
                   f: TestFunction, target: DensityMatrix, n_trials: int):
     """Per trial: psi uniform on the subspace sphere, then mu(f) for the
     conditional measure of psi in a Haar-random basis and the auxiliary
@@ -603,7 +607,7 @@ def _shell_trials(stream: RngStream, subspace: Subspace | MicrocanonicalShell,
 
 
 def shell_vs_target_experiment(stream: RngStream,
-                               subspace: Subspace | MicrocanonicalShell,
+                               subspace: Subspace | CoordinateSubspace,
                                omega: DensityMatrix, f: TestFunction,
                                epsilon: float, n_trials: int, *,
                                reference: float | None = None) -> ExperimentOutcome:
@@ -615,7 +619,8 @@ def shell_vs_target_experiment(stream: RngStream,
     any bounded measurable kind (including cap_indicator).  The outcome's
     ``extra['target_distance']`` reports ||tr_2 rho_R - Omega||_tr, which the
     caller is responsible for keeping small.  ``subspace`` may also be a
-    microcanonical shell, whose states are scattered, not multiplied out.
+    :class:`CoordinateSubspace`, such as a microcanonical shell, whose states
+    are scattered, not multiplied out.
     """
     if omega.min_eigenvalue <= 0.0:
         raise DomainError("target density matrix must be strictly positive")
@@ -628,32 +633,26 @@ def shell_vs_target_experiment(stream: RngStream,
 
 
 # ---------------------------------------------------------------------------
-# Microcanonical shells and the thermal scenario
+# Coordinate subspaces, microcanonical shells and the thermal scenario
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MicrocanonicalShell:
-    """Energy shell of a non-interacting pair Hamiltonian.
-
-    For system levels E1_i and bath levels E2_j, the shell collects all
-    product eigenvectors with E <= E1_i + E2_j <= E + width (closed window,
-    with a 1e-9 relative tolerance at the edges).  ``member_pairs`` is the
-    (dim, 2) integer array of their (i, j), in row-major order; a shell built
-    by hand must give finite 1-D levels and nonempty, distinct, in-range
-    pairs.  In the product eigenbasis the shell average tr_2 rho_R is exactly
+class CoordinateSubspace:
+    """Subspace H_R of C^{d1} (x) C^{d2} spanned by the product vectors
+    |i>|j> of its ``member_pairs``, a nonempty (dim, 2) integer array of
+    distinct (i, j) in [0, d1) x [0, d2).  A microcanonical shell is one
+    (see :func:`microcanonical_shell`).  Its average tr_2 rho_R is exactly
     diagonal with entries n_i / dim, where n_i counts the member pairs of
-    system level i.
+    system index i.
     """
 
-    system_levels: np.ndarray
-    bath_levels: np.ndarray
-    energy: float
-    width: float
+    d1: int
+    d2: int
     member_pairs: np.ndarray
 
     def __post_init__(self):
-        for name in ("system_levels", "bath_levels"):
-            object.__setattr__(self, name, _levels(name, getattr(self, name)))
+        for name in ("d1", "d2"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         pairs = np.asarray(self.member_pairs)
         object.__setattr__(self, "member_pairs", pairs)
         if not (pairs.dtype.kind in "iu" and pairs.ndim == 2 and pairs.shape[1] == 2
@@ -661,14 +660,6 @@ class MicrocanonicalShell:
                 and np.unique(self.flat_indices).size == len(pairs)):
             raise DimensionError(f"member pairs must be distinct integer pairs in "
                                  f"[0, {self.d1}) x [0, {self.d2})")
-
-    @property
-    def d1(self) -> int:
-        return self.system_levels.size
-
-    @property
-    def d2(self) -> int:
-        return self.bath_levels.size
 
     @property
     def dim(self) -> int:
@@ -684,16 +675,16 @@ class MicrocanonicalShell:
         return self.member_pairs[:, 0] * self.d2 + self.member_pairs[:, 1]
 
     def states(self, z: np.ndarray) -> np.ndarray:
-        """``Subspace.states`` on the shell's basis of member product
-        eigenvectors at O(dim) per trial: z normalized and scattered into the
-        flat indices, equal up to rounding."""
+        """``Subspace.states`` on the basis of member product vectors at
+        O(dim) per trial: z normalized and scattered into the flat indices,
+        equal up to rounding."""
         z = z[..., 0]
         psi = np.zeros((len(z), self.d1 * self.d2), dtype=complex)
         psi[:, self.flat_indices] = z / np.linalg.norm(z, axis=-1, keepdims=True)
         return psi.reshape(-1, self.d1, self.d2)
 
     def reduced_density(self) -> DensityMatrix:
-        """tr_2 rho_R = diag(n_i / dim) in the system eigenbasis, divided as
+        """tr_2 rho_R = diag(n_i / dim) in the product basis, divided as
         ``Subspace.reduced_density`` divides, so both forms agree bit for bit."""
         return DensityMatrix(np.diag(self.counts).astype(complex) / self.dim)
 
@@ -707,9 +698,15 @@ def _levels(name: str, levels) -> np.ndarray:
 
 
 def microcanonical_shell(system_levels, bath_levels, energy: float,
-                         width: float) -> MicrocanonicalShell:
-    """Enumerate the energy shell [energy, energy + width] of a separable
-    two-component Hamiltonian given both eigenvalue lists."""
+                         width: float) -> CoordinateSubspace:
+    """Energy shell of a non-interacting pair Hamiltonian, given the system
+    levels E1_i and bath levels E2_j as finite 1-D lists.
+
+    The shell is spanned by the product eigenvectors |i>|j> with
+    energy <= E1_i + E2_j <= energy + width (closed window, with a 1e-9
+    relative tolerance at the edges); their (i, j) are its member pairs, in
+    row-major order.
+    """
     system_levels = _levels("system_levels", system_levels)
     bath_levels = _levels("bath_levels", bath_levels)
     if not np.isfinite(energy):
@@ -723,8 +720,7 @@ def microcanonical_shell(system_levels, bath_levels, energy: float,
         raise EmptyShellError(
             f"no eigenvalue pair falls in [{energy}, {energy + width}]"
         )
-    return MicrocanonicalShell(system_levels, bath_levels, float(energy),
-                               float(width), pairs)
+    return CoordinateSubspace(system_levels.size, bath_levels.size, pairs)
 
 
 def fit_beta(system_levels, rho_target: DensityMatrix) -> float:
@@ -745,10 +741,7 @@ def fit_beta(system_levels, rho_target: DensityMatrix) -> float:
         raise DimensionError("one level per target entry is required")
 
     def residual(beta: float) -> float:
-        # the diagonal of canonical_density(energies, beta), without the matrix
-        logw = -beta * energies
-        w = np.exp(logw - logw.max())
-        return float(np.sum(np.abs(w / w.sum() - t)))
+        return float(np.sum(np.abs(_canonical_weights(energies, beta) - t)))
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = -50.0, 50.0
@@ -766,18 +759,18 @@ def fit_beta(system_levels, rho_target: DensityMatrix) -> float:
     return float((a + b) / 2.0)
 
 
-def thermal_experiment(stream: RngStream, shell: MicrocanonicalShell,
-                       f: TestFunction, epsilon: float,
+def thermal_experiment(stream: RngStream, system_levels,
+                       shell: CoordinateSubspace, f: TestFunction, epsilon: float,
                        n_trials: int) -> ExperimentOutcome:
     """The weak-coupling thermal scenario on a microcanonical shell.
 
-    Fits the inverse temperature beta whose canonical state rho_beta best
-    matches the shell average tr_2 rho_R, then runs
+    Fits the inverse temperature beta whose canonical state rho_beta on the
+    system levels best matches the shell average tr_2 rho_R, then runs
     :func:`shell_vs_target_experiment` on the shell against rho_beta.
     ``extra`` adds beta and the shell's member count per system level.
     """
-    beta = fit_beta(shell.system_levels, shell.reduced_density())
-    omega = canonical_density(shell.system_levels, beta)
+    beta = fit_beta(system_levels, shell.reduced_density())
+    omega = canonical_density(system_levels, beta)
     out = shell_vs_target_experiment(stream, shell, omega, f, epsilon, n_trials)
     return replace(out, extra={**out.extra, "beta": beta,
                                "counts": shell.counts.tolist()})
@@ -805,8 +798,7 @@ def submatrix_l1_distance(n: int) -> float:
     accuracy where (1 - u/n)^(n-1) and exp(-u) nearly cancel (large n), and
     as exp(-2) at u2 = n = 2.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    n = _integer("n", n, 2)
 
     def log_ratio(u):
         return math.log1p(-1.0 / n) + (n - 2) * math.log1p(-u / n) + u
@@ -910,18 +902,12 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
 def random_floor_density(rng: np.random.Generator, d: int, gamma: float) -> DensityMatrix:
     """Random density matrix with all eigenvalues >= gamma: a uniform simplex
     spectrum compressed onto the floor set and a Haar-random eigenbasis."""
-    return DensityMatrix(_floor_density_matrix(rng, d, gamma))
-
-
-def _floor_density_matrix(rng: np.random.Generator, d: int, gamma: float) -> np.ndarray:
-    """The matrix of ``random_floor_density`` from the same draws, without its
-    eigendecomposition, symmetrized as DensityMatrix does it."""
+    d = _integer("d", d, 1)
     if not 0.0 < gamma < 1.0 / d:
         raise DomainError(f"need 0 < gamma < 1/d, got gamma={gamma}, d={d}")
     spectrum = gamma + (1.0 - d * gamma) * rng.dirichlet(np.ones(d))
     v = haar_unitary(rng, d)
-    m = v @ np.diag(spectrum).astype(complex) @ v.conj().T
-    return (m + m.conj().T) / 2.0
+    return DensityMatrix(v @ np.diag(spectrum).astype(complex) @ v.conj().T)
 
 
 def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
@@ -949,10 +935,10 @@ def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
     expe_gap = np.empty(n_pairs)
     for m in range(n_pairs):
         omega = random_floor_density(rng, d, gamma)
-        other = _floor_density_matrix(rng, d, gamma)
+        other = random_floor_density(rng, d, gamma)
         t = rng.random()
         # Convex combinations keep the spectrum floor.
-        rho = DensityMatrix((1 - t) * omega.matrix + t * other)
+        rho = DensityMatrix((1 - t) * omega.matrix + t * other.matrix)
         diff = rho.matrix - omega.matrix
         trace_d[m] = trace_norm(diff)
         dens_gap[m] = float(np.max(np.abs(
@@ -980,6 +966,7 @@ def gap_selftest_experiment(stream: RngStream, d: int, gamma: float,
     is the largest entry of |covariance estimate - rho|, passing below
     epsilon; the auxiliary value is |mean sphere density - 1|.
     """
+    d = _integer("d", d, 1)
     n_trials = _integer("n_trials", n_trials, 1)
     n_samples = _integer("n_samples", n_samples, 1)
     cov_err = np.empty(n_trials)

@@ -215,8 +215,8 @@ def uniform_subspace_state(rng, basis):
 
 
 def shell_basis(shell):
-    """(d1*d2, dim) array of a microcanonical shell's basis vectors, the
-    member product eigenvectors: the dense route its scattered states are
+    """(d1*d2, dim) array of a coordinate subspace's basis vectors, the
+    member product vectors: the dense route its scattered states are
     checked against."""
     out = np.zeros((shell.d1 * shell.d2, shell.dim), dtype=complex)
     out[shell.flat_indices, np.arange(shell.dim)] = 1.0

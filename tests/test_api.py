@@ -23,6 +23,7 @@ from gaplab import (
     polynomial,
     random_ons,
     sample_complex_gaussian,
+    sample_gap,
     trace_norm,
     uniform_sphere,
 )
@@ -82,12 +83,12 @@ def rng():
     (lambda: canonical_density([0.0, 1.0], np.nan), DomainError, "beta must be finite"),
     (lambda: DensityMatrix(np.eye(2, 3)), DimensionError, "must be square"),
     (lambda: DensityMatrix(np.zeros((0, 0))), DimensionError, "positive dimension"),
-    (lambda: BipartiteState(0, 2, np.zeros(0)), DimensionError,
-     "factor dimensions must be positive"),
+    (lambda: BipartiteState(0, 2, np.zeros(0)), DomainError,
+     "d1 must be an integer >= 1, got 0"),
     (lambda: gaussian_density(MIXED2, np.zeros(3)), DimensionError, "psi has shape"),
     (lambda: gap_sphere_density(MIXED2, np.ones(3)), DimensionError, "psi dimension 3 != 2"),
     (lambda: ginibre(RngStream(1).generator(), 0), DomainError,
-     "matrix dimension must be >= 1"),
+     "n must be an integer >= 1, got 0"),
     (lambda: DiscreteMeasure(np.eye(2), np.array([0.5, 0.4]), normalized=True),
      DomainError, "not 1"),
     (lambda: conditional_measure(PRODUCT, np.eye(3)), DimensionError,
@@ -100,8 +101,8 @@ def rng():
      r"amplitudes must have shape \(6,\)"),
     (lambda: canonical_density([], 1.0), DomainError, "eigenvalue list must be nonempty"),
     (lambda: trace_norm(np.ones((2, 3))), DimensionError, "trace norm needs a square matrix"),
-    (lambda: uniform_sphere(rng(), 0), DomainError, "dimension must be >= 1"),
-    (lambda: haar_unitary(rng(), 0), DomainError, "unitary dimension must be >= 1"),
+    (lambda: uniform_sphere(rng(), 0), DomainError, "d must be an integer >= 1, got 0"),
+    (lambda: haar_unitary(rng(), 0), DomainError, "n must be an integer >= 1, got 0"),
     (lambda: random_ons(rng(), 3, 4), DomainError, "need 1 <= k <= n"),
     (lambda: sample_complex_gaussian(rng(), -1.0), DomainError,
      "variance must be nonnegative"),
@@ -123,10 +124,46 @@ def rng():
     (lambda: T.microcanonical_shell([0.0], [0.0], 5.0, 1.0), EmptyShellError,
      "no eigenvalue pair"),
     (lambda: T.random_floor_density(rng(), 2, 0.5), DomainError, "need 0 < gamma < 1/d"),
-    (lambda: T.submatrix_l1_distance(1), DomainError, "need n >= 2"),
+    (lambda: T.submatrix_l1_distance(1), DomainError, "n must be an integer >= 2, got 1"),
     # Two copies of e1 span a line, not the plane of dimension 2 they claim.
     (lambda: T.Subspace(np.eye(4)[:, [0, 0]], 2, 2), BasisError, "rows are not orthonormal"),
     (lambda: T.Subspace(np.full((4, 2), np.nan), 2, 2), BasisError, "orthonormal within 1e-8"),
+    # Sizes that are not integers >= 1 (bools and NaN included) name the argument.
+    (lambda: ginibre(rng(), 2.5), DomainError, "n must be an integer >= 1, got 2.5"),
+    (lambda: ginibre(rng(), True), DomainError, "n must be an integer >= 1, got True"),
+    (lambda: ginibre(rng(), 2, 0.5), DomainError, "m must be an integer >= 1, got 0.5"),
+    (lambda: haar_unitary(rng(), np.nan), DomainError, "n must be an integer >= 1, got nan"),
+    (lambda: haar_unitary(rng(), 2.0), DomainError, "n must be an integer >= 1, got 2.0"),
+    (lambda: random_ons(rng(), 4, 2.0), DomainError, "k must be an integer >= 1, got 2.0"),
+    (lambda: uniform_sphere(rng(), 2.0), DomainError, "d must be an integer >= 1, got 2.0"),
+    (lambda: uniform_sphere(rng(), True), DomainError, "d must be an integer >= 1, got True"),
+    (lambda: uniform_sphere(rng(), 2, size=1.5), DomainError,
+     "size must be an integer >= 1, got 1.5"),
+    (lambda: T.random_subspace(rng(), 2.0, 2, 2), DomainError,
+     "d1 must be an integer >= 1, got 2.0"),
+    (lambda: T.random_subspace(rng(), 2, 2, 1.0), DomainError,
+     "dim must be an integer >= 1, got 1.0"),
+    (lambda: T.random_purification(rng(), MIXED2, 4.0), DomainError,
+     "d2 must be an integer >= 1, got 4.0"),
+    (lambda: T.random_purification_experiment(RngStream(1), MIXED2, 4.0, overlap_sq(E0),
+                                              0.1, 5),
+     DomainError, "d2 must be an integer >= 1, got 4.0"),
+    (lambda: T.random_floor_density(rng(), 2.0, 0.1), DomainError,
+     "d must be an integer >= 1, got 2.0"),
+    (lambda: T.continuity_probe(RngStream(1), 2.0, 0.1, 2, 0.5, n_probe=10), DomainError,
+     "d must be an integer >= 1, got 2.0"),
+    (lambda: T.gap_selftest_experiment(RngStream(1), 0, 0.1, 0.1, 1, 10), DomainError,
+     "d must be an integer >= 1, got 0"),
+    (lambda: BipartiteState(2.0, 2, np.array([1.0, 0.0, 0.0, 0.0])), DomainError,
+     "d1 must be an integer >= 1, got 2.0"),
+    (lambda: T.submatrix_l1_distance(2.5), DomainError, "n must be an integer >= 2, got 2.5"),
+    (lambda: sample_gap(rng(), MIXED2, size=2.5), DomainError,
+     "size must be an integer >= 1, got 2.5"),
+    (lambda: DensityMatrix.maximally_mixed(2.5), DomainError,
+     "d must be an integer >= 1, got 2.5"),
+    (lambda: T.random_purification_experiment(RngStream(1), MIXED2, 4, overlap_sq(E0),
+                                              0.1, 2.5),
+     DomainError, "n_trials must be an integer >= 1, got 2.5"),
 ])
 def test_bad_arguments_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):

@@ -174,9 +174,10 @@ def _one_nan(q):
 
 
 def _thermal_driver():
-    shell = T.microcanonical_shell([0.0, 1.0], np.linspace(0.0, 20.0, 40), 10.0, 1.0)
+    system = [0.0, 1.0]
+    shell = T.microcanonical_shell(system, np.linspace(0.0, 20.0, 40), 10.0, 1.0)
     f = polynomial(np.ones(2), [0.0, 0.0, 1.0])
-    return lambda: T.thermal_experiment(RngStream(316), shell, f, 0.15, N)
+    return lambda: T.thermal_experiment(RngStream(316), system, shell, f, 0.15, N)
 
 
 DRIVERS = {"theorem1": lambda: CASES["theorem1"]()[0],
@@ -209,8 +210,19 @@ def _shells(draw):
                                   draw(st.floats(1e-3, 30.0)))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(shell=_shells(), seed=st.integers(0, 2**32 - 1))
+@st.composite
+def _coordinate_subspaces(draw):
+    """A coordinate subspace of arbitrary distinct member pairs in any order,
+    such as a block subspace."""
+    d1, d2 = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    flat = draw(st.lists(st.integers(0, d1 * d2 - 1), min_size=1, max_size=d1 * d2,
+                         unique=True))
+    return T.CoordinateSubspace(d1, d2, np.array([divmod(k, d2) for k in flat]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(shell=st.one_of(_shells(), _coordinate_subspaces()),
+       seed=st.integers(0, 2**32 - 1))
 def test_scattered_shell_states_equal_the_dense_route(shell, seed):
     dense = T.Subspace(O.shell_basis(shell), shell.d1, shell.d2)
     rng = np.random.default_rng(seed)
@@ -222,16 +234,20 @@ def test_scattered_shell_states_equal_the_dense_route(shell, seed):
     assert np.array_equal(shell.reduced_density().matrix, dense.reduced_density().matrix)
 
 
-@pytest.mark.parametrize("pairs", [
-    [[0, 2], [0, 2]],                     # duplicate
-    [[0, 0], [2, 0]],                     # out of range
-    [[-1, 2]],                            # negative
-    [[0.0, 1.0]],                         # float
-    np.empty((0, 2), dtype=int),          # empty
+@pytest.mark.parametrize("d1, d2, pairs, error, message", [
+    (2, 3, [[0, 2], [0, 2]], DimensionError, "member pairs"),             # duplicate
+    (2, 3, [[0, 0], [2, 0]], DimensionError, "member pairs"),             # out of range
+    (2, 3, [[-1, 2]], DimensionError, "member pairs"),                    # negative
+    (2, 3, [[0.0, 1.0]], DimensionError, "member pairs"),                 # float
+    (2, 3, np.empty((0, 2), dtype=int), DimensionError, "member pairs"),  # empty
+    (2.0, 3, [[0, 2]], DomainError, "d1 must be an integer >= 1, got 2.0"),
+    (2, 3.0, [[0, 2]], DomainError, "d2 must be an integer >= 1, got 3.0"),
+    (True, 3, [[0, 2]], DomainError, "d1 must be an integer >= 1, got True"),
+    (2, True, [[0, 0]], DomainError, "d2 must be an integer >= 1, got True"),
 ])
-def test_bad_member_pairs_rejected(pairs):
-    with pytest.raises(DimensionError, match="member pairs"):
-        T.MicrocanonicalShell(np.zeros(2), np.zeros(3), 0.0, 1.0, np.array(pairs))
+def test_bad_member_pairs_rejected(d1, d2, pairs, error, message):
+    with pytest.raises(error, match=message):
+        T.CoordinateSubspace(d1, d2, np.array(pairs))
 
 
 def _engine_draws(stream, n_trials, entries, shapes):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -387,7 +387,7 @@ class TestShellVsTarget:
                 overlap_sq(np.array([1.0, 0.0])), 0.1, 10)
 
 
-class TestMicrocanonicalShell:
+class TestEnergyShell:
     def test_counting_example(self):
         shell = T.microcanonical_shell([0.0, 1.0], [0.0, 0.5, 1.0, 1.5], 1.0, 0.5)
         assert shell.dim == 4
@@ -432,19 +432,20 @@ class TestMicrocanonicalShell:
         with pytest.raises(DomainError, match=name):
             T.microcanonical_shell(system, bath, energy, width)
 
-    def test_hand_built_shell_takes_list_levels(self):
-        pairs = np.array([[0, 2], [0, 3], [1, 0], [1, 1]])
-        shell = T.MicrocanonicalShell([0.0, 1.0], [0.0, 0.5, 1.0, 1.5], 1.0, 0.5, pairs)
-        assert (shell.d1, shell.d2, shell.dim) == (2, 4, 4)
-        assert shell.reduced_density().matrix == pytest.approx(np.eye(2) / 2)
+    def test_shell_keeps_only_its_sizes_and_pairs(self):
+        # List levels are accepted; the shell is the coordinate subspace of
+        # its member pairs, in row-major order.
+        shell = T.microcanonical_shell([0.0, 1.0], [0.0, 0.5, 1.0, 1.5], 1.0, 0.5)
+        assert isinstance(shell, T.CoordinateSubspace)
+        assert [f.name for f in fields(shell)] == ["d1", "d2", "member_pairs"]
+        assert (shell.d1, shell.d2) == (2, 4)
+        assert shell.member_pairs.tolist() == [[0, 2], [0, 3], [1, 0], [1, 1]]
 
     @pytest.mark.parametrize("system, bath, name", [
         ([0.0, np.nan], [0.0, 0.5], "system_levels"),
         ([0.0, 1.0], [[0.0, 0.5]], "bath_levels"),
     ])
-    def test_hand_built_shell_rejects_bad_levels(self, system, bath, name):
-        with pytest.raises(DomainError, match=name):
-            T.MicrocanonicalShell(system, bath, 0.0, 0.5, np.array([[0, 0], [1, 0]]))
+    def test_shell_rejects_bad_levels(self, system, bath, name):
         with pytest.raises(DomainError, match=name):
             T.microcanonical_shell(system, bath, 0.0, 0.5)
 

@@ -8,7 +8,8 @@ subprocess, with PYTHONPATH=<root>/src, writes every preset of that tree at
 its preset seed and at --seed 7.  The script then compares trials.csv,
 plotdata.csv and summary.json (without its wall_time_s and library_version
 fields), prints one line per file that differs and exits 1 if any does.
-The two trees run at once; the script uses the standard library only.
+The two trees run at once; if either run fails, the script stops the other
+and exits 2.  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -80,14 +81,22 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / "parent", Path(tmp) / "change"]
         runs = []
-        for root, out in zip((args.parent_root, args.change_root), outs):
-            out.mkdir()
-            runs.append((root, _start(root.resolve(), out)))
-        for root, proc in runs:
-            _, err = proc.communicate()
-            if proc.returncode != 0:
-                print(f"{root}: presets failed\n{err}", file=sys.stderr)
-                return 2
+        try:
+            for root, out in zip((args.parent_root, args.change_root), outs):
+                out.mkdir()
+                runs.append((root, _start(root.resolve(), out)))
+            for root, proc in runs:
+                _, err = proc.communicate()
+                if proc.returncode != 0:
+                    print(f"{root}: presets failed\n{err}", file=sys.stderr)
+                    return 2
+        finally:
+            # After a failure the other tree's run is of no use: stop it
+            # before its output directory is removed.
+            for _, proc in runs:
+                proc.kill()
+                proc.wait()
+                proc.stderr.close()
         lines = compare(*outs)
         total = len({p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.name in FILES})
     print("\n".join(lines + [f"{len(lines)} of {total} files differ"]))
