@@ -167,10 +167,14 @@ def sample_complex_gaussian(rng: np.random.Generator, variance, size=None):
 
     Real and imaginary parts are independent real Gaussians with variance
     ``variance / 2`` each.  ``variance`` may be an array of per-entry
-    variances that broadcasts against ``size``.
+    variances that broadcasts against ``size``, which is None, an integer
+    >= 0 or a tuple or list of them.
     """
     if np.any(np.asarray(variance) < 0):
         raise DomainError(f"variance must be nonnegative, got {variance}")
+    if size is not None:
+        shape = size if isinstance(size, (tuple, list)) else (size,)
+        size = tuple(_integer("size", n) for n in shape)
     scale = np.sqrt(variance / 2.0)
     z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return scale * z
@@ -189,8 +193,16 @@ def _complex_gaussians(pairs: np.ndarray) -> np.ndarray:
     normals (B, 2, ...): real parts pairs[:, 0], imaginary parts pairs[:, 1].
     ``ginibre`` is this map on one (1, 2, n, m) draw, so if one generator
     filled pairs[b] in C order, entry b holds exactly the values ``ginibre``
-    returns from the same draws."""
-    return (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
+    returns from the same draws.
+
+    Each part is scaled into one preallocated complex array; numpy divides a
+    complex array by a real scalar as a multiplication by its reciprocal, so
+    this equals (re + 1j im) / sqrt(2) bit for bit without its temporaries."""
+    z = np.empty(pairs.shape[:1] + pairs.shape[2:], dtype=complex)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(pairs[:, 0], scale, out=z.real)
+    np.multiply(pairs[:, 1], scale, out=z.imag)
+    return z
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

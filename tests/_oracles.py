@@ -198,6 +198,13 @@ def integrate(m: DiscreteMeasure, f) -> float:
     return float(np.dot(m.weights, np.asarray(f(m.vectors), dtype=float)))
 
 
+def complex_gaussians(pairs):
+    """The unit-variance complex Gaussians (B, ...) that
+    ``randomness._complex_gaussians`` builds in one pass, from the same stack
+    of real normals (B, 2, ...), by the complex arithmetic it replaced."""
+    return (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
+
+
 def random_onb(rng, n):
     """Uniformly random orthonormal basis of C^n as the ROWS of an (n, n)
     array: the columns of a Haar unitary."""

@@ -164,6 +164,20 @@ def rng():
     (lambda: T.random_purification_experiment(RngStream(1), MIXED2, 4, overlap_sq(E0),
                                               0.1, 2.5),
      DomainError, "n_trials must be an integer >= 1, got 2.5"),
+    (lambda: T.fit_beta([0.0, np.nan], MIXED2), DomainError,
+     "system_levels must be a 1-D array of finite levels"),
+    (lambda: T.fit_beta([0.0, np.inf], MIXED2), DomainError,
+     "system_levels must be a 1-D array of finite levels"),
+    (lambda: T.fit_beta([[0.0, 1.0]], MIXED2), DomainError,
+     "system_levels must be a 1-D array of finite levels"),
+    (lambda: sample_complex_gaussian(rng(), 1.0, 2.5), DomainError,
+     "size must be an integer >= 0, got 2.5"),
+    (lambda: sample_complex_gaussian(rng(), 1.0, (2, 2.5)), DomainError,
+     "size must be an integer >= 0, got 2.5"),
+    (lambda: sample_complex_gaussian(rng(), 1.0, True), DomainError,
+     "size must be an integer >= 0, got True"),
+    (lambda: sample_complex_gaussian(rng(), 1.0, -1), DomainError,
+     "size must be an integer >= 0, got -1"),
 ])
 def test_bad_arguments_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):

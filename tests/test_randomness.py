@@ -14,10 +14,10 @@ from gaplab import (
     sample_gap,
     uniform_sphere,
 )
-from gaplab.randomness import MAX_TRIALS, _seeded_generator
+from gaplab.randomness import MAX_TRIALS, _complex_gaussians, _seeded_generator
 from gaplab.stats import ks_statistic, ks_vs_exponential
 
-from _oracles import random_onb, two_sample_ks
+from _oracles import complex_gaussians, random_onb, two_sample_ks
 
 # Property tests replay the same examples on every run.
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -154,6 +154,25 @@ class TestComplexGaussian:
         rng = RngStream(3).generator()
         z = sample_complex_gaussian(rng, 1.0, size=100_000)
         assert ks_vs_exponential(np.abs(z) ** 2) < 0.01
+
+
+    @pytest.mark.parametrize("shape", [(50, 2, 16, 2), (300, 2, 1, 1), (1, 2, 300, 1)])
+    def test_one_pass_stack_equals_the_complex_formula_bit_for_bit(self, shape):
+        pairs = RngStream(4).generator().standard_normal(shape)
+        z = _complex_gaussians(pairs)
+        assert z.shape == shape[:1] + shape[2:]
+        assert z.tobytes() == complex_gaussians(pairs).tobytes()
+
+    @pytest.mark.parametrize("size", [2.5, (2, 2.5), True, -1])
+    def test_size_that_is_not_a_count_is_rejected(self, size):
+        with pytest.raises(DomainError, match="size must be an integer >= 0"):
+            sample_complex_gaussian(RngStream(1).generator(), 1.0, size)
+
+    def test_size_forms_draw_alike(self):
+        draws = [sample_complex_gaussian(RngStream(5).generator(), 1.0, size)
+                 for size in (3, (3,), [3], np.int64(3))]
+        for z in draws[1:]:
+            np.testing.assert_array_equal(z, draws[0])
 
 
 class TestHaarUnitary:

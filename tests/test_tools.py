@@ -36,3 +36,24 @@ def test_a_failing_tree_stops_the_other_run(monkeypatch, tmp_path, preset_diff):
     assert preset_diff.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 2
     assert len(started) == 2
     assert all(proc.poll() is not None for proc in started)
+
+
+def _write_trials(path, rows):
+    path.parent.mkdir(parents=True)
+    path.write_text("experiment,dim,trial,discrepancy,pass,auxiliary\n"
+                    + "".join(f"theorem1,16,{i},{d!r},{p},nan\n"
+                              for i, (d, p) in enumerate(rows)), encoding="utf-8")
+
+
+def test_a_changed_trials_file_reports_its_largest_change_and_flips(tmp_path, preset_diff):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write_trials(parent / "a" / "7" / "trials.csv", [(0.05, 1), (0.098, 1), (0.2, 0)])
+    _write_trials(change / "a" / "7" / "trials.csv", [(0.05, 1), (0.101, 0), (0.15, 0)])
+    _write_trials(parent / "b" / "7" / "trials.csv", [(0.05, 1)])
+    _write_trials(change / "b" / "7" / "trials.csv", [(0.05, 1)])
+    _write_trials(parent / "c" / "7" / "trials.csv", [(0.05, 1)])
+    _write_trials(change / "c" / "7" / "trials.csv", [(0.05, 1), (0.3, 0)])
+    assert preset_diff.compare(parent, change) == [
+        "differs: a/7/trials.csv (max |delta discrepancy| 0.05, 1 pass flags flipped)",
+        "differs: c/7/trials.csv (1 vs 2 trials)",
+    ]

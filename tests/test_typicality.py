@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from gaplab import (
     DensityMatrix,
@@ -11,6 +12,7 @@ from gaplab import (
     RngStream,
     cap_indicator,
     gap_expectation,
+    gap_sphere_density,
     canonical_density,
     haar_unitary,
     overlap_sq,
@@ -122,6 +124,96 @@ class TestGapExpectation:
             res = gap_expectation(rng, rho, f, 20_000)
             closed_form = np.real(f.phi.conj() @ rho.matrix @ f.phi)
             assert abs(res.estimate - closed_form) < 4 * res.standard_error + 1e-9
+
+
+def _diag(p):
+    return DensityMatrix(np.diag([p, 1.0 - p]).astype(complex))
+
+
+class TestExactReferences:
+    """gap_reference's closed forms (real_part; cap_indicator on C^2 at an
+    eigenvector of rho) against routes that do not use them."""
+
+    E1 = np.array([1.0, 0.0])
+
+    def _cap(self, rho, phi, t):
+        return T.gap_reference(None, RngStream(0), rho, cap_indicator(phi, t), 1)
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 0.99])
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+    def test_cap_matches_quadrature_of_the_sphere_density(self, p, t):
+        # u = |<e1|psi>|^2 is uniform on [0, 1] under the uniform measure of
+        # the sphere of C^2, so P(u >= t) integrates the GAP density over
+        # psi = (sqrt(u), sqrt(1 - u)).
+        rho = _diag(p)
+        value, _ = quad(lambda u: gap_sphere_density(rho, np.sqrt([u, 1.0 - u])),
+                        t, 1.0, epsabs=1e-13, epsrel=1e-13)
+        assert abs(self._cap(rho, self.E1, t) - value) < 1e-10
+
+    @pytest.mark.parametrize("index, case", enumerate(["diagonal", "rotated", "mixed"]))
+    def test_cap_matches_a_million_gap_draws(self, index, case):
+        rng = RngStream(160, index).generator()
+        if case == "diagonal":
+            rho, phi, t = _diag(0.7), self.E1, 0.5
+        elif case == "rotated":  # phi the second eigenvector of a rotated rho
+            u = haar_unitary(rng, 2)
+            rho = DensityMatrix.from_spectrum(np.array([0.8, 0.2]), u)
+            phi, t = u[:, 1], 0.3
+        else:  # every phi is an eigenvector of I/2, and P(u >= t) = 1 - t
+            rho, phi, t = DensityMatrix.maximally_mixed(2), uniform_sphere(rng, 2), 0.3
+        exact = self._cap(rho, phi, t)
+        if case == "rotated":  # the closed form serves it, as for diag(0.2, 0.8)
+            assert exact == pytest.approx(self._cap(_diag(0.2), self.E1, t), abs=1e-12)
+        if case == "mixed":
+            assert exact == pytest.approx(0.7, abs=1e-12)
+        res = gap_expectation(rng, rho, cap_indicator(phi, t), 1_000_000)
+        assert abs(res.estimate - exact) < 4 * res.standard_error
+
+    def test_cap_edges(self):
+        # p = 1: u = 1 surely; p = 0: u = 0 surely.
+        e2 = np.array([0.0, 1.0])
+        pure = _diag(1.0)
+        for t in (0.0, 0.5, 1.0):
+            assert self._cap(pure, self.E1, t) == 1.0
+            assert self._cap(pure, e2, t) == (1.0 if t == 0.0 else 0.0)
+        for p in (0.05, 0.5, 0.7):
+            assert self._cap(_diag(p), self.E1, 0.0) == pytest.approx(1.0, abs=1e-15)
+            assert self._cap(_diag(p), self.E1, 1.0) == pytest.approx(0.0, abs=1e-15)
+        # A matrix eigenvalue within the 1e-10 PSD tolerance below 0 puts p
+        # above 1; p is clipped to [0, 1], as the sampled spectrum is.
+        nearly_pure = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
+        for t in (0.5, 1.0):
+            assert self._cap(nearly_pure, self.E1, t) == 1.0
+
+    def test_exact_routes_draw_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Monte Carlo reference drawn")
+
+        monkeypatch.setattr(T, "gap_expectation", refuse)
+        rng = RngStream(161).generator()
+        rho3 = DensityMatrix.from_spectrum(np.array([0.5, 0.3, 0.2]), haar_unitary(rng, 3))
+        assert T.gap_reference(None, RngStream(0), rho3,
+                               real_part(uniform_sphere(rng, 3)), 10) == 0.0
+        assert self._cap(_diag(0.7), self.E1, 0.5) == pytest.approx(0.784, abs=1e-12)
+        out = T.random_purification_experiment(RngStream(162), _diag(0.7), 16,
+                                               cap_indicator(self.E1, 0.5), 0.1, 20)
+        assert out.reference == pytest.approx(0.784, abs=1e-12)
+
+    @pytest.mark.parametrize("rho, f, expected", [
+        # phi not an eigenvector of rho; d1 = 3; a polynomial.
+        (_diag(0.7), cap_indicator([1.0, 1.0], 0.5), 0.502),
+        (DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex)),
+         cap_indicator([1.0, 0.0, 0.0], 0.5), 0.528),
+        (_diag(0.7), polynomial([1.0, 0.0], [0.0, 0.0, 1.0]), 0.5527376573347459),
+    ])
+    def test_monte_carlo_route_serves_the_rest(self, rho, f, expected):
+        # The values 0.13.0 returned: max(10 n_trials, 2000) draws on
+        # substream n_trials.
+        stream = RngStream(19)
+        value = T.gap_reference(None, stream, rho, f, 50)
+        assert value == gap_expectation(stream.substream(50).generator(), rho, f,
+                                        2000).estimate
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 class TestRandomPurificationExperiment:

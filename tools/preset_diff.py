@@ -7,7 +7,9 @@ CHANGE_ROOT defaults to the tree this script belongs to.  For each tree one
 subprocess, with PYTHONPATH=<root>/src, writes every preset of that tree at
 its preset seed and at --seed 7.  The script then compares trials.csv,
 plotdata.csv and summary.json (without its wall_time_s and library_version
-fields), prints one line per file that differs and exits 1 if any does.
+fields), prints one line per file that differs and exits 1 if any does.  A
+line for a trials.csv also gives the largest change of a trial's discrepancy
+and the number of pass flags that flipped, matching the trials row by row.
 The two trees run at once; if either run fails, the script stops the other
 and exits 2.  It uses the standard library only.
 """
@@ -15,6 +17,7 @@ and exits 2.  It uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -58,6 +61,22 @@ def _content(path: Path):
     return summary
 
 
+def _trial_changes(a: Path, b: Path) -> str:
+    """Largest |change of discrepancy| and flipped pass flags between the rows
+    of two trials.csv files."""
+    tables = []
+    for path in (a, b):
+        with path.open(encoding="utf-8", newline="") as fh:
+            tables.append(list(csv.DictReader(fh)))
+    if len(tables[0]) != len(tables[1]):
+        return f"{len(tables[0])} vs {len(tables[1])} trials"
+    rows = list(zip(*tables))
+    delta = max((abs(float(x["discrepancy"]) - float(y["discrepancy"])) for x, y in rows),
+                default=0.0)
+    flipped = sum(x["pass"] != y["pass"] for x, y in rows)
+    return f"max |delta discrepancy| {delta:.3g}, {flipped} pass flags flipped"
+
+
 def compare(parent: Path, change: Path) -> list[str]:
     """One line per output file that differs or exists in one tree only."""
     names = {p.relative_to(parent) for p in parent.rglob("*") if p.name in FILES}
@@ -68,7 +87,8 @@ def compare(parent: Path, change: Path) -> list[str]:
         if not a.exists() or not b.exists():
             lines.append(f"only in {'change' if b.exists() else 'parent'}: {name}")
         elif _content(a) != _content(b):
-            lines.append(f"differs: {name}")
+            detail = f" ({_trial_changes(a, b)})" if name.name == "trials.csv" else ""
+            lines.append(f"differs: {name}{detail}")
     return lines
 
 
