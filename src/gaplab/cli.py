@@ -3,12 +3,13 @@
 Reads a declarative JSON configuration (or a named built-in preset) and
 runs it through one table of experiments, ``EXPERIMENTS``: each entry names
 the keys it may sweep and maps the configuration of one sweep point to a
-library driver call, whose trials come back as the columns of one
-``ExperimentOutcome``.  The report reads each point's statistics from its
-outcome and persists three files to the output directory:
+library driver call on the point's stream, ``RngStream(seed, point)``, whose
+trials come back as the columns of one ``ExperimentOutcome``.  The report
+reads each point's statistics from its outcome and persists three files to
+the output directory:
 
-* ``trials.csv``   -- one row per trial, in trial order, pinned CSV dialect
-  (comma separated, LF line endings, '.' decimal, no quoting).
+* ``trials.csv``   -- one row per trial, numbered from 0 at each point, pinned
+  CSV dialect (comma separated, LF line endings, '.' decimal, no quoting).
 * ``summary.json`` -- the fully resolved configuration plus summary
   statistics, reference values, wall time, library version and seed.
 * ``plotdata.csv`` -- one row per sweep point with the columns
@@ -261,12 +262,11 @@ def _resolve_bath(cfg: ExperimentConfig) -> np.ndarray:
 # Each entry checks the configuration of one sweep point, with the swept
 # value in place (a library check that a config value fails becomes a
 # ConfigError naming the key), and returns the point's dimension and a
-# function that draws the point's trials, given its index, as one
-# ExperimentOutcome.  Points of theorem1-4 and canonical_typicality draw
-# from RngStream(seed, point), with the point's state or subspace from
-# substream n_trials + 1; submatrix point p draws from
-# RngStream(seed, 0).substream(p); the experiments that do not sweep draw
-# from RngStream(seed, 0).
+# function that draws the point's trials from the point's stream as one
+# ExperimentOutcome.  run() hands point p the stream RngStream(seed, p);
+# trial i draws from its substream i, a Monte Carlo reference from
+# substream n_trials, a fixed state or subspace from substream n_trials + 1,
+# and a single-generator experiment from stream.generator().
 
 def _purification_inputs(cfg: ExperimentConfig):
     if cfg.d2 < cfg.d1:
@@ -276,35 +276,27 @@ def _purification_inputs(cfg: ExperimentConfig):
 
 def _theorem1(cfg: ExperimentConfig):
     rho1, f = _purification_inputs(cfg)
-    return cfg.d2, lambda point: T.random_purification_experiment(
-        RngStream(cfg.seed, point), rho1, cfg.d2, f, cfg.epsilon, cfg.n_trials)
+    return cfg.d2, lambda stream: T.random_purification_experiment(
+        stream, rho1, cfg.d2, f, cfg.epsilon, cfg.n_trials)
 
 
 def _theorem2(cfg: ExperimentConfig):
     rho1, f = _purification_inputs(cfg)
-
-    def draw(point):
-        stream = RngStream(cfg.seed, point)
-        psi = T.random_purification(stream.substream(cfg.n_trials + 1).generator(),
-                                    rho1, cfg.d2)
-        return T.random_basis_experiment(stream, psi, f, cfg.epsilon, cfg.n_trials)
-    return cfg.d2, draw
+    return cfg.d2, lambda stream: T.random_basis_experiment(
+        stream, T.random_purification(stream.substream(cfg.n_trials + 1).generator(),
+                                      rho1, cfg.d2), f, cfg.epsilon, cfg.n_trials)
 
 
 def _on_subspace(cfg: ExperimentConfig, driver):
     """The point's dimension dR (default d1 * d2) and its draw function,
-    which runs ``driver(stream, subspace)`` on the point's stream and random
-    dR-dimensional subspace."""
+    which runs ``driver(stream, subspace)`` on the point's stream and a random
+    dR-dimensional subspace drawn from its substream n_trials + 1."""
     total = cfg.d1 * cfg.d2
     dr = cfg.dR if cfg.dR is not None else total
     if dr > total:
         raise ConfigError(f"dR: subspace dimension must lie in [1, {total}], got {dr}")
-
-    def draw(point):
-        stream = RngStream(cfg.seed, point)
-        return driver(stream, T.random_subspace(
-            stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr))
-    return dr, draw
+    return dr, lambda stream: driver(stream, T.random_subspace(
+        stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr))
 
 
 def _theorem3(cfg: ExperimentConfig):
@@ -333,17 +325,15 @@ def _canonical_typicality(cfg: ExperimentConfig):
 def _submatrix(cfg: ExperimentConfig):
     if cfg.d2 < 2 * cfg.d1:
         raise ConfigError(f"d2: submatrix needs d2 >= 2 d1 = {2 * cfg.d1}, got {cfg.d2}")
-    return cfg.d2, lambda point: replace(T.submatrix_convergence_experiment(
-        RngStream(cfg.seed, 0).substream(point), cfg.d1, cfg.d2, cfg.n_samples,
-        cfg.epsilon), first_trial=point)
+    return cfg.d2, lambda stream: T.submatrix_convergence_experiment(
+        stream, cfg.d1, cfg.d2, cfg.n_samples, cfg.epsilon)
 
 
 def _continuity(cfg: ExperimentConfig):
     if not cfg.gamma < 1.0 / cfg.d1:
         raise ConfigError(f"gamma: must lie below 1/d1 = {1.0 / cfg.d1}, got {cfg.gamma}")
-    return cfg.d1, lambda point: T.continuity_probe(
-        RngStream(cfg.seed, point), cfg.d1, cfg.gamma, cfg.n_trials, cfg.epsilon,
-        n_probe=cfg.n_samples)
+    return cfg.d1, lambda stream: T.continuity_probe(
+        stream, cfg.d1, cfg.gamma, cfg.n_trials, cfg.epsilon, n_probe=cfg.n_samples)
 
 
 def _thermal(cfg: ExperimentConfig):
@@ -355,19 +345,18 @@ def _thermal(cfg: ExperimentConfig):
         raise ConfigError(f"window: every system level needs a level pair in the "
                           f"window, got counts {shell.counts.tolist()}")
     f = _resolve_f(cfg, shell.d1)
-    return shell.dim, lambda point: T.thermal_experiment(
-        RngStream(cfg.seed, point), system, shell, f, cfg.epsilon, cfg.n_trials)
+    return shell.dim, lambda stream: T.thermal_experiment(
+        stream, system, shell, f, cfg.epsilon, cfg.n_trials)
 
 
 def _gap_selftest(cfg: ExperimentConfig):
-    return cfg.d1, lambda point: T.gap_selftest_experiment(
-        RngStream(cfg.seed, point), cfg.d1, cfg.gamma, cfg.epsilon, cfg.n_trials,
-        cfg.n_samples)
+    return cfg.d1, lambda stream: T.gap_selftest_experiment(
+        stream, cfg.d1, cfg.gamma, cfg.epsilon, cfg.n_trials, cfg.n_samples)
 
 
 class Experiment(NamedTuple):
     sweeps: tuple          # the config keys this experiment may sweep
-    run: Callable          # config at the point -> (dim, point index -> outcome)
+    run: Callable          # config at the point -> (dim, point stream -> outcome)
 
 
 EXPERIMENTS = {
@@ -414,15 +403,15 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 
     A sweep (of a key the experiment's table entry allows, checked with the
     config) runs the entry once per value, with the value in place of the
-    swept key, and checks every point before the first one draws; each point
-    is labelled by its swept value, or by the entry's own dimension when
-    nothing is swept."""
+    swept key, and checks every point before the first one draws.  Point p
+    draws from RngStream(seed, p) and is labelled by its swept value, or by
+    the entry's own dimension when nothing is swept."""
     start = time.perf_counter()
     experiment = EXPERIMENTS[cfg.experiment]
     param, values = next(iter(cfg.sweep.items())) if cfg.sweep else (None, [None])
     checked = [experiment.run(cfg if param is None else replace(cfg, **{param: value}))
                for value in values]
-    points = [Point(dim if param is None else value, draw(point))
+    points = [Point(dim if param is None else value, draw(RngStream(cfg.seed, point)))
               for point, (value, (dim, draw)) in enumerate(zip(values, checked))]
     return ExperimentReport(config=cfg.to_dict(), points=points,
                             wall_time_s=time.perf_counter() - start)
@@ -439,8 +428,8 @@ def trials_csv(report: ExperimentReport) -> str:
     name = report.config["experiment"]
     for p in report.points:
         out = p.outcome
-        trials = range(out.first_trial, out.first_trial + len(out.discrepancies))
-        columns = (map(str, trials), map(repr, out.discrepancies.tolist()),
+        columns = (map(str, range(len(out.discrepancies))),
+                   map(repr, out.discrepancies.tolist()),
                    np.where(out.passed, "1", "0").tolist(),
                    map(repr, out.auxiliary.tolist()))
         prefix = f"{name},{p.dim},"

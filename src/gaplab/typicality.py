@@ -111,7 +111,7 @@ class TestFunction:
 
     * ``overlap_sq``      f(psi) = |<phi|psi>|^2
     * ``real_part``       f(psi) = Re <phi|psi>
-    * ``cap_indicator``   f(psi) = 1 if |<phi|psi>|^2 >= threshold
+    * ``cap_indicator``   f(psi) = 1 if |<phi|psi>|^2 >= threshold - 1e-12
     * ``polynomial``      f(psi) = p(|<phi|psi>|^2), coefficients ascending
 
     ``bound`` is the sup norm over the unit sphere.  Instances are callable
@@ -170,7 +170,9 @@ class TestFunction:
         if self.kind == "overlap_sq":
             return x
         if self.kind == "cap_indicator":
-            return (x >= self.threshold).astype(float)
+            # |<phi|psi>|^2 of a psi equal to phi up to a phase rounds to
+            # 1 - 1e-16 or so, which a threshold of 1 must still admit.
+            return (x >= self.threshold - 1e-12).astype(float)
         return np.polynomial.polynomial.polyval(x, self.coefficients)
 
 
@@ -279,10 +281,10 @@ def gap_reference(reference, stream: RngStream, rho: DensityMatrix, f: TestFunct
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
-    """The trials of one sweep point as (n_trials,) columns: each trial's
-    discrepancy, pass flag and auxiliary value (NaN where the driver records
-    none), with the reference and pass threshold they were judged against.
-    Row i is trial ``first_trial + i``."""
+    """The trials of one sweep point as (n_trials,) columns, row i for trial
+    i: each trial's discrepancy, pass flag and auxiliary value (NaN where the
+    driver records none), with the reference and pass threshold they were
+    judged against, and the driver's further statistics in ``extra``."""
 
     discrepancies: np.ndarray
     passed: np.ndarray
@@ -290,7 +292,6 @@ class ExperimentOutcome:
     reference: float
     threshold: float
     extra: dict = field(default_factory=dict)
-    first_trial: int = 0
 
     @property
     def pass_fraction(self) -> float:

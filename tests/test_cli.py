@@ -223,7 +223,6 @@ class TestConfigErrorsNameTheKey:
         ("system_levels", {"experiment": "thermal", "system_levels": []}),
         ("bath_spec.levels", {"experiment": "thermal", "bath_spec": {"levels": []}}),
     ])
-    @pytest.mark.filterwarnings("error")
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
@@ -323,8 +322,7 @@ class TestRunAndFiles:
             np.array([0.30000000000000004, 2.5]), np.array([True, False]),
             np.array([np.nan, 1e-17]), 0.0, 0.5)
         later = typicality.ExperimentOutcome(
-            np.array([1.0]), np.array([True]), np.array([0.125]), 0.0, 0.5,
-            first_trial=3)
+            np.array([1.0]), np.array([True]), np.array([0.125]), 0.0, 0.5)
         report = ExperimentReport(
             config={"experiment": "theorem1"},
             points=[Point(16, first), Point(64, later)], wall_time_s=0.0)
@@ -332,8 +330,21 @@ class TestRunAndFiles:
             "experiment,dim,trial,discrepancy,pass,auxiliary\n"
             "theorem1,16,0,0.30000000000000004,1,nan\n"
             "theorem1,16,1,2.5,0,1e-17\n"
-            "theorem1,64,3,1.0,1,0.125\n"
+            "theorem1,64,0,1.0,1,0.125\n"
         )
+
+    def test_cap_at_threshold_one_passes_on_a_pure_target(self):
+        # Every conditional wave function is e1 up to a phase, so mu(f) = 1
+        # = GAP(rho)(f), though |<e1|psi>|^2 may round below 1 (0.14.0 passed
+        # 4 of these 20 trials, with discrepancies up to 0.73).
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "theorem1", "d2": 8, "n_trials": 20,
+            "rho_spec": {"spectrum": [1.0, 0.0]},
+            "f_spec": {"kind": "cap_indicator", "phi": "e1", "threshold": 1.0}})
+        out = run(cfg).points[0].outcome
+        assert out.reference == 1.0
+        assert out.pass_fraction == 1.0
+        assert np.max(out.discrepancies) < 1e-12
 
     def test_rho_basis_seed_rotates_the_spectrum(self):
         payload = dict(TINY, n_trials=3, f_spec={"kind": "overlap_sq", "phi": "e1"},
@@ -436,6 +447,36 @@ class TestPresets:
         assert medians[0] > medians[1] > medians[2]
 
 
+def _same_outcome(a, b):
+    return (all(getattr(a, c).tobytes() == getattr(b, c).tobytes()
+                for c in ("discrepancies", "passed", "auxiliary"))
+            and json.dumps([a.reference, a.threshold, a.extra], sort_keys=True)
+            == json.dumps([b.reference, b.threshold, b.extra], sort_keys=True))
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_point_p_draws_from_rngstream_seed_p(experiment):
+    # The one random layout: run() hands sweep point p RngStream(seed, p),
+    # and every point numbers its trials from 0.  Each experiment runs its
+    # first preset at 3 trials, swept over two values where it can sweep.
+    name = min(n for n in PRESETS if PRESETS[n]["experiment"] == experiment)
+    sweeps = EXPERIMENTS[experiment].sweeps
+    cfg = preset_config(name, {"n_trials": 3, "n_samples": 200,
+                               "sweep": {sweeps[-1]: [4, 8]} if sweeps else None})
+    param, values = next(iter(cfg.sweep.items())) if cfg.sweep else (None, [None])
+    report = run(cfg)
+    assert len(report.points) == len(values)
+    rows = [line.split(",") for line in trials_csv(report).splitlines()[1:]]
+    for p, value in enumerate(values):
+        _, draw = EXPERIMENTS[experiment].run(
+            cfg if param is None else replace(cfg, **{param: value}))
+        outcome = report.points[p].outcome
+        assert _same_outcome(outcome, draw(RngStream(cfg.seed, p)))
+        assert not _same_outcome(outcome, draw(RngStream(cfg.seed, p + 1)))
+        numbers = [int(row[2]) for row in rows if row[1] == str(report.points[p].dim)]
+        assert numbers == list(range(len(outcome.discrepancies)))
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_runs_end_to_end(tmp_path, name):
     out = tmp_path / name
@@ -449,7 +490,7 @@ def test_every_preset_runs_end_to_end(tmp_path, name):
     for point, value in enumerate(values):
         point_cfg = small if param is None else replace(small, **{param: value})
         _, draw = EXPERIMENTS[small.experiment].run(point_cfg)
-        outcomes.append(draw(point))
+        outcomes.append(draw(RngStream(small.seed, point)))
         assert type(outcomes[-1]) is typicality.ExperimentOutcome
     rows_per_point = 1 if cfg.experiment == "submatrix" else 3
     trials = (out / "trials.csv").read_text().splitlines()

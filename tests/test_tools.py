@@ -38,11 +38,13 @@ def test_a_failing_tree_stops_the_other_run(monkeypatch, tmp_path, preset_diff):
     assert all(proc.poll() is not None for proc in started)
 
 
-def _write_trials(path, rows):
+def _write_trials(path, rows, auxiliary=None, first_trial=0):
     path.parent.mkdir(parents=True)
+    auxiliary = auxiliary or [float("nan")] * len(rows)
     path.write_text("experiment,dim,trial,discrepancy,pass,auxiliary\n"
-                    + "".join(f"theorem1,16,{i},{d!r},{p},nan\n"
-                              for i, (d, p) in enumerate(rows)), encoding="utf-8")
+                    + "".join(f"theorem1,16,{first_trial + i},{d!r},{p},{x!r}\n"
+                              for i, ((d, p), x) in enumerate(zip(rows, auxiliary))),
+                    encoding="utf-8")
 
 
 def test_a_changed_trials_file_reports_its_largest_change_and_flips(tmp_path, preset_diff):
@@ -53,7 +55,20 @@ def test_a_changed_trials_file_reports_its_largest_change_and_flips(tmp_path, pr
     _write_trials(change / "b" / "7" / "trials.csv", [(0.05, 1)])
     _write_trials(parent / "c" / "7" / "trials.csv", [(0.05, 1)])
     _write_trials(change / "c" / "7" / "trials.csv", [(0.05, 1), (0.3, 0)])
+    # Only the trial numbers and auxiliary values change; NaN equals NaN.
+    _write_trials(parent / "d" / "7" / "trials.csv", [(0.05, 1)] * 3,
+                  [float("nan"), 0.25, 0.5], first_trial=1)
+    _write_trials(change / "d" / "7" / "trials.csv", [(0.05, 1)] * 3,
+                  [float("nan"), 0.125, 0.5])
+    # A number against NaN is an infinite change.
+    _write_trials(parent / "e" / "7" / "trials.csv", [(0.05, 1)], [0.5])
+    _write_trials(change / "e" / "7" / "trials.csv", [(0.05, 1)])
     assert preset_diff.compare(parent, change) == [
-        "differs: a/7/trials.csv (max |delta discrepancy| 0.05, 1 pass flags flipped)",
+        "differs: a/7/trials.csv (max |delta discrepancy| 0.05, max |delta auxiliary| 0, "
+        "1 pass flags flipped, 0 rows relabelled)",
         "differs: c/7/trials.csv (1 vs 2 trials)",
+        "differs: d/7/trials.csv (max |delta discrepancy| 0, max |delta auxiliary| 0.125, "
+        "0 pass flags flipped, 3 rows relabelled)",
+        "differs: e/7/trials.csv (max |delta discrepancy| 0, max |delta auxiliary| inf, "
+        "0 pass flags flipped, 0 rows relabelled)",
     ]

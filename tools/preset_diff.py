@@ -8,8 +8,10 @@ subprocess, with PYTHONPATH=<root>/src, writes every preset of that tree at
 its preset seed and at --seed 7.  The script then compares trials.csv,
 plotdata.csv and summary.json (without its wall_time_s and library_version
 fields), prints one line per file that differs and exits 1 if any does.  A
-line for a trials.csv also gives the largest change of a trial's discrepancy
-and the number of pass flags that flipped, matching the trials row by row.
+line for a trials.csv also gives, matching the trials row by row, the largest
+change of a trial's discrepancy and of its auxiliary value (NaN equal to NaN),
+the number of pass flags that flipped and the number of rows whose
+(experiment, dim, trial) label changed.
 The two trees run at once; if either run fails, the script stops the other
 and exits 2.  It uses the standard library only.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,9 +64,20 @@ def _content(path: Path):
     return summary
 
 
+def _largest_change(rows, column: str) -> float:
+    """Largest |change| of a float column between paired rows; NaN equals NaN
+    and lies infinitely far from any number."""
+    changes = [0.0]
+    for x, y in rows:
+        a, b = float(x[column]), float(y[column])
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            changes.append(abs(a - b) if math.isfinite(a - b) else math.inf)
+    return max(changes)
+
+
 def _trial_changes(a: Path, b: Path) -> str:
-    """Largest |change of discrepancy| and flipped pass flags between the rows
-    of two trials.csv files."""
+    """Largest |change| of discrepancy and of auxiliary value, flipped pass
+    flags and relabelled rows between the rows of two trials.csv files."""
     tables = []
     for path in (a, b):
         with path.open(encoding="utf-8", newline="") as fh:
@@ -71,10 +85,12 @@ def _trial_changes(a: Path, b: Path) -> str:
     if len(tables[0]) != len(tables[1]):
         return f"{len(tables[0])} vs {len(tables[1])} trials"
     rows = list(zip(*tables))
-    delta = max((abs(float(x["discrepancy"]) - float(y["discrepancy"])) for x, y in rows),
-                default=0.0)
     flipped = sum(x["pass"] != y["pass"] for x, y in rows)
-    return f"max |delta discrepancy| {delta:.3g}, {flipped} pass flags flipped"
+    label = ("experiment", "dim", "trial")
+    relabelled = sum([x[k] for k in label] != [y[k] for k in label] for x, y in rows)
+    return (f"max |delta discrepancy| {_largest_change(rows, 'discrepancy'):.3g}, "
+            f"max |delta auxiliary| {_largest_change(rows, 'auxiliary'):.3g}, "
+            f"{flipped} pass flags flipped, {relabelled} rows relabelled")
 
 
 def compare(parent: Path, change: Path) -> list[str]:
