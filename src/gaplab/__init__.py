@@ -1,7 +1,7 @@
 """gaplab: GAP measures, conditional wave functions, and Haar-random Monte
 Carlo experiments on finite-dimensional complex Hilbert spaces."""
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .errors import (
     BasisError,
@@ -28,7 +28,6 @@ from .randomness import (
     uniform_sphere,
 )
 from .gap import (
-    covariance_estimate,
     gap_sphere_density,
     sample_adjusted_gaussian,
     sample_gap,

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, GaplabError
 from .hilbert import DensityMatrix
-from .randomness import MAX_TRIALS, RngStream, haar_unitary
+from .randomness import RngStream, haar_unitary
 from . import typicality as T
 
 F_KINDS = ("overlap_sq", "real_part", "cap_indicator", "polynomial")
@@ -78,6 +78,17 @@ def _numbers(key: str, value) -> np.ndarray:
     return np.array([_number(key, v) for v in value], dtype=float)
 
 
+# Entries of the largest array one sweep point may allocate, 1 GiB of
+# complex128: a dense subspace of C^4096 takes 2**24, the presets under 2**15.
+MAX_ENTRIES = 2 ** 26
+
+
+def _cap(key: str, entries: int) -> None:
+    """Raise a ConfigError naming ``key`` if its value asks for more than MAX_ENTRIES."""
+    if entries > MAX_ENTRIES:
+        raise ConfigError(f"{key}: needs an array of {entries} entries, cap {MAX_ENTRIES}")
+
+
 @dataclass
 class ExperimentConfig:
     """Validated, fully resolved experiment parameters."""
@@ -100,12 +111,13 @@ class ExperimentConfig:
     gamma: float = 0.1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: unknown value {self.experiment!r}")
         for key in ("d1", "d2", "n_trials", "n_samples"):
             setattr(self, key, _integer(key, getattr(self, key), 1))
-        if self.n_trials > MAX_TRIALS:
-            raise ConfigError(f"n_trials: must be at most 2**32, got {self.n_trials}")
+        _cap("d1", self.d1 ** 2)  # rho and phi
+        _cap("d2", self.d1 * self.d2)  # a trial's state
+        _cap("n_trials", T.REFERENCE_BUDGET_FACTOR * self.n_trials * self.d1)  # a reference
         if self.dR is not None:
             self.dR = _integer("dR", self.dR, 1)
         self.seed = _integer("seed", self.seed, 0)
@@ -243,14 +255,17 @@ def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
     return _named("rho_spec.spectrum", DensityMatrix.from_spectrum, spectrum, basis)
 
 
-def _resolve_bath(cfg: ExperimentConfig) -> np.ndarray:
+def _resolve_bath(cfg: ExperimentConfig, n_system: int) -> np.ndarray:
     spec = cfg.bath_spec
     if "levels" in spec:
-        return _numbers("bath_spec.levels", spec["levels"])
+        levels = _numbers("bath_spec.levels", spec["levels"])
+        _cap("bath_spec.levels", n_system * levels.size)
+        return levels
     try:
+        count = _integer("bath_spec.count", spec["count"], 1)
+        _cap("bath_spec.count", n_system * count)
         return np.linspace(_number("bath_spec.min", spec["min"]),
-                           _number("bath_spec.max", spec["max"]),
-                           _integer("bath_spec.count", spec["count"], 1))
+                           _number("bath_spec.max", spec["max"]), count)
     except KeyError as exc:
         raise ConfigError(f"bath_spec: missing key {exc}")
 
@@ -295,6 +310,7 @@ def _on_subspace(cfg: ExperimentConfig, driver):
     dr = cfg.dR if cfg.dR is not None else total
     if dr > total:
         raise ConfigError(f"dR: subspace dimension must lie in [1, {total}], got {dr}")
+    _cap("dR", total * dr)  # the subspace's dense basis
     return dr, lambda stream: driver(stream, T.random_subspace(
         stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr))
 
@@ -325,6 +341,7 @@ def _canonical_typicality(cfg: ExperimentConfig):
 def _submatrix(cfg: ExperimentConfig):
     if cfg.d2 < 2 * cfg.d1:
         raise ConfigError(f"d2: submatrix needs d2 >= 2 d1 = {2 * cfg.d1}, got {cfg.d2}")
+    _cap("n_samples", 2 * cfg.n_samples * cfg.d1 ** 2)  # the stacked 2 d1 x d1 blocks
     return cfg.d2, lambda stream: T.submatrix_convergence_experiment(
         stream, cfg.d1, cfg.d2, cfg.n_samples, cfg.epsilon)
 
@@ -332,13 +349,16 @@ def _submatrix(cfg: ExperimentConfig):
 def _continuity(cfg: ExperimentConfig):
     if not cfg.gamma < 1.0 / cfg.d1:
         raise ConfigError(f"gamma: must lie below 1/d1 = {1.0 / cfg.d1}, got {cfg.gamma}")
+    _cap("n_samples", cfg.n_samples * cfg.d1)  # the probe points
     return cfg.d1, lambda stream: T.continuity_probe(
         stream, cfg.d1, cfg.gamma, cfg.n_trials, cfg.epsilon, n_probe=cfg.n_samples)
 
 
 def _thermal(cfg: ExperimentConfig):
     system = _numbers("system_levels", cfg.system_levels)
-    bath = _resolve_bath(cfg)
+    # phi and rho_beta take n**2 entries for n system levels, a reference 10 n_trials n.
+    _cap("system_levels", system.size * max(system.size, T.REFERENCE_BUDGET_FACTOR * cfg.n_trials))
+    bath = _resolve_bath(cfg, system.size)
     shell = _named("window", T.microcanonical_shell, system, bath,
                    float(cfg.window["energy"]), float(cfg.window["width"]))
     if not np.all(shell.counts):
@@ -347,11 +367,6 @@ def _thermal(cfg: ExperimentConfig):
     f = _resolve_f(cfg, shell.d1)
     return shell.dim, lambda stream: T.thermal_experiment(
         stream, system, shell, f, cfg.epsilon, cfg.n_trials)
-
-
-def _gap_selftest(cfg: ExperimentConfig):
-    return cfg.d1, lambda stream: T.gap_selftest_experiment(
-        stream, cfg.d1, cfg.gamma, cfg.epsilon, cfg.n_trials, cfg.n_samples)
 
 
 class Experiment(NamedTuple):
@@ -368,7 +383,6 @@ EXPERIMENTS = {
     "submatrix": Experiment(("d2",), _submatrix),
     "continuity": Experiment((), _continuity),
     "thermal": Experiment((), _thermal),
-    "gap_selftest": Experiment((), _gap_selftest),
 }
 
 
@@ -550,10 +564,6 @@ PRESETS: dict[str, dict] = {
         "experiment": "continuity", "d1": 2, "gamma": 0.1,
         "n_trials": 200, "n_samples": 10_000, "epsilon": 0.5, "seed": 20260817,
     },
-    "gap-selftest": {
-        "experiment": "gap_selftest", "d1": 4, "n_trials": 5,
-        "n_samples": 100_000, "epsilon": 0.01, "seed": 20260818,
-    },
 }
 
 PRESET_NOTES = {
@@ -566,7 +576,6 @@ PRESET_NOTES = {
     "thermal-twolevel": "two-level system, 200-level bath, energy window [10, 10.5]",
     "submatrix-k1": "scaled Haar entries versus the Gaussian limit over n",
     "continuity-d2": "GAP density modulus of continuity at spectrum floor 0.1",
-    "gap-selftest": "GAP sampler covariance and sphere-density normalization",
 }
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularDensityError
+from .errors import DimensionError, SingularDensityError
 from .hilbert import DensityMatrix
 from .randomness import _integer, sample_complex_gaussian
 
@@ -32,7 +32,6 @@ __all__ = [
     "sample_adjusted_gaussian",
     "sample_gap",
     "gap_sphere_density",
-    "covariance_estimate",
 ]
 
 def sample_adjusted_gaussian(rng: np.random.Generator, rho: DensityMatrix,
@@ -88,18 +87,3 @@ def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
     log_val = np.log(d) - np.sum(np.log(p)) - (d + 1) * np.log(quad)
     out = np.exp(log_val)
     return float(out[0]) if single else out
-
-
-def covariance_estimate(samples) -> np.ndarray:
-    """Empirical covariance (1/N) sum |psi><psi| of a batch of vectors.
-
-    ``samples`` is an (N, d) array or a sequence of length-d vectors.  The
-    result is Hermitian by construction; it has trace 1 when the samples are
-    normalized.
-    """
-    arr = np.asarray(samples, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise DomainError("need a nonempty batch of equal-length vectors")
-    return arr.T @ arr.conj() / arr.shape[0]

@@ -267,6 +267,21 @@ def gaussian_density(rho: DensityMatrix, psi: np.ndarray) -> float:
     return float(np.exp(-quad - log_norm))
 
 
+def covariance_estimate(samples) -> np.ndarray:
+    """Empirical covariance (1/N) sum |psi><psi| of a batch of vectors.
+
+    ``samples`` is an (N, d) array or a sequence of length-d vectors.  The
+    result is Hermitian by construction; it has trace 1 when the samples are
+    normalized.
+    """
+    arr = np.asarray(samples, dtype=complex)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise DomainError("need a nonempty batch of equal-length vectors")
+    return arr.T @ arr.conj() / arr.shape[0]
+
+
 def product_state(chi, phi):
     """The product state chi (x) phi."""
     return BipartiteState.from_matrix(np.outer(chi, phi))

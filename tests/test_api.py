@@ -15,7 +15,6 @@ from gaplab import (
     RngStream,
     canonical_density,
     cap_indicator,
-    covariance_estimate,
     gap_sphere_density,
     ginibre,
     haar_unitary,
@@ -34,6 +33,7 @@ from _oracles import (
     DiscreteMeasure,
     SingularProjectionError,
     conditional_measure,
+    covariance_estimate,
     gaussian_density,
     project_to_sphere,
 )
@@ -117,6 +117,11 @@ def rng():
      SingularProjectionError, "weighted zero atom"),
     (lambda: cap_indicator(E0, 1.5), DomainError, r"threshold in \[0, 1\]"),
     (lambda: polynomial(E0, []), DomainError, "at least one coefficient"),
+    # Arithmetic on these overflows: 0.15.0 gave [1e308, 1e308] the bound inf,
+    # so every trial passed, and raised numpy's LinAlgError for the second.
+    (lambda: polynomial(E0, [1e308, 1e308]), DomainError, r"sum of \|c_i\| at most 1e150"),
+    (lambda: polynomial(E0, [0.0, 1e308, 1e308, 1e308]), DomainError, "at most 1e150"),
+    (lambda: polynomial(E0, [0.0, np.nan]), DomainError, "coefficients must be finite"),
     (lambda: T.TestFunction("cubic", E0), DomainError, "unknown test function kind"),
     (lambda: ks_statistic([], lambda x: x), DomainError, "empty sample"),
     (lambda: T.random_subspace(rng(), 2, 2, 5), DomainError,
@@ -152,7 +157,7 @@ def rng():
      "d must be an integer >= 1, got 2.0"),
     (lambda: T.continuity_probe(RngStream(1), 2.0, 0.1, 2, 0.5, n_probe=10), DomainError,
      "d must be an integer >= 1, got 2.0"),
-    (lambda: T.gap_selftest_experiment(RngStream(1), 0, 0.1, 0.1, 1, 10), DomainError,
+    (lambda: T.random_floor_density(rng(), 0, 0.1), DomainError,
      "d must be an integer >= 1, got 0"),
     (lambda: BipartiteState(2.0, 2, np.array([1.0, 0.0, 0.0, 0.0])), DomainError,
      "d1 must be an integer >= 1, got 2.0"),

@@ -2,13 +2,18 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab.cli import (
     EXPERIMENTS,
+    F_KINDS,
+    MAX_ENTRIES,
     ExperimentConfig,
     ExperimentReport,
     PRESETS,
@@ -45,7 +50,6 @@ SWEEPABLE = {
     "theorem1": {"d2"}, "theorem2": {"d2"}, "submatrix": {"d2"},
     "canonical_typicality": {"dR"}, "theorem3": {"d2", "dR"},
     "theorem4": {"d2", "dR"}, "continuity": set(), "thermal": set(),
-    "gap_selftest": set(),
 }
 
 
@@ -222,6 +226,27 @@ class TestConfigErrorsNameTheKey:
         # Empty level lists.
         ("system_levels", {"experiment": "thermal", "system_levels": []}),
         ("bath_spec.levels", {"experiment": "thermal", "bath_spec": {"levels": []}}),
+        # Sizes whose largest array exceeds MAX_ENTRIES, checked before any
+        # allocation (numpy raised "Maximum allowed dimension exceeded" or an
+        # OverflowError for each of these in 0.15.0).
+        ("d2", {"d2": 10**30}),
+        ("d2", {"experiment": "theorem3", "f_spec": {"kind": "overlap_sq"}, "d2": 10**30}),
+        ("d2", {"experiment": "canonical_typicality", "d2": 10**30}),
+        ("d1", {"d1": 10**30, "d2": 10**30, "rho_spec": {"spectrum": None}}),
+        ("n_samples", {"experiment": "submatrix", "n_samples": 10**30}),
+        ("n_samples", {"experiment": "continuity", "n_samples": 10**30}),
+        ("bath_spec.count", {"experiment": "thermal",
+                             "bath_spec": {"count": 10**30, "min": 0, "max": 20}}),
+        ("d2", {"experiment": "submatrix", "d1": 1, "d2": 10**30}),
+        ("dR", {"experiment": "theorem3", "f_spec": {"kind": "overlap_sq"}, "d2": 5000}),
+        ("system_levels", {"experiment": "thermal", "system_levels": list(range(8193))}),
+        ("system_levels", {"experiment": "thermal", "system_levels": list(range(100)),
+                           "n_trials": 10**5}),
+        ("experiment", {"experiment": ["theorem1"]}),
+        ("f_spec.coefficients", {"f_spec": {"kind": "polynomial",
+                                            "coefficients": [1e308, 1e308]}}),
+        ("f_spec.coefficients", {"f_spec": {"kind": "polynomial",
+                                            "coefficients": [0.0, 1e308, 1e308, 1e308]}}),
     ])
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))
@@ -249,11 +274,88 @@ class TestConfigErrorsNameTheKey:
         assert f"error: {message.format(config=path, out=out)}" in capsys.readouterr().err
 
 
+# A valid configuration, every size at 64 or below, so that no check step
+# allocates more than a few MB.
+FINITE = st.floats(-2.0, 2.0)
+VALID = st.fixed_dictionaries({
+    "experiment": st.sampled_from(sorted(EXPERIMENTS)),
+    "d1": st.integers(1, 4), "d2": st.integers(1, 64),
+    "dR": st.one_of(st.none(), st.integers(1, 64)),
+    "n_trials": st.integers(1, 64), "n_samples": st.integers(1, 64),
+    "seed": st.integers(0, 2**64), "epsilon": st.floats(0.01, 0.99),
+    "delta": st.floats(0.01, 0.99), "gamma": st.floats(0.01, 0.99),
+    "sweep": st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(["d2", "dR"]), st.lists(st.integers(1, 64), min_size=1, max_size=3),
+        min_size=1, max_size=1)),
+    "rho_spec": st.fixed_dictionaries({
+        "spectrum": st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)),
+        "basis_seed": st.one_of(st.none(), st.integers(0, 100))}),
+    "f_spec": st.fixed_dictionaries({"kind": st.sampled_from(F_KINDS)}, optional={
+        "phi": st.one_of(st.sampled_from(["e1", "e2", "balanced"]),
+                         st.lists(st.lists(FINITE, min_size=2, max_size=2), max_size=4)),
+        "threshold": st.floats(0.0, 1.0),
+        "coefficients": st.lists(FINITE, min_size=1, max_size=4)}),
+    "system_levels": st.lists(FINITE, min_size=1, max_size=4),
+    "bath_spec": st.one_of(
+        st.fixed_dictionaries({"count": st.integers(1, 64), "min": FINITE, "max": FINITE}),
+        st.fixed_dictionaries({"levels": st.lists(FINITE, min_size=1, max_size=64)})),
+    "window": st.fixed_dictionaries({"energy": FINITE, "width": st.floats(0.01, 2.0)}),
+})
+
+# What replaces a value: a wrong type, a bool, any float (NaN, inf and the
+# extremes included), a nonpositive or over-cap integer, a string, a list of
+# such scalars or an object.
+SCALAR = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-3, 0),
+                   st.integers(MAX_ENTRIES + 1, 10**40), st.text(max_size=3))
+JUNK = st.one_of(
+    SCALAR, st.lists(st.one_of(SCALAR, st.floats(-2.0, 2.0)), max_size=4),
+    st.dictionaries(st.sampled_from(["kind", "d2", "x"]), SCALAR, max_size=2))
+NESTED = {"rho_spec": ("spectrum", "basis_seed"),
+          "f_spec": ("kind", "phi", "threshold", "coefficients"),
+          "bath_spec": ("count", "min", "max", "levels"), "window": ("energy", "width")}
+# Every known key, nested keys as "spec.key", and an unknown key at each level.
+PATHS = (["experiment", "d1", "d2", "dR", "n_trials", "n_samples", "seed", "epsilon",
+          "delta", "gamma", "sweep", "system_levels", "bogus"]
+         + [f"{spec}.{key}" for spec, keys in NESTED.items() for key in keys + ("bogus",)])
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """VALID with up to three values, sweep values included, replaced by JUNK."""
+    raw = draw(VALID)
+    for _ in range(draw(st.integers(0, 3))):
+        path, value = draw(st.sampled_from(PATHS + ["sweep values"])), draw(JUNK)
+        if path == "sweep values":
+            raw["sweep"] = {draw(st.sampled_from(["d2", "dR"])): [draw(st.integers(1, 64)), value]}
+        elif "." in path:
+            spec, key = path.split(".")
+            raw[spec] = {**raw[spec], key: value} if isinstance(raw[spec], dict) else value
+        else:
+            raw[path] = value
+    return raw
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(raw=fuzzed_configs())
+def test_fuzzed_config_raises_only_config_errors(raw):
+    # Each point's check step, as run() calls it; the draw it returns is
+    # never called.
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+        param, values = next(iter(cfg.sweep.items())) if cfg.sweep else (None, [None])
+        for value in values:
+            EXPERIMENTS[cfg.experiment].run(
+                cfg if param is None else replace(cfg, **{param: value}))
+    except ConfigError:
+        pass
+
+
 class TestSweepCheckedBeforeDrawing:
     @pytest.mark.parametrize("key, payload", [
         ("d2", {"experiment": "submatrix", "d1": 2, "sweep": {"d2": [256, 3]}}),
         ("d2", {"experiment": "theorem1", "d1": 2, "sweep": {"d2": [64, 1]}}),
         ("dR", {"experiment": "theorem3", "d1": 2, "d2": 4, "sweep": {"dR": [4, 9]}}),
+        ("d2", {"experiment": "theorem1", "d1": 2, "sweep": {"d2": [64, 10**30]}}),
     ])
     def test_bad_late_sweep_value_exits_1_before_any_draw(self, tmp_path, capsys,
                                                           monkeypatch, key, payload):
@@ -408,6 +510,18 @@ class TestPresets:
             cfg = preset_config(name)
             assert cfg.experiment in name or cfg.experiment.replace("_", "-") in name
 
+    @pytest.mark.parametrize("raw", [
+        # Planned sizes: theorem1 at d2 = 4096 with 2000 trials, and a spin
+        # bath of 14 spins (16 384 levels j with multiplicity C(14, j)).
+        {"experiment": "theorem1", "d2": 4096, "n_trials": 2000},
+        {"experiment": "thermal", "n_trials": 300, "window": {"energy": 4.0, "width": 0.5},
+         "bath_spec": {"levels": [float(j) for j in range(15) for _ in range(comb(14, j))]}},
+    ])
+    def test_planned_sizes_pass_the_size_cap(self, raw):
+        # The check step only; the draw it returns is never called.
+        dim, _ = EXPERIMENTS[raw["experiment"]].run(ExperimentConfig.from_dict(raw))
+        assert dim == raw.get("d2", 1365)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("nope")
@@ -542,7 +656,7 @@ class TestMainEntry:
 
     def test_preset_flag(self, tmp_path):
         out = tmp_path / "p"
-        assert main(["run", "--preset", "gap-selftest", "--trials", "1",
+        assert main(["run", "--preset", "continuity-d2", "--trials", "1",
                      "--out", str(out)]) == 0
         assert (out / "plotdata.csv").exists()
 

@@ -6,7 +6,6 @@ from gaplab import (
     DomainError,
     RngStream,
     SingularDensityError,
-    covariance_estimate,
     gap_sphere_density,
     haar_unitary,
     sample_adjusted_gaussian,
@@ -16,6 +15,7 @@ from gaplab import (
 from gaplab.stats import ks_vs_exponential
 
 from _oracles import (
+    covariance_estimate,
     gaussian_density,
     rejection_adjusted_gaussian,
     sample_gaussian,

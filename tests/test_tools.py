@@ -63,6 +63,8 @@ def test_a_changed_trials_file_reports_its_largest_change_and_flips(tmp_path, pr
     # A number against NaN is an infinite change.
     _write_trials(parent / "e" / "7" / "trials.csv", [(0.05, 1)], [0.5])
     _write_trials(change / "e" / "7" / "trials.csv", [(0.05, 1)])
+    # A removed preset: its files count in the closing line too.
+    _write_trials(parent / "gone" / "7" / "trials.csv", [(0.05, 1)])
     assert preset_diff.compare(parent, change) == [
         "differs: a/7/trials.csv (max |delta discrepancy| 0.05, max |delta auxiliary| 0, "
         "1 pass flags flipped, 0 rows relabelled)",
@@ -71,4 +73,7 @@ def test_a_changed_trials_file_reports_its_largest_change_and_flips(tmp_path, pr
         "0 pass flags flipped, 3 rows relabelled)",
         "differs: e/7/trials.csv (max |delta discrepancy| 0, max |delta auxiliary| inf, "
         "0 pass flags flipped, 0 rows relabelled)",
+        "only in parent: gone/7/trials.csv",
+        "5 of 6 files differ",
     ]
+    assert preset_diff.compare(parent, parent)[-1] == "0 of 6 files differ"

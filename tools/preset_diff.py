@@ -7,11 +7,12 @@ CHANGE_ROOT defaults to the tree this script belongs to.  For each tree one
 subprocess, with PYTHONPATH=<root>/src, writes every preset of that tree at
 its preset seed and at --seed 7.  The script then compares trials.csv,
 plotdata.csv and summary.json (without its wall_time_s and library_version
-fields), prints one line per file that differs and exits 1 if any does.  A
-line for a trials.csv also gives, matching the trials row by row, the largest
-change of a trial's discrepancy and of its auxiliary value (NaN equal to NaN),
-the number of pass flags that flipped and the number of rows whose
-(experiment, dim, trial) label changed.
+fields), prints one line per file that differs or exists in one tree only,
+closes with their count among the files of both trees and exits 1 if any
+file differs.  A line for a trials.csv also gives, matching the trials row by
+row, the largest change of a trial's discrepancy and of its auxiliary value
+(NaN equal to NaN), the number of pass flags that flipped and the number of
+rows whose (experiment, dim, trial) label changed.
 The two trees run at once; if either run fails, the script stops the other
 and exits 2.  It uses the standard library only.
 """
@@ -94,7 +95,8 @@ def _trial_changes(a: Path, b: Path) -> str:
 
 
 def compare(parent: Path, change: Path) -> list[str]:
-    """One line per output file that differs or exists in one tree only."""
+    """One line per output file that differs or exists in one tree only, then
+    the count of those files among the files of both trees."""
     names = {p.relative_to(parent) for p in parent.rglob("*") if p.name in FILES}
     names |= {p.relative_to(change) for p in change.rglob("*") if p.name in FILES}
     lines = []
@@ -105,7 +107,7 @@ def compare(parent: Path, change: Path) -> list[str]:
         elif _content(a) != _content(b):
             detail = f" ({_trial_changes(a, b)})" if name.name == "trials.csv" else ""
             lines.append(f"differs: {name}{detail}")
-    return lines
+    return lines + [f"{len(lines)} of {len(names)} files differ"]
 
 
 def main(argv=None) -> int:
@@ -134,9 +136,8 @@ def main(argv=None) -> int:
                 proc.wait()
                 proc.stderr.close()
         lines = compare(*outs)
-        total = len({p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.name in FILES})
-    print("\n".join(lines + [f"{len(lines)} of {total} files differ"]))
-    return 1 if lines else 0
+    print("\n".join(lines))
+    return 1 if len(lines) > 1 else 0
 
 
 if __name__ == "__main__":
