@@ -188,21 +188,23 @@ def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarra
     return _complex_gaussians(rng.standard_normal((1, 2, n, m)))[0]
 
 
-def _complex_gaussians(pairs: np.ndarray) -> np.ndarray:
+def _complex_gaussians(pairs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unit-variance complex Gaussians (B, ...) from a stack of real standard
     normals (B, 2, ...): real parts pairs[:, 0], imaginary parts pairs[:, 1].
     ``ginibre`` is this map on one (1, 2, n, m) draw, so if one generator
     filled pairs[b] in C order, entry b holds exactly the values ``ginibre``
     returns from the same draws.
 
-    Each part is scaled into one preallocated complex array; numpy divides a
-    complex array by a real scalar as a multiplication by its reciprocal, so
-    this equals (re + 1j im) / sqrt(2) bit for bit without its temporaries."""
-    z = np.empty(pairs.shape[:1] + pairs.shape[2:], dtype=complex)
+    Each part is scaled into one complex array, ``out`` (any strides) when
+    given, else a new one; numpy divides a complex array by a real scalar as
+    a multiplication by its reciprocal, so this equals (re + 1j im) / sqrt(2)
+    bit for bit without its temporaries."""
+    if out is None:
+        out = np.empty(pairs.shape[:1] + pairs.shape[2:], dtype=complex)
     scale = 1.0 / np.sqrt(2.0)
-    np.multiply(pairs[:, 0], scale, out=z.real)
-    np.multiply(pairs[:, 1], scale, out=z.imag)
-    return z
+    np.multiply(pairs[:, 0], scale, out=out.real)
+    np.multiply(pairs[:, 1], scale, out=out.imag)
+    return out
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -234,9 +236,18 @@ def _gram_schmidt_twice(a: np.ndarray) -> np.ndarray:
     diagonal and Q is, in exact arithmetic, the phase-fixed Q of Householder
     QR plus Mezzadri's correction.  Done twice, classical Gram-Schmidt keeps
     Q orthonormal to working precision for well conditioned input (Giraud,
-    Langou & Rozloznik 2005).  It loops in Python over the k columns only,
-    so a stack of many tiny matrices costs a few numpy calls instead of one
-    LAPACK call per matrix.
+    Langou & Rozloznik 2005).  It loops in Python over the k columns and m
+    rows only, so a stack of many tiny matrices costs a few numpy calls
+    instead of one LAPACK call per matrix.
+
+    Every step runs row by row over the whole stack: on a short last axis
+    numpy's inner loops are only m elements long.  A column's squared norm is
+    summed as |v_0|^2 + |v_1|^2 + ..., each term as re^2 + im^2: for m < 8
+    that is the order in which ``np.sum(..., axis=-1)`` adds.  Each row is
+    then multiplied, real and imaginary part, by the reciprocal of the
+    norm, which is how numpy divides a complex array by a real one.  So for
+    m < 8 the result is bit-identical to dividing v by
+    ``np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1))``.
     """
     q = np.empty_like(a)
     for j in range(a.shape[-1]):
@@ -244,7 +255,14 @@ def _gram_schmidt_twice(a: np.ndarray) -> np.ndarray:
         for _ in range(2 if j else 0):
             v = v - np.einsum("...ij,...j->...i", basis,
                               np.einsum("...ij,...i->...j", basis.conj(), v))
-        q[..., j] = v / np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1, keepdims=True))
+        norm_sq = v.real[..., 0] ** 2
+        norm_sq += v.imag[..., 0] ** 2
+        for i in range(1, v.shape[-1]):
+            norm_sq += v.real[..., i] ** 2 + v.imag[..., i] ** 2
+        scale = np.divide(1.0, np.sqrt(norm_sq, out=norm_sq), out=norm_sq)
+        for i in range(v.shape[-1]):
+            np.multiply(v.real[..., i], scale, out=q.real[..., i, j])
+            np.multiply(v.imag[..., i], scale, out=q.imag[..., i, j])
     return q
 
 

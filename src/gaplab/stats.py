@@ -15,19 +15,27 @@ __all__ = [
 
 def ks_statistic(sample, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
-    x = np.sort(np.asarray(sample, dtype=float))
+    return _ks_sorted(np.sort(np.asarray(sample, dtype=float)), cdf)
+
+
+def _ks_sorted(x: np.ndarray, cdf) -> float:
+    """``ks_statistic`` of a sample x already sorted in ascending order."""
     n = x.size
     if n == 0:
         raise DomainError("empty sample")
     c = np.asarray(cdf(x), dtype=float)
-    hi = np.max(np.arange(1, n + 1) / n - c)
-    lo = np.max(c - np.arange(0, n) / n)
-    return float(max(hi, lo))
+    steps = np.arange(n + 1) / n
+    return float(max(np.max(steps[1:] - c), np.max(c - steps[:-1])))
+
+
+def _exponential_cdf(x):
+    """CDF of the unit exponential distribution."""
+    return 1.0 - np.exp(-np.maximum(x, 0.0))
 
 
 def ks_vs_exponential(sample) -> float:
     """KS statistic of a sample against the unit exponential distribution."""
-    return ks_statistic(sample, lambda x: 1.0 - np.exp(-np.maximum(x, 0.0)))
+    return ks_statistic(sample, _exponential_cdf)
 
 
 def _ranks(a: np.ndarray) -> np.ndarray:

@@ -24,6 +24,12 @@ basis without forming that basis.  Only the k = min(d1, d2) directions of
 the second factor that psi occupies meet the basis, and by Haar invariance
 their overlaps with it form a uniformly random orthonormal k-system (see
 Mezzadri, Notices AMS 2007, and Zyczkowski & Sommers, J. Phys. A 2000).
+
+``gram_schmidt_twice_by_division``, ``scaled_haar_blocks_by_concatenation``,
+``submatrix_outcome_by_parts`` and ``poly_sup_by_polynomial_class`` keep the
+plain forms of the submatrix draw, its statistics and the polynomial bound
+that the library computes in fewer passes; the tests compare the two bit for
+bit where the arithmetic is the same.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +51,18 @@ from gaplab import (
     trace_norm,
 )
 from gaplab.errors import DimensionError, DomainError, GaplabError
-from gaplab.typicality import WEIGHT_CUTOFF, _check_orthonormal_rows
+from gaplab.randomness import _complex_gaussians
+from gaplab.stats import ks_statistic, ks_vs_exponential
+from gaplab.typicality import (
+    WEIGHT_CUTOFF,
+    ExperimentOutcome,
+    _check_orthonormal_rows,
+    cap_indicator,
+    overlap_sq,
+    polynomial,
+    real_part,
+    submatrix_l1_distance,
+)
 
 
 class SingularProjectionError(GaplabError):
@@ -395,6 +412,72 @@ def submatrix_blocks_per_sample(rng, n, k, n_samples):
     for s in range(n_samples):
         blocks[s] = np.sqrt(n) * random_ons(rng, n, k)[:, :k].T
     return blocks
+
+
+def gram_schmidt_twice_by_division(a):
+    """``_gram_schmidt_twice`` as of 0.16.0: each column divided by its norm,
+    the squared norm summed by ``np.sum`` over the row axis."""
+    q = np.empty_like(a)
+    for j in range(a.shape[-1]):
+        v, basis = a[..., j], q[..., :j]
+        for _ in range(2 if j else 0):
+            v = v - np.einsum("...ij,...j->...i", basis,
+                              np.einsum("...ij,...i->...j", basis.conj(), v))
+        q[..., j] = v / np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1, keepdims=True))
+    return q
+
+
+def scaled_haar_blocks_by_concatenation(rng, n, k, n_samples):
+    """``_scaled_haar_blocks`` as of 0.16.0, with the same draws in the same
+    order: G_top and T built as separate arrays, T from ``zeros_like`` and
+    fancy indexing (with an empty above-diagonal draw when k = 1), the two
+    concatenated and orthonormalized by ``gram_schmidt_twice_by_division``."""
+    top = _complex_gaussians(rng.standard_normal((n_samples, 2, k, k)))
+    rows, cols = np.triu_indices(k, 1)
+    t = np.zeros_like(top)
+    t[:, rows, cols] = _complex_gaussians(rng.standard_normal((n_samples, 2, rows.size)))
+    t[:, range(k), range(k)] = np.sqrt(rng.standard_gamma(n - k - np.arange(k), (n_samples, k)))
+    return np.sqrt(n) * gram_schmidt_twice_by_division(np.concatenate([top, t], axis=1))[:, :k, :]
+
+
+def submatrix_outcome_by_parts(stream, k, n, n_samples, epsilon):
+    """``submatrix_convergence_experiment`` as of 0.16.0: the blocks of
+    ``scaled_haar_blocks_by_concatenation``, one ``ks_vs_exponential`` per
+    entry, ``ks_statistic`` sorting |X_11|^2 again for the exact law, and
+    each test function applied to the vectors themselves, so every probe
+    forms its own overlaps."""
+    e1 = np.eye(k)[0]
+    probes = (overlap_sq(e1), real_part(e1), cap_indicator(e1, 0.5),
+              polynomial(e1, [0.0, 0.0, 1.0]))
+    rng = stream.generator()
+    blocks = scaled_haar_blocks_by_concatenation(rng, n, k, n_samples)
+    gauss = ginibre(rng, n_samples, k)
+    ks = np.array([[ks_vs_exponential(np.abs(blocks[:, i, j]) ** 2) for j in range(k)]
+                   for i in range(k)])
+    ks_entry = float(ks[0, 0])
+    ks_exact = ks_statistic(np.abs(blocks[:, 0, 0]) ** 2,
+                            lambda x: 1.0 - (1.0 - np.clip(x, 0.0, n) / n) ** (n - 1))
+    gaps = {g.kind: float(abs(np.mean(g(blocks[:, :, 0])) - np.mean(g(gauss))))
+            for g in probes}
+    distance = submatrix_l1_distance(n) if k == 1 else ks_entry
+    return ExperimentOutcome(
+        np.array([distance]), np.array([ks_exact < epsilon]), np.array([ks_entry]),
+        0.0, float(epsilon),
+        {"ks_entry": ks_entry, "ks_exact": ks_exact, "ks_entry_max": float(ks.max()),
+         "expectation_gaps": gaps},
+    )
+
+
+def poly_sup_by_polynomial_class(coeffs):
+    """max |p(x)| over [0, 1] as 0.16.0 computed the polynomial bound, through
+    ``np.polynomial.Polynomial`` objects."""
+    p = np.polynomial.Polynomial(coeffs).trim(1e-300 * np.max(np.abs(coeffs)))
+    candidates = [0.0, 1.0]
+    if p.degree() >= 2:
+        roots = p.deriv().roots()
+        real = roots[np.abs(roots.imag) < 1e-12].real
+        candidates.extend(r for r in real if 0.0 <= r <= 1.0)
+    return float(np.max(np.abs(p(np.asarray(candidates)))))
 
 
 def submatrix_density_k1(n, x):

@@ -122,6 +122,8 @@ def rng():
     (lambda: polynomial(E0, [1e308, 1e308]), DomainError, r"sum of \|c_i\| at most 1e150"),
     (lambda: polynomial(E0, [0.0, 1e308, 1e308, 1e308]), DomainError, "at most 1e150"),
     (lambda: polynomial(E0, [0.0, np.nan]), DomainError, "coefficients must be finite"),
+    # Bound 0: threshold 0 failed every trial in 0.16.0.
+    (lambda: polynomial(E0, [0.0]), DomainError, "coefficients must not all vanish"),
     (lambda: T.TestFunction("cubic", E0), DomainError, "unknown test function kind"),
     (lambda: ks_statistic([], lambda x: x), DomainError, "empty sample"),
     (lambda: T.random_subspace(rng(), 2, 2, 5), DomainError,

@@ -247,6 +247,8 @@ class TestConfigErrorsNameTheKey:
                                             "coefficients": [1e308, 1e308]}}),
         ("f_spec.coefficients", {"f_spec": {"kind": "polynomial",
                                             "coefficients": [0.0, 1e308, 1e308, 1e308]}}),
+        # Bound 0: threshold 0 failed every trial in 0.16.0.
+        ("f_spec.coefficients", {"f_spec": {"kind": "polynomial", "coefficients": [0.0]}}),
     ])
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))

@@ -27,12 +27,16 @@ from gaplab.stats import spearman
 from gaplab import typicality as T
 
 from _oracles import (
+    gram_schmidt_twice_by_division,
     mpmath_l1_distance,
+    poly_sup_by_polynomial_class,
     product_state,
     quadrature_l1_distance,
+    scaled_haar_blocks_by_concatenation,
     shell_basis,
     submatrix_blocks_per_sample,
     submatrix_density_k1,
+    submatrix_outcome_by_parts,
     two_sample_ks,
 )
 
@@ -60,6 +64,17 @@ class TestTestFunction:
     def test_polynomial_bound_uses_interior_extremum(self, coefficients, bound):
         f = polynomial(np.array([1.0, 0.0]), coefficients)
         assert abs(f.bound - bound) < 1e-12
+
+    def test_polynomial_bound_matches_the_polynomial_class(self):
+        # The list-based bound against Polynomial objects, bit for bit, on
+        # random coefficients of many scales, some with a zero leading one.
+        rng = RngStream(164).generator()
+        for degree in range(7):
+            for _ in range(40):
+                c = rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-6, 6, degree + 1)
+                if degree and rng.random() < 0.25:
+                    c[-1] = 0.0
+                assert polynomial([1.0, 0.0], c).bound == poly_sup_by_polynomial_class(c)
 
     def test_phi_normalized(self):
         f = overlap_sq(np.array([2.0, 0.0]))
@@ -703,6 +718,47 @@ class TestSubmatrixConvergence:
         assert np.max(np.abs(q - _haar_columns(a))) < 1e-13
         # Negative control: without the phase fix the QR is another Q.
         assert np.max(np.abs(q - np.linalg.qr(a)[0])) > 0.1
+
+    @pytest.mark.parametrize("k, n", [(1, n) for n in (2, 4, 16, 64, 256)]
+                             + [(k, n) for k in (2, 3) for n in (2 * k, 16, 256)])
+    def test_blocks_match_the_concatenated_stack(self, k, n):
+        # The in-place stack against the route of 0.16.0 on the same
+        # generator state: bit-identical at k = 1, within 1e-13 otherwise.
+        # Both leave the generator in the same state, so skipping the empty
+        # above-diagonal draw at k = 1 takes nothing from it.
+        rng, oracle_rng = RngStream(165, n).generator(), RngStream(165, n).generator()
+        blocks = T._scaled_haar_blocks(rng, n, k, 3000)
+        oracle = scaled_haar_blocks_by_concatenation(oracle_rng, n, k, 3000)
+        if k == 1:
+            assert blocks.tobytes() == oracle.tobytes()
+        assert np.max(np.abs(blocks - oracle)) < 1e-13
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (7, 1), (4, 2), (6, 3), (7, 3)])
+    def test_gram_schmidt_bit_identical_to_division_below_eight_rows(self, m, k):
+        rng = RngStream(167, m).generator()
+        a = rng.standard_normal((500, m, k)) + 1j * rng.standard_normal((500, m, k))
+        assert _gram_schmidt_twice(a).tobytes() == gram_schmidt_twice_by_division(a).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", ["2k", 64])
+    def test_outcome_matches_the_composition_by_parts(self, k, n):
+        # One sort and one overlap array per sample against a sort per KS
+        # distance and a matrix-vector product per test function.
+        n = 2 * k if n == "2k" else n
+        out = T.submatrix_convergence_experiment(RngStream(168, k), k, n, 3000, 0.03)
+        oracle = submatrix_outcome_by_parts(RngStream(168, k), k, n, 3000, 0.03)
+        if k == 1:
+            assert _same_outcome(out, oracle)
+        assert out.passed.tolist() == oracle.passed.tolist()
+        for column in ("discrepancies", "auxiliary"):
+            assert np.allclose(getattr(out, column), getattr(oracle, column),
+                               rtol=0.0, atol=1e-12)
+        for key in ("ks_entry", "ks_exact", "ks_entry_max"):
+            assert abs(out.extra[key] - oracle.extra[key]) < 1e-12
+        gaps, oracle_gaps = out.extra["expectation_gaps"], oracle.extra["expectation_gaps"]
+        assert gaps.keys() == oracle_gaps.keys()
+        assert all(abs(gaps[g] - oracle_gaps[g]) < 1e-12 for g in gaps)
 
     @pytest.mark.parametrize("k, n, n_samples, name", [
         (0, 4, 10, "k"),
