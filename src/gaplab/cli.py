@@ -240,6 +240,14 @@ def _resolve_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
     return T.TestFunction(kind, phi)
 
 
+def _scaled_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
+    """The test function of an experiment whose pass threshold is
+    epsilon * ||f||_inf, checked to be positive."""
+    f = _resolve_f(cfg, dim)
+    _named("f_spec.coefficients", f.pass_threshold, cfg.epsilon)
+    return f
+
+
 def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
     spectrum = cfg.rho_spec.get("spectrum")
     if spectrum is None:
@@ -286,7 +294,7 @@ def _resolve_bath(cfg: ExperimentConfig, n_system: int) -> np.ndarray:
 def _purification_inputs(cfg: ExperimentConfig):
     if cfg.d2 < cfg.d1:
         raise ConfigError(f"d2: a purification needs d2 >= d1 = {cfg.d1}, got {cfg.d2}")
-    return _resolve_rho(cfg, cfg.d1), _resolve_f(cfg, cfg.d1)
+    return _resolve_rho(cfg, cfg.d1), _scaled_f(cfg, cfg.d1)
 
 
 def _theorem1(cfg: ExperimentConfig):
@@ -325,7 +333,7 @@ def _theorem3(cfg: ExperimentConfig):
 
 
 def _theorem4(cfg: ExperimentConfig):
-    f = _resolve_f(cfg, cfg.d1)
+    f = _scaled_f(cfg, cfg.d1)
     omega = _resolve_rho(cfg, cfg.d1)
     if omega.min_eigenvalue <= 0.0:
         raise ConfigError("rho_spec.spectrum: theorem4 needs a strictly positive target")
@@ -364,7 +372,7 @@ def _thermal(cfg: ExperimentConfig):
     if not np.all(shell.counts):
         raise ConfigError(f"window: every system level needs a level pair in the "
                           f"window, got counts {shell.counts.tolist()}")
-    f = _resolve_f(cfg, shell.d1)
+    f = _scaled_f(cfg, shell.d1)
     return shell.dim, lambda stream: T.thermal_experiment(
         stream, system, shell, f, cfg.epsilon, cfg.n_trials)
 
@@ -451,19 +459,28 @@ def trials_csv(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_data(report: ExperimentReport) -> str:
+def _order_statistics(report: ExperimentReport) -> list:
+    """(median, q10, q90) of each point's discrepancies, for the two files
+    that print them."""
+    return [(o.median_discrepancy, o.quantile(0.1), o.quantile(0.9))
+            for _, o in report.points]
+
+
+def emit_plot_data(report: ExperimentReport, stats: list | None = None) -> str:
     """Plot-ready series: one row per sweep point (single row when there is
-    no sweep)."""
+    no sweep).  ``stats`` is ``_order_statistics(report)`` when the caller
+    has it."""
     if not report.points:
         raise ConfigError("report contains no sweep points")
     lines = ["dim,median,q10,q90,pass_fraction"]
-    for dim, o in report.points:
-        lines.append(",".join([str(dim)] + [repr(v) for v in (
-            o.median_discrepancy, o.quantile(0.1), o.quantile(0.9), o.pass_fraction)]))
+    for (dim, o), values in zip(report.points, stats or _order_statistics(report)):
+        lines.append(",".join([str(dim)] + [repr(v) for v in (*values, o.pass_fraction)]))
     return "\n".join(lines) + "\n"
 
 
-def summary_json(report: ExperimentReport) -> str:
+def summary_json(report: ExperimentReport, stats: list | None = None) -> str:
+    """The config, the library version and each point's summary as JSON;
+    ``stats`` as for ``emit_plot_data``."""
     delta = report.config["delta"]
     payload = {
         "config": report.config,
@@ -476,13 +493,13 @@ def summary_json(report: ExperimentReport) -> str:
             "points": [
                 {
                     "dim": dim, "pass_fraction": o.pass_fraction,
-                    "median_discrepancy": o.median_discrepancy,
-                    "q10": o.quantile(0.1), "q90": o.quantile(0.9),
+                    "median_discrepancy": median, "q10": q10, "q90": q90,
                     "reference": o.reference, "threshold": o.threshold,
                     # the configured confidence target: at least 1 - delta of trials pass
                     "extra": {**o.extra, "meets_delta": o.pass_fraction >= 1.0 - delta},
                 }
-                for dim, o in report.points
+                for (dim, o), (median, q10, q90)
+                in zip(report.points, stats or _order_statistics(report))
             ],
         },
     }
@@ -493,12 +510,13 @@ def write_report(report: ExperimentReport, out_dir: str) -> None:
     """Write the three report files into ``out_dir``, creating it; an OS
     error (``out_dir`` names a file, no write permission, ...) becomes a
     ConfigError naming the path."""
+    stats = _order_statistics(report)
     try:
         os.makedirs(out_dir, exist_ok=True)
         for fname, text in (
             ("trials.csv", trials_csv(report)),
-            ("summary.json", summary_json(report)),
-            ("plotdata.csv", emit_plot_data(report)),
+            ("summary.json", summary_json(report, stats)),
+            ("plotdata.csv", emit_plot_data(report, stats)),
         ):
             with open(os.path.join(out_dir, fname), "w", encoding="utf-8",
                       newline="\n") as fh:

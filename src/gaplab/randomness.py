@@ -221,10 +221,46 @@ def _haar_columns(g: np.ndarray) -> np.ndarray:
     """Q factor of the reduced QR of each Ginibre matrix g (..., n, k), with
     column j multiplied by the phase of R_jj (Mezzadri's correction).  The
     result is distributed as the first k columns of a Haar unitary.  Leading
-    axes are a batch: every matrix is factorized on its own."""
+    axes are a batch: every matrix is factorized on its own, by one LAPACK
+    call.  It serves the per-call public routes ``haar_unitary`` and
+    ``random_ons``; the trial engine's stacks go through ``_haar_system``."""
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]
+    return q
+
+
+def _haar_system(z: np.ndarray) -> np.ndarray:
+    """The Q factor ``_haar_columns`` returns, for the trial engine's stack
+    of complex Gaussian matrices z (B, m, k), m >= k, by classical
+    Gram-Schmidt done twice, vectorized over the batch.
+
+    Each column is normalized by a positive real norm, so R has a positive
+    diagonal and Q is, in exact arithmetic, the phase-fixed Q of Householder
+    QR plus Mezzadri's correction.  Done twice, classical Gram-Schmidt keeps
+    Q orthonormal to working precision for numerically full-rank input
+    (Giraud, Langou & Rozloznik 2005).  A chunk costs a few numpy calls per
+    column instead of one LAPACK QR per trial: a column's projection
+    coefficients onto the earlier columns and its norm are each one batched
+    dot over the m rows, read from the strided column views of z, and the
+    projections are subtracted one earlier column at a time (for the small
+    k of the engine, faster than one einsum or matmul).  Each matrix's
+    result is the same bit for bit wherever it sits in the stack.
+
+    It is separate from ``_gram_schmidt_twice`` because the shapes differ:
+    here a few columns of many long rows, reduced in one call each; there
+    many matrices of a few short rows, too short for numpy's reductions,
+    so that kernel loops over the rows.
+    """
+    q = np.empty_like(z)
+    for j in range(z.shape[-1]):
+        v, basis = z[..., j], q[..., :j]
+        for _ in range(2 if j else 0):
+            c = np.vecdot(basis, v[..., None], axis=-2)
+            for i in range(j):
+                v = v - basis[..., i] * c[..., i, None]
+        scale = 1.0 / np.sqrt(np.vecdot(v, v).real)
+        np.multiply(v, scale[..., None], out=q[..., j])
     return q
 
 

@@ -60,7 +60,7 @@ from .randomness import (
     RngStream,
     _complex_gaussians,
     _gram_schmidt_twice,
-    _haar_columns,
+    _haar_system,
     _integer,
     _seeded_generator,
     ginibre,
@@ -161,6 +161,16 @@ class TestFunction:
     @property
     def is_continuous(self) -> bool:
         return self.kind != "cap_indicator"
+
+    def pass_threshold(self, epsilon: float) -> float:
+        """epsilon * ||f||_inf, the pass threshold of the experiments judged
+        relative to the bound.  A product that underflows to 0 (a polynomial
+        of bound 1e-323, say) would fail every trial, so it is rejected."""
+        threshold = epsilon * self.bound
+        if not threshold > 0.0:
+            raise DomainError(f"pass threshold epsilon * sup|f| = {epsilon!r} * "
+                              f"{self.bound!r} underflows to 0: no trial could pass")
+        return threshold
 
     def __call__(self, vectors: np.ndarray) -> np.ndarray:
         return self.of_overlaps(np.asarray(vectors, dtype=complex) @ self.phi.conj())
@@ -361,7 +371,9 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
     arrays (value, auxiliary).  A chunk holds CHUNK_ENTRIES // entries
     trials, where ``entries`` is the size of the largest per-trial array.
     Every batched operation acts on each trial's slice alone, so the outputs
-    depend neither on the chunk length nor on SEED_BLOCK.
+    depend neither on the chunk length nor on SEED_BLOCK; this includes
+    ``_haar_system``, the drivers' orthonormalizer, whose result for a trial
+    is the same bit for bit wherever the trial sits in its chunk.
     """
     n_trials = _integer("n_trials", n_trials, 1)
     if n_trials > MAX_TRIALS:
@@ -480,15 +492,17 @@ def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials, refe
     """Trials of theorems 1 and 2: mu(f) for the branch matrix W^T A of a
     Haar k-system W of C^{d2} and the fixed (k, d1) amplitude factor A (or
     a (1, k, d1) stack), judged against GAP(rho1)(f) below
-    epsilon * ||f||_inf."""
+    epsilon * ||f||_inf.  W is ``_haar_system`` of each trial's (d2, k)
+    Gaussian draw."""
     k, d1 = amplitudes.shape[-2:]
+    threshold = f.pass_threshold(epsilon)
 
     def evaluate(z):
-        return _conditional_integrals(_haar_columns(z), amplitudes, f), np.nan
+        return _conditional_integrals(_haar_system(z), amplitudes, f), np.nan
 
     values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, k)], evaluate)
     reference = gap_reference(reference, stream, rho1, f, n_trials)
-    return _collect(values, reference, epsilon * f.bound, aux)
+    return _collect(values, reference, threshold, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +657,11 @@ def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
     """Per trial: psi uniform on the subspace sphere, then mu(f) for the
     conditional measure of psi in a Haar-random basis and the auxiliary
     ||tr_2 |psi><psi| - target||_tr.  Trial i draws its two Ginibre arrays
-    in that order: the state's coordinates, then the basis's k-system."""
+    in that order: the state's coordinates, then the basis's k-system, which
+    ``_haar_system`` orthonormalizes."""
     def evaluate(z, w):
         m = subspace.states(z)
-        return (_conditional_integrals(_haar_columns(w), _amplitude_factor(m), f),
+        return (_conditional_integrals(_haar_system(w), _amplitude_factor(m), f),
                 _reduced_distances(m, target))
 
     d1, d2 = subspace.d1, subspace.d2
@@ -673,7 +688,7 @@ def shell_vs_target_experiment(stream: RngStream,
     if omega.min_eigenvalue <= 0.0:
         raise DomainError("target density matrix must be strictly positive")
     target_distance = trace_norm(subspace.reduced_density().matrix - omega.matrix)
-    threshold = epsilon * f.bound
+    threshold = f.pass_threshold(epsilon)
     values, aux = _shell_trials(stream, subspace, f, omega, n_trials)
     reference = gap_reference(reference, stream, omega, f, n_trials)
     return _collect(values, reference, threshold, aux,

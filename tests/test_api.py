@@ -124,6 +124,13 @@ def rng():
     (lambda: polynomial(E0, [0.0, np.nan]), DomainError, "coefficients must be finite"),
     # Bound 0: threshold 0 failed every trial in 0.16.0.
     (lambda: polynomial(E0, [0.0]), DomainError, "coefficients must not all vanish"),
+    # Bound 1e-323: epsilon * bound underflowed to a threshold of 0 in 0.16.1.
+    (lambda: T.random_purification_experiment(RngStream(1), MIXED2, 8,
+                                              polynomial(E0, [1e-323]), 0.1, 5),
+     DomainError, "underflows to 0: no trial could pass"),
+    (lambda: T.shell_vs_target_experiment(RngStream(1), T.random_subspace(rng(), 2, 4, 8),
+                                          MIXED2, polynomial(E0, [1e-323]), 0.1, 5),
+     DomainError, "underflows to 0: no trial could pass"),
     (lambda: T.TestFunction("cubic", E0), DomainError, "unknown test function kind"),
     (lambda: ks_statistic([], lambda x: x), DomainError, "empty sample"),
     (lambda: T.random_subspace(rng(), 2, 2, 5), DomainError,

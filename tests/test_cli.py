@@ -249,6 +249,16 @@ class TestConfigErrorsNameTheKey:
                                             "coefficients": [0.0, 1e308, 1e308, 1e308]}}),
         # Bound 0: threshold 0 failed every trial in 0.16.0.
         ("f_spec.coefficients", {"f_spec": {"kind": "polynomial", "coefficients": [0.0]}}),
+        # Bound 1e-323: epsilon * bound underflowed to 0 and failed every
+        # trial in 0.16.1, in each experiment that scales its threshold.
+        ("f_spec.coefficients", {"n_trials": 5, "f_spec": {
+            "kind": "polynomial", "phi": "e1", "coefficients": [1e-323]}}),
+        ("f_spec.coefficients", {"experiment": "theorem2", "f_spec": {
+            "kind": "polynomial", "coefficients": [1e-323]}}),
+        ("f_spec.coefficients", {"experiment": "theorem4", "f_spec": {
+            "kind": "polynomial", "coefficients": [1e-323]}}),
+        ("f_spec.coefficients", {"experiment": "thermal", "f_spec": {
+            "kind": "polynomial", "coefficients": [1e-323]}}),
     ])
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))

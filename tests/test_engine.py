@@ -192,8 +192,8 @@ def test_spoiled_haar_system_fails_the_weight_check(monkeypatch, name, spoil):
     # The engine keeps no Gram check of its Haar systems: Q (1 + 1e-9) would
     # pass one at 1e-8, yet its weights sum to 1 + 2e-9 and fail.
     run = DRIVERS[name]()
-    haar_columns = T._haar_columns
-    monkeypatch.setattr(T, "_haar_columns", lambda z: spoil(haar_columns(z)))
+    haar_system = T._haar_system
+    monkeypatch.setattr(T, "_haar_system", lambda z: spoil(haar_system(z)))
     with pytest.raises(DomainError, match="conditional weights"):
         run()
 

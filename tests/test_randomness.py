@@ -14,7 +14,13 @@ from gaplab import (
     sample_gap,
     uniform_sphere,
 )
-from gaplab.randomness import MAX_TRIALS, _complex_gaussians, _seeded_generator
+from gaplab.randomness import (
+    MAX_TRIALS,
+    _complex_gaussians,
+    _haar_columns,
+    _haar_system,
+    _seeded_generator,
+)
 from gaplab.stats import ks_statistic, ks_vs_exponential
 
 from _oracles import complex_gaussians, random_onb, two_sample_ks
@@ -286,6 +292,53 @@ class TestRandomOns:
     def test_oversized_system_rejected(self):
         with pytest.raises(DomainError):
             random_ons(RngStream(16).generator(), 3, 4)
+
+
+def _gaussian_stack(stream: RngStream, b: int, m: int, k: int) -> np.ndarray:
+    """A (b, m, k) complex Gaussian stack laid out as the trial engine's."""
+    return _complex_gaussians(stream.generator().standard_normal((b, 2, m, k)))
+
+
+class TestHaarSystem:
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 2), (3, 3), (5, 2), (16, 2), (64, 4),
+                                      (200, 2), (256, 2)])
+    def test_matches_phase_fixed_qr(self, m, k):
+        z = _gaussian_stack(RngStream(31, m * k), 200, m, k)
+        q = _haar_system(z)
+        assert np.max(np.abs(q - _haar_columns(z))) < 1e-13
+        gram = np.swapaxes(q.conj(), -1, -2) @ q
+        assert np.max(np.abs(gram - np.eye(k))) < 1e-13
+        # Negative control: without the phase fix the QR is another Q.
+        assert np.max(np.abs(q - np.linalg.qr(z)[0])) > 0.1
+
+    @pytest.mark.parametrize("m", [2, 16, 256])
+    @pytest.mark.parametrize("angle", [1e-2, 1e-6, 1e-10])
+    def test_orthonormal_on_ill_conditioned_stacks(self, m, angle):
+        # Two columns at this angle: condition number about 2 / angle.
+        g = _gaussian_stack(RngStream(32, m), 64, m, 2)
+        u = g[..., 0] / np.linalg.norm(g[..., 0], axis=-1, keepdims=True)
+        w = g[..., 1] - u * np.sum(u.conj() * g[..., 1], axis=-1, keepdims=True)
+        w /= np.linalg.norm(w, axis=-1, keepdims=True)
+        z = np.stack([3.0 * u, np.exp(0.7j) * (np.cos(angle) * u + np.sin(angle) * w)],
+                     axis=-1)
+        assert np.linalg.cond(z).min() > 0.5 / angle
+        q = _haar_system(z)
+        gram = np.swapaxes(q.conj(), -1, -2) @ q
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+        r = np.swapaxes(q.conj(), -1, -2) @ z
+        scale = np.linalg.norm(z, axis=(-2, -1))[:, None, None]
+        assert np.max(np.abs(q @ r - z) / scale) <= 1e-12
+        # R is upper triangular with a positive real diagonal.
+        assert np.max(np.abs(np.tril(r, -1)) / scale) <= 1e-12
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.all(diagonal.real > 0.0)
+        assert np.max(np.abs(diagonal.imag) / scale[..., 0]) <= 1e-12
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (16, 2), (64, 4), (256, 2)])
+    def test_each_matrix_alone_or_in_a_stack_bit_for_bit(self, m, k):
+        z = _gaussian_stack(RngStream(33, m * k), 512, m, k)
+        alone = _haar_system(z[37:38].copy())
+        assert alone.tobytes() == _haar_system(z)[37:38].tobytes()
 
 
 class TestUniformSphere:
