@@ -287,9 +287,9 @@ def _resolve_bath(cfg: ExperimentConfig, n_system: int) -> np.ndarray:
 # ConfigError naming the key), and returns the point's dimension and a
 # function that draws the point's trials from the point's stream as one
 # ExperimentOutcome.  run() hands point p the stream RngStream(seed, p);
-# trial i draws from its substream i, a Monte Carlo reference from
-# substream n_trials, a fixed state or subspace from substream n_trials + 1,
-# and a single-generator experiment from stream.generator().
+# the trials (or samples) draw in sequence from stream.generator(), a Monte
+# Carlo reference from substream n_trials, and a fixed state or subspace
+# from substream n_trials + 1.
 
 def _purification_inputs(cfg: ExperimentConfig):
     if cfg.d2 < cfg.d1:
@@ -466,19 +466,18 @@ def _order_statistics(report: ExperimentReport) -> list:
             for _, o in report.points]
 
 
-def emit_plot_data(report: ExperimentReport, stats: list | None = None) -> str:
+def emit_plot_data(report: ExperimentReport, stats: list) -> str:
     """Plot-ready series: one row per sweep point (single row when there is
-    no sweep).  ``stats`` is ``_order_statistics(report)`` when the caller
-    has it."""
+    no sweep).  ``stats`` is ``_order_statistics(report)``."""
     if not report.points:
         raise ConfigError("report contains no sweep points")
     lines = ["dim,median,q10,q90,pass_fraction"]
-    for (dim, o), values in zip(report.points, stats or _order_statistics(report)):
+    for (dim, o), values in zip(report.points, stats):
         lines.append(",".join([str(dim)] + [repr(v) for v in (*values, o.pass_fraction)]))
     return "\n".join(lines) + "\n"
 
 
-def summary_json(report: ExperimentReport, stats: list | None = None) -> str:
+def summary_json(report: ExperimentReport, stats: list) -> str:
     """The config, the library version and each point's summary as JSON;
     ``stats`` as for ``emit_plot_data``."""
     delta = report.config["delta"]
@@ -499,7 +498,7 @@ def summary_json(report: ExperimentReport, stats: list | None = None) -> str:
                     "extra": {**o.extra, "meets_delta": o.pass_fraction >= 1.0 - delta},
                 }
                 for (dim, o), (median, q10, q90)
-                in zip(report.points, stats or _order_statistics(report))
+                in zip(report.points, stats)
             ],
         },
     }

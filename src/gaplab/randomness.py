@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 
 __all__ = [
-    "MAX_TRIALS",
     "RngStream",
     "sample_complex_gaussian",
     "ginibre",
@@ -31,16 +28,13 @@ __all__ = [
 ]
 
 
-# Trial indices whose seed words ``RngStream._trial_words`` derives in bulk:
-# each must fit the one 32-bit entropy word the vectorized hash assumes.
-MAX_TRIALS = 2 ** 32
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Addressable random stream: (master_seed, stream_index) plus an optional
-    derivation path for nested substreams (e.g. one per Monte Carlo trial).
-    Every component is a nonnegative integer (bool excluded)."""
+    derivation path for nested substreams.  A sweep point's trials draw in
+    sequence from its ``generator()``; its Monte Carlo reference and its
+    fixed state or subspace come from substreams past them.  Every component
+    is a nonnegative integer (bool excluded)."""
 
     master_seed: int
     stream_index: int = 0
@@ -62,45 +56,6 @@ class RngStream:
         """Independent child stream; children with distinct indices never overlap."""
         return RngStream(self.master_seed, self.stream_index, self._path + (index,))
 
-    def _trial_words(self, start: int, stop: int) -> np.ndarray:
-        """(stop - start, 4) uint64 array whose row i - start equals
-        ``SeedSequence(master_seed, spawn_key=(stream_index, *path, i))
-        .generate_state(4, np.uint64)``, for 0 <= start <= stop <= MAX_TRIALS.
-        ``_seeded_generator`` of row i - start is bit-identical to
-        ``self.substream(i).generator()``.
-
-        The SeedSequence pool of the words every child shares comes from
-        numpy, once per stream; the child index word and the PCG64 seed
-        words are then hashed for the whole range at once."""
-        if not 0 <= start <= stop <= MAX_TRIALS:
-            raise DomainError(f"trial range must satisfy 0 <= start <= stop <= 2**32, "
-                              f"got [{start}, {stop})")
-        pool, hash_const = self._spawn_pool
-        index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
-        mixed = []
-        for word in pool:
-            hashed, hash_const = _hashmix(index, hash_const, _MULT_A)
-            mixed.append(_mix(word, hashed))
-        state, hash_const = [], _INIT_B
-        for j in range(8):
-            word, hash_const = _hashmix(mixed[j % 4], hash_const, _MULT_B)
-            state.append(word.astype(np.uint64))
-        return np.stack([state[j] | state[j + 1] << np.uint64(32) for j in (0, 2, 4, 6)],
-                        axis=-1)
-
-    @cached_property
-    def _spawn_pool(self) -> tuple[list[int], int]:
-        """SeedSequence's entropy pool and running hash constant after mixing
-        every word a child ``substream(i)`` shares: the seed words, padded
-        with zeros to the pool size, then stream_index and the path.  numpy
-        computes the pool; mixing L words runs 4 L hashes, which fixes the
-        constant.  The child index word is always mixed after these."""
-        key = (self.stream_index,) + self._path
-        pool = np.random.SeedSequence(self.master_seed, spawn_key=key).pool.tolist()
-        words = [max(1, -(-k.bit_length() // 32)) for k in (self.master_seed,) + key]
-        n_words = max(_POOL_SIZE, words[0]) + sum(words[1:])
-        return pool, (_INIT_A * pow(_MULT_A, 4 * n_words, 2 ** 32)) & _MASK32
-
 
 def _integer(name: str, value, minimum: int = 0) -> int:
     """value as a Python int of at least ``minimum``; bools and non-integers
@@ -117,51 +72,6 @@ def _integer(name: str, value, minimum: int = 0) -> int:
     return value
 
 
-def _seeded_generator(words: np.ndarray) -> np.random.Generator:
-    """The generator whose PCG64 is seeded with one row of ``_trial_words``."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
-class _SeedWords(ISeedSequence):
-    """Seed sequence that hands PCG64 its four precomputed uint64 state words
-    (PCG64 asks for exactly ``generate_state(4, np.uint64)``)."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).  numpy
-# mixes the shared pool itself; these remain for the steps done in bulk:
-# the pool size and the first hash give the word count's padding and the
-# running constant, the first hash and the mixer fold in each child's index
-# word, and the second hash draws the PCG64 seed words.  The helpers below
-# work on Python ints and on uint32 arrays alike.
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hashmix(value, hash_const: int, mult: int):
-    """SeedSequence's hash of one word: returns (hashed, next hash_const)."""
-    value = value ^ hash_const
-    hash_const = (hash_const * mult) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x, y):
-    """SeedSequence's mixer of a pool word x with a hashed word y."""
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
-
-
 def sample_complex_gaussian(rng: np.random.Generator, variance, size=None):
     """Mean-zero complex Gaussian with E|z|^2 = variance.
 
@@ -170,12 +80,17 @@ def sample_complex_gaussian(rng: np.random.Generator, variance, size=None):
     variances that broadcasts against ``size``, which is None, an integer
     >= 0 or a tuple or list of them.
     """
-    if np.any(np.asarray(variance) < 0):
-        raise DomainError(f"variance must be nonnegative, got {variance}")
+    try:
+        values = np.asarray(variance, dtype=float)
+    except (TypeError, ValueError):
+        values = np.nan
+    # Written so that NaN, which fails both comparisons, is rejected.
+    if not np.all((values >= 0.0) & (values < np.inf)):
+        raise DomainError(f"variance must be nonnegative and finite, got {variance!r}")
     if size is not None:
         shape = size if isinstance(size, (tuple, list)) else (size,)
         size = tuple(_integer("size", n) for n in shape)
-    scale = np.sqrt(variance / 2.0)
+    scale = np.sqrt(values / 2.0)
     z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return scale * z
 

@@ -11,13 +11,12 @@ available for subspace states.
 
 Every driver takes an :class:`~gaplab.randomness.RngStream`, runs one sweep
 point and returns its trials as one :class:`ExperimentOutcome`.  The Monte
-Carlo drivers derive one substream per trial and run their trials through one
-batched engine: it draws each trial's Gaussians from that trial's substream,
-in the order the per-trial routes in ``tests/_oracles.py`` draw them, and
-does the linear algebra once per chunk of trials on stacked arrays.  It
-derives the trials' seed words once per block of at least SEED_BLOCK
-trials.  Results are bit-reproducible and depend neither on the chunk length
-nor on the block length.
+Carlo drivers run their trials through one batched engine: the trials draw
+their Gaussians in sequence from the point's one generator,
+``stream.generator()``, in the order the per-trial routes in
+``tests/_oracles.py`` draw them, and the engine does the linear algebra once
+per chunk of trials on stacked arrays.  Results are bit-reproducible and do
+not depend on the chunk length.
 
 The universality drivers (theorems 1-4, thermal) form every branch matrix as
 W^T A, with W a trial's Haar k-system and a (k, d1) amplitude factor A:
@@ -56,13 +55,11 @@ from .hilbert import (
     trace_norm,
 )
 from .randomness import (
-    MAX_TRIALS,
     RngStream,
     _complex_gaussians,
     _gram_schmidt_twice,
     _haar_system,
     _integer,
-    _seeded_generator,
     ginibre,
     haar_unitary,
     random_ons,
@@ -280,7 +277,7 @@ def gap_reference(reference, stream: RngStream, rho: DensityMatrix, f: TestFunct
       give 1.
 
     Every other case is the Monte Carlo mean of max(10 n_trials, 2000) draws
-    on substream ``n_trials`` of ``stream`` (past every trial's substream).
+    on substream ``n_trials`` of ``stream``, apart from the trials' draws.
     The drivers call it after their trials, so that a trial count the engine
     rejects is rejected before the reference draws."""
     if reference is not None:
@@ -347,12 +344,10 @@ class ExperimentOutcome:
 # with 10 % more peak memory; 2^13 and 2^15 were no faster on either.
 CHUNK_ENTRIES = 2 ** 14
 
-# Trials whose seed words one pass of the vectorized SeedSequence hash
-# derives.  A pass costs about as much for 40 trials as for 4096 (about
-# 0.6 ms on a 2-core VM), so the engine hashes once per block of whole
-# chunks holding at least this many trials.  A block's words take 32 bytes
-# per trial but a generator about 800, so generators are made per chunk.
-SEED_BLOCK = 2 ** 12
+# At most this many trials per sweep point.  The engine's (2, n_trials)
+# float output already takes 64 GiB at 2**32 trials, so a larger count is
+# rejected by name before that allocation, not by numpy's MemoryError.
+MAX_TRIALS = 2 ** 32
 
 # Atoms below this weight carry no mass and are dropped where normalization
 # would otherwise divide by ~0.
@@ -362,37 +357,34 @@ WEIGHT_CUTOFF = 1e-14
 def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate):
     """Run ``n_trials`` independent trials in chunks of stacked arrays.
 
-    Trial i draws from its own generator, bit-identical to
-    ``stream.substream(i).generator()`` (the seed words of a block of
-    trials are derived at once by ``stream._trial_words``), one
-    complex Gaussian array per shape in ``shapes``, in order, with the same
-    values ``ginibre(rng, *shape)`` would return.  ``evaluate`` maps a
-    chunk's draws, one (B, *shape) array per shape, to a pair of (B,)
-    arrays (value, auxiliary).  A chunk holds CHUNK_ENTRIES // entries
-    trials, where ``entries`` is the size of the largest per-trial array.
-    Every batched operation acts on each trial's slice alone, so the outputs
-    depend neither on the chunk length nor on SEED_BLOCK; this includes
-    ``_haar_system``, the drivers' orthonormalizer, whose result for a trial
-    is the same bit for bit wherever the trial sits in its chunk.
+    The trials draw in sequence from the point's one generator,
+    ``stream.generator()``: trial i takes the i-th run of S standard
+    normals, S = sum of 2 prod(shape) over ``shapes``, and splits it into
+    one complex Gaussian array per shape, in order.  These are the values
+    ``ginibre(rng, *shape)`` returns, called for each trial and shape in
+    turn on that generator.  ``evaluate`` maps a chunk's draws, one
+    (B, *shape) array per shape, to a pair of (B,) arrays (value,
+    auxiliary).  A chunk holds CHUNK_ENTRIES // entries trials, where
+    ``entries`` is the size of the largest per-trial array, and draws its
+    (B, S) normals at once.  Every batched operation acts on each trial's
+    slice alone, so the outputs do not depend on the chunk length; this
+    includes ``_haar_system``, the drivers' orthonormalizer, whose result
+    for a trial is the same bit for bit wherever the trial sits in its
+    chunk.
     """
     n_trials = _integer("n_trials", n_trials, 1)
     if n_trials > MAX_TRIALS:
         raise DomainError(f"need between 1 and 2**32 trials, got {n_trials}")
+    bounds = np.cumsum([0] + [2 * math.prod(shape) for shape in shapes])
     size = max(1, CHUNK_ENTRIES // entries)
-    block = size * -(-SEED_BLOCK // size)  # whole chunks
+    rng = stream.generator()
     out = np.empty((2, n_trials))
-    for first in range(0, n_trials, block):
-        last = min(first + block, n_trials)
-        words = stream._trial_words(first, last)
-        for start in range(first, last, size):
-            stop = min(start + size, last)
-            draws = [np.empty((stop - start, 2) + s) for s in shapes]
-            for b, w in enumerate(words[start - first:stop - first]):
-                rng = _seeded_generator(w)
-                for d in draws:
-                    rng.standard_normal(out=d[b])
-            gaussians = [_complex_gaussians(d) for d in draws]
-            out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
+    for start in range(0, n_trials, size):
+        stop = min(start + size, n_trials)
+        normals = rng.standard_normal((stop - start, bounds[-1]))
+        gaussians = [_complex_gaussians(normals[:, a:b].reshape((stop - start, 2) + shape))
+                     for a, b, shape in zip(bounds[:-1], bounds[1:], shapes)]
+        out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
     return out[0], out[1]
 
 

@@ -355,24 +355,24 @@ def full_haar_basis_measure(rng, psi):
 
 
 # Per-trial routes of the Monte Carlo drivers, one trial at a time through the
-# validating public functions, with trial i drawing from stream.substream(i)
-# as the batched engine does.  Each returns (discrepancy, auxiliary) per trial,
-# with NaN where a driver records no auxiliary value.
+# validating public functions, the trials drawing in sequence from
+# stream.generator() as the batched engine does.  Each returns (discrepancy,
+# auxiliary) per trial, with NaN where a driver records no auxiliary value.
 
 def purification_trials(stream, rho1, d2, f, reference, n_trials):
     """theorem1: random purification, computational environment basis."""
-    out = []
-    for i in range(n_trials):
-        psi = random_purification(stream.substream(i).generator(), rho1, d2)
+    out, rng = [], stream.generator()
+    for _ in range(n_trials):
+        psi = random_purification(rng, rho1, d2)
         out.append((abs(integrate(conditional_measure(psi), f) - reference), np.nan))
     return np.array(out)
 
 
 def random_basis_trials(stream, psi, f, reference, n_trials):
     """theorem2: fixed state, Haar-random environment basis."""
-    out = []
-    for i in range(n_trials):
-        measure = random_basis_measure(stream.substream(i).generator(), psi)
+    out, rng = [], stream.generator()
+    for _ in range(n_trials):
+        measure = random_basis_measure(rng, psi)
         out.append((abs(integrate(measure, f) - reference), np.nan))
     return np.array(out)
 
@@ -380,9 +380,8 @@ def random_basis_trials(stream, psi, f, reference, n_trials):
 def shell_trials(stream, basis, d1, d2, f, reference, target, n_trials):
     """theorem3, theorem4 and thermal: uniform subspace state, Haar-random
     basis, and the trace distance of the reduced state to ``target``."""
-    out = []
-    for i in range(n_trials):
-        rng = stream.substream(i).generator()
+    out, rng = [], stream.generator()
+    for _ in range(n_trials):
         psi = BipartiteState(d1, d2, uniform_subspace_state(rng, basis))
         value = integrate(random_basis_measure(rng, psi), f)
         aux = trace_norm(reduced_density_matrix(psi).matrix - target.matrix)
@@ -393,9 +392,9 @@ def shell_trials(stream, basis, d1, d2, f, reference, target, n_trials):
 def canonical_trials(stream, basis, d1, d2, target, n_trials):
     """canonical_typicality: trace distance of a uniform subspace state's
     reduced density matrix to ``target``."""
-    out = []
-    for i in range(n_trials):
-        psi = uniform_subspace_state(stream.substream(i).generator(), basis)
+    out, rng = [], stream.generator()
+    for _ in range(n_trials):
+        psi = uniform_subspace_state(rng, basis)
         rho1 = reduced_density_matrix(BipartiteState(d1, d2, psi))
         out.append((trace_norm(rho1.matrix - target.matrix), np.nan))
     return np.array(out)

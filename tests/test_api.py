@@ -106,8 +106,18 @@ def rng():
     (lambda: random_ons(rng(), 3, 4), DomainError, "need 1 <= k <= n"),
     (lambda: sample_complex_gaussian(rng(), -1.0), DomainError,
      "variance must be nonnegative"),
-    (lambda: RngStream(1)._trial_words(3, 2), DomainError,
-     "trial range must satisfy"),
+    # 0.17.0 returned nan+nanj and +-inf for these, and a bare TypeError
+    # for the list, although the docstring allows per-entry variances.
+    (lambda: sample_complex_gaussian(rng(), np.nan), DomainError,
+     "variance must be nonnegative and finite, got nan"),
+    (lambda: sample_complex_gaussian(rng(), np.inf, 2), DomainError,
+     "variance must be nonnegative and finite, got inf"),
+    (lambda: sample_complex_gaussian(rng(), [0.5, np.nan], 2), DomainError,
+     r"variance must be nonnegative and finite, got \[0.5, nan\]"),
+    (lambda: sample_complex_gaussian(rng(), [0.5, -1.0], 2), DomainError,
+     "variance must be nonnegative and finite"),
+    (lambda: sample_complex_gaussian(rng(), "one"), DomainError,
+     "variance must be nonnegative and finite"),
     (lambda: covariance_estimate(np.zeros((0, 2))), DomainError, "nonempty batch"),
     (lambda: DiscreteMeasure(np.eye(2), np.array([1.0])), DimensionError,
      "one weight per atom"),

@@ -18,6 +18,7 @@ from gaplab.cli import (
     ExperimentReport,
     PRESETS,
     Point,
+    _order_statistics,
     emit_plot_data,
     main,
     parse_config,
@@ -375,7 +376,6 @@ class TestSweepCheckedBeforeDrawing:
             raise AssertionError("drew before checking every sweep point")
 
         monkeypatch.setattr(RngStream, "generator", no_draws)
-        monkeypatch.setattr(RngStream, "_trial_words", no_draws)
         path = write_config(tmp_path, payload)
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
         assert f"error: {key}:" in capsys.readouterr().err
@@ -415,8 +415,7 @@ class TestRunAndFiles:
 
     def test_summary_echoes_resolved_config(self, tmp_path):
         report = run(ExperimentConfig.from_dict(dict(TINY)))
-        payload = json.loads(__import__("gaplab.cli", fromlist=["summary_json"])
-                             .summary_json(report))
+        payload = json.loads(summary_json(report, _order_statistics(report)))
         assert payload["config"]["epsilon"] == 0.2
         assert payload["config"]["delta"] == 0.1  # default made explicit
         assert payload["library_version"]
@@ -426,7 +425,8 @@ class TestRunAndFiles:
     def test_numpy_scalars_echo_as_python_numbers(self):
         cfg = ExperimentConfig.from_dict(dict(TINY, n_trials=np.int64(2), seed=np.uint32(5),
                                               epsilon=np.float32(0.2), delta=np.float16(0.5)))
-        payload = json.loads(summary_json(run(cfg)))["config"]
+        report = run(cfg)
+        payload = json.loads(summary_json(report, _order_statistics(report)))["config"]
         assert (payload["n_trials"], payload["seed"]) == (2, 5)
         assert payload["epsilon"] == float(np.float32(0.2))
         assert payload["delta"] == 0.5
@@ -478,7 +478,7 @@ class TestRunAndFiles:
 
     def test_plotdata_columns_pinned(self):
         report = run(ExperimentConfig.from_dict(dict(TINY)))
-        text = emit_plot_data(report)
+        text = emit_plot_data(report, _order_statistics(report))
         lines = text.splitlines()
         assert lines[0] == "dim,median,q10,q90,pass_fraction"
         assert len(lines) == 2  # no sweep -> single row
@@ -487,7 +487,7 @@ class TestRunAndFiles:
         report = run(ExperimentConfig.from_dict(dict(TINY)))
         object.__setattr__(report, "points", [])
         with pytest.raises(ConfigError):
-            emit_plot_data(report)
+            emit_plot_data(report, [])
 
 
 class TestReproducibility:
@@ -496,7 +496,8 @@ class TestReproducibility:
         a = run(cfg)
         b = run(ExperimentConfig.from_dict(dict(TINY, sweep={"d2": [8, 16]})))
         assert trials_csv(a) == trials_csv(b)
-        assert emit_plot_data(a) == emit_plot_data(b)
+        assert (emit_plot_data(a, _order_statistics(a))
+                == emit_plot_data(b, _order_statistics(b)))
 
     def test_chunk_size_does_not_change_outputs(self, monkeypatch):
         default = run(ExperimentConfig.from_dict(dict(TINY)))
@@ -567,7 +568,7 @@ class TestPresets:
     def test_cap_sweep_plotdata_median_monotone(self):
         cfg = preset_config("theorem1-cap-sweep", {"n_trials": 150})
         report = run(cfg)
-        lines = emit_plot_data(report).splitlines()
+        lines = emit_plot_data(report, _order_statistics(report)).splitlines()
         assert len(lines) == 4
         medians = [float(row.split(",")[1]) for row in lines[1:]]
         assert medians[0] > medians[1] > medians[2]

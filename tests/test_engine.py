@@ -3,8 +3,9 @@
 Each Monte Carlo driver runs its trials in chunks of stacked arrays.  The
 per-trial route in ``_oracles`` composes the validating per-trial functions
 (``random_purification``, ``conditional_measure``, ``random_basis_measure``,
-``integrate``, ``reduced_density_matrix``, ``trace_norm``) with the same
-substreams, so both must agree trial by trial up to rounding.  The outputs
+``integrate``, ``reduced_density_matrix``, ``trace_norm``) on the same
+generator, trial after trial, so both must agree trial by trial up to
+rounding.  The outputs
 must also be identical whatever the chunk length.
 """
 
@@ -252,7 +253,7 @@ def test_bad_member_pairs_rejected(d1, d2, pairs, error, message):
 
 def _engine_draws(stream, n_trials, entries, shapes):
     """Every Gaussian array ``_run_trials`` hands ``evaluate``, stacked over
-    the trials."""
+    the trials, and the number of chunks."""
     seen = []
 
     def evaluate(*gaussians):
@@ -260,29 +261,22 @@ def _engine_draws(stream, n_trials, entries, shapes):
         return np.zeros(len(gaussians[0])), np.zeros(len(gaussians[0]))
 
     T._run_trials(stream, n_trials, entries, shapes, evaluate)
-    return [np.concatenate(parts) for parts in zip(*seen)]
+    return [np.concatenate(parts) for parts in zip(*seen)], len(seen)
 
 
-def test_seed_word_blocks_do_not_change_the_draws(monkeypatch):
-    stream, shapes, n_trials = RngStream(319), [(3, 1), (4, 2)], 23
-    trials = [[ginibre(rng, *shape) for shape in shapes]
-              for rng in (stream.substream(i).generator() for i in range(n_trials))]
+@pytest.mark.parametrize("per_chunk, chunks", [(1, 23), (3, 8), (None, 1)])
+def test_trials_draw_in_sequence_from_one_generator(monkeypatch, per_chunk, chunks):
+    # Trial after trial, shape after shape, as ginibre draws on one generator.
+    stream, shapes, n_trials, entries = RngStream(319), [(3, 1), (4, 2)], 23, 8
+    rng = stream.generator()
+    trials = [[ginibre(rng, *shape) for shape in shapes] for _ in range(n_trials)]
     per_trial = [np.stack(draws) for draws in zip(*trials)]
-    spans, trial_words = [], RngStream._trial_words
-    monkeypatch.setattr(RngStream, "_trial_words",
-                        lambda self, *span: spans.append(span) or trial_words(self, *span))
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", 3 * 8)  # 3 trials per chunk
-    # Blocks of 6 trials: chunks 0-2 and 3-5 share one, and the last block
-    # is short.  A block of at most one chunk derives words per chunk.
-    for block, expected_spans in ((5, [(0, 6), (6, 12), (12, 18), (18, 23)]),
-                                  (1, [(i, min(i + 3, 23)) for i in range(0, 23, 3)]),
-                                  (T.SEED_BLOCK, [(0, 23)])):
-        monkeypatch.setattr(T, "SEED_BLOCK", block)
-        spans.clear()
-        draws = _engine_draws(stream, n_trials, 8, shapes)
-        assert spans == expected_spans
-        for got, expected in zip(draws, per_trial, strict=True):
-            np.testing.assert_array_equal(got, expected)
+    if per_chunk is not None:
+        monkeypatch.setattr(T, "CHUNK_ENTRIES", per_chunk * entries)
+    draws, n_chunks = _engine_draws(stream, n_trials, entries, shapes)
+    assert n_chunks == chunks
+    for got, expected in zip(draws, per_trial, strict=True):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_zero_trials_rejected():

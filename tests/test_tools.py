@@ -1,6 +1,7 @@
 """tools/preset_diff.py, run without the presets it normally starts."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,38 @@ def test_a_changed_trials_file_reports_its_largest_change_and_flips(tmp_path, pr
         "5 of 6 files differ",
     ]
     assert preset_diff.compare(parent, parent)[-1] == "0 of 6 files differ"
+
+
+def _write_summary(path, points, wall_time_s=1.0):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"wall_time_s": wall_time_s, "summary": {"points": [
+        {"dim": dim, "pass_fraction": fraction, "median_discrepancy": median,
+         "extra": {"meets_delta": fraction >= 0.9}}
+        for dim, fraction, median in points]}}), encoding="utf-8")
+
+
+def test_a_changed_summary_reports_its_verdict_changes(tmp_path, preset_diff):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # dim 16 crosses 1 - delta, dim 64 keeps its verdict at a new pass
+    # fraction, dim 256 changes only its median.
+    _write_summary(parent / "a" / "7" / "summary.json",
+                   [(16, 0.914, 0.05), (64, 0.95, 0.04), (256, 1.0, 0.02)])
+    _write_summary(change / "a" / "7" / "summary.json",
+                   [(16, 0.874, 0.05), (64, 0.96, 0.04), (256, 1.0, 0.01)])
+    # Only a volatile field changes: the files do not differ.
+    _write_summary(parent / "b" / "7" / "summary.json", [(16, 0.5, 0.1)])
+    _write_summary(change / "b" / "7" / "summary.json", [(16, 0.5, 0.1)], wall_time_s=2.0)
+    # Medians change, no verdict does: the file differs without verdict lines.
+    _write_summary(parent / "c" / "7" / "summary.json", [(16, 0.5, 0.1)])
+    _write_summary(change / "c" / "7" / "summary.json", [(16, 0.5, 0.2)])
+    _write_summary(parent / "d" / "7" / "summary.json", [(16, 0.5, 0.1)])
+    _write_summary(change / "d" / "7" / "summary.json", [(16, 0.5, 0.1), (64, 0.9, 0.1)])
+    assert preset_diff.compare(parent, change) == [
+        "differs: a/7/summary.json",
+        "  dim 16: pass_fraction 0.914 -> 0.874, meets_delta true -> false",
+        "  dim 64: pass_fraction 0.95 -> 0.96",
+        "differs: c/7/summary.json",
+        "differs: d/7/summary.json",
+        "  1 vs 2 points",
+        "3 of 4 files differ",
+    ]

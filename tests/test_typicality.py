@@ -294,24 +294,38 @@ class TestRandomPurificationExperiment:
             for column in ("discrepancies", "passed", "auxiliary"):
                 np.testing.assert_array_equal(getattr(out, column), getattr(default, column))
 
-    def test_trials_do_not_seed_through_seed_sequence(self, monkeypatch):
-        # The engine derives its per-trial generators in bulk, never through
-        # the per-stream SeedSequence route (tests/test_engine.py checks
-        # every trial against that route).
-        def per_trial_generator(stream):
-            raise AssertionError("per-trial SeedSequence route used")
-
-        monkeypatch.setattr(RngStream, "generator", per_trial_generator)
+    @pytest.mark.parametrize("driver", ["purification", "basis", "shell", "target",
+                                        "canonical"])
+    def test_one_generator_per_driver_call(self, monkeypatch, driver):
+        # With the reference given, the trials are the driver's only draws:
+        # one generator serves all 6 chunks of the 40 trials.
         rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
-        f = cap_indicator(np.array([1.0, 0.0]), 0.5)
-        out = T.random_purification_experiment(RngStream(109), rho, 8, f, 0.1, 40,
-                                               reference=0.3)
-        assert len(out.discrepancies) == 40
+        cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
+        psi = random_purification(RngStream(3).generator(), rho, 8)
+        subspace = T.random_subspace(RngStream(1).generator(), 2, 8, 12)
+        calls = {
+            "purification": lambda s: T.random_purification_experiment(
+                s, rho, 8, cap, 0.1, 40, reference=0.3),
+            "basis": lambda s: T.random_basis_experiment(s, psi, cap, 0.1, 40,
+                                                         reference=0.3),
+            "shell": lambda s: T.shell_universality_experiment(
+                s, subspace, overlap_sq(np.array([1.0, 0.0])), 0.1, 40, reference=0.5),
+            "target": lambda s: T.shell_vs_target_experiment(
+                s, subspace, rho, cap, 0.1, 40, reference=0.3),
+            "canonical": lambda s: T.canonical_typicality_experiment(s, subspace, 40),
+        }
+        made, generator = [], RngStream.generator
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda s: made.append(s) or generator(s))
+        monkeypatch.setattr(T, "CHUNK_ENTRIES", 7 * 2 * 8)  # 7 trials per chunk
+        stream = RngStream(109)
+        assert len(calls[driver](stream).discrepancies) == 40
+        assert made == [stream]
 
 
 class TestTrialCountLimit:
-    """Each trial index must fit one 32-bit entropy word; the guard runs
-    before the (2, n_trials) output array is allocated."""
+    """At most 2**32 trials, whose (2, n_trials) output columns already
+    take 64 GiB; the guard runs before that array is allocated."""
 
     class Allocated(Exception):
         pass
@@ -433,16 +447,20 @@ class TestCanonicalTypicality:
                            / len(out.discrepancies))
         assert np.all(np.asarray(out.extra["exceedance"]) <= bound + 3 * binom_se)
 
-    def test_mean_distance_decreases_with_subspace_dimension(self):
-        # d2 is held large enough that the environment-size floor on the
-        # fluctuation stays below the smallest subspace scale d1/sqrt(dim).
-        means = []
-        for idx, dim in enumerate((25, 100, 400)):
-            rng = RngStream(124, idx).generator()
-            subspace = T.random_subspace(rng, 2, 800, dim)
-            out = T.canonical_typicality_experiment(RngStream(125, idx), subspace, 200)
-            means.append(out.extra["mean_distance"])
-        assert means[2] < means[1] < means[0]
+    def test_mean_squared_distance_on_the_full_space(self):
+        # A uniform state of C^2 (x) C^{d2} has E tr rho^2 = (d2 + 2) / (2 d2 + 1)
+        # (Lubkin), and for d1 = 2, ||rho - I/2||_tr^2 = 2 (tr rho^2 - 1/2), so
+        # E ||rho - I/2||_tr^2 = 3 / (2 d2 + 1): d2 sets the scale, not
+        # d1 / sqrt(dim).  The mean of 400 trials must lie within 4 of its
+        # standard errors of the law, and at least 8 from the law at 2 d2
+        # (the control, about half the value).
+        for idx, d2 in enumerate((25, 100, 400)):
+            subspace = T.Subspace(np.eye(2 * d2), 2, d2)
+            out = T.canonical_typicality_experiment(RngStream(125, idx), subspace, 400)
+            squared = out.discrepancies ** 2
+            se = squared.std(ddof=1) / np.sqrt(squared.size)
+            assert abs(squared.mean() - 3.0 / (2 * d2 + 1)) <= 4.0 * se
+            assert abs(squared.mean() - 3.0 / (4 * d2 + 1)) >= 8.0 * se
 
 
 class TestShellUniversality:

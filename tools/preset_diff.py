@@ -12,7 +12,9 @@ closes with their count among the files of both trees and exits 1 if any
 file differs.  A line for a trials.csv also gives, matching the trials row by
 row, the largest change of a trial's discrepancy and of its auxiliary value
 (NaN equal to NaN), the number of pass flags that flipped and the number of
-rows whose (experiment, dim, trial) label changed.
+rows whose (experiment, dim, trial) label changed.  A summary.json that
+differs is followed by one indented line per sweep point whose pass_fraction
+or extra.meets_delta verdict changed, points matched in order.
 The two trees run at once; if either run fails, the script stops the other
 and exits 2.  It uses the standard library only.
 """
@@ -94,20 +96,42 @@ def _trial_changes(a: Path, b: Path) -> str:
             f"{flipped} pass flags flipped, {relabelled} rows relabelled")
 
 
+def _verdict_changes(a: dict, b: dict) -> list[str]:
+    """One line per sweep point of two summaries whose pass fraction or
+    meets_delta verdict changed, matching the points in order."""
+    points = [summary["summary"]["points"] for summary in (a, b)]
+    if len(points[0]) != len(points[1]):
+        return [f"  {len(points[0])} vs {len(points[1])} points"]
+    lines = []
+    for x, y in zip(*points):
+        pairs = [("pass_fraction", x["pass_fraction"], y["pass_fraction"]),
+                 ("meets_delta", x["extra"]["meets_delta"], y["extra"]["meets_delta"])]
+        changed = [f"{key} {json.dumps(old)} -> {json.dumps(new)}"
+                   for key, old, new in pairs if old != new]
+        if changed:
+            lines.append(f"  dim {x['dim']}: {', '.join(changed)}")
+    return lines
+
+
 def compare(parent: Path, change: Path) -> list[str]:
-    """One line per output file that differs or exists in one tree only, then
-    the count of those files among the files of both trees."""
+    """One line per output file that differs or exists in one tree only (a
+    summary.json followed by its verdict changes), then the count of those
+    files among the files of both trees."""
     names = {p.relative_to(parent) for p in parent.rglob("*") if p.name in FILES}
     names |= {p.relative_to(change) for p in change.rglob("*") if p.name in FILES}
-    lines = []
+    lines, differing = [], 0
     for name in sorted(names):
         a, b = parent / name, change / name
         if not a.exists() or not b.exists():
             lines.append(f"only in {'change' if b.exists() else 'parent'}: {name}")
-        elif _content(a) != _content(b):
+            differing += 1
+        elif (old := _content(a)) != (new := _content(b)):
             detail = f" ({_trial_changes(a, b)})" if name.name == "trials.csv" else ""
             lines.append(f"differs: {name}{detail}")
-    return lines + [f"{len(lines)} of {len(names)} files differ"]
+            differing += 1
+            if name.name == "summary.json":
+                lines.extend(_verdict_changes(old, new))
+    return lines + [f"{differing} of {len(names)} files differ"]
 
 
 def main(argv=None) -> int:
