@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
     DensityMatrix,
@@ -16,6 +18,9 @@ from gaplab.randomness import _complex_gaussians, _haar_columns, _haar_system
 from gaplab.stats import ks_statistic, ks_vs_exponential
 
 from _oracles import complex_gaussians, random_onb, two_sample_ks
+
+# Property tests replay the same examples on every run.
+EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 class TestRngStream:
@@ -52,6 +57,51 @@ class TestRngStream:
             RngStream(1, 0, (2, bad))
         with pytest.raises(DomainError):
             RngStream(1).substream(bad)
+
+
+def _child_state(seed, stream_index, path, index):
+    """PCG64 state of child ``index`` of the SeedSequence at spawn key
+    (stream_index,) + path: handed out by ``spawn`` for small indices, and
+    past them, where ``spawn`` would allocate every earlier child, built from
+    the key spawn gives it, the parent's key followed by ``index``."""
+    key = (stream_index,) + path
+    if index < 64:
+        child = np.random.SeedSequence(entropy=seed, spawn_key=key).spawn(index + 1)[index]
+    else:
+        child = np.random.SeedSequence(entropy=seed, spawn_key=key + (index,))
+    return np.random.PCG64(child).state
+
+
+class TestStreamLayout:
+    """A point's trials draw from ``generator()``; its reference and fixed
+    state from substreams n_trials and n_trials + 1.  Those substreams are
+    the children numpy's ``SeedSequence.spawn`` gives the point's sequence,
+    so they are independent of the trials and of each other."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("stream_index", [0, 3, 2**33])
+    def test_substreams_are_spawned_children(self, seed, stream_index):
+        for path in [(), (5,), (2**40, 0), (1, 2, 3)]:
+            stream = RngStream(seed, stream_index, path)
+            for index in [0, 1, 8, 63, 2**32 - 1, 2**32, 2**32 + 1]:
+                assert (stream.substream(index).generator().bit_generator.state
+                        == _child_state(seed, stream_index, path, index))
+
+    @EXACT
+    @given(seed=st.integers(0, 2**140), stream_index=st.integers(0, 2**40),
+           path=st.lists(st.integers(0, 2**36), max_size=3).map(tuple),
+           index=st.one_of(st.integers(0, 63), st.integers(64, 2**33)))
+    def test_substreams_are_spawned_children_property(self, seed, stream_index, path, index):
+        stream = RngStream(seed, stream_index, path)
+        assert (stream.substream(index).generator().bit_generator.state
+                == _child_state(seed, stream_index, path, index))
+
+    def test_generator_is_the_parent_sequence(self):
+        stream = RngStream(2**64 + 3, 7, (4,))
+        seq = stream.generator().bit_generator.seed_seq
+        assert seq.entropy == 2**64 + 3 and seq.spawn_key == (7, 4)
+        assert seq.n_children_spawned == 0
+        assert stream.substream(0).generator().bit_generator.seed_seq.spawn_key == (7, 4, 0)
 
 
 class TestComplexGaussian:
