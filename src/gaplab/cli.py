@@ -4,9 +4,9 @@ Reads a declarative JSON configuration (or a named built-in preset) and
 runs it through one table of experiments, ``EXPERIMENTS``: each entry names
 the keys it may sweep and maps the configuration of one sweep point to a
 library driver call on the point's stream, ``RngStream(seed, point)``, whose
-trials come back as the columns of one ``ExperimentOutcome``.  The report
-reads each point's statistics from its outcome and persists three files to
-the output directory:
+trials come back as the columns of one ``ExperimentOutcome``, with the
+point's reference GAP(rho)(f) and its statistics.  The report reads them
+from the outcome and persists three files to the output directory:
 
 * ``trials.csv``   -- one row per trial, numbered from 0 at each point, pinned
   CSV dialect (comma separated, LF line endings, '.' decimal, no quoting).
@@ -232,12 +232,17 @@ def _resolve_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
     phi = _resolve_phi(spec.get("phi", "e1"), dim)
     kind = spec["kind"]
     if kind == "cap_indicator":
-        return _named("f_spec.threshold", T.cap_indicator, phi,
-                      _number("f_spec.threshold", spec.get("threshold", 0.5)))
-    if kind == "polynomial":
-        return _named("f_spec.coefficients", T.polynomial, phi,
-                      _numbers("f_spec.coefficients", spec.get("coefficients", [0.0, 1.0])))
-    return T.TestFunction(kind, phi)
+        f = _named("f_spec.threshold", T.cap_indicator, phi,
+                   _number("f_spec.threshold", spec.get("threshold", 0.5)))
+    elif kind == "polynomial":
+        f = _named("f_spec.coefficients", T.polynomial, phi,
+                   _numbers("f_spec.coefficients", spec.get("coefficients", [0.0, 1.0])))
+    else:
+        f = T.TestFunction(kind, phi)
+    for key in ("threshold", "coefficients"):
+        if key in spec and getattr(f, key) is None:  # the library rejects a key f ignores
+            _named(f"f_spec.{key}", replace, f, **{key: spec[key]})
+    return f
 
 
 def _scaled_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
@@ -459,27 +464,20 @@ def trials_csv(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _order_statistics(report: ExperimentReport) -> list:
-    """(median, q10, q90) of each point's discrepancies, for the two files
-    that print them."""
-    return [(o.median_discrepancy, o.quantile(0.1), o.quantile(0.9))
-            for _, o in report.points]
-
-
-def emit_plot_data(report: ExperimentReport, stats: list) -> str:
+def emit_plot_data(report: ExperimentReport) -> str:
     """Plot-ready series: one row per sweep point (single row when there is
-    no sweep).  ``stats`` is ``_order_statistics(report)``."""
+    no sweep)."""
     if not report.points:
         raise ConfigError("report contains no sweep points")
     lines = ["dim,median,q10,q90,pass_fraction"]
-    for (dim, o), values in zip(report.points, stats):
-        lines.append(",".join([str(dim)] + [repr(v) for v in (*values, o.pass_fraction)]))
+    for dim, o in report.points:
+        values = (o.median_discrepancy, o.q10, o.q90, o.pass_fraction)
+        lines.append(",".join([str(dim)] + [repr(v) for v in values]))
     return "\n".join(lines) + "\n"
 
 
-def summary_json(report: ExperimentReport, stats: list) -> str:
-    """The config, the library version and each point's summary as JSON;
-    ``stats`` as for ``emit_plot_data``."""
+def summary_json(report: ExperimentReport) -> str:
+    """The config, the library version and each point's summary as JSON."""
     delta = report.config["delta"]
     payload = {
         "config": report.config,
@@ -492,13 +490,12 @@ def summary_json(report: ExperimentReport, stats: list) -> str:
             "points": [
                 {
                     "dim": dim, "pass_fraction": o.pass_fraction,
-                    "median_discrepancy": median, "q10": q10, "q90": q90,
+                    "median_discrepancy": o.median_discrepancy, "q10": o.q10, "q90": o.q90,
                     "reference": o.reference, "threshold": o.threshold,
                     # the configured confidence target: at least 1 - delta of trials pass
                     "extra": {**o.extra, "meets_delta": o.pass_fraction >= 1.0 - delta},
                 }
-                for (dim, o), (median, q10, q90)
-                in zip(report.points, stats)
+                for dim, o in report.points
             ],
         },
     }
@@ -509,13 +506,12 @@ def write_report(report: ExperimentReport, out_dir: str) -> None:
     """Write the three report files into ``out_dir``, creating it; an OS
     error (``out_dir`` names a file, no write permission, ...) becomes a
     ConfigError naming the path."""
-    stats = _order_statistics(report)
     try:
         os.makedirs(out_dir, exist_ok=True)
         for fname, text in (
             ("trials.csv", trials_csv(report)),
-            ("summary.json", summary_json(report, stats)),
-            ("plotdata.csv", emit_plot_data(report, stats)),
+            ("summary.json", summary_json(report)),
+            ("plotdata.csv", emit_plot_data(report)),
         ):
             with open(os.path.join(out_dir, fname), "w", encoding="utf-8",
                       newline="\n") as fh:

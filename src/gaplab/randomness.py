@@ -78,14 +78,15 @@ def sample_complex_gaussian(rng: np.random.Generator, variance, size=None):
     Real and imaginary parts are independent real Gaussians with variance
     ``variance / 2`` each.  ``variance`` may be an array of per-entry
     variances that broadcasts against ``size``, which is None, an integer
-    >= 0 or a tuple or list of them.
+    >= 0 or a tuple or list of them.  A variance must be an integer or a
+    float: bools and strings are rejected, though ``float`` parses them.
     """
     try:
-        values = np.asarray(variance, dtype=float)
-    except (TypeError, ValueError):
-        values = np.nan
+        values = np.asarray(variance)
+    except (TypeError, ValueError):  # a ragged list, say
+        values = np.asarray(None)
     # Written so that NaN, which fails both comparisons, is rejected.
-    if not np.all((values >= 0.0) & (values < np.inf)):
+    if values.dtype.kind not in "iuf" or not np.all((values >= 0.0) & (values < np.inf)):
         raise DomainError(f"variance must be nonnegative and finite, got {variance!r}")
     if size is not None:
         shape = size if isinstance(size, (tuple, list)) else (size,)

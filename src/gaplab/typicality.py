@@ -111,7 +111,9 @@ class TestFunction:
     * ``cap_indicator``   f(psi) = 1 if |<phi|psi>|^2 >= threshold - 1e-12
     * ``polynomial``      f(psi) = p(|<phi|psi>|^2), coefficients ascending
 
-    ``bound`` is the sup norm over the unit sphere, and must be positive.
+    ``threshold`` belongs to ``cap_indicator`` and ``coefficients`` to
+    ``polynomial``; any other kind rejects them.  ``bound`` is the sup norm
+    over the unit sphere, and must be positive.
     Instances are callable on a single vector (d,) or a stack of vectors
     (..., d).
     """
@@ -153,6 +155,9 @@ class TestFunction:
                                   "sup of |p| on [0, 1] is 0")
         elif self.kind not in ("overlap_sq", "real_part"):
             raise DomainError(f"unknown test function kind {self.kind!r}")
+        for name, kind in (("threshold", "cap_indicator"), ("coefficients", "polynomial")):
+            if getattr(self, name) is not None and self.kind != kind:
+                raise DomainError(f"{self.kind} takes no {name}, got {getattr(self, name)!r}")
         object.__setattr__(self, "bound", bound)
 
     @property
@@ -242,9 +247,17 @@ class GapExpectation:
     standard_error: float
 
 
+def _check_phi(f: TestFunction, rho: DensityMatrix) -> None:
+    """Raise DimensionError unless f's phi is a vector of C^d, d the
+    dimension of rho; the callers check before they draw."""
+    if f.phi.shape != (rho.dim,):
+        raise DimensionError(f"phi has shape {f.phi.shape}, the system dimension is {rho.dim}")
+
+
 def gap_expectation(rng: np.random.Generator, rho: DensityMatrix,
                     f: TestFunction, n_samples: int) -> GapExpectation:
     """Estimate the expectation of f under GAP(rho) from ``n_samples`` draws."""
+    _check_phi(f, rho)
     n_samples = _integer("n_samples", n_samples, 1)
     vals = np.asarray(f(sample_gap(rng, rho, size=n_samples)), dtype=float)
     est = float(vals.mean())
@@ -261,10 +274,10 @@ REFERENCE_BUDGET_FACTOR = 10
 REFERENCE_BUDGET_FLOOR = 2000
 
 
-def gap_reference(reference, stream: RngStream, rho: DensityMatrix, f: TestFunction,
+def gap_reference(stream: RngStream, rho: DensityMatrix, f: TestFunction,
                   n_trials: int) -> float:
-    """``reference`` when given, else GAP(rho)(f), exact where a closed form
-    exists:
+    """GAP(rho)(f), the reference every driver judges its trials against,
+    exact where a closed form exists:
 
     * overlap_sq: <phi|rho|phi>, the GAP covariance in direction phi;
     * real_part: 0, since GAP is invariant under a global phase;
@@ -279,9 +292,9 @@ def gap_reference(reference, stream: RngStream, rho: DensityMatrix, f: TestFunct
     Every other case is the Monte Carlo mean of max(10 n_trials, 2000) draws
     on substream ``n_trials`` of ``stream``, apart from the trials' draws.
     The drivers call it after their trials, so that a trial count the engine
-    rejects is rejected before the reference draws."""
-    if reference is not None:
-        return reference
+    rejects is rejected before the reference draws.  A phi outside C^d, d
+    the dimension of rho, raises a DimensionError."""
+    _check_phi(f, rho)
     if f.kind == "overlap_sq":
         return float(np.real(f.phi.conj() @ rho.matrix @ f.phi))
     if f.kind == "real_part":
@@ -311,7 +324,12 @@ class ExperimentOutcome:
     """The trials of one sweep point as (n_trials,) columns, row i for trial
     i: each trial's discrepancy, pass flag and auxiliary value (NaN where the
     driver records none), with the reference and pass threshold they were
-    judged against, and the driver's further statistics in ``extra``."""
+    judged against, and the driver's further statistics in ``extra``.
+
+    The point's statistics are set once, at construction (``replace``
+    recomputes them): ``pass_fraction``, the mean of ``passed``;
+    ``median_discrepancy``, the median of the discrepancies; ``q10`` and
+    ``q90``, their 10 % and 90 % quantiles."""
 
     discrepancies: np.ndarray
     passed: np.ndarray
@@ -319,17 +337,17 @@ class ExperimentOutcome:
     reference: float
     threshold: float
     extra: dict = field(default_factory=dict)
+    pass_fraction: float = field(init=False)
+    median_discrepancy: float = field(init=False)
+    q10: float = field(init=False)
+    q90: float = field(init=False)
 
-    @property
-    def pass_fraction(self) -> float:
-        return float(np.mean(self.passed))
-
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.discrepancies, q))
-
-    @property
-    def median_discrepancy(self) -> float:
-        return float(np.median(self.discrepancies))
+    def __post_init__(self):
+        q10, q90 = np.quantile(self.discrepancies, [0.1, 0.9]).tolist()
+        for name, value in (("pass_fraction", float(np.mean(self.passed))),
+                            ("median_discrepancy", float(np.median(self.discrepancies))),
+                            ("q10", q10), ("q90", q90)):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +464,7 @@ def _collect(values, reference, threshold, auxiliary, extra=None) -> ExperimentO
 
 def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
                                    d2: int, f: TestFunction, epsilon: float,
-                                   n_trials: int, *,
-                                   reference: float | None = None) -> ExperimentOutcome:
+                                   n_trials: int) -> ExperimentOutcome:
     """Random state with prescribed reduced density matrix, fixed basis.
 
     Per trial: draw psi uniformly among states with reduced density matrix
@@ -461,13 +478,12 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
     # psi = (v sqrt(p)) Phi with Phi the (d1, d2) random system, so the
     # branch rows <j|psi> are the rows of Phi^T (v sqrt(p))^T.
     amplitudes = (rho1.eigenbasis() * np.sqrt(rho1.spectrum())).T
-    return _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials,
-                               reference)
+    return _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials)
 
 
 def random_basis_experiment(stream: RngStream, psi: BipartiteState,
-                            f: TestFunction, epsilon: float, n_trials: int, *,
-                            reference: float | None = None) -> ExperimentOutcome:
+                            f: TestFunction, epsilon: float,
+                            n_trials: int) -> ExperimentOutcome:
     """Fixed state, uniformly random environment basis.
 
     Per trial: draw the conditional measure mu of psi in a Haar-random
@@ -476,16 +492,16 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
     """
     rho1 = reduced_density_matrix(psi)
     amplitudes = _amplitude_factor(psi.as_matrix()[None])
-    return _haar_system_trials(stream, amplitudes, psi.d2, rho1, f, epsilon, n_trials,
-                               reference)
+    return _haar_system_trials(stream, amplitudes, psi.d2, rho1, f, epsilon, n_trials)
 
 
-def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials, reference):
+def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials):
     """Trials of theorems 1 and 2: mu(f) for the branch matrix W^T A of a
     Haar k-system W of C^{d2} and the fixed (k, d1) amplitude factor A (or
     a (1, k, d1) stack), judged against GAP(rho1)(f) below
     epsilon * ||f||_inf.  W is ``_haar_system`` of each trial's (d2, k)
     Gaussian draw."""
+    _check_phi(f, rho1)
     k, d1 = amplitudes.shape[-2:]
     threshold = f.pass_threshold(epsilon)
 
@@ -493,8 +509,7 @@ def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials, refe
         return _conditional_integrals(_haar_system(z), amplitudes, f), np.nan
 
     values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, k)], evaluate)
-    reference = gap_reference(reference, stream, rho1, f, n_trials)
-    return _collect(values, reference, threshold, aux)
+    return _collect(values, gap_reference(stream, rho1, f, n_trials), threshold, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +641,8 @@ def canonical_typicality_experiment(stream: RngStream, subspace: Subspace,
 
 
 def shell_universality_experiment(stream: RngStream, subspace: Subspace,
-                                  f: TestFunction, epsilon: float, n_trials: int, *,
-                                  reference: float | None = None) -> ExperimentOutcome:
+                                  f: TestFunction, epsilon: float,
+                                  n_trials: int) -> ExperimentOutcome:
     """Random subspace state and random basis versus GAP(tr_2 rho_R).
 
     Per trial: draw (psi, b) from the product of the uniform measure on the
@@ -640,8 +655,7 @@ def shell_universality_experiment(stream: RngStream, subspace: Subspace,
         raise DomainError("this experiment requires a continuous test function")
     target = subspace.reduced_density()
     values, aux = _shell_trials(stream, subspace, f, target, n_trials)
-    reference = gap_reference(reference, stream, target, f, n_trials)
-    return _collect(values, reference, epsilon, aux)
+    return _collect(values, gap_reference(stream, target, f, n_trials), epsilon, aux)
 
 
 def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
@@ -651,6 +665,8 @@ def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
     ||tr_2 |psi><psi| - target||_tr.  Trial i draws its two Ginibre arrays
     in that order: the state's coordinates, then the basis's k-system, which
     ``_haar_system`` orthonormalizes."""
+    _check_phi(f, target)
+
     def evaluate(z, w):
         m = subspace.states(z)
         return (_conditional_integrals(_haar_system(w), _amplitude_factor(m), f),
@@ -664,8 +680,7 @@ def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
 def shell_vs_target_experiment(stream: RngStream,
                                subspace: Subspace | CoordinateSubspace,
                                omega: DensityMatrix, f: TestFunction,
-                               epsilon: float, n_trials: int, *,
-                               reference: float | None = None) -> ExperimentOutcome:
+                               epsilon: float, n_trials: int) -> ExperimentOutcome:
     """Random subspace state and random basis versus GAP(Omega) for a fixed,
     strictly positive target Omega.
 
@@ -682,8 +697,7 @@ def shell_vs_target_experiment(stream: RngStream,
     target_distance = trace_norm(subspace.reduced_density().matrix - omega.matrix)
     threshold = f.pass_threshold(epsilon)
     values, aux = _shell_trials(stream, subspace, f, omega, n_trials)
-    reference = gap_reference(reference, stream, omega, f, n_trials)
-    return _collect(values, reference, threshold, aux,
+    return _collect(values, gap_reference(stream, omega, f, n_trials), threshold, aux,
                     extra={"target_distance": target_distance})
 
 

@@ -163,16 +163,17 @@ def test_criterion_05_conditional_trend_in_environment_size():
            f"(need strictly decreasing)")
 
 
-def test_criterion_06_state_basis_duality():
+def test_criterion_06_state_basis_duality(monkeypatch):
     rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
     f = cap_indicator(np.array([1.0, 0.0]), 0.5)
     d2, n_trials = 32, 1000
-    reference = 0.4  # fixed constant; only the law of the statistic matters
+    # A fixed constant as the reference; only the law of the statistic matters.
+    monkeypatch.setattr(T, "gap_reference", lambda *args: 0.4)
     random_state = T.random_purification_experiment(
-        RngStream(1006, 0), rho, d2, f, 0.1, n_trials, reference=reference)
+        RngStream(1006, 0), rho, d2, f, 0.1, n_trials)
     frozen_psi = random_purification(RngStream(1006, 1).generator(), rho, d2)
     random_basis = T.random_basis_experiment(
-        RngStream(1006, 2), frozen_psi, f, 0.1, n_trials, reference=reference)
+        RngStream(1006, 2), frozen_psi, f, 0.1, n_trials)
     stat, p = two_sample_ks(random_state.discrepancies, random_basis.discrepancies)
     report(6, "random-state vs random-basis duality", p > 0.01,
            f"two-sample KS p = {p:.4f} (need > 0.01), statistic {stat:.4f}")

@@ -118,6 +118,15 @@ def rng():
      "variance must be nonnegative and finite"),
     (lambda: sample_complex_gaussian(rng(), "one"), DomainError,
      "variance must be nonnegative and finite"),
+    # float() parses these, and 0.18.0 took each as variance 1.0.
+    (lambda: sample_complex_gaussian(rng(), "1.0"), DomainError,
+     "variance must be nonnegative and finite, got '1.0'"),
+    (lambda: sample_complex_gaussian(rng(), True), DomainError,
+     "variance must be nonnegative and finite, got True"),
+    (lambda: sample_complex_gaussian(rng(), [True, True], 2), DomainError,
+     "variance must be nonnegative and finite"),
+    (lambda: sample_complex_gaussian(rng(), 1.0 + 0.0j), DomainError,
+     "variance must be nonnegative and finite"),
     (lambda: covariance_estimate(np.zeros((0, 2))), DomainError, "nonempty batch"),
     (lambda: DiscreteMeasure(np.eye(2), np.array([1.0])), DimensionError,
      "one weight per atom"),
@@ -142,6 +151,27 @@ def rng():
                                           MIXED2, polynomial(E0, [1e-323]), 0.1, 5),
      DomainError, "underflows to 0: no trial could pass"),
     (lambda: T.TestFunction("cubic", E0), DomainError, "unknown test function kind"),
+    # A field that the kind ignores: 0.18.0 stored it and went on.
+    (lambda: T.TestFunction("overlap_sq", E0, threshold=0.5, coefficients=[3.0]),
+     DomainError, "overlap_sq takes no threshold, got 0.5"),
+    (lambda: T.TestFunction("real_part", E0, coefficients=[3.0]),
+     DomainError, r"real_part takes no coefficients, got \[3.0\]"),
+    (lambda: T.TestFunction("cap_indicator", E0, threshold=0.5, coefficients=[3.0]),
+     DomainError, "cap_indicator takes no coefficients"),
+    (lambda: T.TestFunction("polynomial", E0, threshold=0.5, coefficients=[3.0]),
+     DomainError, "polynomial takes no threshold"),
+    # phi outside C^2: 0.18.0 ended in numpy's bare "matmul: Input operand 1
+    # has a mismatch in its core dimension 0".
+    (lambda: T.random_purification_experiment(RngStream(1), MIXED2, 4,
+                                              overlap_sq([1.0, 0.0, 0.0]), 0.1, 5),
+     DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
+    (lambda: T.shell_vs_target_experiment(RngStream(1), T.random_subspace(rng(), 2, 4, 8),
+                                          MIXED2, overlap_sq([1.0, 0.0, 0.0]), 0.1, 5),
+     DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
+    (lambda: T.gap_expectation(rng(), MIXED2, overlap_sq([1.0, 0.0, 0.0]), 5),
+     DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
+    (lambda: T.gap_reference(RngStream(1), MIXED2, overlap_sq([1.0, 0.0, 0.0]), 5),
+     DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
     (lambda: ks_statistic([], lambda x: x), DomainError, "empty sample"),
     (lambda: T.random_subspace(rng(), 2, 2, 5), DomainError,
      r"subspace dimension must lie in \[1, 4\]"),

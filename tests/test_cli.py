@@ -18,7 +18,6 @@ from gaplab.cli import (
     ExperimentReport,
     PRESETS,
     Point,
-    _order_statistics,
     emit_plot_data,
     main,
     parse_config,
@@ -260,6 +259,15 @@ class TestConfigErrorsNameTheKey:
             "kind": "polynomial", "coefficients": [1e-323]}}),
         ("f_spec.coefficients", {"experiment": "thermal", "f_spec": {
             "kind": "polynomial", "coefficients": [1e-323]}}),
+        # Keys that the kind ignores: 0.18.0 ran and echoed them in summary.json.
+        ("f_spec.threshold", {"f_spec": {"kind": "overlap_sq", "phi": "e1",
+                                         "threshold": 0.3, "coefficients": [1, 2]}}),
+        ("f_spec.coefficients", {"f_spec": {"kind": "overlap_sq", "coefficients": [1, 2]}}),
+        ("f_spec.coefficients", {"f_spec": {"kind": "cap_indicator", "threshold": 0.5,
+                                            "coefficients": [1.0]}}),
+        ("f_spec.threshold", {"f_spec": {"kind": "polynomial", "threshold": 0.3}}),
+        ("f_spec.threshold", {"experiment": "theorem3",
+                              "f_spec": {"kind": "real_part", "threshold": "x"}}),
     ])
     def test_bad_config_file_exits_1_naming_the_key(self, tmp_path, capsys, key, update):
         path = write_config(tmp_path, dict(TINY, **update))
@@ -415,7 +423,7 @@ class TestRunAndFiles:
 
     def test_summary_echoes_resolved_config(self, tmp_path):
         report = run(ExperimentConfig.from_dict(dict(TINY)))
-        payload = json.loads(summary_json(report, _order_statistics(report)))
+        payload = json.loads(summary_json(report))
         assert payload["config"]["epsilon"] == 0.2
         assert payload["config"]["delta"] == 0.1  # default made explicit
         assert payload["library_version"]
@@ -426,7 +434,7 @@ class TestRunAndFiles:
         cfg = ExperimentConfig.from_dict(dict(TINY, n_trials=np.int64(2), seed=np.uint32(5),
                                               epsilon=np.float32(0.2), delta=np.float16(0.5)))
         report = run(cfg)
-        payload = json.loads(summary_json(report, _order_statistics(report)))["config"]
+        payload = json.loads(summary_json(report))["config"]
         assert (payload["n_trials"], payload["seed"]) == (2, 5)
         assert payload["epsilon"] == float(np.float32(0.2))
         assert payload["delta"] == 0.5
@@ -478,7 +486,7 @@ class TestRunAndFiles:
 
     def test_plotdata_columns_pinned(self):
         report = run(ExperimentConfig.from_dict(dict(TINY)))
-        text = emit_plot_data(report, _order_statistics(report))
+        text = emit_plot_data(report)
         lines = text.splitlines()
         assert lines[0] == "dim,median,q10,q90,pass_fraction"
         assert len(lines) == 2  # no sweep -> single row
@@ -487,7 +495,7 @@ class TestRunAndFiles:
         report = run(ExperimentConfig.from_dict(dict(TINY)))
         object.__setattr__(report, "points", [])
         with pytest.raises(ConfigError):
-            emit_plot_data(report, [])
+            emit_plot_data(report)
 
 
 class TestReproducibility:
@@ -496,8 +504,7 @@ class TestReproducibility:
         a = run(cfg)
         b = run(ExperimentConfig.from_dict(dict(TINY, sweep={"d2": [8, 16]})))
         assert trials_csv(a) == trials_csv(b)
-        assert (emit_plot_data(a, _order_statistics(a))
-                == emit_plot_data(b, _order_statistics(b)))
+        assert emit_plot_data(a) == emit_plot_data(b)
 
     def test_chunk_size_does_not_change_outputs(self, monkeypatch):
         default = run(ExperimentConfig.from_dict(dict(TINY)))
@@ -568,7 +575,7 @@ class TestPresets:
     def test_cap_sweep_plotdata_median_monotone(self):
         cfg = preset_config("theorem1-cap-sweep", {"n_trials": 150})
         report = run(cfg)
-        lines = emit_plot_data(report, _order_statistics(report)).splitlines()
+        lines = emit_plot_data(report).splitlines()
         assert len(lines) == 4
         medians = [float(row.split(",")[1]) for row in lines[1:]]
         assert medians[0] > medians[1] > medians[2]
@@ -628,7 +635,7 @@ def test_every_preset_runs_end_to_end(tmp_path, name):
     assert summary["summary"]["n_records"] == len(trials) - 1
     # Both files read each point's statistics from its outcome.
     for o, row, p in zip(outcomes, plot[1:], summary["summary"]["points"], strict=True):
-        stats = [o.median_discrepancy, o.quantile(0.1), o.quantile(0.9), o.pass_fraction]
+        stats = [o.median_discrepancy, o.q10, o.q90, o.pass_fraction]
         assert [float(v) for v in row.split(",")[1:]] == stats
         assert [p[k] for k in ("median_discrepancy", "q10", "q90", "pass_fraction")] == stats
         assert p["extra"]["meets_delta"] is (o.pass_fraction >= 1.0 - cfg.delta)

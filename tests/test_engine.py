@@ -37,17 +37,26 @@ N = 30
 RHO = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
 
 
+def _pinned(reference, driver):
+    """``driver`` as a call judged against ``reference`` in place of
+    GAP(rho)(f), as the per-trial routes are."""
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(T, "gap_reference", lambda *args: reference)
+            return driver()
+    return run
+
+
 def _theorem1():
     stream, f, ref = RngStream(301), cap_indicator(np.array([1.0, 0.0]), 0.5), 0.62
-    run = lambda: T.random_purification_experiment(stream, RHO, 8, f, 0.1, N,
-                                                   reference=ref)
+    run = _pinned(ref, lambda: T.random_purification_experiment(stream, RHO, 8, f, 0.1, N))
     return run, lambda: O.purification_trials(stream, RHO, 8, f, ref, N), 16
 
 
 def _theorem2():
     psi = random_purification(RngStream(302).generator(), RHO, 16)
     stream, f, ref = RngStream(303), polynomial(np.array([1.0, 1.0j]), [0.1, 0.5, -0.3]), 0.2
-    run = lambda: T.random_basis_experiment(stream, psi, f, 0.1, N, reference=ref)
+    run = _pinned(ref, lambda: T.random_basis_experiment(stream, psi, f, 0.1, N))
     return run, lambda: O.random_basis_trials(stream, psi, f, ref, N), 32
 
 
@@ -55,7 +64,7 @@ def _theorem2_wide():
     # d1 > d2: the random system has k = d2 vectors.
     psi = BipartiteState(3, 2, uniform_sphere(RngStream(304).generator(), 6))
     stream, f, ref = RngStream(305), polynomial(np.array([1.0, 0.0, 1.0]), [0.0, 0.0, 1.0]), 0.3
-    run = lambda: T.random_basis_experiment(stream, psi, f, 0.1, N, reference=ref)
+    run = _pinned(ref, lambda: T.random_basis_experiment(stream, psi, f, 0.1, N))
     return run, lambda: O.random_basis_trials(stream, psi, f, ref, N), 6
 
 
@@ -64,8 +73,7 @@ def _theorem3():
     target = subspace.reduced_density()
     stream, ref = RngStream(307), 0.1
     f = real_part(uniform_sphere(RngStream(308).generator(), 2))
-    run = lambda: T.shell_universality_experiment(stream, subspace, f, 0.1, N,
-                                                  reference=ref)
+    run = _pinned(ref, lambda: T.shell_universality_experiment(stream, subspace, f, 0.1, N))
     return run, lambda: O.shell_trials(stream, subspace.basis, 2, 8, f, ref, target, N), 16
 
 
@@ -74,8 +82,7 @@ def _theorem3_wide():
     target = subspace.reduced_density()
     stream, ref = RngStream(310), 0.3
     f = polynomial(np.array([0.0, 1.0, 0.0]), [0.0, 1.0, -1.0])
-    run = lambda: T.shell_universality_experiment(stream, subspace, f, 0.1, N,
-                                                  reference=ref)
+    run = _pinned(ref, lambda: T.shell_universality_experiment(stream, subspace, f, 0.1, N))
     return run, lambda: O.shell_trials(stream, subspace.basis, 3, 2, f, ref, target, N), 6
 
 
@@ -83,8 +90,8 @@ def _theorem4():
     subspace = T.random_subspace(RngStream(311).generator(), 2, 8, 16)
     omega = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
     stream, f, ref = RngStream(312), cap_indicator(np.array([1.0, 0.0]), 0.5), 0.55
-    run = lambda: T.shell_vs_target_experiment(stream, subspace, omega, f, 0.15, N,
-                                               reference=ref)
+    run = _pinned(ref, lambda: T.shell_vs_target_experiment(stream, subspace, omega, f,
+                                                            0.15, N))
     return run, lambda: O.shell_trials(stream, subspace.basis, 2, 8, f, ref, omega, N), 16
 
 
@@ -97,8 +104,8 @@ def _thermal(scattered=False):
     subspace = shell if scattered else T.Subspace(basis, d1, d2)
     f = polynomial(np.ones(2), [0.0, 0.0, 1.0])
     stream, ref = RngStream(313), 0.3
-    run = lambda: T.shell_vs_target_experiment(stream, subspace, omega, f, 0.15, N,
-                                               reference=ref)
+    run = _pinned(ref, lambda: T.shell_vs_target_experiment(stream, subspace, omega, f,
+                                                            0.15, N))
     return run, lambda: O.shell_trials(stream, basis, d1, d2, f, ref, omega, N), d1 * d2
 
 

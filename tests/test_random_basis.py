@@ -9,6 +9,7 @@ comparison can fail.
 """
 
 import numpy as np
+import pytest
 
 from gaplab import (
     BipartiteState,
@@ -34,6 +35,12 @@ N_TRIALS = 1000
 # Both test functions are nonnegative, so with reference 0 each recorded
 # discrepancy is mu(f) itself.
 REFERENCE = 0.0
+
+
+@pytest.fixture(autouse=True)
+def pinned_reference(monkeypatch):
+    """The drivers judge their trials against REFERENCE."""
+    monkeypatch.setattr(T, "gap_reference", lambda *args: REFERENCE)
 
 
 def sampled_discrepancies(stream, draw_state, sampler, f):
@@ -63,8 +70,8 @@ def without_r_factor(rng, psi):
 
 def test_theorem2_matches_full_basis_oracle():
     psi, f = theorem2_setting()
-    new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1, N_TRIALS,
-                                    reference=REFERENCE).discrepancies
+    new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1,
+                                    N_TRIALS).discrepancies
     old = sampled_discrepancies(RngStream(2002, 2), lambda rng: psi,
                                 full_haar_basis_measure, f)
     stat, p = two_sample_ks(new, old)
@@ -75,8 +82,8 @@ def test_ks_rejects_sampler_without_r_factor():
     # Negative control on the theorem2 setting.  On the thermal shell below
     # rho_1 is close to I/2, where dropping R^dagger barely changes the law.
     psi, f = theorem2_setting()
-    new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1, N_TRIALS,
-                                    reference=REFERENCE).discrepancies
+    new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1,
+                                    N_TRIALS).discrepancies
     broken = sampled_discrepancies(RngStream(2002, 3), lambda rng: psi,
                                    without_r_factor, f)
     stat, p = two_sample_ks(new, broken)
@@ -92,7 +99,7 @@ def test_thermal_shell_matches_full_basis_oracle():
     basis = shell_basis(shell)
     new = T.shell_vs_target_experiment(
         RngStream(2009, 0), T.Subspace(basis, shell.d1, shell.d2), omega, f, 0.15,
-        N_TRIALS, reference=REFERENCE).discrepancies
+        N_TRIALS).discrepancies
 
     def shell_state(rng):
         return BipartiteState(shell.d1, shell.d2, uniform_subspace_state(rng, basis))

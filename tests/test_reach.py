@@ -1,4 +1,5 @@
-"""Every function in ``src/gaplab`` runs in some CLI run.
+"""Every function in ``src/gaplab`` runs in some CLI run, and the package
+stays within its line budget.
 
 A profile hook records each Python function that runs while ``cli.main``
 executes every preset and every experiment's default configuration, shrunk
@@ -19,8 +20,14 @@ from gaplab import cli
 
 SRC = Path(gaplab.__file__).resolve().parent
 
-pytestmark = pytest.mark.skipif(sys.version_info < (3, 11),
-                                reason="needs co_qualname (Python 3.11)")
+# ROADMAP's line budget for src/gaplab, the 0.7.0 size.
+LINE_BUDGET = 2630
+
+
+def test_src_within_line_budget():
+    lines = {path.name: path.read_text(encoding="utf-8").count("\n")
+             for path in SRC.glob("*.py")}
+    assert sum(lines.values()) <= LINE_BUDGET, f"lines per module: {lines}"
 
 
 def _defined():
@@ -53,6 +60,7 @@ def _configs():
         yield name, {"experiment": name, **small}
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname (Python 3.11)")
 def test_every_function_runs_in_a_cli_run(tmp_path):
     ran = set()
 

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from gaplab import (
     DensityMatrix,
+    DimensionError,
     DomainError,
     EmptyShellError,
     RngStream,
@@ -117,7 +118,7 @@ class TestGapExpectation:
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         f = overlap_sq(np.array([1.0, 0.0]))
         res = gap_expectation(rng, rho, f, 50_000)
-        assert T.gap_reference(None, RngStream(0), rho, f, 1) == pytest.approx(0.7)
+        assert T.gap_reference(RngStream(0), rho, f, 1) == pytest.approx(0.7)
         assert abs(res.estimate - 0.7) < 3 * res.standard_error + 1e-9
 
     def test_constant_function(self):
@@ -132,7 +133,7 @@ class TestGapExpectation:
         phi = uniform_sphere(rng, 2)
         res = gap_expectation(rng, DensityMatrix.maximally_mixed(2),
                               overlap_sq(phi), 50_000)
-        assert T.gap_reference(None, RngStream(0), DensityMatrix.maximally_mixed(2),
+        assert T.gap_reference(RngStream(0), DensityMatrix.maximally_mixed(2),
                                overlap_sq(phi), 1) == pytest.approx(0.5)
         assert abs(res.estimate - 0.5) < 4 * res.standard_error + 1e-9
 
@@ -158,7 +159,7 @@ class TestExactReferences:
     E1 = np.array([1.0, 0.0])
 
     def _cap(self, rho, phi, t):
-        return T.gap_reference(None, RngStream(0), rho, cap_indicator(phi, t), 1)
+        return T.gap_reference(RngStream(0), rho, cap_indicator(phi, t), 1)
 
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 0.99])
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
@@ -213,7 +214,7 @@ class TestExactReferences:
         monkeypatch.setattr(T, "gap_expectation", refuse)
         rng = RngStream(161).generator()
         rho3 = DensityMatrix.from_spectrum(np.array([0.5, 0.3, 0.2]), haar_unitary(rng, 3))
-        assert T.gap_reference(None, RngStream(0), rho3,
+        assert T.gap_reference(RngStream(0), rho3,
                                real_part(uniform_sphere(rng, 3)), 10) == 0.0
         assert self._cap(_diag(0.7), self.E1, 0.5) == pytest.approx(0.784, abs=1e-12)
         out = T.random_purification_experiment(RngStream(162), _diag(0.7), 16,
@@ -226,7 +227,7 @@ class TestExactReferences:
         # round below 1 (the Monte Carlo route returned 0.689 in 0.14.0).
         chi = haar_unitary(RngStream(3).generator(), 3)[:, 0]
         rho = DensityMatrix(np.outer(chi, chi.conj()))
-        assert T.gap_reference(None, RngStream(0), rho, cap_indicator(chi, 1.0), 10) == 1.0
+        assert T.gap_reference(RngStream(0), rho, cap_indicator(chi, 1.0), 10) == 1.0
 
     @pytest.mark.parametrize("rho, f, expected", [
         # phi not an eigenvector of rho; d1 = 3; a polynomial.
@@ -239,10 +240,78 @@ class TestExactReferences:
         # The values 0.13.0 returned: max(10 n_trials, 2000) draws on
         # substream n_trials.
         stream = RngStream(19)
-        value = T.gap_reference(None, stream, rho, f, 50)
+        value = T.gap_reference(stream, rho, f, 50)
         assert value == gap_expectation(stream.substream(50).generator(), rho, f,
                                         2000).estimate
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+class TestPhiDimension:
+    @pytest.mark.parametrize("call", ["purification", "basis", "shell", "target",
+                                      "expectation", "reference"])
+    def test_phi_of_another_dimension_rejected_before_drawing(self, monkeypatch, call):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking phi")
+
+        rho = DensityMatrix.maximally_mixed(2)
+        psi = random_purification(RngStream(3).generator(), rho, 4)
+        subspace = T.random_subspace(RngStream(1).generator(), 2, 4, 8)
+        rng, f = RngStream(2).generator(), overlap_sq(np.array([1.0, 0.0, 0.0]))
+        calls = {
+            "purification": lambda: T.random_purification_experiment(
+                RngStream(4), rho, 4, f, 0.1, 5),
+            "basis": lambda: T.random_basis_experiment(RngStream(4), psi, f, 0.1, 5),
+            "shell": lambda: T.shell_universality_experiment(
+                RngStream(4), subspace, f, 0.1, 5),
+            "target": lambda: T.shell_vs_target_experiment(
+                RngStream(4), subspace, rho, f, 0.1, 5),
+            "expectation": lambda: gap_expectation(rng, rho, f, 5),
+            "reference": lambda: T.gap_reference(RngStream(4), rho, f, 5),
+        }
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        monkeypatch.setattr(T, "sample_gap", no_draws)
+        with pytest.raises(DimensionError, match=r"phi has shape \(3,\), the system "
+                                                 r"dimension is 2"):
+            calls[call]()
+
+
+class TestExperimentOutcome:
+    """The point statistics are fields, set once at construction."""
+
+    @staticmethod
+    def _statistics(out):
+        return [out.pass_fraction, out.median_discrepancy, out.q10, out.q90]
+
+    def test_statistics_equal_the_scalar_numpy_calls_bit_for_bit(self):
+        rng = RngStream(170).generator()
+        for n in [*range(1, 40), 99, 100, 1000, 5000]:
+            d = rng.exponential(size=n) * rng.choice([1e-12, 1.0, 1e6])
+            d[::4] = d[0]  # ties
+            passed = rng.random(n) < 0.8
+            out = T.ExperimentOutcome(d, passed, np.full(n, np.nan), 0.0, 1.0)
+            expected = [float(np.mean(passed)), float(np.median(d)),
+                        float(np.quantile(d, 0.1)), float(np.quantile(d, 0.9))]
+            got = self._statistics(out)
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in expected], n
+
+    def test_replace_recomputes_the_statistics(self):
+        out = T.ExperimentOutcome(np.array([0.4, 0.1, 0.3, 0.2]),
+                                  np.array([False, True, False, True]),
+                                  np.full(4, np.nan), 0.0, 0.25)
+        assert out.pass_fraction == 0.5 and out.median_discrepancy == 0.25
+        new = replace(out, discrepancies=np.array([2.0, 4.0, 9.0]),
+                      passed=np.array([True, True, True]), auxiliary=np.zeros(3))
+        assert self._statistics(new) == [1.0, 4.0, 2.4, 8.0]
+        # thermal_experiment adds to extra through replace; the statistics
+        # still describe the columns.
+        system = [0.0, 1.0]
+        shell = T.microcanonical_shell(system, np.linspace(0.0, 20.0, 40), 10.0, 1.0)
+        thermal = T.thermal_experiment(RngStream(171), system, shell,
+                                       polynomial(np.ones(2), [0.0, 0.0, 1.0]), 0.15, 20)
+        assert "beta" in thermal.extra
+        assert self._statistics(thermal) == self._statistics(T.ExperimentOutcome(
+            thermal.discrepancies, thermal.passed, thermal.auxiliary, 0.0, 1.0))
 
 
 class TestRandomPurificationExperiment:
@@ -297,7 +366,7 @@ class TestRandomPurificationExperiment:
     @pytest.mark.parametrize("driver", ["purification", "basis", "shell", "target",
                                         "canonical"])
     def test_one_generator_per_driver_call(self, monkeypatch, driver):
-        # With the reference given, the trials are the driver's only draws:
+        # With the reference pinned, the trials are the driver's only draws:
         # one generator serves all 6 chunks of the 40 trials.
         rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
         cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
@@ -305,15 +374,16 @@ class TestRandomPurificationExperiment:
         subspace = T.random_subspace(RngStream(1).generator(), 2, 8, 12)
         calls = {
             "purification": lambda s: T.random_purification_experiment(
-                s, rho, 8, cap, 0.1, 40, reference=0.3),
-            "basis": lambda s: T.random_basis_experiment(s, psi, cap, 0.1, 40,
-                                                         reference=0.3),
+                s, rho, 8, cap, 0.1, 40),
+            "basis": lambda s: T.random_basis_experiment(s, psi, cap, 0.1, 40),
             "shell": lambda s: T.shell_universality_experiment(
-                s, subspace, overlap_sq(np.array([1.0, 0.0])), 0.1, 40, reference=0.5),
+                s, subspace, overlap_sq(np.array([1.0, 0.0])), 0.1, 40),
             "target": lambda s: T.shell_vs_target_experiment(
-                s, subspace, rho, cap, 0.1, 40, reference=0.3),
+                s, subspace, rho, cap, 0.1, 40),
             "canonical": lambda s: T.canonical_typicality_experiment(s, subspace, 40),
         }
+        reference = 0.5 if driver == "shell" else 0.3
+        monkeypatch.setattr(T, "gap_reference", lambda *args: reference)
         made, generator = [], RngStream.generator
         monkeypatch.setattr(RngStream, "generator",
                             lambda s: made.append(s) or generator(s))
@@ -387,18 +457,19 @@ class TestRandomBasisExperiment:
         out = T.random_basis_experiment(RngStream(112), psi, f, 0.1, 200)
         assert out.pass_fraction >= 0.9
 
-    def test_duality_with_random_purifications(self):
+    def test_duality_with_random_purifications(self, monkeypatch):
         # Random state with fixed basis and fixed state with random basis
         # give identically distributed conditional statistics.
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         f = cap_indicator(np.array([1.0, 0.0]), 0.5)
         d2 = 32
-        ref = 0.4  # any fixed reference; only the law of mu(f) matters
+        # Any fixed reference; only the law of mu(f) matters.
+        monkeypatch.setattr(T, "gap_reference", lambda *args: 0.4)
         out_state = T.random_purification_experiment(
-            RngStream(113), rho, d2, f, 0.1, 400, reference=ref)
+            RngStream(113), rho, d2, f, 0.1, 400)
         psi = random_purification(RngStream(114).generator(), rho, d2)
         out_basis = T.random_basis_experiment(
-            RngStream(115), psi, f, 0.1, 400, reference=ref)
+            RngStream(115), psi, f, 0.1, 400)
         _, p = two_sample_ks(out_state.discrepancies, out_basis.discrepancies)
         assert p > 0.01
 
