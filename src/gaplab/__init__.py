@@ -1,7 +1,7 @@
 """gaplab: GAP measures, conditional wave functions, and Haar-random Monte
 Carlo experiments on finite-dimensional complex Hilbert spaces."""
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .errors import (
     BasisError,
@@ -24,18 +24,16 @@ from .randomness import (
     ginibre,
     haar_unitary,
     random_ons,
-    sample_complex_gaussian,
     uniform_sphere,
 )
 from .gap import (
+    gap_cap_probability,
+    gap_polynomial_mean,
     gap_sphere_density,
-    sample_adjusted_gaussian,
-    sample_gap,
 )
 from .typicality import (
     TestFunction,
     cap_indicator,
-    gap_expectation,
     overlap_sq,
     polynomial,
     random_purification,

@@ -117,7 +117,7 @@ class ExperimentConfig:
             setattr(self, key, _integer(key, getattr(self, key), 1))
         _cap("d1", self.d1 ** 2)  # rho and phi
         _cap("d2", self.d1 * self.d2)  # a trial's state
-        _cap("n_trials", T.REFERENCE_BUDGET_FACTOR * self.n_trials * self.d1)  # a reference
+        _cap("n_trials", self.n_trials)  # the engine's (2, n_trials) float output, 16 B a trial
         if self.dR is not None:
             self.dR = _integer("dR", self.dR, 1)
         self.seed = _integer("seed", self.seed, 0)
@@ -292,9 +292,11 @@ def _resolve_bath(cfg: ExperimentConfig, n_system: int) -> np.ndarray:
 # ConfigError naming the key), and returns the point's dimension and a
 # function that draws the point's trials from the point's stream as one
 # ExperimentOutcome.  run() hands point p the stream RngStream(seed, p);
-# the trials (or samples) draw in sequence from stream.generator(), a Monte
-# Carlo reference from substream n_trials, and a fixed state or subspace
-# from substream n_trials + 1.
+# the trials (or samples) draw in sequence from stream.generator(), and a
+# fixed state or subspace from substream n_trials + 1.  Substream n_trials
+# is unused: the references are exact and draw nothing, and the fixed state
+# keeps its substream so that its draws, and the trials judged on it, stay
+# the same.
 
 def _purification_inputs(cfg: ExperimentConfig):
     if cfg.d2 < cfg.d1:
@@ -369,8 +371,7 @@ def _continuity(cfg: ExperimentConfig):
 
 def _thermal(cfg: ExperimentConfig):
     system = _numbers("system_levels", cfg.system_levels)
-    # phi and rho_beta take n**2 entries for n system levels, a reference 10 n_trials n.
-    _cap("system_levels", system.size * max(system.size, T.REFERENCE_BUDGET_FACTOR * cfg.n_trials))
+    _cap("system_levels", system.size ** 2)  # rho_beta
     bath = _resolve_bath(cfg, system.size)
     shell = _named("window", T.microcanonical_shell, system, bath,
                    float(cfg.window["energy"]), float(cfg.window["width"]))

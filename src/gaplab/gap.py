@@ -1,63 +1,35 @@
-"""The GAP measure family on a finite-dimensional Hilbert space.
+"""The GAP measure family on a finite-dimensional Hilbert space, and exact
+functionals of it.
 
 For a density matrix rho, three measures are built on top of each other:
 
 * ``G(rho)`` -- the mean-zero complex Gaussian measure with covariance rho.
-  In an eigenbasis of rho the coefficients are independent complex
-  Gaussians with variances given by the eigenvalues; coefficients along
-  the kernel vanish identically.
 * ``GA(rho)`` -- the adjusted Gaussian, G(rho) reweighted by the squared
   norm: GA(dpsi) = ||psi||^2 G(dpsi).  Because the Gaussian's expected
   squared norm equals tr(rho) = 1, GA is again a probability measure.
 * ``GAP(rho)`` -- the law of a GA sample projected to the unit sphere.
   Its covariance matrix is again rho.
 
-GA is sampled exactly by a size-biased mixture: pick an eigendirection i
-with probability p_i, draw coordinate i from the norm-square-biased complex
-Gaussian of variance p_i (squared radius ~ Gamma(shape 2, scale p_i),
-uniform phase), and draw every other coordinate unbiased.  This is O(d) per
-draw with no rejection step; a rejection sampler is kept in the test suite
-as an independent oracle, with the plain G(rho) sampler it proposes from.
+So E_GAP f(psi) = E ||z||^2 f(z / ||z||) for z = rho^{1/2} g, g a standard
+complex Gaussian vector.  The functions here evaluate that expectation in
+closed form, or by a quadrature exact to rounding: the sphere density of
+GAP(rho), the GAP probability of a cap |<phi|psi>|^2 >= t and the GAP mean
+of a polynomial in |<phi|psi>|^2.  The test suite keeps GAP samplers as an
+independent route to each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, SingularDensityError
+from .errors import DimensionError, DomainError, SingularDensityError
 from .hilbert import DensityMatrix
-from .randomness import _integer, sample_complex_gaussian
 
 __all__ = [
-    "sample_adjusted_gaussian",
-    "sample_gap",
     "gap_sphere_density",
+    "gap_cap_probability",
+    "gap_polynomial_mean",
 ]
-
-def sample_adjusted_gaussian(rng: np.random.Generator, rho: DensityMatrix,
-                             size: int | None = None):
-    """Draw from the size-biased Gaussian GA(rho) = ||psi||^2 G(rho)(dpsi)."""
-    n = 1 if size is None else _integer("size", size, 1)
-    p, v = rho.spectrum(), rho.eigenbasis()
-    z = sample_complex_gaussian(rng, p, (n, p.size))
-
-    on = np.flatnonzero(p > 0.0)
-    biased = on[rng.choice(on.size, size=n, p=p[on] / p[on].sum())]
-    # Gamma(shape 2, scale p) as a sum of two exponentials: exact, and the
-    # draw count per sample stays fixed.
-    u = rng.random((n, 2))
-    radius_sq = -np.log(u[:, 0] * u[:, 1]) * p[biased]
-    phase = rng.random(n) * (2.0 * np.pi)
-    z[np.arange(n), biased] = np.sqrt(radius_sq) * np.exp(1j * phase)
-
-    psi = z @ v.T
-    return psi[0] if size is None else psi
-
-
-def sample_gap(rng: np.random.Generator, rho: DensityMatrix, size: int | None = None):
-    """Draw unit vectors distributed according to GAP(rho)."""
-    psi = sample_adjusted_gaussian(rng, rho, size=size)
-    return psi / np.linalg.norm(psi, axis=-1, keepdims=size is not None)
 
 
 def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
@@ -87,3 +59,91 @@ def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
     log_val = np.log(d) - np.sum(np.log(p)) - (d + 1) * np.log(quad)
     out = np.exp(log_val)
     return float(out[0]) if single else out
+
+
+def _support_coordinates(rho: DensityMatrix, phi) -> tuple[np.ndarray, np.ndarray]:
+    """The positive eigenvalues p_i of rho and the coordinates <v_i|phi> of
+    phi in their eigenvectors v_i; phi must be a vector of C^d, d the
+    dimension of rho."""
+    phi = np.asarray(phi, dtype=complex)
+    if phi.shape != (rho.dim,):
+        raise DimensionError(f"phi has shape {phi.shape}, the system dimension is {rho.dim}")
+    r = rho.support_rank
+    return rho.spectrum()[:r], phi @ rho.eigenbasis()[:, :r].conj()
+
+
+def gap_cap_probability(rho: DensityMatrix, phi, t: float) -> float:
+    """P(|<phi|psi>|^2 >= t) for psi ~ GAP(rho), phi a unit vector, t in [0, 1].
+
+    The probability is E[g^dagger rho g 1{g^dagger M g >= 0}] with
+    M = rho^{1/2}(|phi><phi| - t I)rho^{1/2}.  In M's eigenbasis (lambda_i,
+    u_i) the cross terms of g^dagger rho g vanish by phase symmetry, leaving
+    c_i = <u_i|rho|u_i> times exponential moments.  By Sylvester's law of
+    inertia M has at most one positive eigenvalue lambda_1; without one the
+    cap has measure 0.  With s_j = max(-lambda_j, 0) / lambda_1 for j >= 2
+    and L = prod_j 1 / (1 + s_j),
+
+        P = L [c_1 (1 + sum_j s_j / (1 + s_j)) + sum_j c_j / (1 + s_j)].
+
+    M is formed on the support of rho, in its eigenbasis.  Two cases are
+    decided as ``TestFunction`` decides them, admitting |<phi|psi>|^2 down
+    to t - 1e-12: a t of at most 1e-12 admits every psi, and a pure
+    rho = |chi><chi|, whose draws are chi up to a phase, is admitted when
+    |<phi|chi>|^2 >= t - 1e-12.
+    """
+    if not 0.0 <= t <= 1.0:  # NaN fails too
+        raise DomainError(f"cap threshold must lie in [0, 1], got {t!r}")
+    p, a = _support_coordinates(rho, phi)
+    if t <= 1e-12:
+        return 1.0
+    b = np.sqrt(p) * a  # rho^{1/2} phi
+    if p.size == 1:
+        return float(abs(b[0]) ** 2 >= t - 1e-12)
+    lam, u = np.linalg.eigh(np.outer(b, b.conj()) - t * np.diag(p))
+    if not lam[-1] > 0.0:
+        return 0.0
+    c = p @ np.abs(u) ** 2
+    q = lam[-1] / (lam[-1] + np.maximum(-lam[:-1], 0.0))  # 1 / (1 + s_j)
+    return float(np.prod(q) * (c[-1] * (1.0 + np.sum(1.0 - q)) + np.sum(c[:-1] * q)))
+
+
+# Nodes lambda = e^x, x in [-40, 40] in steps of 0.2, of the trapezoidal
+# rule in x that takes the moment integral of ``gap_polynomial_mean``.  In x
+# the integrand is analytic in the strip |Im x| < pi/2, so the rule's error
+# falls geometrically as the step shrinks.  It is at most e^x max|p''| on the
+# left and d e^{-2x} max|p''| on the right (max p_i >= 1/d), for every
+# spectrum, so the cut tails weigh below 1e-17 of max|p''|.  Against a
+# 30-digit quadrature the rule agrees to 2e-16 from degree 2 to 200, on
+# spectra with eigenvalues down to 1e-11.
+_LOG_STEP = 0.2
+_LAMBDA = np.exp(_LOG_STEP * np.arange(-200, 201))
+
+
+def gap_polynomial_mean(rho: DensityMatrix, phi, coefficients) -> float:
+    """E p(u) for u = |<phi|psi>|^2, psi ~ GAP(rho), phi a unit vector and p
+    the polynomial with the ascending ``coefficients``.
+
+    E u^0 = 1 and E u = <phi|rho|phi>.  For m >= 2, writing ||z||^{-2(m-1)}
+    as a Laplace integral and taking the Gaussian moment of <phi|z> under the
+    tilted covariance rho (1 + lambda rho)^{-1},
+
+        E u^m = m (m - 1) int_0^inf w^m prod_i (1 + lambda p_i)^{-1} dlambda / lambda^2,
+
+    with (p_i, v_i) the eigenpairs of rho and
+    w(lambda) = sum_i |<v_i|phi>|^2 lambda p_i / (1 + lambda p_i) in [0, 1].
+    Summed over the terms of p that is the integral of w^2 p''(w), taken by
+    the trapezoidal rule of ``_LAMBDA``.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    if c.ndim != 1 or not c.size or not np.all(np.isfinite(c)):
+        raise DomainError(f"coefficients must be a nonempty 1-D list of finite numbers, "
+                          f"got {coefficients!r}")
+    phi = np.asarray(phi, dtype=complex)
+    p, a = _support_coordinates(rho, phi)
+    c0, c1 = np.append(c, 0.0)[:2]
+    linear = c0 + c1 * float(np.real(phi.conj() @ rho.matrix @ phi))
+    lp = _LAMBDA[:, None] * p
+    w = (lp / (1.0 + lp)) @ (np.abs(a) ** 2)
+    weight = np.prod(1.0 / (1.0 + lp), axis=1) / _LAMBDA
+    curvature = np.polynomial.polynomial.polyval(w, np.polynomial.polynomial.polyder(c, 2))
+    return float(linear + _LOG_STEP * np.sum(w ** 2 * curvature * weight))

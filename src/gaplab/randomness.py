@@ -1,5 +1,5 @@
-"""Reproducible random sources: complex Gaussians, Ginibre matrices, Haar
-unitaries, random orthonormal systems, and uniform sphere points.
+"""Reproducible random sources: Ginibre matrices, Haar unitaries, random
+orthonormal systems, and uniform sphere points.
 
 Streams are identified by a pair (master_seed, stream_index) plus a
 derivation path.  The same address always yields the same sample sequence,
@@ -20,7 +20,6 @@ from .errors import DomainError
 
 __all__ = [
     "RngStream",
-    "sample_complex_gaussian",
     "ginibre",
     "haar_unitary",
     "random_ons",
@@ -32,9 +31,9 @@ __all__ = [
 class RngStream:
     """Addressable random stream: (master_seed, stream_index) plus an optional
     derivation path for nested substreams.  A sweep point's trials draw in
-    sequence from its ``generator()``; its Monte Carlo reference and its
-    fixed state or subspace come from substreams past them.  Every component
-    is a nonnegative integer (bool excluded)."""
+    sequence from its ``generator()``; its fixed state or subspace comes from
+    substream n_trials + 1, and substream n_trials is unused.  Every
+    component is a nonnegative integer (bool excluded)."""
 
     master_seed: int
     stream_index: int = 0
@@ -70,30 +69,6 @@ def _integer(name: str, value, minimum: int = 0) -> int:
     if value < minimum:
         raise DomainError(message)
     return value
-
-
-def sample_complex_gaussian(rng: np.random.Generator, variance, size=None):
-    """Mean-zero complex Gaussian with E|z|^2 = variance.
-
-    Real and imaginary parts are independent real Gaussians with variance
-    ``variance / 2`` each.  ``variance`` may be an array of per-entry
-    variances that broadcasts against ``size``, which is None, an integer
-    >= 0 or a tuple or list of them.  A variance must be an integer or a
-    float: bools and strings are rejected, though ``float`` parses them.
-    """
-    try:
-        values = np.asarray(variance)
-    except (TypeError, ValueError):  # a ragged list, say
-        values = np.asarray(None)
-    # Written so that NaN, which fails both comparisons, is rejected.
-    if values.dtype.kind not in "iuf" or not np.all((values >= 0.0) & (values < np.inf)):
-        raise DomainError(f"variance must be nonnegative and finite, got {variance!r}")
-    if size is not None:
-        shape = size if isinstance(size, (tuple, list)) else (size,)
-        size = tuple(_integer("size", n) for n in shape)
-    scale = np.sqrt(values / 2.0)
-    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return scale * z
 
 
 def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:

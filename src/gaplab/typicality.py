@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BasisError, DimensionError, DomainError, EmptyShellError
-from .gap import gap_sphere_density, sample_gap
+from .gap import gap_cap_probability, gap_polynomial_mean, gap_sphere_density
 from .hilbert import (
     HERMITIAN_ATOL,
     NORM_ATOL,
@@ -73,8 +73,7 @@ __all__ = [
     "real_part",
     "cap_indicator",
     "polynomial",
-    "GapExpectation",
-    "gap_expectation",
+    "gap_reference",
     "ExperimentOutcome",
     "random_purification_experiment",
     "random_basis_experiment",
@@ -113,9 +112,8 @@ class TestFunction:
 
     ``threshold`` belongs to ``cap_indicator`` and ``coefficients`` to
     ``polynomial``; any other kind rejects them.  ``bound`` is the sup norm
-    over the unit sphere, and must be positive.
-    Instances are callable on a single vector (d,) or a stack of vectors
-    (..., d).
+    over the unit sphere, and must be positive.  ``of_overlaps`` evaluates
+    f from the overlaps <phi|psi>.
     """
 
     kind: str
@@ -173,9 +171,6 @@ class TestFunction:
             raise DomainError(f"pass threshold epsilon * sup|f| = {epsilon!r} * "
                               f"{self.bound!r} underflows to 0: no trial could pass")
         return threshold
-
-    def __call__(self, vectors: np.ndarray) -> np.ndarray:
-        return self.of_overlaps(np.asarray(vectors, dtype=complex) @ self.phi.conj())
 
     def of_overlaps(self, amp: np.ndarray) -> np.ndarray:
         """f(psi) from the overlaps amp = <phi|psi> of unit vectors psi."""
@@ -236,83 +231,34 @@ def polynomial(phi, coefficients) -> TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# GAP expectations and references
+# GAP references
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GapExpectation:
-    """Monte Carlo estimate of a GAP expectation, with its standard error."""
-
-    estimate: float
-    standard_error: float
-
 
 def _check_phi(f: TestFunction, rho: DensityMatrix) -> None:
     """Raise DimensionError unless f's phi is a vector of C^d, d the
-    dimension of rho; the callers check before they draw."""
+    dimension of rho; the drivers check before they draw."""
     if f.phi.shape != (rho.dim,):
         raise DimensionError(f"phi has shape {f.phi.shape}, the system dimension is {rho.dim}")
 
 
-def gap_expectation(rng: np.random.Generator, rho: DensityMatrix,
-                    f: TestFunction, n_samples: int) -> GapExpectation:
-    """Estimate the expectation of f under GAP(rho) from ``n_samples`` draws."""
-    _check_phi(f, rho)
-    n_samples = _integer("n_samples", n_samples, 1)
-    vals = np.asarray(f(sample_gap(rng, rho, size=n_samples)), dtype=float)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return GapExpectation(est, se)
-
-
-# A Monte Carlo reference draws max(10 n_trials, 2000) GAP samples.  For a
-# cap indicator with GAP probability P its standard error is
-# sqrt(P (1 - P) / n_samples): about 0.004 at 10 000 draws for P = 0.784 and
-# up to 0.011 at 2000, not negligible against pass tolerances of 0.1, so the
-# references that have a closed form use it instead.
-REFERENCE_BUDGET_FACTOR = 10
-REFERENCE_BUDGET_FLOOR = 2000
-
-
-def gap_reference(stream: RngStream, rho: DensityMatrix, f: TestFunction,
-                  n_trials: int) -> float:
+def gap_reference(rho: DensityMatrix, f: TestFunction) -> float:
     """GAP(rho)(f), the reference every driver judges its trials against,
-    exact where a closed form exists:
+    exact for every kind:
 
-    * overlap_sq: <phi|rho|phi>, the GAP covariance in direction phi;
+    * overlap_sq: the polynomial u, whose mean is <phi|rho|phi>, the GAP
+      covariance in direction phi (``gap_polynomial_mean``);
     * real_part: 0, since GAP is invariant under a global phase;
-    * cap_indicator on C^2 with phi an eigenvector of rho (||rho phi - p phi||
-      <= 1e-12, p = <phi|rho|phi>, q = 1 - p): P(u >= t) for u = |<phi|psi>|^2.
-      In rho's eigenbasis u = pB / (pB + q(1 - B)), where B has density
-      2(pB + q(1 - B)) on [0, 1] (the size-biased pair of Exp(1) variables),
-      so P(u >= t) = 2[q(1 - b) + (p - q)(1 - b^2)/2] with
-      b = tq / (p(1 - t) + tq); the two 0/0 cases (p, t) = (0, 0), (1, 1)
-      give 1.
+    * cap_indicator: ``gap_cap_probability`` at the threshold;
+    * polynomial: ``gap_polynomial_mean`` of its coefficients.
 
-    Every other case is the Monte Carlo mean of max(10 n_trials, 2000) draws
-    on substream ``n_trials`` of ``stream``, apart from the trials' draws.
-    The drivers call it after their trials, so that a trial count the engine
-    rejects is rejected before the reference draws.  A phi outside C^d, d
-    the dimension of rho, raises a DimensionError."""
+    A phi outside C^d, d the dimension of rho, raises a DimensionError."""
     _check_phi(f, rho)
-    if f.kind == "overlap_sq":
-        return float(np.real(f.phi.conj() @ rho.matrix @ f.phi))
     if f.kind == "real_part":
         return 0.0
-    if f.kind == "cap_indicator" and rho.dim == 2:
-        rho_phi = rho.matrix @ f.phi
-        p = float(np.real(f.phi.conj() @ rho_phi))
-        if np.linalg.norm(rho_phi - p * f.phi) <= 1e-12:
-            p = min(max(p, 0.0), 1.0)
-            q, t = 1.0 - p, f.threshold
-            denominator = p * (1.0 - t) + t * q
-            if denominator == 0.0:
-                return 1.0
-            b = t * q / denominator
-            return 2.0 * (q * (1.0 - b) + (p - q) * (1.0 - b * b) / 2.0)
-    n_samples = max(REFERENCE_BUDGET_FACTOR * n_trials, REFERENCE_BUDGET_FLOOR)
-    return gap_expectation(stream.substream(n_trials).generator(), rho, f,
-                           n_samples).estimate
+    if f.kind == "cap_indicator":
+        return gap_cap_probability(rho, f.phi, f.threshold)
+    return gap_polynomial_mean(rho, f.phi,
+                               [0.0, 1.0] if f.kind == "overlap_sq" else f.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +455,7 @@ def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials):
         return _conditional_integrals(_haar_system(z), amplitudes, f), np.nan
 
     values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, k)], evaluate)
-    return _collect(values, gap_reference(stream, rho1, f, n_trials), threshold, aux)
+    return _collect(values, gap_reference(rho1, f), threshold, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +601,7 @@ def shell_universality_experiment(stream: RngStream, subspace: Subspace,
         raise DomainError("this experiment requires a continuous test function")
     target = subspace.reduced_density()
     values, aux = _shell_trials(stream, subspace, f, target, n_trials)
-    return _collect(values, gap_reference(stream, target, f, n_trials), epsilon, aux)
+    return _collect(values, gap_reference(target, f), epsilon, aux)
 
 
 def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
@@ -697,7 +643,7 @@ def shell_vs_target_experiment(stream: RngStream,
     target_distance = trace_norm(subspace.reduced_density().matrix - omega.matrix)
     threshold = f.pass_threshold(epsilon)
     values, aux = _shell_trials(stream, subspace, f, omega, n_trials)
-    return _collect(values, gap_reference(stream, omega, f, n_trials), threshold, aux,
+    return _collect(values, gap_reference(omega, f), threshold, aux,
                     extra={"target_distance": target_distance})
 
 

@@ -25,6 +25,12 @@ the second factor that psi occupies meet the basis, and by Haar invariance
 their overlaps with it form a uniformly random orthonormal k-system (see
 Mezzadri, Notices AMS 2007, and Zyczkowski & Sommers, J. Phys. A 2000).
 
+The GAP samplers (``sample_complex_gaussian``, ``sample_adjusted_gaussian``,
+``sample_gap``) and the Monte Carlo estimate ``gap_expectation`` are the
+independent route to the exact GAP functionals of ``gaplab.gap``;
+``monte_carlo_reference`` and ``cap_at_eigenvector_c2`` keep the two routes
+``gap_reference`` took before every reference had an exact form.
+
 ``gram_schmidt_twice_by_division``, ``scaled_haar_blocks_by_concatenation``,
 ``submatrix_outcome_by_parts`` and ``poly_sup_by_polynomial_class`` keep the
 plain forms of the submatrix draw, its statistics and the polynomial bound
@@ -47,16 +53,17 @@ from gaplab import (
     random_ons,
     random_purification,
     reduced_density_matrix,
-    sample_complex_gaussian,
     trace_norm,
 )
 from gaplab.errors import DimensionError, DomainError, GaplabError
-from gaplab.randomness import _complex_gaussians
+from gaplab.randomness import _complex_gaussians, _integer
 from gaplab.stats import ks_statistic, ks_vs_exponential
 from gaplab.typicality import (
     WEIGHT_CUTOFF,
     ExperimentOutcome,
+    TestFunction,
     _check_orthonormal_rows,
+    _check_phi,
     cap_indicator,
     overlap_sq,
     polynomial,
@@ -206,13 +213,18 @@ def project_to_sphere(m: DiscreteMeasure) -> DiscreteMeasure:
     return DiscreteMeasure(vecs / norms[:, None], w)
 
 
-def integrate(m: DiscreteMeasure, f) -> float:
-    """sum_j w_j f(v_j) for a test function f.
+def evaluate(f: TestFunction, vectors) -> np.ndarray:
+    """f at a single vector (d,) or a stack of vectors (..., d), from their
+    overlaps with f's phi."""
+    return f.of_overlaps(np.asarray(vectors, dtype=complex) @ f.phi.conj())
 
-    ``f`` must accept an (n_atoms, dim) array and return (n_atoms,) values,
-    as the TestFunction kinds and any numpy-vectorized callable do.
+
+def integrate(m: DiscreteMeasure, f) -> float:
+    """sum_j w_j f(v_j) for a TestFunction f, or for a callable f that maps
+    an (n_atoms, dim) array to (n_atoms,) values.
     """
-    return float(np.dot(m.weights, np.asarray(f(m.vectors), dtype=float)))
+    values = evaluate(f, m.vectors) if isinstance(f, TestFunction) else f(m.vectors)
+    return float(np.dot(m.weights, np.asarray(values, dtype=float)))
 
 
 def complex_gaussians(pairs):
@@ -249,6 +261,122 @@ def shell_basis(shell):
 
 # Squared-norm component below this counts as lying outside the support.
 SUPPORT_ATOL = 1e-8
+
+
+def sample_complex_gaussian(rng: np.random.Generator, variance, size=None):
+    """Mean-zero complex Gaussian with E|z|^2 = variance.
+
+    Real and imaginary parts are independent real Gaussians with variance
+    ``variance / 2`` each.  ``variance`` may be an array of per-entry
+    variances that broadcasts against ``size``, which is None, an integer
+    >= 0 or a tuple or list of them.  A variance must be an integer or a
+    float: bools and strings are rejected, alone or inside a list, though
+    ``float`` parses them.
+    """
+    try:
+        values = np.asarray(variance)
+        entries = np.asarray(variance, dtype=object)
+    except (TypeError, ValueError):  # a ragged list, say
+        values = entries = np.asarray(None)
+    # Written so that NaN, which fails both comparisons, is rejected.
+    if (values.dtype.kind not in "iuf"
+            or any(isinstance(v, (bool, np.bool_)) for v in entries.flat)
+            or not np.all((values >= 0.0) & (values < np.inf))):
+        raise DomainError(f"variance must be nonnegative and finite, got {variance!r}")
+    if size is not None:
+        shape = size if isinstance(size, (tuple, list)) else (size,)
+        size = tuple(_integer("size", n) for n in shape)
+    scale = np.sqrt(values / 2.0)
+    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return scale * z
+
+
+def sample_adjusted_gaussian(rng: np.random.Generator, rho: DensityMatrix,
+                             size: int | None = None):
+    """Draw from the size-biased Gaussian GA(rho) = ||psi||^2 G(rho)(dpsi).
+
+    An exact size-biased mixture: pick an eigendirection i with probability
+    p_i, draw coordinate i from the norm-square-biased complex Gaussian of
+    variance p_i (squared radius ~ Gamma(shape 2, scale p_i), uniform phase),
+    and draw every other coordinate unbiased.  O(d) per draw with no
+    rejection step; ``rejection_adjusted_gaussian`` is the rejection route."""
+    n = 1 if size is None else _integer("size", size, 1)
+    p, v = rho.spectrum(), rho.eigenbasis()
+    z = sample_complex_gaussian(rng, p, (n, p.size))
+
+    on = np.flatnonzero(p > 0.0)
+    biased = on[rng.choice(on.size, size=n, p=p[on] / p[on].sum())]
+    # Gamma(shape 2, scale p) as a sum of two exponentials: exact, and the
+    # draw count per sample stays fixed.
+    u = rng.random((n, 2))
+    radius_sq = -np.log(u[:, 0] * u[:, 1]) * p[biased]
+    phase = rng.random(n) * (2.0 * np.pi)
+    z[np.arange(n), biased] = np.sqrt(radius_sq) * np.exp(1j * phase)
+
+    psi = z @ v.T
+    return psi[0] if size is None else psi
+
+
+def sample_gap(rng: np.random.Generator, rho: DensityMatrix, size: int | None = None):
+    """Draw unit vectors distributed according to GAP(rho)."""
+    psi = sample_adjusted_gaussian(rng, rho, size=size)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=size is not None)
+
+
+@dataclass(frozen=True)
+class GapExpectation:
+    """Monte Carlo estimate of a GAP expectation, with its standard error."""
+
+    estimate: float
+    standard_error: float
+
+
+def gap_expectation(rng: np.random.Generator, rho: DensityMatrix,
+                    f, n_samples: int) -> GapExpectation:
+    """Estimate the expectation of f under GAP(rho) from ``n_samples`` draws;
+    a phi outside C^d raises a DimensionError before any draw."""
+    _check_phi(f, rho)
+    n_samples = _integer("n_samples", n_samples, 1)
+    vals = np.asarray(evaluate(f, sample_gap(rng, rho, size=n_samples)), dtype=float)
+    est = float(vals.mean())
+    se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    return GapExpectation(est, se)
+
+
+# The Monte Carlo reference drew max(10 n_trials, 2000) GAP samples.
+REFERENCE_BUDGET_FACTOR = 10
+REFERENCE_BUDGET_FLOOR = 2000
+
+
+def monte_carlo_reference(stream, rho: DensityMatrix, f, n_trials: int) -> GapExpectation:
+    """The Monte Carlo route of ``gap_reference`` up to 0.19.0: the mean of
+    max(10 n_trials, 2000) GAP draws on substream ``n_trials`` of the
+    point's stream, with its standard error."""
+    n_samples = max(REFERENCE_BUDGET_FACTOR * n_trials, REFERENCE_BUDGET_FLOOR)
+    return gap_expectation(stream.substream(n_trials).generator(), rho, f, n_samples)
+
+
+def cap_at_eigenvector_c2(rho: DensityMatrix, phi, t: float) -> float:
+    """P(u >= t), u = |<phi|psi>|^2 under GAP(rho), for rho on C^2 and phi an
+    eigenvector of rho: the closed form ``gap_reference`` used up to 0.19.0.
+
+    With p = <phi|rho|phi> (clipped to [0, 1]) and q = 1 - p, in rho's
+    eigenbasis u = pB / (pB + q(1 - B)), where B has density 2(pB + q(1 - B))
+    on [0, 1] (the size-biased pair of Exp(1) variables), so
+    P(u >= t) = 2[q(1 - b) + (p - q)(1 - b^2)/2] with
+    b = tq / (p(1 - t) + tq); the two 0/0 cases (p, t) = (0, 0), (1, 1)
+    give 1."""
+    rho_phi = rho.matrix @ phi
+    p = float(np.real(np.conj(phi) @ rho_phi))
+    if rho.dim != 2 or np.linalg.norm(rho_phi - p * phi) > 1e-12:
+        raise DomainError("phi must be an eigenvector of a density matrix on C^2")
+    p = min(max(p, 0.0), 1.0)
+    q = 1.0 - p
+    denominator = p * (1.0 - t) + t * q
+    if denominator == 0.0:
+        return 1.0
+    b = t * q / denominator
+    return 2.0 * (q * (1.0 - b) + (p - q) * (1.0 - b * b) / 2.0)
 
 
 def sample_gaussian(rng: np.random.Generator, rho: DensityMatrix, size: int | None = None):
@@ -456,7 +584,8 @@ def submatrix_outcome_by_parts(stream, k, n, n_samples, epsilon):
     ks_entry = float(ks[0, 0])
     ks_exact = ks_statistic(np.abs(blocks[:, 0, 0]) ** 2,
                             lambda x: 1.0 - (1.0 - np.clip(x, 0.0, n) / n) ** (n - 1))
-    gaps = {g.kind: float(abs(np.mean(g(blocks[:, :, 0])) - np.mean(g(gauss))))
+    gaps = {g.kind: float(abs(np.mean(evaluate(g, blocks[:, :, 0]))
+                              - np.mean(evaluate(g, gauss))))
             for g in probes}
     distance = submatrix_l1_distance(n) if k == 1 else ks_entry
     return ExperimentOutcome(

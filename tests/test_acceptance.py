@@ -13,14 +13,11 @@ from gaplab import (
     RngStream,
     canonical_density,
     cap_indicator,
-    gap_expectation,
     gap_sphere_density,
     haar_unitary,
     overlap_sq,
     polynomial,
     random_purification,
-    sample_adjusted_gaussian,
-    sample_gap,
     trace_norm,
     uniform_sphere,
 )
@@ -31,11 +28,14 @@ from _oracles import (
     adjust,
     conditional_measure,
     covariance_estimate,
+    gap_expectation,
     integrate,
     project_to_sphere,
     random_onb,
     raw_conditional_measure,
     rejection_adjusted_gaussian,
+    sample_adjusted_gaussian,
+    sample_gap,
     shell_basis,
     submatrix_density_k1,
     two_sample_chi2,

@@ -15,14 +15,14 @@ from gaplab import (
     RngStream,
     canonical_density,
     cap_indicator,
+    gap_cap_probability,
+    gap_polynomial_mean,
     gap_sphere_density,
     ginibre,
     haar_unitary,
     overlap_sq,
     polynomial,
     random_ons,
-    sample_complex_gaussian,
-    sample_gap,
     trace_norm,
     uniform_sphere,
 )
@@ -34,8 +34,11 @@ from _oracles import (
     SingularProjectionError,
     conditional_measure,
     covariance_estimate,
+    gap_expectation,
     gaussian_density,
     project_to_sphere,
+    sample_complex_gaussian,
+    sample_gap,
 )
 
 MODULES = ("hilbert", "randomness", "gap", "typicality", "stats")
@@ -46,6 +49,20 @@ def test_every_exported_name_exists(module):
     mod = importlib.import_module(f"gaplab.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"gaplab.{module}.__all__ names missing objects: {missing}"
+
+
+# Names that left the library with the Monte Carlo reference; the GAP
+# samplers and the estimate live on in tests/_oracles.py.
+REMOVED = ("sample_gap", "sample_adjusted_gaussian", "sample_complex_gaussian",
+           "gap_expectation", "GapExpectation", "REFERENCE_BUDGET_FACTOR",
+           "REFERENCE_BUDGET_FLOOR")
+
+
+@pytest.mark.parametrize("module", ["gaplab", "gaplab.cli"] + [f"gaplab.{m}" for m in MODULES])
+def test_no_module_keeps_a_gap_sampler_or_the_monte_carlo_reference(module):
+    mod = importlib.import_module(module)
+    names = set(dir(mod)) | set(getattr(mod, "__all__", ()))
+    assert not names & set(REMOVED)
 
 
 def test_version_matches_pyproject():
@@ -125,6 +142,9 @@ def rng():
      "variance must be nonnegative and finite, got True"),
     (lambda: sample_complex_gaussian(rng(), [True, True], 2), DomainError,
      "variance must be nonnegative and finite"),
+    # numpy reads [True, 1.0] as [1.0, 1.0]; 0.19.0 drew with variance 1.0.
+    (lambda: sample_complex_gaussian(rng(), [True, 1.0], 2), DomainError,
+     r"variance must be nonnegative and finite, got \[True, 1.0\]"),
     (lambda: sample_complex_gaussian(rng(), 1.0 + 0.0j), DomainError,
      "variance must be nonnegative and finite"),
     (lambda: covariance_estimate(np.zeros((0, 2))), DomainError, "nonempty batch"),
@@ -168,10 +188,22 @@ def rng():
     (lambda: T.shell_vs_target_experiment(RngStream(1), T.random_subspace(rng(), 2, 4, 8),
                                           MIXED2, overlap_sq([1.0, 0.0, 0.0]), 0.1, 5),
      DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
-    (lambda: T.gap_expectation(rng(), MIXED2, overlap_sq([1.0, 0.0, 0.0]), 5),
+    (lambda: gap_expectation(rng(), MIXED2, overlap_sq([1.0, 0.0, 0.0]), 5),
      DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
-    (lambda: T.gap_reference(RngStream(1), MIXED2, overlap_sq([1.0, 0.0, 0.0]), 5),
+    (lambda: T.gap_reference(MIXED2, overlap_sq([1.0, 0.0, 0.0])),
      DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
+    (lambda: gap_cap_probability(MIXED2, np.ones(3), 0.5),
+     DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
+    (lambda: gap_polynomial_mean(MIXED2, np.ones(3), [0.0, 1.0]),
+     DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
+    (lambda: gap_cap_probability(MIXED2, E0, 1.5), DomainError,
+     r"cap threshold must lie in \[0, 1\], got 1.5"),
+    (lambda: gap_cap_probability(MIXED2, E0, np.nan), DomainError,
+     "cap threshold must lie in"),
+    (lambda: gap_polynomial_mean(MIXED2, E0, [0.0, np.inf]), DomainError,
+     "coefficients must be a nonempty 1-D list of finite numbers"),
+    (lambda: gap_polynomial_mean(MIXED2, E0, []), DomainError,
+     "coefficients must be a nonempty 1-D list of finite numbers"),
     (lambda: ks_statistic([], lambda x: x), DomainError, "empty sample"),
     (lambda: T.random_subspace(rng(), 2, 2, 5), DomainError,
      r"subspace dimension must lie in \[1, 4\]"),

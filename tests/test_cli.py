@@ -204,7 +204,7 @@ class TestConfigErrorsNameTheKey:
         ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": 5}}),
         ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": [[1, 0]]}}),
         ("bath_spec", {"experiment": "thermal", "bath_spec": {"count": 10, "max": 1.0}}),
-        # A closed-form reference, so nothing is drawn before the count check.
+        # The engine's (2, n_trials) float output would exceed MAX_ENTRIES.
         ("n_trials", {"n_trials": 2**33, "f_spec": {"kind": "overlap_sq", "phi": "e1"}}),
         # Unknown keys inside the nested specs.
         ("f_spec", {"f_spec": {"kind": "cap_indicator", "threshhold": 0.3}}),
@@ -240,8 +240,6 @@ class TestConfigErrorsNameTheKey:
         ("d2", {"experiment": "submatrix", "d1": 1, "d2": 10**30}),
         ("dR", {"experiment": "theorem3", "f_spec": {"kind": "overlap_sq"}, "d2": 5000}),
         ("system_levels", {"experiment": "thermal", "system_levels": list(range(8193))}),
-        ("system_levels", {"experiment": "thermal", "system_levels": list(range(100)),
-                           "n_trials": 10**5}),
         ("experiment", {"experiment": ["theorem1"]}),
         ("f_spec.coefficients", {"f_spec": {"kind": "polynomial",
                                             "coefficients": [1e308, 1e308]}}),
@@ -541,6 +539,16 @@ class TestPresets:
         # The check step only; the draw it returns is never called.
         dim, _ = EXPERIMENTS[raw["experiment"]].run(ExperimentConfig.from_dict(raw))
         assert dim == raw.get("d2", 1365)
+
+    def test_many_system_levels_at_many_trials_pass_the_size_cap(self):
+        # 100 system levels at 10**5 trials: 0.19.0 rejected this config, as
+        # its Monte Carlo reference would have drawn 10 n_trials vectors of
+        # C^100.  Every level has six bath levels in the window.
+        raw = {"experiment": "thermal", "system_levels": list(range(100)), "n_trials": 10**5,
+               "bath_spec": {"count": 2001, "min": 0.0, "max": 200.0},
+               "window": {"energy": 100.0, "width": 0.5}}
+        dim, _ = EXPERIMENTS["thermal"].run(ExperimentConfig.from_dict(raw))
+        assert dim == 600
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

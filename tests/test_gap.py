@@ -8,8 +8,6 @@ from gaplab import (
     SingularDensityError,
     gap_sphere_density,
     haar_unitary,
-    sample_adjusted_gaussian,
-    sample_gap,
     uniform_sphere,
 )
 from gaplab.stats import ks_vs_exponential
@@ -18,6 +16,8 @@ from _oracles import (
     covariance_estimate,
     gaussian_density,
     rejection_adjusted_gaussian,
+    sample_adjusted_gaussian,
+    sample_gap,
     sample_gaussian,
     two_sample_chi2,
     two_sample_ks,

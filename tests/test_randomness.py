@@ -10,14 +10,18 @@ from gaplab import (
     ginibre,
     haar_unitary,
     random_ons,
-    sample_complex_gaussian,
-    sample_gap,
     uniform_sphere,
 )
 from gaplab.randomness import _complex_gaussians, _haar_columns, _haar_system
 from gaplab.stats import ks_statistic, ks_vs_exponential
 
-from _oracles import complex_gaussians, random_onb, two_sample_ks
+from _oracles import (
+    complex_gaussians,
+    random_onb,
+    sample_complex_gaussian,
+    sample_gap,
+    two_sample_ks,
+)
 
 # Property tests replay the same examples on every run.
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -73,10 +77,11 @@ def _child_state(seed, stream_index, path, index):
 
 
 class TestStreamLayout:
-    """A point's trials draw from ``generator()``; its reference and fixed
-    state from substreams n_trials and n_trials + 1.  Those substreams are
-    the children numpy's ``SeedSequence.spawn`` gives the point's sequence,
-    so they are independent of the trials and of each other."""
+    """A point's trials draw from ``generator()`` and its fixed state or
+    subspace from substream n_trials + 1; substream n_trials is unused
+    since the references became exact.  Substreams are the children numpy's
+    ``SeedSequence.spawn`` gives the point's sequence, so they are
+    independent of the trials and of each other."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
     @pytest.mark.parametrize("stream_index", [0, 3, 2**33])

@@ -80,12 +80,14 @@ def test_a_changed_trials_file_reports_its_largest_change_and_flips(tmp_path, pr
     assert preset_diff.compare(parent, parent)[-1] == "0 of 6 files differ"
 
 
-def _write_summary(path, points, wall_time_s=1.0):
+def _write_summary(path, points, wall_time_s=1.0, references=None):
     path.parent.mkdir(parents=True, exist_ok=True)
+    references = references or [0.5] * len(points)
     path.write_text(json.dumps({"wall_time_s": wall_time_s, "summary": {"points": [
         {"dim": dim, "pass_fraction": fraction, "median_discrepancy": median,
-         "extra": {"meets_delta": fraction >= 0.9}}
-        for dim, fraction, median in points]}}), encoding="utf-8")
+         "reference": reference, "extra": {"meets_delta": fraction >= 0.9}}
+        for (dim, fraction, median), reference in zip(points, references)]}}),
+        encoding="utf-8")
 
 
 def test_a_changed_summary_reports_its_verdict_changes(tmp_path, preset_diff):
@@ -112,4 +114,23 @@ def test_a_changed_summary_reports_its_verdict_changes(tmp_path, preset_diff):
         "differs: d/7/summary.json",
         "  1 vs 2 points",
         "3 of 4 files differ",
+    ]
+
+
+def test_a_changed_summary_reports_its_reference_changes(tmp_path, preset_diff):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # dim 16 changes its reference only, dim 64 its reference and verdict,
+    # dim 256 nothing.
+    points = [(16, 0.95, 0.05), (64, 0.95, 0.04), (256, 1.0, 0.02)]
+    _write_summary(parent / "a" / "7" / "summary.json", points,
+                   references=[0.33331787109375, 0.784, 0.5])
+    _write_summary(change / "a" / "7" / "summary.json",
+                   points[:1] + [(64, 0.85, 0.04)] + points[2:],
+                   references=[1.0 / 3.0, 0.7839999999999999, 0.5])
+    assert preset_diff.compare(parent, change) == [
+        "differs: a/7/summary.json",
+        "  dim 16: reference 0.33331787109375 -> 0.3333333333333333",
+        "  dim 64: reference 0.784 -> 0.7839999999999999, pass_fraction 0.95 -> 0.85, "
+        "meets_delta true -> false",
+        "1 of 1 files differ",
     ]

@@ -12,7 +12,6 @@ from gaplab import (
     EmptyShellError,
     RngStream,
     cap_indicator,
-    gap_expectation,
     gap_sphere_density,
     canonical_density,
     haar_unitary,
@@ -27,12 +26,18 @@ from gaplab.randomness import _gram_schmidt_twice, _haar_columns
 from gaplab.stats import spearman
 from gaplab import typicality as T
 
+import _oracles
 from _oracles import (
+    cap_at_eigenvector_c2,
+    evaluate,
+    gap_expectation,
     gram_schmidt_twice_by_division,
+    monte_carlo_reference,
     mpmath_l1_distance,
     poly_sup_by_polynomial_class,
     product_state,
     quadrature_l1_distance,
+    sample_gap,
     scaled_haar_blocks_by_concatenation,
     shell_basis,
     submatrix_blocks_per_sample,
@@ -54,7 +59,7 @@ class TestTestFunction:
         ]
         pts = uniform_sphere(rng, 3, size=20_000)
         for f in funcs:
-            assert np.max(np.abs(f(pts))) <= f.bound + 1e-12
+            assert np.max(np.abs(evaluate(f, pts))) <= f.bound + 1e-12
 
     @pytest.mark.parametrize("coefficients, bound", [
         ([0.0, 1.0, -1.0], 0.25),  # p(x) = x - x^2 peaks at x = 1/2 with value 1/4
@@ -118,7 +123,7 @@ class TestGapExpectation:
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         f = overlap_sq(np.array([1.0, 0.0]))
         res = gap_expectation(rng, rho, f, 50_000)
-        assert T.gap_reference(RngStream(0), rho, f, 1) == pytest.approx(0.7)
+        assert T.gap_reference(rho, f) == pytest.approx(0.7)
         assert abs(res.estimate - 0.7) < 3 * res.standard_error + 1e-9
 
     def test_constant_function(self):
@@ -133,8 +138,8 @@ class TestGapExpectation:
         phi = uniform_sphere(rng, 2)
         res = gap_expectation(rng, DensityMatrix.maximally_mixed(2),
                               overlap_sq(phi), 50_000)
-        assert T.gap_reference(RngStream(0), DensityMatrix.maximally_mixed(2),
-                               overlap_sq(phi), 1) == pytest.approx(0.5)
+        assert T.gap_reference(DensityMatrix.maximally_mixed(2),
+                               overlap_sq(phi)) == pytest.approx(0.5)
         assert abs(res.estimate - 0.5) < 4 * res.standard_error + 1e-9
 
     def test_twenty_random_targets(self):
@@ -152,14 +157,20 @@ def _diag(p):
     return DensityMatrix(np.diag([p, 1.0 - p]).astype(complex))
 
 
+def _z_score(values, exact):
+    """(mean - exact) in standard errors of the mean of ``values``."""
+    return (values.mean() - exact) / (values.std(ddof=1) / np.sqrt(values.size))
+
+
 class TestExactReferences:
-    """gap_reference's closed forms (real_part; cap_indicator on C^2 at an
-    eigenvector of rho) against routes that do not use them."""
+    """gap_reference's exact forms against routes that do not use them: the
+    sphere density, the GAP samplers and the closed forms of earlier
+    versions, all in tests/_oracles.py but the density."""
 
     E1 = np.array([1.0, 0.0])
 
     def _cap(self, rho, phi, t):
-        return T.gap_reference(RngStream(0), rho, cap_indicator(phi, t), 1)
+        return T.gap_reference(rho, cap_indicator(phi, t))
 
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 0.99])
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
@@ -207,19 +218,31 @@ class TestExactReferences:
         for t in (0.5, 1.0):
             assert self._cap(nearly_pure, self.E1, t) == 1.0
 
-    def test_exact_routes_draw_nothing(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Monte Carlo reference drawn")
+    # At a rotated pure rho and t = 1 the C^2 eigenvector form rounds
+    # <chi|rho|chi> below 1 and returns 0; the cap form admits chi, as
+    # test_cap_at_threshold_one_admits_phi_up_to_a_phase checks.
+    @pytest.mark.parametrize("p, t", [(p, t) for p in (0.0, 0.05, 0.3, 0.5, 0.7, 1.0)
+                                      for t in (0.0, 0.1, 0.5, 0.9, 1.0)
+                                      if not (p in (0.0, 1.0) and t == 1.0)])
+    def test_cap_contains_the_c2_eigenvector_form(self, p, t):
+        # The closed form 0.19.0 used at an eigenvector of rho on C^2, which
+        # the general cap form replaced, rotated into a random basis.  Near
+        # t = 1 a rounding of |<phi|psi>|^2 by 2e-16 moves either form by up
+        # to 2e-16 times the density of u there, 36 at p = 0.05.
+        u = haar_unitary(RngStream(161, int(100 * p)).generator(), 2)
+        rho = DensityMatrix.from_spectrum(np.array([p, 1.0 - p]), u)
+        for phi in u.T:
+            assert self._cap(rho, phi, t) == pytest.approx(
+                cap_at_eigenvector_c2(rho, phi, t), abs=1e-13)
 
-        monkeypatch.setattr(T, "gap_expectation", refuse)
+    def test_drivers_judge_against_the_exact_reference(self):
         rng = RngStream(161).generator()
         rho3 = DensityMatrix.from_spectrum(np.array([0.5, 0.3, 0.2]), haar_unitary(rng, 3))
-        assert T.gap_reference(RngStream(0), rho3,
-                               real_part(uniform_sphere(rng, 3)), 10) == 0.0
-        assert self._cap(_diag(0.7), self.E1, 0.5) == pytest.approx(0.784, abs=1e-12)
+        assert T.gap_reference(rho3, real_part(uniform_sphere(rng, 3))) == 0.0
+        assert self._cap(_diag(0.7), self.E1, 0.5) == pytest.approx(0.784, abs=1e-15)
         out = T.random_purification_experiment(RngStream(162), _diag(0.7), 16,
                                                cap_indicator(self.E1, 0.5), 0.1, 20)
-        assert out.reference == pytest.approx(0.784, abs=1e-12)
+        assert out.reference == self._cap(_diag(0.7), self.E1, 0.5)
 
     def test_cap_at_threshold_one_admits_phi_up_to_a_phase(self):
         # Every GAP(|chi><chi|) draw is chi up to a phase, so the cap of
@@ -227,7 +250,7 @@ class TestExactReferences:
         # round below 1 (the Monte Carlo route returned 0.689 in 0.14.0).
         chi = haar_unitary(RngStream(3).generator(), 3)[:, 0]
         rho = DensityMatrix(np.outer(chi, chi.conj()))
-        assert T.gap_reference(RngStream(0), rho, cap_indicator(chi, 1.0), 10) == 1.0
+        assert T.gap_reference(rho, cap_indicator(chi, 1.0)) == 1.0
 
     @pytest.mark.parametrize("rho, f, expected", [
         # phi not an eigenvector of rho; d1 = 3; a polynomial.
@@ -236,14 +259,70 @@ class TestExactReferences:
          cap_indicator([1.0, 0.0, 0.0], 0.5), 0.528),
         (_diag(0.7), polynomial([1.0, 0.0], [0.0, 0.0, 1.0]), 0.5527376573347459),
     ])
-    def test_monte_carlo_route_serves_the_rest(self, rho, f, expected):
-        # The values 0.13.0 returned: max(10 n_trials, 2000) draws on
-        # substream n_trials.
+    def test_exact_forms_serve_the_former_monte_carlo_cases(self, rho, f, expected):
+        # The cases 0.19.0 sent to its Monte Carlo route, which returned
+        # ``expected``: max(10 n_trials, 2000) draws on substream n_trials.
+        # The oracle keeps those values, and the exact form lies within 4
+        # of its standard errors.
         stream = RngStream(19)
-        value = T.gap_reference(stream, rho, f, 50)
-        assert value == gap_expectation(stream.substream(50).generator(), rho, f,
-                                        2000).estimate
-        assert value == pytest.approx(expected, rel=1e-12)
+        mc = monte_carlo_reference(stream, rho, f, 50)
+        assert mc.estimate == pytest.approx(expected, rel=1e-12)
+        assert abs(T.gap_reference(rho, f) - mc.estimate) <= 4.0 * mc.standard_error
+
+    @pytest.mark.parametrize("index, d", enumerate([2, 3, 5, 8]))
+    def test_exact_forms_match_gap_draws_at_a_random_phi(self, index, d):
+        # phi is a random unit vector, not an eigenvector of rho, whose
+        # spectrum is proportional to 0.8^i in a random basis.
+        rng = RngStream(163, index).generator()
+        rho = DensityMatrix.from_spectrum(0.8 ** np.arange(d) / np.sum(0.8 ** np.arange(d)),
+                                          haar_unitary(rng, d))
+        phi = uniform_sphere(rng, d)
+        fs = [cap_indicator(phi, t) for t in (0.2, 0.5, 0.8)]
+        fs += [polynomial(phi, rng.uniform(-1.0, 1.0, m + 1)) for m in (2, 3, 5)]
+        draws = sample_gap(rng, rho, size=200_000)
+        for f in fs:
+            z = _z_score(evaluate(f, draws), T.gap_reference(rho, f))
+            assert abs(z) <= 4.0, (f.kind, f.threshold, f.coefficients)
+
+    @pytest.mark.parametrize("spectrum", [[0.5, 0.3, 0.2], [0.999, 0.001],
+                                          [0.9, 0.09, 0.009, 0.001]])
+    @pytest.mark.parametrize("degree", [2, 3, 5, 8])
+    def test_polynomial_moments_match_a_30_digit_quadrature(self, spectrum, degree):
+        mpmath = pytest.importorskip("mpmath")
+        d = len(spectrum)
+        rng = RngStream(164, degree).generator()
+        rho = DensityMatrix.from_spectrum(np.array(spectrum), haar_unitary(rng, d))
+        for phi in (np.ones(d) / np.sqrt(d), uniform_sphere(rng, d)):
+            a = np.abs(phi @ rho.eigenbasis().conj()) ** 2
+            with mpmath.workdps(30):
+                p = [mpmath.mpf(float(x)) for x in rho.spectrum()]
+                w = [mpmath.mpf(float(x)) for x in a]
+
+                def integrand(lam):
+                    sigma = sum(wi * pi / (1 + lam * pi) for wi, pi in zip(w, p))
+                    weight = mpmath.fprod(1 / (1 + lam * pi) for pi in p)
+                    return lam ** (degree - 2) * weight * sigma ** degree
+
+                nodes = [0] + sorted(1 / pi for pi in p) + [mpmath.inf]
+                exact = float(degree * (degree - 1) * mpmath.quad(integrand, nodes))
+            coefficients = np.eye(degree + 1)[degree]
+            assert abs(T.gap_reference(rho, polynomial(phi, coefficients)) - exact) <= 1e-12
+
+    def test_singular_rho_and_phi_in_its_kernel(self):
+        rng = RngStream(165).generator()
+        u = haar_unitary(rng, 3)
+        rho = DensityMatrix.from_spectrum(np.array([0.6, 0.4, 0.0]), u)
+        kernel = u[:, 2]
+        for t in (0.0, 1e-12, 2e-12, 0.5, 1.0):
+            # u = |<kernel|psi>|^2 is 0 for every GAP draw, and the cap
+            # admits u >= t - 1e-12.
+            assert self._cap(rho, kernel, t) == (1.0 if t <= 1e-12 else 0.0)
+        assert T.gap_reference(rho, polynomial(kernel, [0.25, 1.0, 1.0])) == pytest.approx(
+            0.25, abs=1e-15)
+        phi = uniform_sphere(rng, 3)
+        draws = sample_gap(rng, rho, size=200_000)
+        for f in (cap_indicator(phi, 0.4), polynomial(phi, [0.0, 0.0, 0.0, 1.0])):
+            assert abs(_z_score(evaluate(f, draws), T.gap_reference(rho, f))) <= 4.0, f.kind
 
 
 class TestPhiDimension:
@@ -266,10 +345,10 @@ class TestPhiDimension:
             "target": lambda: T.shell_vs_target_experiment(
                 RngStream(4), subspace, rho, f, 0.1, 5),
             "expectation": lambda: gap_expectation(rng, rho, f, 5),
-            "reference": lambda: T.gap_reference(RngStream(4), rho, f, 5),
+            "reference": lambda: T.gap_reference(rho, f),
         }
         monkeypatch.setattr(RngStream, "generator", no_draws)
-        monkeypatch.setattr(T, "sample_gap", no_draws)
+        monkeypatch.setattr(_oracles, "sample_gap", no_draws)
         with pytest.raises(DimensionError, match=r"phi has shape \(3,\), the system "
                                                  r"dimension is 2"):
             calls[call]()
@@ -416,11 +495,7 @@ class TestTrialCountLimit:
             self._run(monkeypatch, 2**32)
 
     @pytest.mark.parametrize("driver", ["purification", "basis", "shell", "target"])
-    def test_drivers_reject_the_count_before_the_reference(self, monkeypatch, driver):
-        def no_reference(*args, **kwargs):
-            raise AssertionError("drew the reference before checking the trial count")
-
-        monkeypatch.setattr(T, "gap_expectation", no_reference)
+    def test_drivers_reject_more_than_two_to_the_32_trials(self, driver):
         rho = DensityMatrix.maximally_mixed(2)
         cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
         subspace = T.random_subspace(RngStream(1).generator(), 2, 2, 4)

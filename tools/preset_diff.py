@@ -13,8 +13,9 @@ file differs.  A line for a trials.csv also gives, matching the trials row by
 row, the largest change of a trial's discrepancy and of its auxiliary value
 (NaN equal to NaN), the number of pass flags that flipped and the number of
 rows whose (experiment, dim, trial) label changed.  A summary.json that
-differs is followed by one indented line per sweep point whose pass_fraction
-or extra.meets_delta verdict changed, points matched in order.
+differs is followed by one indented line per sweep point whose reference,
+pass_fraction or extra.meets_delta verdict changed, each as old -> new,
+points matched in order.
 The two trees run at once; if either run fails, the script stops the other
 and exits 2.  It uses the standard library only.
 """
@@ -97,14 +98,15 @@ def _trial_changes(a: Path, b: Path) -> str:
 
 
 def _verdict_changes(a: dict, b: dict) -> list[str]:
-    """One line per sweep point of two summaries whose pass fraction or
-    meets_delta verdict changed, matching the points in order."""
+    """One line per sweep point of two summaries whose reference, pass
+    fraction or meets_delta verdict changed, matching the points in order."""
     points = [summary["summary"]["points"] for summary in (a, b)]
     if len(points[0]) != len(points[1]):
         return [f"  {len(points[0])} vs {len(points[1])} points"]
     lines = []
     for x, y in zip(*points):
-        pairs = [("pass_fraction", x["pass_fraction"], y["pass_fraction"]),
+        pairs = [("reference", x["reference"], y["reference"]),
+                 ("pass_fraction", x["pass_fraction"], y["pass_fraction"]),
                  ("meets_delta", x["extra"]["meets_delta"], y["extra"]["meets_delta"])]
         changed = [f"{key} {json.dumps(old)} -> {json.dumps(new)}"
                    for key, old, new in pairs if old != new]
@@ -115,8 +117,8 @@ def _verdict_changes(a: dict, b: dict) -> list[str]:
 
 def compare(parent: Path, change: Path) -> list[str]:
     """One line per output file that differs or exists in one tree only (a
-    summary.json followed by its verdict changes), then the count of those
-    files among the files of both trees."""
+    summary.json followed by its reference and verdict changes), then the
+    count of those files among the files of both trees."""
     names = {p.relative_to(parent) for p in parent.rglob("*") if p.name in FILES}
     names |= {p.relative_to(change) for p in change.rglob("*") if p.name in FILES}
     lines, differing = [], 0
