@@ -114,45 +114,53 @@ def _haar_columns(g: np.ndarray) -> np.ndarray:
     result is distributed as the first k columns of a Haar unitary.  Leading
     axes are a batch: every matrix is factorized on its own, by one LAPACK
     call.  It serves the per-call public routes ``haar_unitary`` and
-    ``random_ons``; the trial engine's stacks go through ``_haar_system``."""
+    ``random_ons``; the trial engine folds the same Q of its stacks into
+    their amplitude factors (``_haar_frame_factor``) without forming it."""
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]
     return q
 
 
-def _haar_system(z: np.ndarray) -> np.ndarray:
-    """The Q factor ``_haar_columns`` returns, for the trial engine's stack
-    of complex Gaussian matrices z (B, m, k), m >= k, by classical
-    Gram-Schmidt done twice, vectorized over the batch.
+def _haar_frame_factor(z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trial engine's branch matrices Q A, for a stack of complex
+    Gaussian matrices z (B, m, k), m >= k, and amplitude factors a ((B,) k,
+    d1), as a pair (z', F) with z' F = Q A, where Q is the Q factor
+    ``_haar_columns`` returns for z; Q itself is never formed.
 
-    Each column is normalized by a positive real norm, so R has a positive
-    diagonal and Q is, in exact arithmetic, the phase-fixed Q of Householder
-    QR plus Mezzadri's correction.  Done twice, classical Gram-Schmidt keeps
-    Q orthonormal to working precision for numerically full-rank input
-    (Giraud, Langou & Rozloznik 2005).  A chunk costs a few numpy calls per
-    column instead of one LAPACK QR per trial: a column's projection
-    coefficients onto the earlier columns and its norm are each one batched
-    dot over the m rows, read from the strided column views of z, and the
-    projections are subtracted one earlier column at a time (for the small
-    k of the engine, faster than one einsum or matmul).  Each matrix's
-    result is the same bit for bit wherever it sits in the stack.
+    Q = Z R^-1, with R the upper Cholesky factor of the Gram matrix Z^H Z.
+    R has a positive real diagonal, so in exact arithmetic Q is the
+    phase-fixed Q of Householder QR plus Mezzadri's correction, and
+    Q A = Z (R^-1 A).  A chunk costs one batched Gram product, one batched
+    Cholesky factorization and one batched k x k solve, whatever k is.
+    Each acts on every matrix of the stack alone, so a trial's result is
+    the same bit for bit wherever it sits in the stack.
 
-    It is separate from ``_gram_schmidt_twice`` because the shapes differ:
-    here a few columns of many long rows, reduced in one call each; there
-    many matrices of a few short rows, too short for numpy's reductions,
-    so that kernel loops over the rows.
+    One pass leaves an error of about eps kappa(Z)^2 in the weights |Q A|^2.
+    For m >= 2k that stays far below the engine's 1e-10 weight check, but
+    the condition number of a square Gaussian matrix is heavy-tailed, so a
+    stack with m < 2k is first replaced by Z R^-1 and factored again
+    (CholeskyQR2; Yamamoto, Nakatsukasa, Yanagisawa & Fukaya 2015), which
+    leaves an error of a few eps.  A draw whose Gram matrix is not
+    numerically positive definite, such as one with a zero column, raises a
+    DomainError; a NaN comes through as NaN, which the weight check
+    rejects.
     """
-    q = np.empty_like(z)
-    for j in range(z.shape[-1]):
-        v, basis = z[..., j], q[..., :j]
-        for _ in range(2 if j else 0):
-            c = np.vecdot(basis, v[..., None], axis=-2)
-            for i in range(j):
-                v = v - basis[..., i] * c[..., i, None]
-        scale = 1.0 / np.sqrt(np.vecdot(v, v).real)
-        np.multiply(v, scale[..., None], out=q[..., j])
-    return q
+    try:
+        r = _gram_cholesky(z)
+        if z.shape[-2] < 2 * z.shape[-1]:
+            z = np.swapaxes(np.linalg.solve(np.swapaxes(r, -1, -2), np.swapaxes(z, -1, -2)),
+                            -1, -2)
+            r = _gram_cholesky(z)
+        return z, np.linalg.solve(r, a)
+    except np.linalg.LinAlgError:
+        raise DomainError("conditional weights need Gaussian draws of full rank: "
+                          "a Gram matrix is not positive definite") from None
+
+
+def _gram_cholesky(z: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor R, R^H R = Z^H Z, of each matrix of a stack z."""
+    return np.linalg.cholesky(np.swapaxes(z.conj(), -1, -2) @ z, upper=True)
 
 
 def _gram_schmidt_twice(a: np.ndarray) -> np.ndarray:

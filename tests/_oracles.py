@@ -31,6 +31,10 @@ independent route to the exact GAP functionals of ``gaplab.gap``;
 ``monte_carlo_reference`` and ``cap_at_eigenvector_c2`` keep the two routes
 ``gap_reference`` took before every reference had an exact form.
 
+``haar_system_by_gram_schmidt`` is the trial engine's orthonormalizer before
+the engine folded its Haar frames into the amplitude factors by one Cholesky
+factorization; the tests compare the folded branches with it.
+
 ``gram_schmidt_twice_by_division``, ``scaled_haar_blocks_by_concatenation``,
 ``submatrix_outcome_by_parts`` and ``poly_sup_by_polynomial_class`` keep the
 plain forms of the submatrix draw, its statistics and the polynomial bound
@@ -539,6 +543,29 @@ def submatrix_blocks_per_sample(rng, n, k, n_samples):
     for s in range(n_samples):
         blocks[s] = np.sqrt(n) * random_ons(rng, n, k)[:, :k].T
     return blocks
+
+
+def haar_system_by_gram_schmidt(z):
+    """The trial engine's Haar k-systems as of 0.20.0 (``randomness._haar_system``):
+    the Q factor ``_haar_columns`` returns, for a stack of complex Gaussian
+    matrices z (B, m, k), m >= k, by classical Gram-Schmidt done twice,
+    vectorized over the batch.  A column's projection coefficients onto the
+    earlier columns and its norm are each one batched dot over the m rows,
+    and the projections are subtracted one earlier column at a time, so a
+    stack costs O(k^2) numpy calls.  Each column is normalized by a positive
+    real norm, so R has a positive diagonal; done twice, classical
+    Gram-Schmidt keeps Q orthonormal to working precision for numerically
+    full-rank input (Giraud, Langou & Rozloznik 2005)."""
+    q = np.empty_like(z)
+    for j in range(z.shape[-1]):
+        v, basis = z[..., j], q[..., :j]
+        for _ in range(2 if j else 0):
+            c = np.vecdot(basis, v[..., None], axis=-2)
+            for i in range(j):
+                v = v - basis[..., i] * c[..., i, None]
+        scale = 1.0 / np.sqrt(np.vecdot(v, v).real)
+        np.multiply(v, scale[..., None], out=q[..., j])
+    return q
 
 
 def gram_schmidt_twice_by_division(a):

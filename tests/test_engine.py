@@ -30,6 +30,7 @@ from gaplab import (
     uniform_sphere,
 )
 from gaplab import typicality as T
+from gaplab.randomness import _haar_frame_factor
 
 import _oracles as O
 
@@ -153,32 +154,42 @@ def test_chunk_length_does_not_change_records(monkeypatch, name):
 
 
 def test_chunk_checks_reject_what_the_public_constructors_reject():
-    # Two (d2, d1) = (4, 2) branch stacks of the product state e1 (x) e1,
-    # given as Haar systems W with the amplitude factor A = I.
+    # Two (d2, k) = (4, 2) Gaussian draws whose frame is (e1, e2), with the
+    # amplitude factor of the product state e1 (x) e1: the branches are
+    # those of that state, whatever the columns' lengths and phases.
     good = np.zeros((2, 4, 2), dtype=complex)
-    good[:, 0, 0] = 1.0
-    nan = good.copy()
-    nan[1, 0, 0] = np.nan
+    good[:, 0, 0], good[:, 1, 1] = 2.0, 0.5j
+    factor = np.diag([1.0, 0.0]).astype(complex)
     f = overlap_sq(np.array([1.0, 0.0]))
     target = DensityMatrix.maximally_mixed(2)
-    identity = np.eye(2, dtype=complex)
-    assert np.array_equal(T._conditional_integrals(good, identity, f), [1.0, 1.0])
-    assert np.allclose(T._reduced_distances(np.swapaxes(good, -1, -2), target), 1.0)
-    for bad in (nan, 2.0 * good):
+    assert np.allclose(T._conditional_integrals(*_haar_frame_factor(good, factor), f), 1.0)
+    state = np.zeros((2, 2, 4), dtype=complex)
+    state[:, 0, 0] = 1.0
+    assert np.allclose(T._reduced_distances(state, target), 1.0)
+    singular, nan = good.copy(), good.copy()
+    singular[1, 1, 1] = 0.0  # a zero column
+    nan[1, 0, 0] = np.nan
+    with pytest.raises(DomainError, match="Gram matrix is not positive definite"):
+        _haar_frame_factor(singular, factor)
+    # A NaN passes the Cholesky factorization as NaN; a state of norm 2 has
+    # weights that sum to 4 (and a reduced trace of 4).
+    for draw, a in ((nan, factor), (good, 2.0 * factor)):
+        with pytest.raises(DomainError, match="conditional weights"):
+            T._conditional_integrals(*_haar_frame_factor(draw, a), f)
+    for bad in (2.0 * state, np.where(np.arange(4) == 0, np.nan, state)):
         with pytest.raises(DomainError):
-            T._conditional_integrals(bad, identity, f)
-        with pytest.raises(DomainError):
-            T._reduced_distances(np.swapaxes(bad, -1, -2), target)
+            T._reduced_distances(bad, target)
 
 
-def _scaled(q):
-    return q * (1.0 + 1e-9)
+def _scaled(z, a):
+    z, factor = _haar_frame_factor(z, a)
+    return z, factor * (1.0 + 1e-9)
 
 
-def _one_nan(q):
-    q = q.copy()
-    q[..., 0, 0] = np.nan
-    return q
+def _one_nan(z, a):
+    z = z.copy()
+    z[..., 0, 0] = np.nan
+    return _haar_frame_factor(z, a)
 
 
 def _thermal_driver():
@@ -197,11 +208,12 @@ DRIVERS = {"theorem1": lambda: CASES["theorem1"]()[0],
 @pytest.mark.parametrize("name", DRIVERS)
 @pytest.mark.parametrize("spoil", [_scaled, _one_nan])
 def test_spoiled_haar_system_fails_the_weight_check(monkeypatch, name, spoil):
-    # The engine keeps no Gram check of its Haar systems: Q (1 + 1e-9) would
-    # pass one at 1e-8, yet its weights sum to 1 + 2e-9 and fail.
+    # The engine keeps no Gram check of its Haar frames: a folded factor
+    # F (1 + 1e-9) is a frame Q (1 + 1e-9), which a Gram check at 1e-8
+    # would pass, yet its weights sum to 1 + 2e-9 and fail.  A NaN in a
+    # draw comes out of the fold as NaN weights.
     run = DRIVERS[name]()
-    haar_system = T._haar_system
-    monkeypatch.setattr(T, "_haar_system", lambda z: spoil(haar_system(z)))
+    monkeypatch.setattr(T, "_haar_frame_factor", spoil)
     with pytest.raises(DomainError, match="conditional weights"):
         run()
 

@@ -12,11 +12,17 @@ from gaplab import (
     random_ons,
     uniform_sphere,
 )
-from gaplab.randomness import _complex_gaussians, _haar_columns, _haar_system
+from gaplab.randomness import (
+    _complex_gaussians,
+    _gram_cholesky,
+    _haar_columns,
+    _haar_frame_factor,
+)
 from gaplab.stats import ks_statistic, ks_vs_exponential
 
 from _oracles import (
     complex_gaussians,
+    haar_system_by_gram_schmidt,
     random_onb,
     sample_complex_gaussian,
     sample_gap,
@@ -289,11 +295,13 @@ def _gaussian_stack(stream: RngStream, b: int, m: int, k: int) -> np.ndarray:
 
 
 class TestHaarSystem:
+    """The Gram-Schmidt oracle of the engine's Haar frames."""
+
     @pytest.mark.parametrize("m, k", [(1, 1), (2, 2), (3, 3), (5, 2), (16, 2), (64, 4),
                                       (200, 2), (256, 2)])
     def test_matches_phase_fixed_qr(self, m, k):
         z = _gaussian_stack(RngStream(31, m * k), 200, m, k)
-        q = _haar_system(z)
+        q = haar_system_by_gram_schmidt(z)
         assert np.max(np.abs(q - _haar_columns(z))) < 1e-13
         gram = np.swapaxes(q.conj(), -1, -2) @ q
         assert np.max(np.abs(gram - np.eye(k))) < 1e-13
@@ -311,7 +319,7 @@ class TestHaarSystem:
         z = np.stack([3.0 * u, np.exp(0.7j) * (np.cos(angle) * u + np.sin(angle) * w)],
                      axis=-1)
         assert np.linalg.cond(z).min() > 0.5 / angle
-        q = _haar_system(z)
+        q = haar_system_by_gram_schmidt(z)
         gram = np.swapaxes(q.conj(), -1, -2) @ q
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
         r = np.swapaxes(q.conj(), -1, -2) @ z
@@ -323,11 +331,67 @@ class TestHaarSystem:
         assert np.all(diagonal.real > 0.0)
         assert np.max(np.abs(diagonal.imag) / scale[..., 0]) <= 1e-12
 
-    @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (16, 2), (64, 4), (256, 2)])
-    def test_each_matrix_alone_or_in_a_stack_bit_for_bit(self, m, k):
+
+
+def _amplitudes(stream: RngStream, b: int, k: int, d1: int) -> np.ndarray:
+    """(b, k, d1) amplitude factors of unit Frobenius norm."""
+    a = _gaussian_stack(stream, b, k, d1)
+    return a / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+
+
+def _weight_sums(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    branches = z @ factor
+    return np.sum(branches.real ** 2 + branches.imag ** 2, axis=(-2, -1))
+
+
+class TestHaarFrameFactor:
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 2), (3, 3), (5, 2), (16, 2), (64, 8),
+                                      (1024, 16)])
+    def test_folded_branches_match_the_gram_schmidt_frame(self, m, k):
+        b = 200 if m * k <= 512 else 16
+        z = _gaussian_stack(RngStream(34, m * k), b, m, k)
+        a = _amplitudes(RngStream(35, m * k), b, k, k + 1)
+        folded, factor = _haar_frame_factor(z, a)
+        branches = np.swapaxes(factor, -1, -2) @ np.swapaxes(folded, -1, -2)
+        expected = np.swapaxes(a, -1, -2) @ np.swapaxes(haar_system_by_gram_schmidt(z), -1, -2)
+        assert np.max(np.abs(branches - expected)) <= 1e-12
+        # Negative control: the frame of the QR without its phase fix.
+        unfixed = np.swapaxes(a, -1, -2) @ np.swapaxes(np.linalg.qr(z)[0], -1, -2)
+        assert np.max(np.abs(branches - unfixed)) > 0.1 * np.max(np.abs(branches))
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 3), (5, 3), (16, 2), (64, 4), (256, 2)])
+    def test_each_factor_alone_or_in_a_stack_bit_for_bit(self, m, k):
         z = _gaussian_stack(RngStream(33, m * k), 512, m, k)
-        alone = _haar_system(z[37:38].copy())
-        assert alone.tobytes() == _haar_system(z)[37:38].tobytes()
+        for a in (_amplitudes(RngStream(36), 1, k, 2)[0],      # one fixed factor
+                  _amplitudes(RngStream(37), 512, k, 2)):      # a factor per trial
+            alone = _haar_frame_factor(z[37:38].copy(), a if a.ndim == 2 else a[37:38].copy())
+            stacked = _haar_frame_factor(z, a)
+            for one, many in zip(alone, stacked):
+                assert one.tobytes() == many[37:38].tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_square_draws_take_a_second_pass(self, k):
+        # A square Gaussian matrix has a heavy-tailed condition number, so
+        # one Cholesky pass misses unit weight by eps kappa^2 on some of
+        # 2 * 10^5 trials; the second pass keeps every trial within 1e-13.
+        # At m = 2k one pass does.
+        a = np.eye(k, dtype=complex) / np.sqrt(k)
+        errors = {"two passes": 0.0, "one pass": 0.0, "one pass at m = 2k": 0.0}
+        for chunk in range(8):
+            square = _gaussian_stack(RngStream(38, k, (chunk,)), 25_000, k, k)
+            errors["two passes"] = max(errors["two passes"], np.max(np.abs(
+                _weight_sums(*_haar_frame_factor(square, a)) - 1.0)))
+            errors["one pass"] = max(errors["one pass"], np.max(np.abs(
+                _weight_sums(square, np.linalg.solve(_gram_cholesky(square), a)) - 1.0)))
+            tall = _gaussian_stack(RngStream(39, k, (chunk,)), 25_000, 2 * k, k)
+            folded, factor = _haar_frame_factor(tall, a)
+            assert folded is tall
+            assert np.array_equal(factor, np.linalg.solve(_gram_cholesky(tall), a))
+            errors["one pass at m = 2k"] = max(errors["one pass at m = 2k"], np.max(np.abs(
+                _weight_sums(folded, factor) - 1.0)))
+        assert errors["two passes"] <= 1e-13, errors
+        assert errors["one pass at m = 2k"] <= 1e-13, errors
+        assert errors["one pass"] > 1e-13, errors
 
 
 class TestUniformSphere:
