@@ -79,7 +79,8 @@ def _numbers(key: str, value) -> np.ndarray:
 
 
 # Entries of the largest array one sweep point may allocate, 1 GiB of
-# complex128: a dense subspace of C^4096 takes 2**24, the presets under 2**15.
+# complex128: a dense subspace of dimension 2048 in C^4096 takes 2**23, the
+# presets under 2**15.
 MAX_ENTRIES = 2 ** 26
 
 
@@ -320,11 +321,17 @@ def _theorem2(cfg: ExperimentConfig):
 def _on_subspace(cfg: ExperimentConfig, driver):
     """The point's dimension dR (default d1 * d2) and its draw function,
     which runs ``driver(stream, subspace)`` on the point's stream and a random
-    dR-dimensional subspace drawn from its substream n_trials + 1."""
+    dR-dimensional subspace drawn from its substream n_trials + 1.  The
+    whole space, dR = d1 * d2, is the coordinate subspace of all pairs: a
+    uniform state on it needs no basis, and it draws nothing."""
     total = cfg.d1 * cfg.d2
     dr = cfg.dR if cfg.dR is not None else total
     if dr > total:
         raise ConfigError(f"dR: subspace dimension must lie in [1, {total}], got {dr}")
+    if dr == total:
+        whole = T.CoordinateSubspace(cfg.d1, cfg.d2,
+                                     np.argwhere(np.ones((cfg.d1, cfg.d2), dtype=bool)))
+        return dr, lambda stream: driver(stream, whole)
     _cap("dR", total * dr)  # the subspace's dense basis
     return dr, lambda stream: driver(stream, T.random_subspace(
         stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr))
@@ -558,6 +565,11 @@ PRESETS: dict[str, dict] = {
         "f_spec": {"kind": "cap_indicator", "phi": "e1", "threshold": 0.5},
         "epsilon": 0.15, "delta": 0.15, "n_trials": 300, "seed": 20260813,
     },
+    "theorem3-subspace": {
+        "experiment": "theorem3", "d1": 2, "d2": 64, "dR": 64,
+        "f_spec": {"kind": "polynomial", "phi": "e1", "coefficients": [0.0, 0.0, 1.0]},
+        "epsilon": 0.1, "delta": 0.1, "n_trials": 300, "seed": 20260818,
+    },
     "canonical-typicality-default": {
         "experiment": "canonical_typicality", "d1": 2, "d2": 50, "dR": 100,
         "n_trials": 1000, "seed": 20260814,
@@ -586,6 +598,7 @@ PRESET_NOTES = {
     "theorem2-default": "frozen state, random bases at d2=64",
     "theorem3-fullspace": "full product space as the subspace, continuous test function",
     "theorem4-fullspace": "full product space against the maximally mixed target",
+    "theorem3-subspace": "random half-dimensional subspace (dense basis), u^2 at e1",
     "canonical-typicality-default": "reduced-state concentration at d1=2, d2=50, dim 100",
     "thermal-twolevel": "two-level system, 200-level bath, energy window [10, 10.5]",
     "submatrix-k1": "scaled Haar entries versus the Gaussian limit over n",

@@ -32,6 +32,8 @@ from gaplab import typicality
 from gaplab.errors import ConfigError
 from gaplab.randomness import RngStream, haar_unitary
 
+from _oracles import two_sample_ks
+
 
 TINY = {
     "experiment": "theorem1",
@@ -238,7 +240,8 @@ class TestConfigErrorsNameTheKey:
         ("bath_spec.count", {"experiment": "thermal",
                              "bath_spec": {"count": 10**30, "min": 0, "max": 20}}),
         ("d2", {"experiment": "submatrix", "d1": 1, "d2": 10**30}),
-        ("dR", {"experiment": "theorem3", "f_spec": {"kind": "overlap_sq"}, "d2": 5000}),
+        ("dR", {"experiment": "theorem3", "f_spec": {"kind": "overlap_sq"}, "d2": 5000,
+                "dR": 9999}),
         ("system_levels", {"experiment": "thermal", "system_levels": list(range(8193))}),
         ("experiment", {"experiment": ["theorem1"]}),
         ("f_spec.coefficients", {"f_spec": {"kind": "polynomial",
@@ -550,6 +553,14 @@ class TestPresets:
         dim, _ = EXPERIMENTS["thermal"].run(ExperimentConfig.from_dict(raw))
         assert dim == 600
 
+    def test_whole_space_needs_no_dense_basis(self):
+        # A dense basis of C^2 (x) C^5000 would take 10^8 entries, over the
+        # cap; the whole space is the coordinate subspace of all pairs.
+        raw = {"experiment": "canonical_typicality", "d2": 5000, "n_trials": 3}
+        dim, draw = EXPERIMENTS["canonical_typicality"].run(ExperimentConfig.from_dict(raw))
+        assert dim == 10_000
+        assert len(draw(RngStream(1)).discrepancies) == 3
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("nope")
@@ -587,6 +598,29 @@ class TestPresets:
         assert len(lines) == 4
         medians = [float(row.split(",")[1]) for row in lines[1:]]
         assert medians[0] > medians[1] > medians[2]
+
+
+def test_whole_space_route_keeps_the_law_of_the_dense_route():
+    # dR = d1 d2 runs on the coordinate subspace of all pairs, where it once
+    # drew a dense Haar basis of the whole space.  A uniform state on the
+    # whole sphere has one law either way, so both columns must pass a
+    # two-sample KS test against the dense route; the dense route on a
+    # subspace of dimension d1 must fail it.
+    n, f_spec = 3000, {"kind": "polynomial", "phi": "e1", "coefficients": [0.0, 0.0, 1.0]}
+    cfg = ExperimentConfig.from_dict({"experiment": "theorem3", "d1": 2, "d2": 16, "dR": 32,
+                                      "f_spec": f_spec, "n_trials": n})
+    _, draw = EXPERIMENTS["theorem3"].run(cfg)
+    whole = draw(RngStream(41))
+    f = typicality.polynomial(np.eye(2)[0], f_spec["coefficients"])
+
+    def dense(dim, seed):
+        subspace = typicality.random_subspace(RngStream(seed, 1).generator(), 2, 16, dim)
+        return typicality.shell_universality_experiment(RngStream(seed), subspace, f, 0.1, n)
+
+    same, control = dense(32, 42), dense(2, 43)
+    for column in ("discrepancies", "auxiliary"):
+        assert two_sample_ks(getattr(whole, column), getattr(same, column))[1] > 0.01
+        assert two_sample_ks(getattr(whole, column), getattr(control, column))[1] < 1e-6
 
 
 def _same_outcome(a, b):
