@@ -79,8 +79,7 @@ def _numbers(key: str, value) -> np.ndarray:
 
 
 # Entries of the largest array one sweep point may allocate, 1 GiB of
-# complex128: a dense subspace of dimension 2048 in C^4096 takes 2**23, the
-# presets under 2**15.
+# complex128: half of C^4096 as a dense subspace takes 2**23, the presets under 2**15.
 MAX_ENTRIES = 2 ** 26
 
 
@@ -294,10 +293,8 @@ def _resolve_bath(cfg: ExperimentConfig, n_system: int) -> np.ndarray:
 # function that draws the point's trials from the point's stream as one
 # ExperimentOutcome.  run() hands point p the stream RngStream(seed, p);
 # the trials (or samples) draw in sequence from stream.generator(), and a
-# fixed state or subspace from substream n_trials + 1.  Substream n_trials
-# is unused: the references are exact and draw nothing, and the fixed state
-# keeps its substream so that its draws, and the trials judged on it, stay
-# the same.
+# fixed state or random subspace from substream n_trials + 1, so that its
+# draws keep the values they had when the references drew from n_trials.
 
 def _purification_inputs(cfg: ExperimentConfig):
     if cfg.d2 < cfg.d1:
@@ -319,18 +316,15 @@ def _theorem2(cfg: ExperimentConfig):
 
 
 def _on_subspace(cfg: ExperimentConfig, driver):
-    """The point's dimension dR (default d1 * d2) and its draw function,
-    which runs ``driver(stream, subspace)`` on the point's stream and a random
-    dR-dimensional subspace drawn from its substream n_trials + 1.  The
-    whole space, dR = d1 * d2, is the coordinate subspace of all pairs: a
-    uniform state on it needs no basis, and it draws nothing."""
+    """The point's dimension dR (default d1 * d2) and its draw function, which
+    runs ``driver(stream, subspace)`` on a random dR-dimensional subspace from
+    substream n_trials + 1, or on the whole space as the subspace of all pairs."""
     total = cfg.d1 * cfg.d2
     dr = cfg.dR if cfg.dR is not None else total
     if dr > total:
         raise ConfigError(f"dR: subspace dimension must lie in [1, {total}], got {dr}")
     if dr == total:
-        whole = T.CoordinateSubspace(cfg.d1, cfg.d2,
-                                     np.argwhere(np.ones((cfg.d1, cfg.d2), dtype=bool)))
+        whole = T.CoordinateSubspace(cfg.d1, cfg.d2, np.argwhere(np.ones((cfg.d1, cfg.d2), bool)))
         return dr, lambda stream: driver(stream, whole)
     _cap("dR", total * dr)  # the subspace's dense basis
     return dr, lambda stream: driver(stream, T.random_subspace(
@@ -566,9 +560,9 @@ PRESETS: dict[str, dict] = {
         "epsilon": 0.15, "delta": 0.15, "n_trials": 300, "seed": 20260813,
     },
     "theorem3-subspace": {
-        "experiment": "theorem3", "d1": 2, "d2": 64, "dR": 64,
+        "experiment": "theorem3", "d1": 2, "d2": 64, "dR": 64, "n_trials": 300,
         "f_spec": {"kind": "polynomial", "phi": "e1", "coefficients": [0.0, 0.0, 1.0]},
-        "epsilon": 0.1, "delta": 0.1, "n_trials": 300, "seed": 20260818,
+        "seed": 20260818,
     },
     "canonical-typicality-default": {
         "experiment": "canonical_typicality", "d1": 2, "d2": 50, "dR": 100,

@@ -114,8 +114,8 @@ def _haar_columns(g: np.ndarray) -> np.ndarray:
     result is distributed as the first k columns of a Haar unitary.  Leading
     axes are a batch: every matrix is factorized on its own, by one LAPACK
     call.  It serves the per-call public routes ``haar_unitary`` and
-    ``random_ons``; the trial engine folds the same Q of its stacks into
-    their amplitude factors (``_haar_frame_factor``) without forming it."""
+    ``random_ons``; the trial engine folds it into its amplitude factors
+    (``_haar_frame_factor``)."""
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]
@@ -123,34 +123,20 @@ def _haar_columns(g: np.ndarray) -> np.ndarray:
 
 
 def _haar_frame_factor(z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The trial engine's branch matrices Q A, for a stack of complex
-    Gaussian matrices z (B, m, k), m >= k, and amplitude factors a ((B,) k,
-    d1), as a pair (z', F) with z' F = Q A, where Q is the Q factor
-    ``_haar_columns`` returns for z; Q itself is never formed.
-
-    Q = Z R^-1, with R the upper Cholesky factor of the Gram matrix Z^H Z.
-    R has a positive real diagonal, so in exact arithmetic Q is the
-    phase-fixed Q of Householder QR plus Mezzadri's correction, and
-    Q A = Z (R^-1 A).  A chunk costs one batched Gram product, one batched
-    Cholesky factorization and one batched k x k solve, whatever k is.
-    Each acts on every matrix of the stack alone, so a trial's result is
-    the same bit for bit wherever it sits in the stack.
-
-    One pass leaves an error of about eps kappa(Z)^2 in the weights |Q A|^2.
-    For m >= 2k that stays far below the engine's 1e-10 weight check, but
-    the condition number of a square Gaussian matrix is heavy-tailed, so a
-    stack with m < 2k is first replaced by Z R^-1 and factored again
-    (CholeskyQR2; Yamamoto, Nakatsukasa, Yanagisawa & Fukaya 2015), which
-    leaves an error of a few eps.  A draw whose Gram matrix is not
-    numerically positive definite, such as one with a zero column, raises a
-    DomainError; a NaN comes through as NaN, which the weight check
-    rejects.
-    """
+    """(z', F) with z' F = Q A, for complex Gaussian matrices z (B, m, k),
+    m >= k, amplitude factors a ((B,) k, d1) and Q the phase-fixed Q factor
+    of ``_haar_columns``, without forming Q: Q = Z R^-1, with R the upper
+    Cholesky factor of Z^H Z, whose diagonal is positive.  Each batched call
+    acts on every matrix alone.  One pass misses unit weight by about
+    eps kappa(Z)^2, far below the engine's 1e-10 check for m >= 2k; a stack
+    with m < 2k, whose kappa is heavy-tailed, is replaced by Z R^-1 and
+    factored again (CholeskyQR2; Yamamoto, Nakatsukasa, Yanagisawa & Fukaya
+    2015).  A singular Gram matrix raises a DomainError; a NaN comes through
+    for the weight check."""
     try:
         r = _gram_cholesky(z)
         if z.shape[-2] < 2 * z.shape[-1]:
-            z = np.swapaxes(np.linalg.solve(np.swapaxes(r, -1, -2), np.swapaxes(z, -1, -2)),
-                            -1, -2)
+            z = z @ np.linalg.inv(r)
             r = _gram_cholesky(z)
         return z, np.linalg.solve(r, a)
     except np.linalg.LinAlgError:

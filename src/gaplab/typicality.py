@@ -22,19 +22,16 @@ The universality drivers (theorems 1-4, thermal) form every branch matrix as
 W^T A, with W a trial's Haar k-system and a (k, d1) amplitude factor A:
 (v sqrt(p))^T from rho1 for theorem 1, conj(R) of the fixed state's
 M^dagger = V R for theorem 2, conj(R) of each trial's state for the subspace
-drivers.  W^T is the phase-fixed Q of the trial's (d2, k) Gaussian draw Z,
-W^T = Z R^-1 with R^H R = Z^H Z, and the engine folds R^-1 into the
-amplitude factor instead of forming W: the product is Z F with
-F = R^-1 A, from one batched Cholesky factorization and one batched k x k
-solve per chunk (``randomness._haar_frame_factor``).  It is laid out as
-F^T Z^T, a (d1, d2) matrix whose column j is <b_j|psi>, and f is evaluated
-on <phi|b_j> / sqrt(w_j) without forming the normalized atoms.  A subspace H_R is a :class:`Subspace`
-(dense orthonormal basis) or a :class:`CoordinateSubspace` (spanned by
-product vectors |i>|j>, such as a microcanonical shell, with states
-scattered into its flat indices), and each forms its own states.  The
-engine checks each invariant once, where it is strictest:
-unit total conditional weight (which a non-orthonormal frame or a NaN
-fails) and unit-trace Hermitian reduced matrices.  The per-trial routes keep every
+drivers.  W^T = Z R^-1, the phase-fixed Q of the trial's Gaussian draw Z,
+is folded into Z (R^-1 A) (``randomness._haar_frame_factor``), laid out as
+a (d1, d2) matrix whose column j is <b_j|psi>, and f is evaluated on
+<phi|b_j> / sqrt(w_j) without forming the normalized atoms.  A subspace
+H_R is a :class:`Subspace` (dense orthonormal basis) or a
+:class:`CoordinateSubspace` (spanned by product vectors |i>|j>, such as a
+microcanonical shell, with states scattered into its flat indices), and
+each forms its own states.  The engine checks each invariant once, where it
+is strictest: unit total conditional weight (which a non-orthonormal frame
+or NaN fails) and unit-trace Hermitian reduced matrices.  The per-trial routes keep every
 check and are the tests' oracles.
 """
 
@@ -325,20 +322,16 @@ WEIGHT_CUTOFF = 1e-14
 def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate):
     """Run ``n_trials`` independent trials in chunks of stacked arrays.
 
-    The trials draw in sequence from the point's one generator,
-    ``stream.generator()``: trial i takes the i-th run of S standard
-    normals, S = sum of 2 prod(shape) over ``shapes``, and splits it into
-    one complex Gaussian array per shape, in order.  These are the values
-    ``ginibre(rng, *shape)`` returns, called for each trial and shape in
-    turn on that generator.  ``evaluate`` maps a chunk's draws, one
-    (B, *shape) array per shape, to a pair of (B,) arrays (value,
-    auxiliary).  A chunk holds CHUNK_ENTRIES // entries trials, where
-    ``entries`` is the size of the largest per-trial array, and draws its
-    (B, S) normals at once.  Every batched operation acts on each trial's
-    slice alone, so the outputs do not depend on the chunk length; this
-    includes the Cholesky factorizations and solves of
-    ``_haar_frame_factor``, whose result for a trial is the same bit for bit
-    wherever the trial sits in its chunk.
+    Trial i takes the i-th run of S standard normals from the point's one
+    generator, ``stream.generator()``, S = sum of 2 prod(shape) over
+    ``shapes``, and splits it into one complex Gaussian array per shape, in
+    order: the values ``ginibre(rng, *shape)`` returns for each trial and
+    shape in turn.  ``evaluate`` maps a chunk's draws, one (B, *shape) array
+    per shape, to a pair of (B,) arrays (value, auxiliary).  A chunk holds
+    CHUNK_ENTRIES // entries trials, ``entries`` being the size of the
+    largest per-trial array.  Every batched operation, ``_haar_frame_factor``
+    included, acts on each trial's slice alone, so the outputs do not depend
+    on the chunk length.
     """
     n_trials = _integer("n_trials", n_trials, 1)
     if n_trials > MAX_TRIALS:
@@ -357,16 +350,14 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
 
 
 def _conditional_integrals(z: np.ndarray, factor: np.ndarray, f: TestFunction) -> np.ndarray:
-    """mu(f) for the conditional measure of each branch matrix W^T A, given
-    the pair (z, factor) that ``_haar_frame_factor`` returns: the draws z
-    (B, d2, k) and the folded factor F ((B,) k, d1) with Z F = W^T A.
-    mu(f) is the sum over branches j of w_j f(<b_j|psi> / sqrt(w_j)), with
-    branches of weight below WEIGHT_CUTOFF masked out instead of dropped.
-    The branches are laid out as F^T Z^T (B, d1, d2), column j being
-    <b_j|psi>, so the weights w_j and the overlaps <phi|b_j> reduce over d1
-    contiguous rows; f is evaluated on <phi|b_j> / sqrt(w_j), the
-    normalized atom's overlap.  The weights must sum to 1, which a frame
-    that is not orthonormal fails."""
+    """mu(f) for the conditional measure of each branch matrix Z F = W^T A,
+    given the pair (z (B, d2, k), F ((B,) k, d1)) of ``_haar_frame_factor``:
+    the sum over branches j of w_j f(<b_j|psi> / sqrt(w_j)), with branches
+    of weight below WEIGHT_CUTOFF masked out instead of dropped.  The
+    branches are laid out as F^T Z^T (B, d1, d2), column j being <b_j|psi>,
+    so the weights w_j and the overlaps <phi|b_j> reduce over d1 contiguous
+    rows; f is evaluated on <phi|b_j> / sqrt(w_j), the normalized atom's
+    overlap."""
     branches = np.swapaxes(factor, -1, -2) @ np.swapaxes(z, -1, -2)
     w = np.sum(branches.real ** 2 + branches.imag ** 2, axis=-2)
     keep = w >= WEIGHT_CUTOFF
@@ -452,8 +443,8 @@ def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials):
     """Trials of theorems 1 and 2: mu(f) for the branch matrix W^T A of a
     Haar k-system W of C^{d2} and the fixed (k, d1) amplitude factor A (or
     a (1, k, d1) stack), judged against GAP(rho1)(f) below
-    epsilon * ||f||_inf.  W is the phase-fixed Q of each trial's (d2, k)
-    Gaussian draw, folded into A by ``_haar_frame_factor``."""
+    epsilon * ||f||_inf.  ``_haar_frame_factor`` folds W, from each trial's
+    (d2, k) Gaussian draw, into A."""
     _check_phi(f, rho1)
     k, d1 = amplitudes.shape[-2:]
     threshold = f.pass_threshold(epsilon)
@@ -616,9 +607,8 @@ def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
     """Per trial: psi uniform on the subspace sphere, then mu(f) for the
     conditional measure of psi in a Haar-random basis and the auxiliary
     ||tr_2 |psi><psi| - target||_tr.  Trial i draws its two Ginibre arrays
-    in that order: the state's coordinates, then the basis's k-system, whose
-    phase-fixed Q ``_haar_frame_factor`` folds into the state's amplitude
-    factor."""
+    in that order: the state's coordinates, then the basis's k-system, which
+    ``_haar_frame_factor`` folds into the state's amplitude factor."""
     _check_phi(f, target)
 
     def evaluate(z, w):
