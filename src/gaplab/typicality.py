@@ -31,8 +31,8 @@ H_R is a :class:`Subspace` (dense orthonormal basis) or a
 microcanonical shell, with states scattered into its flat indices), and
 each forms its own states.  The engine checks each invariant once, where it
 is strictest: unit total conditional weight (which a non-orthonormal frame
-or NaN fails) and unit-trace Hermitian reduced matrices.  The per-trial routes keep every
-check and are the tests' oracles.
+or NaN fails) and unit-trace Hermitian reduced matrices.  The per-trial
+routes keep every check and are the tests' oracles.
 """
 
 from __future__ import annotations
