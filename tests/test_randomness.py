@@ -332,7 +332,6 @@ class TestHaarSystem:
         assert np.max(np.abs(diagonal.imag) / scale[..., 0]) <= 1e-12
 
 
-
 def _amplitudes(stream: RngStream, b: int, k: int, d1: int) -> np.ndarray:
     """(b, k, d1) amplitude factors of unit Frobenius norm."""
     a = _gaussian_stack(stream, b, k, d1)
