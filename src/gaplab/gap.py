@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularDensityError
-from .hilbert import DensityMatrix
+from .hilbert import NORM_ATOL, DensityMatrix
 
 __all__ = [
     "gap_sphere_density",
@@ -63,11 +63,14 @@ def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
 
 def _support_coordinates(rho: DensityMatrix, phi) -> tuple[np.ndarray, np.ndarray]:
     """The positive eigenvalues p_i of rho and the coordinates <v_i|phi> of
-    phi in their eigenvectors v_i; phi must be a vector of C^d, d the
-    dimension of rho."""
+    phi in their eigenvectors v_i; phi must be a unit vector of C^d, d the
+    dimension of rho, within 1e-10."""
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (rho.dim,):
         raise DimensionError(f"phi has shape {phi.shape}, the system dimension is {rho.dim}")
+    norm = float(np.linalg.norm(phi))
+    if not abs(norm - 1.0) <= NORM_ATOL:  # NaN and inf fail too
+        raise DomainError(f"phi must be a finite unit vector within 1e-10, got norm {norm!r}")
     r = rho.support_rank
     return rho.spectrum()[:r], phi @ rho.eigenbasis()[:, :r].conj()
 

@@ -19,9 +19,10 @@ per chunk of trials on stacked arrays.  Results are bit-reproducible and do
 not depend on the chunk length.
 
 The universality drivers (theorems 1-4, thermal) form every branch matrix as
-W^T A, with W a trial's Haar k-system and a (k, d1) amplitude factor A:
-(v sqrt(p))^T from rho1 for theorem 1, conj(R) of the fixed state's
-M^dagger = V R for theorem 2, conj(R) of each trial's state for the subspace
+W^T A, with W a trial's Haar k-system and A = (V sqrt(P))^T read off a
+reduced state rho1 (``_amplitude_factor``): in a Haar basis the law depends
+on psi only through rho1, which is given for theorem 1, the fixed state's
+for theorem 2 and each trial's, formed once per chunk, for the subspace
 drivers.  W^T = Z R^-1, the phase-fixed Q of the trial's Gaussian draw Z,
 is folded into Z (R^-1 A) (``randomness._haar_frame_factor``), laid out as
 a (d1, d2) matrix whose column j is <b_j|psi>, and f is evaluated on
@@ -235,13 +236,6 @@ def polynomial(phi, coefficients) -> TestFunction:
 # GAP references
 # ---------------------------------------------------------------------------
 
-def _check_phi(f: TestFunction, rho: DensityMatrix) -> None:
-    """Raise DimensionError unless f's phi is a vector of C^d, d the
-    dimension of rho; the drivers check before they draw."""
-    if f.phi.shape != (rho.dim,):
-        raise DimensionError(f"phi has shape {f.phi.shape}, the system dimension is {rho.dim}")
-
-
 def gap_reference(rho: DensityMatrix, f: TestFunction) -> float:
     """GAP(rho)(f), the reference every driver judges its trials against,
     exact for every kind:
@@ -252,8 +246,10 @@ def gap_reference(rho: DensityMatrix, f: TestFunction) -> float:
     * cap_indicator: ``gap_cap_probability`` at the threshold;
     * polynomial: ``gap_polynomial_mean`` of its coefficients.
 
-    A phi outside C^d, d the dimension of rho, raises a DimensionError."""
-    _check_phi(f, rho)
+    A phi outside C^d, d the dimension of rho, raises a DimensionError; the
+    drivers compute the reference before they draw."""
+    if f.phi.shape != (rho.dim,):
+        raise DimensionError(f"phi has shape {f.phi.shape}, the system dimension is {rho.dim}")
     if f.kind == "real_part":
         return 0.0
     if f.kind == "cap_indicator":
@@ -369,20 +365,24 @@ def _conditional_integrals(z: np.ndarray, factor: np.ndarray, f: TestFunction) -
     return np.sum(mass * f.of_overlaps(overlaps), axis=-1)
 
 
-def _amplitude_factor(m: np.ndarray) -> np.ndarray:
-    """The (B or 1, k, d1) factor A = conj(R) of coefficient matrices m
-    (B or 1, d1, d2), k = min(d1, d2), with M^dagger = V R a reduced QR.
-    For a Haar basis B the branch matrix M B^dagger is R^dagger (V^dagger
-    B^dagger), and by Haar invariance V^dagger B^dagger is a Haar k-system W
-    of C^{d2}, so the branch rows are (R^dagger W)^T = W^T A."""
-    return np.linalg.qr(np.swapaxes(m.conj(), -1, -2), mode="r").conj()
+def _amplitude_factor(rho: np.ndarray, k: int) -> np.ndarray:
+    """The ((B,) k, d1) factor A = (V sqrt(P))^T of reduced matrices rho, with
+    (P, V) the k largest eigenpairs, P clipped at 0, in ``DensityMatrix``
+    order.  A state with M M^dagger = rho has M = V sqrt(P) U^dagger; in a
+    Haar basis B, U^dagger B^dagger is a Haar k-system W of C^{d2}, so the
+    branch rows M B^dagger are W^T A."""
+    p, v = np.linalg.eigh(rho)
+    order = np.argsort(-p, axis=-1, kind="stable")[..., :k]  # descending, ties keep eigh order
+    root = np.sqrt(np.maximum(np.take_along_axis(p, order, -1), 0.0))
+    return np.swapaxes(np.take_along_axis(v, order[..., None, :], -1) * root[..., None, :],
+                       -1, -2)
 
 
-def _reduced_distances(m: np.ndarray, target: DensityMatrix) -> np.ndarray:
-    """||tr_2 |psi><psi| - target||_tr for coefficient matrices m (B, d1, d2),
-    as the sum of |eigenvalues| of the Hermitian difference.  The reduced
-    matrices pass the DensityMatrix checks first: Hermitian and of unit trace
-    within tolerance (NaN and inf fail both comparisons)."""
+def _reduced_matrices(m: np.ndarray) -> np.ndarray:
+    """tr_2 |psi><psi| = M M^dagger of coefficient matrices m (B, d1, d2) as
+    (rho + rho^dagger) / 2, once each is Hermitian and of unit trace within
+    tolerance (NaN and inf fail both comparisons).  A trace distance to a
+    target is the sum of |eigenvalues| of the difference."""
     rho = m @ np.swapaxes(m.conj(), -1, -2)
     adjoint = np.swapaxes(rho.conj(), -1, -2)
     trace = np.trace(rho, axis1=-2, axis2=-1).real
@@ -390,8 +390,7 @@ def _reduced_distances(m: np.ndarray, target: DensityMatrix) -> np.ndarray:
             and np.all(np.abs(trace - 1.0) <= NORM_ATOL)):
         raise DomainError("reduced density matrices must be finite, Hermitian "
                           "and of unit trace within 1e-10")
-    diff = (rho + adjoint) / 2.0 - target.matrix
-    return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return (rho + adjoint) / 2.0
 
 
 def _collect(values, reference, threshold, auxiliary, extra=None) -> ExperimentOutcome:
@@ -419,10 +418,7 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
     d1, d2 = rho1.dim, _integer("d2", d2, 1)
     if d2 < d1:
         raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
-    # psi = (v sqrt(p)) Phi with Phi the (d1, d2) random system, so the
-    # branch rows <j|psi> are the rows of Phi^T (v sqrt(p))^T.
-    amplitudes = (rho1.eigenbasis() * np.sqrt(rho1.spectrum())).T
-    return _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials)
+    return _haar_system_trials(stream, rho1, d2, f, epsilon, n_trials)
 
 
 def random_basis_experiment(stream: RngStream, psi: BipartiteState,
@@ -431,29 +427,28 @@ def random_basis_experiment(stream: RngStream, psi: BipartiteState,
     """Fixed state, uniformly random environment basis.
 
     Per trial: draw the conditional measure mu of psi in a Haar-random
-    orthonormal basis of the second factor (see ``_amplitude_factor``) and
-    record |mu(f) - GAP(rho1)(f)| with rho1 the reduced density matrix of psi.
+    basis of the second factor and record |mu(f) - GAP(rho1)(f)|.  By Haar
+    invariance the trials are theorem 1's at rho1 = tr_2 |psi><psi|.
     """
-    rho1 = reduced_density_matrix(psi)
-    amplitudes = _amplitude_factor(psi.as_matrix()[None])
-    return _haar_system_trials(stream, amplitudes, psi.d2, rho1, f, epsilon, n_trials)
+    return _haar_system_trials(stream, reduced_density_matrix(psi), psi.d2, f, epsilon,
+                               n_trials)
 
 
-def _haar_system_trials(stream, amplitudes, d2, rho1, f, epsilon, n_trials):
+def _haar_system_trials(stream, rho1, d2, f, epsilon, n_trials):
     """Trials of theorems 1 and 2: mu(f) for the branch matrix W^T A of a
-    Haar k-system W of C^{d2} and the fixed (k, d1) amplitude factor A (or
-    a (1, k, d1) stack), judged against GAP(rho1)(f) below
-    epsilon * ||f||_inf.  ``_haar_frame_factor`` folds W, from each trial's
-    (d2, k) Gaussian draw, into A."""
-    _check_phi(f, rho1)
-    k, d1 = amplitudes.shape[-2:]
+    Haar k-system W of C^{d2}, k = min(d1, d2), and the amplitude factor A
+    of rho1, judged against GAP(rho1)(f), computed before any draw, below
+    epsilon * ||f||_inf.  ``_haar_frame_factor`` folds W into A."""
+    reference = gap_reference(rho1, f)
     threshold = f.pass_threshold(epsilon)
+    k = min(rho1.dim, d2)
+    amplitudes = _amplitude_factor(rho1.matrix, k)
 
     def evaluate(z):
         return _conditional_integrals(*_haar_frame_factor(z, amplitudes), f), np.nan
 
-    values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, k)], evaluate)
-    return _collect(values, gap_reference(rho1, f), threshold, aux)
+    values, aux = _run_trials(stream, n_trials, rho1.dim * d2, [(d2, k)], evaluate)
+    return _collect(values, reference, threshold, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +564,8 @@ def canonical_typicality_experiment(stream: RngStream, subspace: Subspace,
     offset = float(d1 / np.sqrt(dim))
 
     def evaluate(z):
-        return _reduced_distances(subspace.states(z), target), np.nan
+        rho = _reduced_matrices(subspace.states(z))
+        return np.sum(np.abs(np.linalg.eigvalsh(rho - target.matrix)), axis=-1), np.nan
 
     distances, aux = _run_trials(stream, n_trials, d1 * d2, [(dim, 1)], evaluate)
     eta_grid = np.linspace(0.05, 2.0, 10)
@@ -598,27 +594,26 @@ def shell_universality_experiment(stream: RngStream, subspace: Subspace,
     if not f.is_continuous:
         raise DomainError("this experiment requires a continuous test function")
     target = subspace.reduced_density()
+    reference = gap_reference(target, f)
     values, aux = _shell_trials(stream, subspace, f, target, n_trials)
-    return _collect(values, gap_reference(target, f), epsilon, aux)
+    return _collect(values, reference, epsilon, aux)
 
 
 def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
                   f: TestFunction, target: DensityMatrix, n_trials: int):
-    """Per trial: psi uniform on the subspace sphere, then mu(f) for the
-    conditional measure of psi in a Haar-random basis and the auxiliary
-    ||tr_2 |psi><psi| - target||_tr.  Trial i draws its two Ginibre arrays
-    in that order: the state's coordinates, then the basis's k-system, which
-    ``_haar_frame_factor`` folds into the state's amplitude factor."""
-    _check_phi(f, target)
+    """Per trial: psi uniform on the subspace sphere and rho1 = tr_2 |psi><psi|,
+    then mu(f) in a Haar-random basis and the auxiliary ||rho1 - target||_tr.
+    Trial i draws the state's coordinates, then the basis's k-system, which
+    ``_haar_frame_factor`` folds into the amplitude factor of rho1."""
+    d1, d2 = subspace.d1, subspace.d2
+    k = min(d1, d2)
 
     def evaluate(z, w):
-        m = subspace.states(z)
-        return (_conditional_integrals(*_haar_frame_factor(w, _amplitude_factor(m)), f),
-                _reduced_distances(m, target))
+        rho = _reduced_matrices(subspace.states(z))
+        return (_conditional_integrals(*_haar_frame_factor(w, _amplitude_factor(rho, k)), f),
+                np.sum(np.abs(np.linalg.eigvalsh(rho - target.matrix)), axis=-1))
 
-    d1, d2 = subspace.d1, subspace.d2
-    shapes = [(subspace.dim, 1), (d2, min(d1, d2))]
-    return _run_trials(stream, n_trials, d1 * d2, shapes, evaluate)
+    return _run_trials(stream, n_trials, d1 * d2, [(subspace.dim, 1), (d2, k)], evaluate)
 
 
 def shell_vs_target_experiment(stream: RngStream,
@@ -639,9 +634,10 @@ def shell_vs_target_experiment(stream: RngStream,
     if omega.min_eigenvalue <= 0.0:
         raise DomainError("target density matrix must be strictly positive")
     target_distance = trace_norm(subspace.reduced_density().matrix - omega.matrix)
+    reference = gap_reference(omega, f)
     threshold = f.pass_threshold(epsilon)
     values, aux = _shell_trials(stream, subspace, f, omega, n_trials)
-    return _collect(values, gap_reference(omega, f), threshold, aux,
+    return _collect(values, reference, threshold, aux,
                     extra={"target_distance": target_distance})
 
 

@@ -24,6 +24,9 @@ basis without forming that basis.  Only the k = min(d1, d2) directions of
 the second factor that psi occupies meet the basis, and by Haar invariance
 their overlaps with it form a uniformly random orthonormal k-system (see
 Mezzadri, Notices AMS 2007, and Zyczkowski & Sommers, J. Phys. A 2000).
+It takes its amplitude factor from a QR of M^dagger, as the trial engine did
+up to 0.21.0; ``reduced_state_basis_measure``, the per-trial twin of the
+engine since 0.22.0, reads it off the reduced density matrix.
 
 The GAP samplers (``sample_complex_gaussian``, ``sample_adjusted_gaussian``,
 ``sample_gap``) and the Monte Carlo estimate ``gap_expectation`` are the
@@ -67,7 +70,6 @@ from gaplab.typicality import (
     ExperimentOutcome,
     TestFunction,
     _check_orthonormal_rows,
-    _check_phi,
     cap_indicator,
     overlap_sq,
     polynomial,
@@ -177,6 +179,25 @@ def random_basis_measure(rng: np.random.Generator, psi: BipartiteState) -> Discr
     w = random_ons(rng, psi.d2, r.shape[0])
     _check_orthonormal_rows(w)
     return _measure_from_branches((r.conj().T @ w).T)
+
+
+def reduced_state_basis_measure(rng: np.random.Generator, psi: BipartiteState) -> DiscreteMeasure:
+    """``random_basis_measure`` with the amplitude factor of the trial engine:
+    A = (V sqrt(P))^T from the k = min(d1, d2) largest eigenpairs (P, V) of
+    the reduced density matrix, in descending order with ties in ``eigh``
+    order, P clipped at 0.  Since M = V sqrt(P) U^dagger, the branch matrix
+    M B^dagger is V sqrt(P) (U^dagger B^dagger), and the branches are W^T A
+    with W = random_ons(rng, d2, k), drawn as ``random_basis_measure`` draws
+    it.  ``eigh`` reads the symmetrized matrix of ``DensityMatrix``, as the
+    engine does: a near-diagonal rho fixes its eigenvectors only up to
+    phases, which rounding-level off-diagonal entries set."""
+    k = min(psi.d1, psi.d2)
+    p, v = np.linalg.eigh(reduced_density_matrix(psi).matrix)
+    order = np.argsort(-p, kind="stable")[:k]
+    a = (v[:, order] * np.sqrt(np.maximum(p[order], 0.0))).T
+    w = random_ons(rng, psi.d2, k)
+    _check_orthonormal_rows(w)
+    return _measure_from_branches(w.T @ a)
 
 
 def raw_conditional_measure(psi: BipartiteState, basis: np.ndarray | None = None) -> DiscreteMeasure:
@@ -339,7 +360,8 @@ def gap_expectation(rng: np.random.Generator, rho: DensityMatrix,
                     f, n_samples: int) -> GapExpectation:
     """Estimate the expectation of f under GAP(rho) from ``n_samples`` draws;
     a phi outside C^d raises a DimensionError before any draw."""
-    _check_phi(f, rho)
+    if f.phi.shape != (rho.dim,):
+        raise DimensionError(f"phi has shape {f.phi.shape}, the system dimension is {rho.dim}")
     n_samples = _integer("n_samples", n_samples, 1)
     vals = np.asarray(evaluate(f, sample_gap(rng, rho, size=n_samples)), dtype=float)
     est = float(vals.mean())
@@ -504,7 +526,7 @@ def random_basis_trials(stream, psi, f, reference, n_trials):
     """theorem2: fixed state, Haar-random environment basis."""
     out, rng = [], stream.generator()
     for _ in range(n_trials):
-        measure = random_basis_measure(rng, psi)
+        measure = reduced_state_basis_measure(rng, psi)
         out.append((abs(integrate(measure, f) - reference), np.nan))
     return np.array(out)
 
@@ -515,7 +537,7 @@ def shell_trials(stream, basis, d1, d2, f, reference, target, n_trials):
     out, rng = [], stream.generator()
     for _ in range(n_trials):
         psi = BipartiteState(d1, d2, uniform_subspace_state(rng, basis))
-        value = integrate(random_basis_measure(rng, psi), f)
+        value = integrate(reduced_state_basis_measure(rng, psi), f)
         aux = trace_norm(reduced_density_matrix(psi).matrix - target.matrix)
         out.append((abs(value - reference), aux))
     return np.array(out)

@@ -74,6 +74,7 @@ def test_version_matches_pyproject():
 MIXED2 = DensityMatrix.maximally_mixed(2)
 PRODUCT = BipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
 E0 = np.array([1.0, 0.0])
+RHO73 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
 
 
 def rng():
@@ -196,6 +197,15 @@ def rng():
      DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
     (lambda: gap_polynomial_mean(MIXED2, np.ones(3), [0.0, 1.0]),
      DimensionError, r"phi has shape \(3,\), the system dimension is 2"),
+    # phi must be a unit vector: 0.21.0 gave a cap probability of 0.964 at
+    # 2 e1 against 0.784 at e1 for rho = diag(0.7, 0.3), E u^2 = 8.88 against
+    # 0.555, and 0.0 or NaN for a NaN, infinite or zero phi, without an error.
+    *[(lambda phi=phi, call=call: call(RHO73, phi), DomainError,
+       "phi must be a finite unit vector within 1e-10, got norm")
+      for phi in (2.0 * E0, np.array([np.nan, 0.0]), np.array([np.inf, 0.0]), np.zeros(2),
+                  np.array([1.0, 1e-4]))
+      for call in (lambda rho, phi: gap_cap_probability(rho, phi, 0.5),
+                   lambda rho, phi: gap_polynomial_mean(rho, phi, [0.0, 0.0, 1.0]))],
     (lambda: gap_cap_probability(MIXED2, E0, 1.5), DomainError,
      r"cap threshold must lie in \[0, 1\], got 1.5"),
     (lambda: gap_cap_probability(MIXED2, E0, np.nan), DomainError,

@@ -2,11 +2,11 @@
 
 Each Monte Carlo driver runs its trials in chunks of stacked arrays.  The
 per-trial route in ``_oracles`` composes the validating per-trial functions
-(``random_purification``, ``conditional_measure``, ``random_basis_measure``,
-``integrate``, ``reduced_density_matrix``, ``trace_norm``) on the same
-generator, trial after trial, so both must agree trial by trial up to
-rounding.  The outputs
-must also be identical whatever the chunk length.
+(``random_purification``, ``conditional_measure``,
+``reduced_state_basis_measure``, ``integrate``, ``reduced_density_matrix``,
+``trace_norm``) on the same generator, trial after trial, so both must agree
+trial by trial up to rounding.  The outputs must also be identical whatever
+the chunk length.
 """
 
 import numpy as np
@@ -27,6 +27,7 @@ from gaplab import (
     polynomial,
     random_purification,
     real_part,
+    reduced_density_matrix,
     uniform_sphere,
 )
 from gaplab import typicality as T
@@ -110,6 +111,25 @@ def _thermal(scattered=False):
     return run, lambda: O.shell_trials(stream, basis, d1, d2, f, ref, omega, N), d1 * d2
 
 
+def _zero_row(theorem4=False):
+    # No member pair has system level 2, so every state's coefficient matrix
+    # has a zero row and its reduced matrix a zero eigenvalue.
+    pairs = np.array([(0, j) for j in range(5)] + [(1, j) for j in range(1, 4)])
+    subspace = T.CoordinateSubspace(3, 5, pairs)
+    basis = O.shell_basis(subspace)
+    stream, ref = RngStream(318), 0.4
+    if theorem4:
+        target = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
+        f = cap_indicator(np.array([1.0, 1.0j, 1.0]), 0.4)
+        run = _pinned(ref, lambda: T.shell_vs_target_experiment(stream, subspace, target, f,
+                                                                0.15, N))
+    else:
+        target = subspace.reduced_density()
+        f = polynomial(np.array([1.0, 1.0, 1.0]), [0.0, 1.0, 0.5])
+        run = _pinned(ref, lambda: T.shell_universality_experiment(stream, subspace, f, 0.1, N))
+    return run, lambda: O.shell_trials(stream, basis, 3, 5, f, ref, target, N), 15
+
+
 def _canonical():
     subspace = T.random_subspace(RngStream(314).generator(), 3, 5, 9)
     target = subspace.reduced_density()
@@ -121,6 +141,7 @@ def _canonical():
 CASES = {
     "theorem1": _theorem1, "theorem2": _theorem2, "theorem2-wide": _theorem2_wide,
     "theorem3": _theorem3, "theorem3-wide": _theorem3_wide, "theorem4": _theorem4,
+    "theorem3-zero-row": _zero_row, "theorem4-zero-row": lambda: _zero_row(theorem4=True),
     "thermal": _thermal, "thermal-scattered": lambda: _thermal(scattered=True),
     "canonical_typicality": _canonical,
 }
@@ -163,9 +184,14 @@ def test_chunk_checks_reject_what_the_public_constructors_reject():
     f = overlap_sq(np.array([1.0, 0.0]))
     target = DensityMatrix.maximally_mixed(2)
     assert np.allclose(T._conditional_integrals(*_haar_frame_factor(good, factor), f), 1.0)
+    # The state e1 (x) e1, whose reduced matrix diag(1, 0) gives that factor
+    # back and lies at trace distance 1 from I/2.
     state = np.zeros((2, 2, 4), dtype=complex)
     state[:, 0, 0] = 1.0
-    assert np.allclose(T._reduced_distances(state, target), 1.0)
+    rho = T._reduced_matrices(state)
+    np.testing.assert_array_equal(rho, [factor, factor])
+    np.testing.assert_array_equal(T._amplitude_factor(rho, 2), [factor, factor])
+    assert np.allclose(np.abs(np.linalg.eigvalsh(rho - target.matrix)).sum(axis=-1), 1.0)
     singular, nan = good.copy(), good.copy()
     singular[1, 1, 1] = 0.0  # a zero column
     nan[1, 0, 0] = np.nan
@@ -177,8 +203,21 @@ def test_chunk_checks_reject_what_the_public_constructors_reject():
         with pytest.raises(DomainError, match="conditional weights"):
             T._conditional_integrals(*_haar_frame_factor(draw, a), f)
     for bad in (2.0 * state, np.where(np.arange(4) == 0, np.nan, state)):
-        with pytest.raises(DomainError):
-            T._reduced_distances(bad, target)
+        with pytest.raises(DomainError, match="reduced density matrices"):
+            T._reduced_matrices(bad)
+
+
+def test_product_state_puts_every_trial_in_the_cap():
+    # psi = chi (x) xi has rho1 = |chi><chi|, spectrum [1, 0]: every branch is
+    # chi up to a factor, so mu(cap at chi, t = 1) is 1 in every trial.
+    # eigh rounds the zero eigenvalue below 0, which the factor clips.
+    rng = RngStream(332).generator()
+    chi, xi = uniform_sphere(rng, 2), uniform_sphere(rng, 16)
+    psi = BipartiteState.from_matrix(np.outer(chi, xi))
+    assert np.linalg.eigvalsh(reduced_density_matrix(psi).matrix)[0] < 0.0
+    out = T.random_basis_experiment(RngStream(333), psi, cap_indicator(chi, 1.0), 0.1, 200)
+    assert out.reference == 1.0 and out.pass_fraction == 1.0
+    assert np.max(out.discrepancies) <= 1e-12
 
 
 def _scaled(z, a):

@@ -1,11 +1,11 @@
 """The Haar-invariance sampler against the full-basis oracle.
 
-``random_basis_measure`` draws the branches of a Haar-random basis as
-R^dagger W from a d2 x k orthonormal system instead of a d2 x d2 basis.  Its
-law must match the full-basis route kept in ``_oracles``; the statistic is
-the integrated test function mu(f) per trial, as the drivers record it.  A
-variant that drops the R^dagger factor must be told apart, which shows the
-comparison can fail.
+The engine draws the branches of a Haar-random basis as W^T A from a d2 x k
+orthonormal system W instead of a d2 x d2 basis, with the amplitude factor A
+read off the reduced state.  Its law must match the full-basis route kept in
+``_oracles``; the statistic is the integrated test function mu(f) per trial,
+as the drivers record it.  A variant that drops A must be told apart, which
+shows the comparison can fail.
 """
 
 import numpy as np
@@ -62,8 +62,9 @@ def theorem2_setting():
 
 
 def without_r_factor(rng, psi):
-    """Broken sampler: branches of W alone, scaled to unit mass.  This is the
-    law for a maximally entangled psi, not for psi."""
+    """Broken sampler: branches of W alone, scaled to unit mass, without the
+    amplitude factor.  This is the law for a maximally entangled psi, not for
+    psi."""
     w = random_ons(rng, psi.d2, min(psi.d1, psi.d2))
     return conditional_measure(BipartiteState.from_matrix(w / np.sqrt(w.shape[0])))
 
@@ -80,7 +81,8 @@ def test_theorem2_matches_full_basis_oracle():
 
 def test_ks_rejects_sampler_without_r_factor():
     # Negative control on the theorem2 setting.  On the thermal shell below
-    # rho_1 is close to I/2, where dropping R^dagger barely changes the law.
+    # rho_1 is close to I/2, where dropping the factor barely changes the law;
+    # the unbalanced shell further down has a control of its own.
     psi, f = theorem2_setting()
     new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1,
                                     N_TRIALS).discrepancies
@@ -108,3 +110,34 @@ def test_thermal_shell_matches_full_basis_oracle():
                                 full_haar_basis_measure, f)
     stat, p = two_sample_ks(new, old)
     assert p > 0.01, f"KS statistic {stat:.4f}, p = {p:.4g}"
+
+
+def unbalanced_shell():
+    """A coordinate subspace of C^2 (x) C^16 with member counts (12, 4), so
+    that tr_2 rho_R = diag(0.75, 0.25), far from the I/2 a missing factor
+    gives, and a cap at e1."""
+    pairs = np.array([(0, j) for j in range(12)] + [(1, j) for j in range(4)])
+    shell = T.CoordinateSubspace(2, 16, pairs)
+    basis = shell_basis(shell)
+
+    def shell_state(rng):
+        return BipartiteState(2, 16, uniform_subspace_state(rng, basis))
+
+    engine = T.shell_vs_target_experiment(
+        RngStream(2010, 0), shell, shell.reduced_density(),
+        cap_indicator(np.array([1.0, 0.0]), 0.5), 0.15, N_TRIALS).discrepancies
+    return engine, shell_state, cap_indicator(np.array([1.0, 0.0]), 0.5)
+
+
+def test_unbalanced_shell_matches_full_basis_oracle():
+    engine, shell_state, f = unbalanced_shell()
+    old = sampled_discrepancies(RngStream(2010, 1), shell_state, full_haar_basis_measure, f)
+    stat, p = two_sample_ks(engine, old)
+    assert p > 0.01, f"KS statistic {stat:.4f}, p = {p:.4g}"
+
+
+def test_ks_rejects_shell_sampler_without_r_factor():
+    engine, shell_state, f = unbalanced_shell()
+    broken = sampled_discrepancies(RngStream(2010, 2), shell_state, without_r_factor, f)
+    stat, p = two_sample_ks(engine, broken)
+    assert p < 1e-3, f"KS statistic {stat:.4f}, p = {p:.4g}"
