@@ -15,8 +15,9 @@ Carlo drivers run their trials through one batched engine: the trials draw
 their Gaussians in sequence from the point's one generator,
 ``stream.generator()``, in the order the per-trial routes in
 ``tests/_oracles.py`` draw them, and the engine does the linear algebra once
-per chunk of trials on stacked arrays.  Results are bit-reproducible and do
-not depend on the chunk length.
+per chunk of trials on stacked arrays, while a worker thread, the only one
+to touch the generator, draws the next chunk.  Results are bit-reproducible
+and do not depend on the chunk length.
 
 The universality drivers (theorems 1-4, thermal) form every branch matrix as
 W^T A, with W a trial's Haar k-system and A = (V sqrt(P))^T read off a
@@ -40,6 +41,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -298,17 +302,21 @@ class ExperimentOutcome:
 # ---------------------------------------------------------------------------
 
 # Budget, in complex entries, for the largest per-trial array (the d1 x d2
-# state or branch matrix) stacked over one chunk of trials: each stacked
-# array stays at a few hundred kilobytes.  On a 2-core VM with one BLAS
-# thread, 2^12 ran theorem1 at d2 <= 256 and the thermal driver about 9 %
-# slower; 2^16 ran theorem1 4 % slower and the thermal driver 28 % slower,
-# with 10 % more peak memory; 2^13 and 2^15 were no faster on either.
+# state or branch matrix) stacked over one chunk, each stacked array staying
+# at a few hundred kilobytes; a chunk costs one handoff between threads.  On
+# a 2-core VM with one BLAS thread, 2^13, 2^14 and 2^15 ran purification-sweep
+# at 32 000, 44 000 and 43 900 trials/s and thermal-shell at 8 300, 9 650
+# and 9 770 (in-process medians of 4 rounds); 2^15 took 2 MB more memory.
 CHUNK_ENTRIES = 2 ** 14
 
 # At most this many trials per sweep point.  The engine's (2, n_trials)
 # float output already takes 64 GiB at 2**32 trials, so a larger count is
 # rejected by name before that allocation, not by numpy's MemoryError.
 MAX_TRIALS = 2 ** 32
+
+# Gives up the GIL and the CPU without sleeping; time.sleep(0) sleeps on
+# Linux, 90 us a call on a shared 2-core VM, where sleepers wake late.
+_yield = getattr(os, "sched_yield", None) or (lambda: time.sleep(0))
 
 # Atoms below this weight carry no mass and are dropped where normalization
 # would otherwise divide by ~0.
@@ -328,20 +336,52 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
     largest per-trial array.  Every batched operation, ``_haar_frame_factor``
     included, acts on each trial's slice alone, so the outputs do not depend
     on the chunk length.
+
+    One worker thread per call, the only one to touch the generator, fills
+    the chunks' normals in order into two buffers in turn; ``free`` counts
+    the buffers it may fill, ``filled`` the chunks it has filled.  The
+    caller turns each chunk into fresh complex arrays, hands the buffer back
+    and runs ``evaluate`` while the worker fills the next.  An error on
+    either thread reaches the caller, and every exit joins the worker.
     """
     n_trials = _integer("n_trials", n_trials, 1)
     if n_trials > MAX_TRIALS:
         raise DomainError(f"need between 1 and 2**32 trials, got {n_trials}")
     bounds = np.cumsum([0] + [2 * math.prod(shape) for shape in shapes])
-    size = max(1, CHUNK_ENTRIES // entries)
-    rng = stream.generator()
+    size = min(n_trials, max(1, CHUNK_ENTRIES // entries))
+    rng, buffers = stream.generator(), np.empty((2, size, bounds[-1]))
+    free, filled, failed, stopping = threading.Semaphore(2), [0], [], []
+
+    def fill():
+        try:
+            for i, start in enumerate(range(0, n_trials, size)):
+                free.acquire()
+                if stopping:
+                    return
+                rng.standard_normal(out=buffers[i % 2, :min(size, n_trials - start)])
+                filled[0] = i + 1
+        except BaseException as error:
+            failed.append(error)
+
+    worker = threading.Thread(target=fill, name="gaplab-normals")
+    worker.start()
     out = np.empty((2, n_trials))
-    for start in range(0, n_trials, size):
-        stop = min(start + size, n_trials)
-        normals = rng.standard_normal((stop - start, bounds[-1]))
-        gaussians = [_complex_gaussians(normals[:, a:b].reshape((stop - start, 2) + shape))
-                     for a, b, shape in zip(bounds[:-1], bounds[1:], shapes)]
-        out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
+    try:
+        for i, start in enumerate(range(0, n_trials, size)):
+            stop = min(start + size, n_trials)
+            while filled[0] <= i and not failed:
+                _yield()
+            if failed:
+                raise failed[0]
+            normals = buffers[i % 2, :stop - start]
+            gaussians = [_complex_gaussians(normals[:, a:b].reshape((stop - start, 2) + shape))
+                         for a, b, shape in zip(bounds[:-1], bounds[1:], shapes)]
+            free.release()
+            out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
+    finally:
+        stopping.append(True)
+        free.release()
+        worker.join()
     return out[0], out[1]
 
 

@@ -9,6 +9,9 @@ trial by trial up to rounding.  The outputs must also be identical whatever
 the chunk length.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +260,59 @@ def test_spoiled_haar_system_fails_the_weight_check(monkeypatch, name, spoil):
         run()
 
 
+# The engine draws each chunk's normals on one worker thread per call, which
+# every exit from the call must join.
+@pytest.mark.parametrize("name", CASES)
+def test_a_run_leaves_no_thread(monkeypatch, name):
+    run, _, entries = CASES[name]()
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 3 * entries)
+    before = threading.active_count()
+    run()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name", DRIVERS)
+def test_a_failed_run_leaves_no_thread(monkeypatch, name):
+    # One trial per chunk, so the worker is still drawing, or waiting for a
+    # free buffer, when the first chunk fails.  ``caught`` keeps the exception
+    # and its frames alive, so no collection of them can end the worker.
+    run = DRIVERS[name]()
+    monkeypatch.setattr(T, "_haar_frame_factor", _scaled)
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 1)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="conditional weights") as caught:
+        run()
+    assert threading.active_count() == before
+
+
+class _Fault(Exception):
+    pass
+
+
+class _FailingGenerator:
+    """A generator whose third ``standard_normal`` call raises ``_Fault``."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise _Fault("third fill")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: _FailingGenerator(generator(self)))
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 16)  # one theorem1 trial per chunk
+    run, _, _ = CASES["theorem1"]()
+    before = threading.active_count()
+    with pytest.raises(_Fault, match="third fill"):
+        run()
+    assert threading.active_count() == before
+
+
 @st.composite
 def _shells(draw):
     """A shell of random levels whose window starts at one level pair's sum,
@@ -335,6 +391,38 @@ def test_trials_draw_in_sequence_from_one_generator(monkeypatch, per_chunk, chun
     assert n_chunks == chunks
     for got, expected in zip(draws, per_trial, strict=True):
         np.testing.assert_array_equal(got, expected)
+
+
+def test_concurrent_calls_each_draw_their_own_sequence(monkeypatch):
+    # Four callers, each with its own worker, at one trial per chunk and a
+    # 1 us switch interval, so that the handoffs interleave as often as they
+    # can; every call still gets the serial draws of its own generator.
+    shapes, n_trials, entries = [(3, 1), (4, 2)], 40, 8
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", entries)
+    expected, got = [], {}
+    for seed in range(4):
+        rng = RngStream(340 + seed).generator()
+        trials = [[ginibre(rng, *shape) for shape in shapes] for _ in range(n_trials)]
+        expected.append([np.stack(draws) for draws in zip(*trials)])
+
+    def call(seed):
+        got[seed] = _engine_draws(RngStream(340 + seed), n_trials, entries, shapes)[0]
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert sorted(got) == [0, 1, 2, 3]
+    for seed, draws in enumerate(expected):
+        for got_draw, expected_draw in zip(got[seed], draws, strict=True):
+            np.testing.assert_array_equal(got_draw, expected_draw)
 
 
 def test_zero_trials_rejected():

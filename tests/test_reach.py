@@ -1,7 +1,8 @@
 """Every function in ``src/gaplab`` runs in some CLI run, and the package
 stays within its line budget.
 
-A profile hook records each Python function that runs while ``cli.main``
+A profile hook, set on the calling thread and on every thread started
+meanwhile, records each Python function that runs while ``cli.main``
 executes every preset and every experiment's default configuration, shrunk
 to a few trials.  Each ``def`` in the package, found by ``ast``, must have
 run.  There are no exemptions: a route that only the tests call belongs in
@@ -11,6 +12,7 @@ run.  There are no exemptions: a route that only the tests call belongs in
 import ast
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,7 @@ def test_every_function_runs_in_a_cli_run(tmp_path):
                 ran.add((path.name, code.co_qualname))
 
     sys.setprofile(hook)
+    threading.setprofile(hook)
     try:
         for name, raw in _configs():
             config = tmp_path / f"{name}.json"
@@ -80,6 +83,7 @@ def test_every_function_runs_in_a_cli_run(tmp_path):
                              "--out", str(tmp_path / name)]) == 0, name
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
 
     unreached = sorted(_defined() - ran)
     assert not unreached, f"defs no CLI run reaches: {unreached}"
