@@ -42,7 +42,9 @@ factorization; the tests compare the folded branches with it.
 ``submatrix_outcome_by_parts`` and ``poly_sup_by_polynomial_class`` keep the
 plain forms of the submatrix draw, its statistics and the polynomial bound
 that the library computes in fewer passes; the tests compare the two bit for
-bit where the arithmetic is the same.
+bit where the arithmetic is the same, and the submatrix expectation gaps,
+which the library takes against exact Gaussian means, within the Monte Carlo
+comparison sample's standard error.
 """
 
 from dataclasses import dataclass, field
@@ -621,7 +623,9 @@ def submatrix_outcome_by_parts(stream, k, n, n_samples, epsilon):
     ``scaled_haar_blocks_by_concatenation``, one ``ks_vs_exponential`` per
     entry, ``ks_statistic`` sorting |X_11|^2 again for the exact law, and
     each test function applied to the vectors themselves, so every probe
-    forms its own overlaps."""
+    forms its own overlaps.  Each expectation gap compares the blocks with
+    a Gaussian comparison sample drawn after them, the Monte Carlo route
+    that the driver's exact Gaussian means replaced in 0.24.0."""
     e1 = np.eye(k)[0]
     probes = (overlap_sq(e1), real_part(e1), cap_indicator(e1, 0.5),
               polynomial(e1, [0.0, 0.0, 1.0]))

@@ -577,6 +577,24 @@ class TestPresets:
         report = run(cfg)
         assert report.points[0].outcome.pass_fraction >= 0.9
 
+    @pytest.mark.parametrize("name, overrides, marked", [
+        ("theorem1-default", {}, True),
+        ("theorem2-default", {"f_spec": {"kind": "overlap_sq", "phi": "e1"}}, True),
+        ("theorem1-cap-sweep", {}, False),
+        # Judged against the subspace average, not each trial's rho1.
+        ("theorem3-fullspace", {}, False),
+    ])
+    def test_identity_points_are_marked_in_the_summary(self, name, overrides, marked):
+        # Theorems 1 and 2 with f = overlap_sq: mu(f) = <phi|rho1|phi>, the
+        # reference, in every basis, so every trial passes at rounding.
+        report = run(preset_config(name, {"n_trials": 20, **overrides}))
+        points = json.loads(summary_json(report))["summary"]["points"]
+        flag = True if marked else None
+        assert [p["extra"].get("identity_check") for p in points] == [flag] * len(points)
+        if marked:
+            assert all(p.outcome.discrepancies.max() < 1e-12 for p in report.points)
+        assert "identity_check" not in trials_csv(report) + emit_plot_data(report)
+
     def test_thermal_preset_smoke(self):
         cfg = preset_config("thermal-twolevel", {"n_trials": 10})
         report = run(cfg)

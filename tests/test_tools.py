@@ -80,13 +80,14 @@ def test_a_changed_trials_file_reports_its_largest_change_and_flips(tmp_path, pr
     assert preset_diff.compare(parent, parent)[-1] == "0 of 6 files differ"
 
 
-def _write_summary(path, points, wall_time_s=1.0, references=None):
+def _write_summary(path, points, wall_time_s=1.0, references=None, extras=None):
     path.parent.mkdir(parents=True, exist_ok=True)
     references = references or [0.5] * len(points)
+    extras = extras or [{}] * len(points)
     path.write_text(json.dumps({"wall_time_s": wall_time_s, "summary": {"points": [
         {"dim": dim, "pass_fraction": fraction, "median_discrepancy": median,
-         "reference": reference, "extra": {"meets_delta": fraction >= 0.9}}
-        for (dim, fraction, median), reference in zip(points, references)]}}),
+         "reference": reference, "extra": {**extra, "meets_delta": fraction >= 0.9}}
+        for (dim, fraction, median), reference, extra in zip(points, references, extras)]}}),
         encoding="utf-8")
 
 
@@ -132,5 +133,27 @@ def test_a_changed_summary_reports_its_reference_changes(tmp_path, preset_diff):
         "  dim 16: reference 0.33331787109375 -> 0.3333333333333333",
         "  dim 64: reference 0.784 -> 0.7839999999999999, pass_fraction 0.95 -> 0.85, "
         "meets_delta true -> false",
+        "1 of 1 files differ",
+    ]
+
+
+def test_a_changed_summary_reports_its_extra_changes(tmp_path, preset_diff):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # dim 4 moves one nested gap and gains a flag, dim 16 only its pass
+    # fraction, dim 64 a list value; NaN equals NaN, and dim 256 keeps
+    # everything.
+    points = [(4, 1.0, 0.5), (16, 1.0, 0.2), (64, 1.0, 0.1), (256, 1.0, 0.05)]
+    gaps = {"cap_indicator": 0.0625, "polynomial": 0.375}
+    _write_summary(parent / "a" / "7" / "summary.json", points, extras=[
+        {"expectation_gaps": gaps, "ks": float("nan")}, {}, {"grid": [1, 2]}, {"ks": 0.5}])
+    _write_summary(change / "a" / "7" / "summary.json",
+                   points[:1] + [(16, 0.5, 0.2)] + points[2:], extras=[
+        {"expectation_gaps": {**gaps, "polynomial": 0.4}, "identity_check": True,
+         "ks": float("nan")}, {}, {"grid": [1, 3]}, {"ks": 0.5}])
+    assert preset_diff.compare(parent, change) == [
+        "differs: a/7/summary.json",
+        "  dim 4: expectation_gaps.polynomial 0.375 -> 0.4, identity_check absent -> true",
+        "  dim 16: pass_fraction 1.0 -> 0.5, meets_delta true -> false",
+        "  dim 64: grid [1, 2] -> [1, 3]",
         "1 of 1 files differ",
     ]

@@ -912,6 +912,7 @@ class TestSubmatrixConvergence:
         n = 2 * k if n == "2k" else n
         out = T.submatrix_convergence_experiment(RngStream(168, k), k, n, 3000, 0.03)
         oracle = submatrix_outcome_by_parts(RngStream(168, k), k, n, 3000, 0.03)
+        gaps, oracle_gaps = (o.extra.pop("expectation_gaps") for o in (out, oracle))
         if k == 1:
             assert _same_outcome(out, oracle)
         assert out.passed.tolist() == oracle.passed.tolist()
@@ -920,9 +921,43 @@ class TestSubmatrixConvergence:
                                rtol=0.0, atol=1e-12)
         for key in ("ks_entry", "ks_exact", "ks_entry_max"):
             assert abs(out.extra[key] - oracle.extra[key]) < 1e-12
-        gaps, oracle_gaps = out.extra["expectation_gaps"], oracle.extra["expectation_gaps"]
-        assert gaps.keys() == oracle_gaps.keys()
-        assert all(abs(gaps[g] - oracle_gaps[g]) < 1e-12 for g in gaps)
+        # The oracle judges the same blocks against the mean of a Gaussian
+        # comparison sample, the driver against its exact value, so the two
+        # gaps differ by at most that mean's error: here within 5 of its
+        # standard errors sd g(Z) / sqrt(3000), with |Z|^2 ~ Exp(1),
+        # Var Re Z = 1/2 and Var |Z|^4 = 4! - 2!^2.
+        cap = np.exp(-0.5)
+        sd = {"overlap_sq": 1.0, "real_part": np.sqrt(0.5),
+              "cap_indicator": np.sqrt(cap * (1.0 - cap)), "polynomial": np.sqrt(20.0)}
+        assert gaps.keys() == oracle_gaps.keys() == sd.keys()
+        assert all(abs(gaps[g] - oracle_gaps[g]) <= 5.0 * sd[g] / np.sqrt(3000) for g in gaps)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_gaps_match_their_exact_finite_n_values(self, monkeypatch, n):
+        # For x = |X_11|^2 ~ n Beta(1, n - 1), E x^2 = 2n/(n+1) against
+        # E |Z|^4 = 2, and P(x >= t) = (1 - t/n)^(n-1) against exp(-t), while
+        # E x = 1 and E Re X_11 = 0 exactly.  Each gap lies within 4 standard
+        # errors of the block sample (the same draws) of its exact value; a
+        # wrong limit moment, E |Z|^4 = 1 or exp(-2t), must fail that check.
+        stream, t, size = RngStream(169, n), 0.5, 20_000
+        x11 = T._scaled_haar_blocks(stream.generator(), n, 1, size)[:, 0, 0]
+        x = np.abs(x11) ** 2
+        exact = {"overlap_sq": 0.0, "real_part": 0.0, "polynomial": 2.0 / (n + 1),
+                 "cap_indicator": abs((1.0 - t / n) ** (n - 1) - np.exp(-t))}
+        error = {kind: np.std(sample) / np.sqrt(size) for kind, sample in (
+            ("overlap_sq", x), ("real_part", x11.real), ("polynomial", x ** 2),
+            ("cap_indicator", x >= t))}
+
+        def within():
+            gaps = T.submatrix_convergence_experiment(stream, 1, n, size, 0.02).extra[
+                "expectation_gaps"]
+            return {g: abs(gaps[g] - exact[g]) <= 4.0 * error[g] for g in exact}
+
+        assert all(within().values())
+        wrong, right = {"polynomial": 1.0, "cap_indicator": np.exp(-2.0 * t)}, T._gaussian_mean
+        monkeypatch.setattr(T, "_gaussian_mean", lambda f: wrong.get(f.kind, right(f)))
+        assert within() == {"overlap_sq": True, "real_part": True,
+                            "polynomial": False, "cap_indicator": False}
 
     @pytest.mark.parametrize("k, n, n_samples, name", [
         (0, 4, 10, "k"),

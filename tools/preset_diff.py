@@ -14,8 +14,9 @@ row, the largest change of a trial's discrepancy and of its auxiliary value
 (NaN equal to NaN), the number of pass flags that flipped and the number of
 rows whose (experiment, dim, trial) label changed.  A summary.json that
 differs is followed by one indented line per sweep point whose reference,
-pass_fraction or extra.meets_delta verdict changed, each as old -> new,
-points matched in order.
+pass_fraction or any value in its extra changed, each as old -> new, points
+matched in order; a nested extra value is named by its dotted key path
+(expectation_gaps.polynomial), and a key that one side lacks reads absent.
 The two trees run at once; if either run fails, the script stops the other
 and exits 2.  It uses the standard library only.
 """
@@ -97,19 +98,34 @@ def _trial_changes(a: Path, b: Path) -> str:
             f"{flipped} pass flags flipped, {relabelled} rows relabelled")
 
 
+def _point_fields(point: dict) -> dict:
+    """A sweep point's reference, pass fraction and every extra value, each
+    as JSON text (so NaN equals NaN), a nested extra value under its dotted
+    key path."""
+    fields = {"reference": point["reference"], "pass_fraction": point["pass_fraction"]}
+
+    def visit(extra: dict, prefix: str):
+        for key, value in sorted(extra.items()):
+            if isinstance(value, dict):
+                visit(value, f"{prefix}{key}.")
+            else:
+                fields[prefix + key] = value
+
+    visit(point["extra"], "")
+    return {key: json.dumps(value) for key, value in fields.items()}
+
+
 def _verdict_changes(a: dict, b: dict) -> list[str]:
     """One line per sweep point of two summaries whose reference, pass
-    fraction or meets_delta verdict changed, matching the points in order."""
+    fraction or any extra value changed, matching the points in order."""
     points = [summary["summary"]["points"] for summary in (a, b)]
     if len(points[0]) != len(points[1]):
         return [f"  {len(points[0])} vs {len(points[1])} points"]
     lines = []
     for x, y in zip(*points):
-        pairs = [("reference", x["reference"], y["reference"]),
-                 ("pass_fraction", x["pass_fraction"], y["pass_fraction"]),
-                 ("meets_delta", x["extra"]["meets_delta"], y["extra"]["meets_delta"])]
-        changed = [f"{key} {json.dumps(old)} -> {json.dumps(new)}"
-                   for key, old, new in pairs if old != new]
+        old, new = _point_fields(x), _point_fields(y)
+        changed = [f"{key} {old.get(key, 'absent')} -> {new.get(key, 'absent')}"
+                   for key in {**old, **new} if old.get(key) != new.get(key)]
         if changed:
             lines.append(f"  dim {x['dim']}: {', '.join(changed)}")
     return lines
@@ -117,8 +133,8 @@ def _verdict_changes(a: dict, b: dict) -> list[str]:
 
 def compare(parent: Path, change: Path) -> list[str]:
     """One line per output file that differs or exists in one tree only (a
-    summary.json followed by its reference and verdict changes), then the
-    count of those files among the files of both trees."""
+    summary.json followed by its per-point changes), then the count of those
+    files among the files of both trees."""
     names = {p.relative_to(parent) for p in parent.rglob("*") if p.name in FILES}
     names |= {p.relative_to(change) for p in change.rglob("*") if p.name in FILES}
     lines, differing = [], 0
