@@ -1,7 +1,7 @@
 """gaplab: GAP measures, conditional wave functions, and Haar-random Monte
 Carlo experiments on finite-dimensional complex Hilbert spaces."""
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 from .errors import (
     BasisError,
@@ -13,10 +13,8 @@ from .errors import (
     SingularDensityError,
 )
 from .hilbert import (
-    BipartiteState,
     DensityMatrix,
     canonical_density,
-    reduced_density_matrix,
     trace_norm,
 )
 from .randomness import (
@@ -36,6 +34,5 @@ from .typicality import (
     cap_indicator,
     overlap_sq,
     polynomial,
-    random_purification,
     real_part,
 )

@@ -293,26 +293,17 @@ def _resolve_bath(cfg: ExperimentConfig, n_system: int) -> np.ndarray:
 # function that draws the point's trials from the point's stream as one
 # ExperimentOutcome.  run() hands point p the stream RngStream(seed, p);
 # the trials (or samples) draw in sequence from stream.generator(), and a
-# fixed state or random subspace from substream n_trials + 1, so that its
-# draws keep the values they had when the references drew from n_trials.
-
-def _purification_inputs(cfg: ExperimentConfig):
-    if cfg.d2 < cfg.d1:
-        raise ConfigError(f"d2: a purification needs d2 >= d1 = {cfg.d1}, got {cfg.d2}")
-    return _resolve_rho(cfg, cfg.d1), _scaled_f(cfg, cfg.d1)
-
+# random subspace from substream n_trials + 1, so that its draws keep the
+# values they had when the references drew from n_trials.  theorem2 runs
+# theorem1's trials: in a Haar-random basis the conditional measure of a
+# fixed state depends on it only through rho1.
 
 def _theorem1(cfg: ExperimentConfig):
-    rho1, f = _purification_inputs(cfg)
+    if cfg.d2 < cfg.d1:
+        raise ConfigError(f"d2: a purification needs d2 >= d1 = {cfg.d1}, got {cfg.d2}")
+    rho1, f = _resolve_rho(cfg, cfg.d1), _scaled_f(cfg, cfg.d1)
     return cfg.d2, lambda stream: T.random_purification_experiment(
         stream, rho1, cfg.d2, f, cfg.epsilon, cfg.n_trials)
-
-
-def _theorem2(cfg: ExperimentConfig):
-    rho1, f = _purification_inputs(cfg)
-    return cfg.d2, lambda stream: T.random_basis_experiment(
-        stream, T.random_purification(stream.substream(cfg.n_trials + 1).generator(),
-                                      rho1, cfg.d2), f, cfg.epsilon, cfg.n_trials)
 
 
 def _on_subspace(cfg: ExperimentConfig, driver):
@@ -391,7 +382,7 @@ class Experiment(NamedTuple):
 
 EXPERIMENTS = {
     "theorem1": Experiment(("d2",), _theorem1),
-    "theorem2": Experiment(("d2",), _theorem2),
+    "theorem2": Experiment(("d2",), _theorem1),
     "theorem3": Experiment(("d2", "dR"), _theorem3),
     "theorem4": Experiment(("d2", "dR"), _theorem4),
     "canonical_typicality": Experiment(("dR",), _canonical_typicality),
@@ -589,7 +580,8 @@ PRESETS: dict[str, dict] = {
 PRESET_NOTES = {
     "theorem1-default": "random purifications, fixed basis, overlap test function, d2 sweep",
     "theorem1-cap-sweep": "same sweep with a cap indicator (nonlinear statistic)",
-    "theorem2-default": "frozen state, random bases at d2=64",
+    "theorem2-default": ("theorem 1's trials at rho1, equal in law to a frozen state in "
+                         "random bases by Haar invariance (test_criterion_06), d2=64"),
     "theorem3-fullspace": "full product space as the subspace, continuous test function",
     "theorem4-fullspace": "full product space against the maximally mixed target",
     "theorem3-subspace": "random half-dimensional subspace (dense basis), u^2 at e1",

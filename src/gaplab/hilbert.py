@@ -1,5 +1,5 @@
-"""Finite-dimensional complex linear algebra: states, density matrices,
-tensor structure, the partial trace, norms.
+"""Finite-dimensional complex linear algebra: density matrices, the trace
+norm and canonical (thermal) states.
 
 Conventions
 -----------
@@ -16,8 +16,6 @@ may be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionError, DomainError
@@ -28,8 +26,6 @@ __all__ = [
     "HERMITIAN_ATOL",
     "EIGENVALUE_FLOOR",
     "DensityMatrix",
-    "BipartiteState",
-    "reduced_density_matrix",
     "trace_norm",
     "canonical_density",
 ]
@@ -114,44 +110,6 @@ class DensityMatrix:
     def maximally_mixed(cls, d: int) -> "DensityMatrix":
         d = _integer("d", d, 1)
         return cls(np.eye(d, dtype=complex) / d)
-
-
-@dataclass(frozen=True)
-class BipartiteState:
-    """Normalized state on C^{d1} (x) C^{d2} with row-major amplitudes."""
-
-    d1: int
-    d2: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("d1", "d2"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.d1 * self.d2,):
-            raise DimensionError(
-                f"amplitudes must have shape ({self.d1 * self.d2},), got {amps.shape}"
-            )
-        # Written so that a NaN or inf amplitude, whose norm is NaN or inf, fails.
-        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
-            raise DomainError("bipartite state must be finite and normalized within 1e-10")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def as_matrix(self) -> np.ndarray:
-        """(d1, d2) coefficient matrix M with M[i, j] = amplitude(i, j)."""
-        return self.amplitudes.reshape(self.d1, self.d2)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "BipartiteState":
-        m = np.asarray(m, dtype=complex)
-        return cls(m.shape[0], m.shape[1], m.reshape(-1))
-
-
-def reduced_density_matrix(psi: BipartiteState) -> DensityMatrix:
-    """Partial trace over the second factor, as a validated DensityMatrix."""
-    m = psi.as_matrix()
-    return DensityMatrix(m @ m.conj().T)
 
 
 def trace_norm(m: np.ndarray) -> float:

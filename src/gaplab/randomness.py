@@ -31,9 +31,9 @@ __all__ = [
 class RngStream:
     """Addressable random stream: (master_seed, stream_index) plus an optional
     derivation path for nested substreams.  A sweep point's trials draw in
-    sequence from its ``generator()``; its fixed state or subspace comes from
-    substream n_trials + 1, and substream n_trials is unused.  Every
-    component is a nonnegative integer (bool excluded)."""
+    sequence from its ``generator()``; its random subspace, if it has one,
+    comes from substream n_trials + 1, and substream n_trials is unused.
+    Every component is a nonnegative integer (bool excluded)."""
 
     master_seed: int
     stream_index: int = 0

@@ -22,11 +22,11 @@ and do not depend on the chunk length.
 The universality drivers (theorems 1-4, thermal) form every branch matrix as
 W^T A, with W a trial's Haar k-system and A = (V sqrt(P))^T read off a
 reduced state rho1 (``_amplitude_factor``): in a Haar basis the law depends
-on psi only through rho1, which is given for theorem 1, the fixed state's
-for theorem 2 and each trial's, formed once per chunk, for the subspace
-drivers.  W^T = Z R^-1, the phase-fixed Q of the trial's Gaussian draw Z,
-is folded into Z (R^-1 A) (``randomness._haar_frame_factor``), laid out as
-a (d1, d2) matrix whose column j is <b_j|psi>, and f is evaluated on
+on psi only through rho1, which is given for theorems 1 and 2 and is each
+trial's, formed once per chunk, for the subspace drivers.  W^T = Z R^-1,
+the phase-fixed Q of the trial's Gaussian draw Z, is folded into
+Z (R^-1 A) (``randomness._haar_frame_factor``), laid out as a (d1, d2)
+matrix whose column j is <b_j|psi>, and f is evaluated on
 <phi|b_j> / sqrt(w_j) without forming the normalized atoms.  A subspace
 H_R is a :class:`Subspace` (dense orthonormal basis) or a
 :class:`CoordinateSubspace` (spanned by product vectors |i>|j>, such as a
@@ -53,11 +53,9 @@ from .gap import gap_cap_probability, gap_polynomial_mean, gap_sphere_density
 from .hilbert import (
     HERMITIAN_ATOL,
     NORM_ATOL,
-    BipartiteState,
     DensityMatrix,
     _canonical_weights,
     canonical_density,
-    reduced_density_matrix,
     trace_norm,
 )
 from .randomness import (
@@ -81,11 +79,9 @@ __all__ = [
     "gap_reference",
     "ExperimentOutcome",
     "random_purification_experiment",
-    "random_basis_experiment",
     "Subspace",
     "CoordinateSubspace",
     "random_subspace",
-    "random_purification",
     "concentration_bound",
     "canonical_typicality_experiment",
     "shell_universality_experiment",
@@ -450,46 +446,27 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
     """Random state with prescribed reduced density matrix, fixed basis.
 
     Per trial: draw psi uniformly among states with reduced density matrix
-    rho1 (as ``random_purification``), form the conditional measure in the
-    computational environment basis, and record |mu(f) - GAP(rho1)(f)|.  A
-    trial passes when the discrepancy is below epsilon * ||f||_inf.
+    rho1, form the conditional measure in the computational environment
+    basis, and record |mu(f) - GAP(rho1)(f)|.  A trial passes when the
+    discrepancy is below epsilon * ||f||_inf.  The branches are W^T A, W a
+    Haar d1-system of C^{d2} and A the amplitude factor of rho1; by Haar
+    invariance they are also those of a fixed state with reduced density
+    matrix rho1 in a Haar-random basis (theorem 2).  For f = overlap_sq,
+    mu(f) = <phi|rho1|phi> = GAP(rho1)(f) in every basis, so the
+    discrepancies are rounding, not sampling: ``extra`` marks such a point
+    ``identity_check``.
     """
     d1, d2 = rho1.dim, _integer("d2", d2, 1)
     if d2 < d1:
         raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
-    return _haar_system_trials(stream, rho1, d2, f, epsilon, n_trials)
-
-
-def random_basis_experiment(stream: RngStream, psi: BipartiteState,
-                            f: TestFunction, epsilon: float,
-                            n_trials: int) -> ExperimentOutcome:
-    """Fixed state, uniformly random environment basis.
-
-    Per trial: draw the conditional measure mu of psi in a Haar-random
-    basis of the second factor and record |mu(f) - GAP(rho1)(f)|.  By Haar
-    invariance the trials are theorem 1's at rho1 = tr_2 |psi><psi|.
-    """
-    return _haar_system_trials(stream, reduced_density_matrix(psi), psi.d2, f, epsilon,
-                               n_trials)
-
-
-def _haar_system_trials(stream, rho1, d2, f, epsilon, n_trials):
-    """Trials of theorems 1 and 2: mu(f) for the branch matrix W^T A of a
-    Haar k-system W of C^{d2}, k = min(d1, d2), and the amplitude factor A
-    of rho1, judged against GAP(rho1)(f), computed before any draw, below
-    epsilon * ||f||_inf.  ``_haar_frame_factor`` folds W into A.  For
-    f = overlap_sq, mu(f) = sum_j |<phi, b_j|psi>|^2 = <phi|rho1|phi>, which is
-    GAP(rho1)(f), in every basis, so the discrepancies are rounding, not
-    sampling: ``extra`` marks such a point ``identity_check``."""
     reference = gap_reference(rho1, f)
     threshold = f.pass_threshold(epsilon)
-    k = min(rho1.dim, d2)
-    amplitudes = _amplitude_factor(rho1.matrix, k)
+    amplitudes = _amplitude_factor(rho1.matrix, d1)
 
     def evaluate(z):
         return _conditional_integrals(*_haar_frame_factor(z, amplitudes), f), np.nan
 
-    values, aux = _run_trials(stream, n_trials, rho1.dim * d2, [(d2, k)], evaluate)
+    values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, d1)], evaluate)
     return _collect(values, reference, threshold, aux,
                     {"identity_check": True} if f.kind == "overlap_sq" else None)
 
@@ -555,24 +532,6 @@ def random_subspace(rng: np.random.Generator, d1: int, d2: int, dim: int) -> Sub
     if dim > total:
         raise DomainError(f"subspace dimension must lie in [1, {total}], got {dim}")
     return Subspace(random_ons(rng, total, dim).T, d1, d2)
-
-
-def random_purification(rng: np.random.Generator, rho1: DensityMatrix, d2: int) -> BipartiteState:
-    """Uniformly random normalized state with reduced density matrix rho1.
-
-    Built as sum_i sqrt(p_i) chi_i (x) phi_i from the fixed eigensystem
-    (p_i, chi_i) of rho1 and a uniformly random orthonormal system {phi_i}
-    in C^{d2}.  The resulting law does not depend on the stored eigenbasis,
-    which the test suite checks statistically for degenerate spectra.
-    Requires d2 >= d1.
-    """
-    d1, d2 = rho1.dim, _integer("d2", d2, 1)
-    if d2 < d1:
-        raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
-    p, v = rho1.spectrum(), rho1.eigenbasis()
-    phis = random_ons(rng, d2, d1)
-    m = (v * np.sqrt(p)) @ phis
-    return BipartiteState.from_matrix(m)
 
 
 # Constant in the concentration bound 4 exp(-dim * eta^2 / (18 pi^3)) for the

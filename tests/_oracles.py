@@ -6,14 +6,17 @@ check compares two genuinely different routes to the same quantity.  The
 two-sample tests compare the laws of two such routes.
 
 The first part holds the per-trial routes the batched engine of
-``gaplab.typicality`` reproduces: the conditional measure of the paper as a
-weighted point measure, built one state and one basis at a time, and the
-adjust-and-project calculus on such measures.  Given a bipartite state psi
-and an orthonormal basis {b_j} of the second factor, the conditional wave
-function of system 1 is the normalized partial inner product
-<b_J|psi> / ||<b_J|psi>|| with the index J drawn with probability
-||<b_j|psi>||^2.  Its distribution ``conditional_measure`` is a weighted sum
-of point masses on the unit sphere of the first factor.  The companion
+``gaplab.typicality`` reproduces: bipartite states (``BipartiteState``,
+``reduced_density_matrix`` and ``random_purification``, which left the
+library in 0.25.0, when the theorem-2 experiment became theorem 1's trials
+at rho1), the conditional measure of the paper as a weighted point measure,
+built one state and one basis at a time, and the adjust-and-project
+calculus on such measures.  Given a bipartite state psi and an orthonormal
+basis {b_j} of the second factor, the conditional wave function of system
+1 is the normalized partial inner product <b_J|psi> / ||<b_J|psi>|| with
+the index J drawn with probability ||<b_j|psi>||^2.  Its distribution
+``conditional_measure`` is a weighted sum of point masses on the unit
+sphere of the first factor.  The companion
 ``raw_conditional_measure`` places equal weights 1/d2 on the unnormalized,
 sqrt(d2)-scaled partial inner products; adjusting it by the squared norm and
 projecting to the sphere reproduces ``conditional_measure`` atom by atom,
@@ -55,16 +58,14 @@ from scipy import stats as sps
 from scipy.integrate import quad
 
 from gaplab import (
-    BipartiteState,
     DensityMatrix,
     ginibre,
     haar_unitary,
     random_ons,
-    random_purification,
-    reduced_density_matrix,
     trace_norm,
 )
 from gaplab.errors import DimensionError, DomainError, GaplabError
+from gaplab.hilbert import NORM_ATOL
 from gaplab.randomness import _complex_gaussians, _integer
 from gaplab.stats import ks_statistic, ks_vs_exponential
 from gaplab.typicality import (
@@ -123,6 +124,62 @@ class DiscreteMeasure:
 
     def total_mass(self) -> float:
         return float(self.weights.sum())
+
+
+@dataclass(frozen=True)
+class BipartiteState:
+    """Normalized state on C^{d1} (x) C^{d2} with row-major amplitudes."""
+
+    d1: int
+    d2: int
+    amplitudes: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("d1", "d2"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (self.d1 * self.d2,):
+            raise DimensionError(
+                f"amplitudes must have shape ({self.d1 * self.d2},), got {amps.shape}"
+            )
+        # Written so that a NaN or inf amplitude, whose norm is NaN or inf, fails.
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
+            raise DomainError("bipartite state must be finite and normalized within 1e-10")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+
+    def as_matrix(self) -> np.ndarray:
+        """(d1, d2) coefficient matrix M with M[i, j] = amplitude(i, j)."""
+        return self.amplitudes.reshape(self.d1, self.d2)
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "BipartiteState":
+        m = np.asarray(m, dtype=complex)
+        return cls(m.shape[0], m.shape[1], m.reshape(-1))
+
+
+def reduced_density_matrix(psi: BipartiteState) -> DensityMatrix:
+    """Partial trace over the second factor, as a validated DensityMatrix."""
+    m = psi.as_matrix()
+    return DensityMatrix(m @ m.conj().T)
+
+
+def random_purification(rng: np.random.Generator, rho1: DensityMatrix, d2: int) -> BipartiteState:
+    """Uniformly random normalized state with reduced density matrix rho1.
+
+    Built as sum_i sqrt(p_i) chi_i (x) phi_i from the fixed eigensystem
+    (p_i, chi_i) of rho1 and a uniformly random orthonormal system {phi_i}
+    in C^{d2}.  The resulting law does not depend on the stored eigenbasis,
+    which the test suite checks statistically for degenerate spectra.
+    Requires d2 >= d1.
+    """
+    d1, d2 = rho1.dim, _integer("d2", d2, 1)
+    if d2 < d1:
+        raise DomainError(f"purification requires d2 >= d1, got d1={d1}, d2={d2}")
+    p, v = rho1.spectrum(), rho1.eigenbasis()
+    phis = random_ons(rng, d2, d1)
+    m = (v * np.sqrt(p)) @ phis
+    return BipartiteState.from_matrix(m)
 
 
 def _check_basis(basis: np.ndarray, d2: int) -> np.ndarray:
@@ -525,7 +582,9 @@ def purification_trials(stream, rho1, d2, f, reference, n_trials):
 
 
 def random_basis_trials(stream, psi, f, reference, n_trials):
-    """theorem2: fixed state, Haar-random environment basis."""
+    """theorem2 as the paper states it: a fixed state in a Haar-random
+    environment basis, which the library runs as theorem 1's trials at
+    rho1 = tr_2 |psi><psi|."""
     out, rng = [], stream.generator()
     for _ in range(n_trials):
         measure = reduced_state_basis_measure(rng, psi)

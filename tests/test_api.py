@@ -7,7 +7,6 @@ import pytest
 import gaplab
 from gaplab import (
     BasisError,
-    BipartiteState,
     DensityMatrix,
     DimensionError,
     DomainError,
@@ -30,6 +29,7 @@ from gaplab.stats import ks_statistic
 from gaplab import typicality as T
 
 from _oracles import (
+    BipartiteState,
     DiscreteMeasure,
     SingularProjectionError,
     conditional_measure,
@@ -37,6 +37,7 @@ from _oracles import (
     gap_expectation,
     gaussian_density,
     project_to_sphere,
+    random_purification,
     sample_complex_gaussian,
     sample_gap,
 )
@@ -51,11 +52,13 @@ def test_every_exported_name_exists(module):
     assert not missing, f"gaplab.{module}.__all__ names missing objects: {missing}"
 
 
-# Names that left the library with the Monte Carlo reference; the GAP
-# samplers and the estimate live on in tests/_oracles.py.
+# Names that left the library with the Monte Carlo reference (0.20.0) and
+# with the frozen-state route of theorem 2 (0.25.0); the GAP samplers, the
+# estimate and the state layer live on in tests/_oracles.py.
 REMOVED = ("sample_gap", "sample_adjusted_gaussian", "sample_complex_gaussian",
            "gap_expectation", "GapExpectation", "REFERENCE_BUDGET_FACTOR",
-           "REFERENCE_BUDGET_FLOOR")
+           "REFERENCE_BUDGET_FLOOR", "BipartiteState", "reduced_density_matrix",
+           "random_purification", "random_basis_experiment")
 
 
 @pytest.mark.parametrize("module", ["gaplab", "gaplab.cli"] + [f"gaplab.{m}" for m in MODULES])
@@ -239,7 +242,7 @@ def rng():
      "d1 must be an integer >= 1, got 2.0"),
     (lambda: T.random_subspace(rng(), 2, 2, 1.0), DomainError,
      "dim must be an integer >= 1, got 1.0"),
-    (lambda: T.random_purification(rng(), MIXED2, 4.0), DomainError,
+    (lambda: random_purification(rng(), MIXED2, 4.0), DomainError,
      "d2 must be an integer >= 1, got 4.0"),
     (lambda: T.random_purification_experiment(RngStream(1), MIXED2, 4.0, overlap_sq(E0),
                                               0.1, 5),

@@ -3,18 +3,16 @@ import pytest
 
 from gaplab import (
     BasisError,
-    BipartiteState,
     DensityMatrix,
     DomainError,
     RngStream,
     cap_indicator,
     haar_unitary,
-    random_purification,
-    reduced_density_matrix,
     uniform_sphere,
 )
 
 from _oracles import (
+    BipartiteState,
     DiscreteMeasure,
     SingularProjectionError,
     adjust,
@@ -24,7 +22,9 @@ from _oracles import (
     project_to_sphere,
     random_basis_measure,
     random_onb,
+    random_purification,
     raw_conditional_measure,
+    reduced_density_matrix,
     two_sample_ks,
 )
 

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
-    BipartiteState,
     DensityMatrix,
     DimensionError,
     DomainError,
@@ -28,9 +27,7 @@ from gaplab import (
     ginibre,
     overlap_sq,
     polynomial,
-    random_purification,
     real_part,
-    reduced_density_matrix,
     uniform_sphere,
 )
 from gaplab import typicality as T
@@ -59,18 +56,13 @@ def _theorem1():
 
 
 def _theorem2():
-    psi = random_purification(RngStream(302).generator(), RHO, 16)
+    # A frozen state in random bases, trial by trial, against the engine's
+    # theorem-1 trials at its rho1, which the theorem2 experiment runs.
+    psi = O.random_purification(RngStream(302).generator(), RHO, 16)
     stream, f, ref = RngStream(303), polynomial(np.array([1.0, 1.0j]), [0.1, 0.5, -0.3]), 0.2
-    run = _pinned(ref, lambda: T.random_basis_experiment(stream, psi, f, 0.1, N))
+    rho1 = O.reduced_density_matrix(psi)
+    run = _pinned(ref, lambda: T.random_purification_experiment(stream, rho1, 16, f, 0.1, N))
     return run, lambda: O.random_basis_trials(stream, psi, f, ref, N), 32
-
-
-def _theorem2_wide():
-    # d1 > d2: the random system has k = d2 vectors.
-    psi = BipartiteState(3, 2, uniform_sphere(RngStream(304).generator(), 6))
-    stream, f, ref = RngStream(305), polynomial(np.array([1.0, 0.0, 1.0]), [0.0, 0.0, 1.0]), 0.3
-    run = _pinned(ref, lambda: T.random_basis_experiment(stream, psi, f, 0.1, N))
-    return run, lambda: O.random_basis_trials(stream, psi, f, ref, N), 6
 
 
 def _theorem3():
@@ -83,6 +75,8 @@ def _theorem3():
 
 
 def _theorem3_wide():
+    # d1 > d2: the random system has k = d2 < d1 vectors, which no theorem-1
+    # point has (it needs d2 >= d1).
     subspace = T.random_subspace(RngStream(309).generator(), 3, 2, 4)
     target = subspace.reduced_density()
     stream, ref = RngStream(310), 0.3
@@ -142,8 +136,8 @@ def _canonical():
 
 
 CASES = {
-    "theorem1": _theorem1, "theorem2": _theorem2, "theorem2-wide": _theorem2_wide,
-    "theorem3": _theorem3, "theorem3-wide": _theorem3_wide, "theorem4": _theorem4,
+    "theorem1": _theorem1, "theorem2": _theorem2, "theorem3": _theorem3,
+    "theorem3-wide": _theorem3_wide, "theorem4": _theorem4,
     "theorem3-zero-row": _zero_row, "theorem4-zero-row": lambda: _zero_row(theorem4=True),
     "thermal": _thermal, "thermal-scattered": lambda: _thermal(scattered=True),
     "canonical_typicality": _canonical,
@@ -216,9 +210,10 @@ def test_product_state_puts_every_trial_in_the_cap():
     # eigh rounds the zero eigenvalue below 0, which the factor clips.
     rng = RngStream(332).generator()
     chi, xi = uniform_sphere(rng, 2), uniform_sphere(rng, 16)
-    psi = BipartiteState.from_matrix(np.outer(chi, xi))
-    assert np.linalg.eigvalsh(reduced_density_matrix(psi).matrix)[0] < 0.0
-    out = T.random_basis_experiment(RngStream(333), psi, cap_indicator(chi, 1.0), 0.1, 200)
+    rho1 = O.reduced_density_matrix(O.product_state(chi, xi))
+    assert np.linalg.eigvalsh(rho1.matrix)[0] < 0.0
+    out = T.random_purification_experiment(RngStream(333), rho1, 16, cap_indicator(chi, 1.0),
+                                           0.1, 200)
     assert out.reference == 1.0 and out.pass_fraction == 1.0
     assert np.max(out.discrepancies) <= 1e-12
 

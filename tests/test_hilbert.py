@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 
 from gaplab import (
-    BipartiteState,
     DensityMatrix,
     DimensionError,
     DomainError,
     RngStream,
     canonical_density,
     haar_unitary,
-    reduced_density_matrix,
     trace_norm,
     uniform_sphere,
 )
 
-from _oracles import hermitian_abs_eigensum, product_state
+from _oracles import (
+    BipartiteState,
+    hermitian_abs_eigensum,
+    product_state,
+    reduced_density_matrix,
+)
 
 
 def bell_state(chi1, chi2, b1, b2):

@@ -2,9 +2,10 @@
 
 The engine draws the branches of a Haar-random basis as W^T A from a d2 x k
 orthonormal system W instead of a d2 x d2 basis, with the amplitude factor A
-read off the reduced state.  Its law must match the full-basis route kept in
-``_oracles``; the statistic is the integrated test function mu(f) per trial,
-as the drivers record it.  A variant that drops A must be told apart, which
+read off the reduced state; for a frozen state psi these are theorem 1's
+trials at rho1 = tr_2 |psi><psi|, which the theorem2 experiment runs.  Its
+law must match the full-basis route kept in ``_oracles``; the statistic is
+the integrated test function mu(f) per trial, as the drivers record it.  A variant that drops A must be told apart, which
 shows the comparison can fail.
 """
 
@@ -12,20 +13,21 @@ import numpy as np
 import pytest
 
 from gaplab import (
-    BipartiteState,
     DensityMatrix,
     RngStream,
     canonical_density,
     cap_indicator,
     polynomial,
     random_ons,
-    random_purification,
 )
 from gaplab import typicality as T
 from _oracles import (
+    BipartiteState,
     conditional_measure,
     full_haar_basis_measure,
     integrate,
+    random_purification,
+    reduced_density_matrix,
     shell_basis,
     two_sample_ks,
     uniform_subspace_state,
@@ -69,10 +71,15 @@ def without_r_factor(rng, psi):
     return conditional_measure(BipartiteState.from_matrix(w / np.sqrt(w.shape[0])))
 
 
+def theorem2_engine(psi, f):
+    """The engine's trials for psi in random bases: theorem 1's at rho1."""
+    return T.random_purification_experiment(RngStream(2002, 1), reduced_density_matrix(psi),
+                                            psi.d2, f, 0.1, N_TRIALS).discrepancies
+
+
 def test_theorem2_matches_full_basis_oracle():
     psi, f = theorem2_setting()
-    new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1,
-                                    N_TRIALS).discrepancies
+    new = theorem2_engine(psi, f)
     old = sampled_discrepancies(RngStream(2002, 2), lambda rng: psi,
                                 full_haar_basis_measure, f)
     stat, p = two_sample_ks(new, old)
@@ -84,8 +91,7 @@ def test_ks_rejects_sampler_without_r_factor():
     # rho_1 is close to I/2, where dropping the factor barely changes the law;
     # the unbalanced shell further down has a control of its own.
     psi, f = theorem2_setting()
-    new = T.random_basis_experiment(RngStream(2002, 1), psi, f, 0.1,
-                                    N_TRIALS).discrepancies
+    new = theorem2_engine(psi, f)
     broken = sampled_discrepancies(RngStream(2002, 3), lambda rng: psi,
                                    without_r_factor, f)
     stat, p = two_sample_ks(new, broken)

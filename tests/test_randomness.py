@@ -83,9 +83,9 @@ def _child_state(seed, stream_index, path, index):
 
 
 class TestStreamLayout:
-    """A point's trials draw from ``generator()`` and its fixed state or
-    subspace from substream n_trials + 1; substream n_trials is unused
-    since the references became exact.  Substreams are the children numpy's
+    """A point's trials draw from ``generator()`` and its random subspace
+    from substream n_trials + 1; substream n_trials is unused since the
+    references became exact.  Substreams are the children numpy's
     ``SeedSequence.spawn`` gives the point's sequence, so they are
     independent of the trials and of each other."""
 

@@ -17,7 +17,6 @@ from gaplab import (
     haar_unitary,
     overlap_sq,
     polynomial,
-    random_purification,
     real_part,
     trace_norm,
     uniform_sphere,
@@ -37,6 +36,9 @@ from _oracles import (
     poly_sup_by_polynomial_class,
     product_state,
     quadrature_l1_distance,
+    random_basis_trials,
+    random_purification,
+    reduced_density_matrix,
     sample_gap,
     scaled_haar_blocks_by_concatenation,
     shell_basis,
@@ -326,20 +328,18 @@ class TestExactReferences:
 
 
 class TestPhiDimension:
-    @pytest.mark.parametrize("call", ["purification", "basis", "shell", "target",
-                                      "expectation", "reference"])
+    @pytest.mark.parametrize("call", ["purification", "shell", "target", "expectation",
+                                      "reference"])
     def test_phi_of_another_dimension_rejected_before_drawing(self, monkeypatch, call):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew before checking phi")
 
         rho = DensityMatrix.maximally_mixed(2)
-        psi = random_purification(RngStream(3).generator(), rho, 4)
         subspace = T.random_subspace(RngStream(1).generator(), 2, 4, 8)
         rng, f = RngStream(2).generator(), overlap_sq(np.array([1.0, 0.0, 0.0]))
         calls = {
             "purification": lambda: T.random_purification_experiment(
                 RngStream(4), rho, 4, f, 0.1, 5),
-            "basis": lambda: T.random_basis_experiment(RngStream(4), psi, f, 0.1, 5),
             "shell": lambda: T.shell_universality_experiment(
                 RngStream(4), subspace, f, 0.1, 5),
             "target": lambda: T.shell_vs_target_experiment(
@@ -442,19 +442,16 @@ class TestRandomPurificationExperiment:
             for column in ("discrepancies", "passed", "auxiliary"):
                 np.testing.assert_array_equal(getattr(out, column), getattr(default, column))
 
-    @pytest.mark.parametrize("driver", ["purification", "basis", "shell", "target",
-                                        "canonical"])
+    @pytest.mark.parametrize("driver", ["purification", "shell", "target", "canonical"])
     def test_one_generator_per_driver_call(self, monkeypatch, driver):
         # With the reference pinned, the trials are the driver's only draws:
         # one generator serves all 6 chunks of the 40 trials.
         rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
         cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
-        psi = random_purification(RngStream(3).generator(), rho, 8)
         subspace = T.random_subspace(RngStream(1).generator(), 2, 8, 12)
         calls = {
             "purification": lambda s: T.random_purification_experiment(
                 s, rho, 8, cap, 0.1, 40),
-            "basis": lambda s: T.random_basis_experiment(s, psi, cap, 0.1, 40),
             "shell": lambda s: T.shell_universality_experiment(
                 s, subspace, overlap_sq(np.array([1.0, 0.0])), 0.1, 40),
             "target": lambda s: T.shell_vs_target_experiment(
@@ -494,7 +491,7 @@ class TestTrialCountLimit:
         with pytest.raises(self.Allocated):
             self._run(monkeypatch, 2**32)
 
-    @pytest.mark.parametrize("driver", ["purification", "basis", "shell", "target"])
+    @pytest.mark.parametrize("driver", ["purification", "shell", "target"])
     def test_drivers_reject_more_than_two_to_the_32_trials(self, driver):
         rho = DensityMatrix.maximally_mixed(2)
         cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
@@ -503,8 +500,6 @@ class TestTrialCountLimit:
         calls = {
             "purification": lambda: T.random_purification_experiment(
                 stream, rho, 2, cap, 0.1, n),
-            "basis": lambda: T.random_basis_experiment(
-                stream, random_purification(RngStream(3).generator(), rho, 2), cap, 0.1, n),
             "shell": lambda: T.shell_universality_experiment(
                 stream, subspace, polynomial(np.array([1.0, 0.0]), [0.0, 1.0, 1.0]),
                 0.1, n),
@@ -516,36 +511,39 @@ class TestTrialCountLimit:
 
 
 class TestRandomBasisExperiment:
+    """A frozen state psi in random bases, which the theorem2 experiment runs
+    as theorem 1's trials at rho1 = tr_2 |psi><psi|."""
+
     def test_product_state_zero_discrepancy(self):
         stream = RngStream(110)
         chi = np.array([0.0, 1.0])
-        psi = product_state(chi, np.eye(6)[0])
-        out = T.random_basis_experiment(stream, psi, cap_indicator(chi, 0.5),
-                                        0.1, 30)
+        rho1 = reduced_density_matrix(product_state(chi, np.eye(6)[0]))
+        out = T.random_purification_experiment(stream, rho1, 6, cap_indicator(chi, 0.5),
+                                               0.1, 30)
         assert np.max(out.discrepancies) < 1e-12
 
     def test_pass_fraction_with_frozen_state(self):
         setup = RngStream(111).generator()
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        psi = random_purification(setup, rho, 64)
+        rho1 = reduced_density_matrix(random_purification(setup, rho, 64))
         f = cap_indicator(np.array([1.0, 0.0]), 0.5)
-        out = T.random_basis_experiment(RngStream(112), psi, f, 0.1, 200)
+        out = T.random_purification_experiment(RngStream(112), rho1, 64, f, 0.1, 200)
         assert out.pass_fraction >= 0.9
 
     def test_duality_with_random_purifications(self, monkeypatch):
-        # Random state with fixed basis and fixed state with random basis
-        # give identically distributed conditional statistics.
+        # Random state with fixed basis (the engine) and fixed state with
+        # random basis (the per-trial oracle) give identically distributed
+        # conditional statistics.
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         f = cap_indicator(np.array([1.0, 0.0]), 0.5)
-        d2 = 32
+        d2, reference = 32, 0.4
         # Any fixed reference; only the law of mu(f) matters.
-        monkeypatch.setattr(T, "gap_reference", lambda *args: 0.4)
+        monkeypatch.setattr(T, "gap_reference", lambda *args: reference)
         out_state = T.random_purification_experiment(
             RngStream(113), rho, d2, f, 0.1, 400)
         psi = random_purification(RngStream(114).generator(), rho, d2)
-        out_basis = T.random_basis_experiment(
-            RngStream(115), psi, f, 0.1, 400)
-        _, p = two_sample_ks(out_state.discrepancies, out_basis.discrepancies)
+        out_basis = random_basis_trials(RngStream(115), psi, f, reference, 400)[:, 0]
+        _, p = two_sample_ks(out_state.discrepancies, out_basis)
         assert p > 0.01
 
 
