@@ -85,6 +85,17 @@ def _theorem3_wide():
     return run, lambda: O.shell_trials(stream, subspace.basis, 3, 2, f, ref, target, N), 6
 
 
+def _theorem4_wide():
+    # d1 > d2 against a fixed target: k = d2 < d1 with the cap's bounded,
+    # discontinuous integrand, which theorem3-wide's polynomial does not reach.
+    subspace = T.random_subspace(RngStream(304).generator(), 3, 2, 4)
+    omega = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    stream, f, ref = RngStream(305), cap_indicator(np.array([1.0, 1.0j, 0.0]), 0.4), 0.45
+    run = _pinned(ref, lambda: T.shell_vs_target_experiment(stream, subspace, omega, f,
+                                                            0.15, N))
+    return run, lambda: O.shell_trials(stream, subspace.basis, 3, 2, f, ref, omega, N), 6
+
+
 def _theorem4():
     subspace = T.random_subspace(RngStream(311).generator(), 2, 8, 16)
     omega = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
@@ -137,7 +148,7 @@ def _canonical():
 
 CASES = {
     "theorem1": _theorem1, "theorem2": _theorem2, "theorem3": _theorem3,
-    "theorem3-wide": _theorem3_wide, "theorem4": _theorem4,
+    "theorem3-wide": _theorem3_wide, "theorem4": _theorem4, "theorem4-wide": _theorem4_wide,
     "theorem3-zero-row": _zero_row, "theorem4-zero-row": lambda: _zero_row(theorem4=True),
     "thermal": _thermal, "thermal-scattered": lambda: _thermal(scattered=True),
     "canonical_typicality": _canonical,

@@ -328,8 +328,8 @@ class TestExactReferences:
 
 
 class TestPhiDimension:
-    @pytest.mark.parametrize("call", ["purification", "shell", "target", "expectation",
-                                      "reference"])
+    @pytest.mark.parametrize("call", ["purification", "shell", "target", "thermal",
+                                      "expectation", "reference"])
     def test_phi_of_another_dimension_rejected_before_drawing(self, monkeypatch, call):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew before checking phi")
@@ -337,6 +337,7 @@ class TestPhiDimension:
         rho = DensityMatrix.maximally_mixed(2)
         subspace = T.random_subspace(RngStream(1).generator(), 2, 4, 8)
         rng, f = RngStream(2).generator(), overlap_sq(np.array([1.0, 0.0, 0.0]))
+        shell = T.microcanonical_shell([0.0, 1.0], np.linspace(0.0, 20.0, 40), 10.0, 1.0)
         calls = {
             "purification": lambda: T.random_purification_experiment(
                 RngStream(4), rho, 4, f, 0.1, 5),
@@ -344,6 +345,8 @@ class TestPhiDimension:
                 RngStream(4), subspace, f, 0.1, 5),
             "target": lambda: T.shell_vs_target_experiment(
                 RngStream(4), subspace, rho, f, 0.1, 5),
+            "thermal": lambda: T.thermal_experiment(
+                RngStream(4), [0.0, 1.0], shell, f, 0.1, 5),
             "expectation": lambda: gap_expectation(rng, rho, f, 5),
             "reference": lambda: T.gap_reference(rho, f),
         }
@@ -442,13 +445,15 @@ class TestRandomPurificationExperiment:
             for column in ("discrepancies", "passed", "auxiliary"):
                 np.testing.assert_array_equal(getattr(out, column), getattr(default, column))
 
-    @pytest.mark.parametrize("driver", ["purification", "shell", "target", "canonical"])
+    @pytest.mark.parametrize("driver", ["purification", "shell", "target", "thermal",
+                                        "canonical"])
     def test_one_generator_per_driver_call(self, monkeypatch, driver):
         # With the reference pinned, the trials are the driver's only draws:
         # one generator serves all 6 chunks of the 40 trials.
         rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
         cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
         subspace = T.random_subspace(RngStream(1).generator(), 2, 8, 12)
+        shell = T.microcanonical_shell([0.0, 1.0], np.linspace(0.0, 20.0, 40), 10.0, 1.0)
         calls = {
             "purification": lambda s: T.random_purification_experiment(
                 s, rho, 8, cap, 0.1, 40),
@@ -456,6 +461,7 @@ class TestRandomPurificationExperiment:
                 s, subspace, overlap_sq(np.array([1.0, 0.0])), 0.1, 40),
             "target": lambda s: T.shell_vs_target_experiment(
                 s, subspace, rho, cap, 0.1, 40),
+            "thermal": lambda s: T.thermal_experiment(s, [0.0, 1.0], shell, cap, 0.1, 40),
             "canonical": lambda s: T.canonical_typicality_experiment(s, subspace, 40),
         }
         reference = 0.5 if driver == "shell" else 0.3
@@ -491,11 +497,13 @@ class TestTrialCountLimit:
         with pytest.raises(self.Allocated):
             self._run(monkeypatch, 2**32)
 
-    @pytest.mark.parametrize("driver", ["purification", "shell", "target"])
+    @pytest.mark.parametrize("driver", ["purification", "shell", "target", "thermal",
+                                        "canonical"])
     def test_drivers_reject_more_than_two_to_the_32_trials(self, driver):
         rho = DensityMatrix.maximally_mixed(2)
         cap = cap_indicator(np.array([1.0, 0.0]), 0.5)
         subspace = T.random_subspace(RngStream(1).generator(), 2, 2, 4)
+        shell = T.microcanonical_shell([0.0, 1.0], np.linspace(0.0, 20.0, 40), 10.0, 1.0)
         stream, n = RngStream(2), 2**32 + 1
         calls = {
             "purification": lambda: T.random_purification_experiment(
@@ -505,6 +513,8 @@ class TestTrialCountLimit:
                 0.1, n),
             "target": lambda: T.shell_vs_target_experiment(
                 stream, subspace, rho, cap, 0.1, n),
+            "thermal": lambda: T.thermal_experiment(stream, [0.0, 1.0], shell, cap, 0.1, n),
+            "canonical": lambda: T.canonical_typicality_experiment(stream, subspace, n),
         }
         with pytest.raises(DomainError, match="2\\*\\*32 trials"):
             calls[driver]()
