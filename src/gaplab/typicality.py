@@ -26,8 +26,9 @@ on psi only through rho1, which is given for theorems 1 and 2 and is each
 trial's, formed once per chunk, for the subspace drivers.  W^T = Z R^-1,
 the phase-fixed Q of the trial's Gaussian draw Z, is folded into
 Z (R^-1 A) (``randomness._haar_frame_factor``), laid out as a (d1, d2)
-matrix whose column j is <b_j|psi>, and f is evaluated on
-<phi|b_j> / sqrt(w_j) without forming the normalized atoms.  A subspace
+matrix whose column j is <b_j|psi>, and each branch's term
+w_j f(b_j / sqrt(w_j)) is taken straight from <phi|b_j> and w_j
+(``TestFunction.weighted``), without normalizing the atoms.  A subspace
 H_R is a :class:`Subspace` (dense orthonormal basis) or a
 :class:`CoordinateSubspace` (spanned by product vectors |i>|j>, such as a
 microcanonical shell, with states scattered into its flat indices), and
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 import time
@@ -54,7 +56,6 @@ from .hilbert import (
     HERMITIAN_ATOL,
     NORM_ATOL,
     DensityMatrix,
-    _canonical_weights,
     canonical_density,
     trace_norm,
 )
@@ -113,8 +114,8 @@ class TestFunction:
 
     ``threshold`` belongs to ``cap_indicator`` and ``coefficients`` to
     ``polynomial``; any other kind rejects them.  ``bound`` is the sup norm
-    over the unit sphere, and must be positive.  ``of_overlaps`` evaluates
-    f from the overlaps <phi|psi>.
+    over the unit sphere, and must be positive.  ``weighted`` evaluates
+    w f(b / sqrt(w)) from the overlap <phi|b> and the weight w = ||b||^2.
     """
 
     kind: str
@@ -124,21 +125,26 @@ class TestFunction:
     bound: float = field(init=False)
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=complex)
-        n = np.linalg.norm(phi)
+        phi = _float_array(self.phi, complex)
+        n = np.linalg.norm(phi) if phi is not None and phi.ndim == 1 else np.nan
         if not 0 < n < np.inf:  # NaN fails too
-            raise DomainError("phi must be a finite nonzero vector")
+            raise DomainError(f"phi must be a finite nonzero 1-D vector, got {self.phi!r}")
         phi = phi / n
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         bound = 1.0
         if self.kind == "cap_indicator":
-            if self.threshold is None or not 0.0 <= self.threshold <= 1.0:
-                raise DomainError("cap_indicator needs a threshold in [0, 1]")
+            t = _real(self.threshold)
+            if t is None or not 0.0 <= t <= 1.0:  # NaN fails too
+                raise DomainError(f"cap_indicator needs a real threshold in [0, 1], "
+                                  f"got {self.threshold!r}")
         elif self.kind == "polynomial":
             if self.coefficients is None:
                 raise DomainError("polynomial needs coefficients")
-            coeffs = np.asarray(self.coefficients, dtype=float)
+            coeffs = _float_array(self.coefficients, float)
+            if coeffs is None or coeffs.ndim != 1:
+                raise DomainError(f"polynomial coefficients must be a 1-D list of real "
+                                  f"numbers, got {self.coefficients!r}")
             if coeffs.size == 0:
                 raise DomainError("polynomial needs at least one coefficient")
             # sum |c_i| bounds p and Horner's steps on [0, 1]; 1e8 squares sum to a float.
@@ -173,18 +179,48 @@ class TestFunction:
                               f"{self.bound!r} underflows to 0: no trial could pass")
         return threshold
 
-    def of_overlaps(self, amp: np.ndarray) -> np.ndarray:
-        """f(psi) from the overlaps amp = <phi|psi> of unit vectors psi."""
+    def weighted(self, amp: np.ndarray, w) -> np.ndarray:
+        """w f(b / sqrt(w)) from the overlaps amp = <phi|b> of vectors b of
+        squared norm w, elementwise, without normalizing b; 0 where w = 0
+        and amp = 0, the branches the engine masks."""
         if self.kind == "real_part":
-            return np.real(amp)
-        x = np.abs(amp) ** 2
+            return np.sqrt(w) * amp.real
+        x = amp.real ** 2 + amp.imag ** 2
         if self.kind == "overlap_sq":
             return x
         if self.kind == "cap_indicator":
             # |<phi|psi>|^2 of a psi equal to phi up to a phase rounds to
             # 1 - 1e-16 or so, which a threshold of 1 must still admit.
-            return (x >= self.threshold - 1e-12).astype(float)
-        return np.polynomial.polynomial.polyval(x, self.coefficients)
+            return np.where(x >= (self.threshold - 1e-12) * w, w, 0.0)
+        # Horner's rule in place, as polyval does it, at x = |amp|^2 / w.
+        np.divide(x, w, out=x, where=w > 0.0)
+        c = self.coefficients.tolist()
+        value = np.full_like(x, c[-1])
+        for c_i in reversed(c[:-1]):
+            value *= x
+            value += c_i
+        value *= w
+        return value
+
+
+def _real(value) -> float | None:
+    """``value`` as a float if it is a real number other than a bool and
+    within the float range, else None."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return None
+
+
+def _float_array(value, dtype):
+    """``value`` as a numpy array of ``dtype``, or None if numpy cannot read
+    it as one (a string, a ragged list, a complex number as a float)."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        return None
 
 
 def _poly_sup_on_unit_interval(coeffs: np.ndarray) -> float:
@@ -299,9 +335,12 @@ class ExperimentOutcome:
 # Budget, in complex entries, for the largest per-trial array (the d1 x d2
 # state or branch matrix) stacked over one chunk, each stacked array staying
 # at a few hundred kilobytes; a chunk costs one handoff between threads.  On
-# a 2-core VM with one BLAS thread, 2^13, 2^14 and 2^15 ran purification-sweep
-# at 32 000, 44 000 and 43 900 trials/s and thermal-shell at 8 300, 9 650
-# and 9 770 (in-process medians of 4 rounds); 2^15 took 2 MB more memory.
+# a 2-core VM with one BLAS thread, in 0.26.0, 2^13, 2^14 and 2^15 ran
+# purification-sweep at 85 000-98 000, 112 000-130 000 and 115 000-131 000
+# trials/s and thermal-shell at 22 500-26 500, 28 000-31 600 and
+# 29 400-32 700 (in-process medians of 5 rounds, two processes).  Across
+# fresh benchmark processes 2^15 read within noise of 2^14, and 2^16 took
+# 5 MB more memory.
 CHUNK_ENTRIES = 2 ** 14
 
 # At most this many trials per sweep point.  The engine's (2, n_trials)
@@ -387,7 +426,8 @@ def _conditional_integrals(z: np.ndarray, factor: np.ndarray, f: TestFunction) -
     of weight below WEIGHT_CUTOFF masked out instead of dropped.  The
     branches are laid out as F^T Z^T (B, d1, d2), column j being <b_j|psi>,
     so the weights w_j and the overlaps <phi|b_j> reduce over d1 contiguous
-    rows; f is evaluated on <phi|b_j> / sqrt(w_j), the normalized atom's
+    rows; ``TestFunction.weighted`` takes w_j f(b_j / sqrt(w_j)) straight
+    from <phi|b_j> and w_j, and a masked branch enters with zero weight and
     overlap."""
     branches = np.swapaxes(factor, -1, -2) @ np.swapaxes(z, -1, -2)
     w = np.sum(branches.real ** 2 + branches.imag ** 2, axis=-2)
@@ -396,8 +436,10 @@ def _conditional_integrals(z: np.ndarray, factor: np.ndarray, f: TestFunction) -
     # NaN fails both comparisons and inf the second.
     if not (np.all(w >= 0.0) and np.all(np.abs(mass.sum(axis=-1) - 1.0) <= 1e-10)):
         raise DomainError("conditional weights must be finite, nonnegative and sum to 1")
-    overlaps = f.phi.conj() @ branches / np.sqrt(np.where(keep, w, 1.0))
-    return np.sum(mass * f.of_overlaps(overlaps), axis=-1)
+    amp = f.phi.conj() @ branches
+    if not keep.all():
+        amp[~keep] = 0.0
+    return np.sum(f.weighted(amp, mass), axis=-1)
 
 
 def _amplitude_factor(rho: np.ndarray, k: int) -> np.ndarray:
@@ -542,9 +584,12 @@ CONCENTRATION_DENOMINATOR = 18.0 * np.pi ** 3
 
 def concentration_bound(dim: int, eta: np.ndarray) -> np.ndarray:
     """Upper bound on the probability that the trace distance exceeds
-    eta + d1/sqrt(dim)."""
-    return 4.0 * np.exp(-dim * np.asarray(eta, dtype=float) ** 2
-                        / CONCENTRATION_DENOMINATOR)
+    eta + d1/sqrt(dim), for an integer dim >= 1 and real eta."""
+    dim = _integer("dim", dim, 1)
+    eta = _float_array(eta, float)
+    if eta is None:
+        raise DomainError("eta must be real numbers")
+    return 4.0 * np.exp(-dim * eta ** 2 / CONCENTRATION_DENOMINATOR)
 
 
 def canonical_typicality_experiment(stream: RngStream, subspace: Subspace,
@@ -702,8 +747,8 @@ class CoordinateSubspace:
 
 def _levels(name: str, levels) -> np.ndarray:
     """``levels`` as a float array, which must be 1-D and finite."""
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or not np.all(np.isfinite(levels)):
+    levels = _float_array(levels, float)
+    if levels is None or levels.ndim != 1 or not np.all(np.isfinite(levels)):
         raise DomainError(f"{name} must be a 1-D array of finite levels")
     return levels
 
@@ -720,10 +765,10 @@ def microcanonical_shell(system_levels, bath_levels, energy: float,
     """
     system_levels = _levels("system_levels", system_levels)
     bath_levels = _levels("bath_levels", bath_levels)
-    if not np.isfinite(energy):
-        raise DomainError("energy must be finite")
-    if not 0 < width < np.inf:  # NaN fails too
-        raise DomainError(f"window width must be positive and finite, got {width}")
+    if _real(energy) is None or not np.isfinite(energy):
+        raise DomainError(f"energy must be a finite real number, got {energy!r}")
+    if _real(width) is None or not 0 < width < np.inf:  # NaN fails too
+        raise DomainError(f"window width must be positive and finite, got {width!r}")
     tol = 1e-9 * max(1.0, abs(energy) + abs(width))
     total = system_levels[:, None] + bath_levels[None, :]
     pairs = np.argwhere((energy - tol <= total) & (total <= energy + width + tol))
@@ -750,9 +795,16 @@ def fit_beta(system_levels, rho_target: DensityMatrix) -> float:
     energies = _levels("system_levels", system_levels)
     if energies.size != t.size:
         raise DimensionError("one level per target entry is required")
+    energies, t = energies.tolist(), t.tolist()
 
     def residual(beta: float) -> float:
-        return float(np.sum(np.abs(_canonical_weights(energies, beta) - t)))
+        # hilbert._canonical_weights on Python floats: on a few levels, each
+        # of the search's ~60 calls costs less than one numpy call would.
+        logw = [-beta * e for e in energies]
+        top = max(logw)
+        w = [math.exp(x - top) for x in logw]
+        total = sum(w)
+        return sum(abs(x / total - y) for x, y in zip(w, t))
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = -50.0, 50.0
@@ -924,7 +976,7 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
     ks_exact = _ks_sorted(entry, lambda x: 1.0 - (1.0 - np.clip(x, 0.0, n) / n) ** (n - 1))
     ks_entry_max = max([ks_entry] + [ks_vs_exponential(np.abs(blocks[:, i, j]) ** 2)
                                      for i in range(k) for j in range(k) if i or j])
-    gaps = {g.kind: abs(float(np.mean(g.of_overlaps(blocks[:, 0, 0]))) - _gaussian_mean(g))
+    gaps = {g.kind: abs(float(np.mean(g.weighted(blocks[:, 0, 0], 1.0))) - _gaussian_mean(g))
             for g in probes}
     distance = submatrix_l1_distance(n) if k == 1 else ks_entry
     return ExperimentOutcome(

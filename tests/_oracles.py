@@ -37,6 +37,10 @@ independent route to the exact GAP functionals of ``gaplab.gap``;
 ``monte_carlo_reference`` and ``cap_at_eigenvector_c2`` keep the two routes
 ``gap_reference`` took before every reference had an exact form.
 
+``of_overlaps`` evaluates a test function on the normalized atoms, as the
+engine did up to 0.25.0; ``fit_beta_by_array_residual`` is ``fit_beta``
+with its residual on numpy arrays.
+
 ``haar_system_by_gram_schmidt`` is the trial engine's orthonormalizer before
 the engine folded its Haar frames into the amplitude factors by one Cholesky
 factorization; the tests compare the folded branches with it.
@@ -65,7 +69,7 @@ from gaplab import (
     trace_norm,
 )
 from gaplab.errors import DimensionError, DomainError, GaplabError
-from gaplab.hilbert import NORM_ATOL
+from gaplab.hilbert import NORM_ATOL, _canonical_weights
 from gaplab.randomness import _complex_gaussians, _integer
 from gaplab.stats import ks_statistic, ks_vs_exponential
 from gaplab.typicality import (
@@ -297,10 +301,24 @@ def project_to_sphere(m: DiscreteMeasure) -> DiscreteMeasure:
     return DiscreteMeasure(vecs / norms[:, None], w)
 
 
+def of_overlaps(f: TestFunction, amp) -> np.ndarray:
+    """f(psi) from the overlaps amp = <phi|psi> of unit vectors psi: the
+    normalized-atom evaluation the engine used up to 0.25.0, before
+    ``TestFunction.weighted`` took w f(b / sqrt(w)) straight from <phi|b>."""
+    if f.kind == "real_part":
+        return np.real(amp)
+    x = np.abs(amp) ** 2
+    if f.kind == "overlap_sq":
+        return x
+    if f.kind == "cap_indicator":
+        return (x >= f.threshold - 1e-12).astype(float)
+    return np.polynomial.polynomial.polyval(x, f.coefficients)
+
+
 def evaluate(f: TestFunction, vectors) -> np.ndarray:
     """f at a single vector (d,) or a stack of vectors (..., d), from their
     overlaps with f's phi."""
-    return f.of_overlaps(np.asarray(vectors, dtype=complex) @ f.phi.conj())
+    return of_overlaps(f, np.asarray(vectors, dtype=complex) @ f.phi.conj())
 
 
 def integrate(m: DiscreteMeasure, f) -> float:
@@ -706,6 +724,32 @@ def submatrix_outcome_by_parts(stream, k, n, n_samples, epsilon):
         {"ks_entry": ks_entry, "ks_exact": ks_exact, "ks_entry_max": float(ks.max()),
          "expectation_gaps": gaps},
     )
+
+
+def fit_beta_by_array_residual(system_levels, rho_target: DensityMatrix) -> float:
+    """``fit_beta``'s golden-section search on [-50, 50] down to 1e-10, with
+    the residual ||rho_beta - rho_target||_1 of the diagonals taken on numpy
+    arrays through ``hilbert._canonical_weights``, as up to 0.25.0."""
+    energies = np.asarray(system_levels, dtype=float)
+    t = np.real(np.diagonal(rho_target.matrix))
+
+    def residual(beta):
+        return float(np.sum(np.abs(_canonical_weights(energies, beta) - t)))
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = -50.0, 50.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = residual(c), residual(d)
+    while b - a > 1e-10:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = residual(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = residual(d)
+    return float((a + b) / 2.0)
 
 
 def poly_sup_by_polynomial_class(coeffs):

@@ -277,6 +277,27 @@ def rng():
      "size must be an integer >= 0, got True"),
     (lambda: sample_complex_gaussian(rng(), 1.0, -1), DomainError,
      "size must be an integer >= 0, got -1"),
+    # 0.25.0 normalized a matrix phi as one vector, took True as threshold
+    # 1.0, and raised a bare TypeError or ValueError for the others.
+    (lambda: overlap_sq(np.eye(2)), DomainError, "phi must be a finite nonzero 1-D vector"),
+    (lambda: overlap_sq("ab"), DomainError, "phi must be a finite nonzero 1-D vector, got 'ab'"),
+    (lambda: cap_indicator(E0, True), DomainError,
+     r"needs a real threshold in \[0, 1\], got True"),
+    (lambda: cap_indicator(E0, "0.5"), DomainError, "real threshold in .*, got '0.5'"),
+    (lambda: cap_indicator(E0, 0.5 + 0j), DomainError, r"real threshold in .*, got \(0.5\+0j\)"),
+    (lambda: polynomial(E0, ["a"]), DomainError,
+     r"coefficients must be a 1-D list of real numbers, got \['a'\]"),
+    (lambda: polynomial(E0, [[1, 2]]), DomainError,
+     r"coefficients must be a 1-D list of real numbers, got \[\[1, 2\]\]"),
+    (lambda: T.microcanonical_shell([0, 1], [0, 1], "a", 1.0), DomainError,
+     "energy must be a finite real number, got 'a'"),
+    (lambda: T.microcanonical_shell([0, 1], [0, 1], 0.0, "a"), DomainError,
+     "window width must be positive and finite, got 'a'"),
+    (lambda: T.fit_beta(["a", "b"], MIXED2), DomainError,
+     "system_levels must be a 1-D array of finite levels"),
+    (lambda: T.concentration_bound("a", [0.1]), DomainError,
+     "dim must be an integer >= 1, got 'a'"),
+    (lambda: T.concentration_bound(100, ["a"]), DomainError, "eta must be real numbers"),
 ])
 def test_bad_arguments_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):

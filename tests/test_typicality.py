@@ -14,9 +14,11 @@ from gaplab import (
     cap_indicator,
     gap_sphere_density,
     canonical_density,
+    ginibre,
     haar_unitary,
     overlap_sq,
     polynomial,
+    random_ons,
     real_part,
     trace_norm,
     uniform_sphere,
@@ -27,12 +29,17 @@ from gaplab import typicality as T
 
 import _oracles
 from _oracles import (
+    BipartiteState,
     cap_at_eigenvector_c2,
+    conditional_measure,
     evaluate,
+    fit_beta_by_array_residual,
     gap_expectation,
     gram_schmidt_twice_by_division,
+    integrate,
     monte_carlo_reference,
     mpmath_l1_distance,
+    of_overlaps,
     poly_sup_by_polynomial_class,
     product_state,
     quadrature_l1_distance,
@@ -117,6 +124,99 @@ class TestTestFunction:
         phi = np.array([1.0, 0.0])
         assert overlap_sq(phi).is_continuous
         assert not cap_indicator(phi, 0.5).is_continuous
+
+
+# Each kind at a phi off every axis; the polynomial has no root on [0, 1],
+# so relative errors of w p(u) stay those of its Horner steps.
+WEIGHTED_KINDS = {
+    "overlap_sq": overlap_sq,
+    "real_part": real_part,
+    "cap_indicator": lambda phi: cap_indicator(phi, 0.2),
+    "polynomial": lambda phi: polynomial(phi, [0.5, -1.0, 2.0, -0.5]),
+}
+
+
+def _random_states(rng, d1, d2, n):
+    """n unit coefficient matrices (n, d1, d2) of Ginibre draws."""
+    m = np.stack([ginibre(rng, d1, d2) for _ in range(n)])
+    return m / np.linalg.norm(m, axis=(1, 2), keepdims=True)
+
+
+class TestWeighted:
+    """``TestFunction.weighted`` against the oracle's evaluation on the
+    normalized atoms, ``_oracles.of_overlaps``."""
+
+    @pytest.mark.parametrize("d1", [2, 8])
+    @pytest.mark.parametrize("kind", sorted(WEIGHTED_KINDS))
+    def test_matches_normalized_atoms(self, kind, d1):
+        rng = RngStream(331).generator()
+        f = WEIGHTED_KINDS[kind](uniform_sphere(rng, d1))
+        m = _random_states(rng, d1, 64, 20)
+        w = np.sum(np.abs(m) ** 2, axis=1)
+        amp = f.phi.conj() @ m
+        u = np.abs(amp / np.sqrt(w)) ** 2
+        expected = w * of_overlaps(f, amp / np.sqrt(w))
+        got = f.weighted(amp, w)
+        if f.is_continuous:
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+        else:
+            assert 0 < np.count_nonzero(got) < got.size
+            differ = got != expected
+            assert np.all(np.abs(u[differ] - (f.threshold - 1e-12)) <= 1e-14)
+        # The engine's integrals against the oracle's conditional measure:
+        # branch matrix Z F = M with Z = M^T and F = I.
+        values = T._conditional_integrals(np.swapaxes(m, 1, 2),
+                                          np.broadcast_to(np.eye(d1), (20, d1, d1)), f)
+        oracle = [integrate(conditional_measure(BipartiteState(d1, 64, state.ravel())), f)
+                  for state in m]
+        assert np.max(np.abs(values - oracle)) <= 1e-13 * f.bound
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTED_KINDS))
+    def test_masked_branches_of_a_rank_deficient_state_weigh_nothing(self, kind):
+        # rho1 of rank 3 on C^8 and a frame that is Haar on the first 20 of
+        # 32 coordinates: branches 20-31 are zero, or of weight below
+        # WEIGHT_CUTOFF but not zero.  The engine masks both alike, and the
+        # oracle drops them.
+        d1, d2, k = 8, 32, 8
+        rng = RngStream(332).generator()
+        f = WEIGHTED_KINDS[kind](uniform_sphere(rng, d1))
+        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2, 0, 0, 0, 0, 0]).astype(complex))
+        a = T._amplitude_factor(rho.matrix, k)
+        zero = np.zeros((d2, k), dtype=complex)
+        zero[:20] = random_ons(rng, 20, k).T
+        tiny = zero.copy()
+        tiny[20:] = 2e-8 * ginibre(rng, 12, k)
+        w = np.sum(np.abs(a.T @ tiny.T) ** 2, axis=0)
+        assert np.all((0.0 < w[20:]) & (w[20:] < T.WEIGHT_CUTOFF))
+        value = T._conditional_integrals(zero[None], a[None], f)[0]
+        assert T._conditional_integrals(tiny[None], a[None], f)[0] == value
+        branches = a.T @ zero.T
+        oracle = integrate(conditional_measure(BipartiteState(d1, d2, branches.ravel())), f)
+        assert abs(value - oracle) <= 1e-13 * f.bound
+        assert np.all(f.weighted(np.zeros(3, dtype=complex), np.zeros(3)) == 0.0)
+
+    @pytest.mark.parametrize("d1", [2, 8])
+    def test_cap_at_one_admits_every_branch_along_phi(self, d1):
+        # psi = phi (x) chi: every atom is phi up to a phase, and |<phi|atom>|^2
+        # rounds to 1 - 1e-16 or so, which t = 1 admits.
+        rng = RngStream(333).generator()
+        phi = uniform_sphere(rng, d1)
+        m = np.outer(phi, uniform_sphere(rng, 64))
+        w = np.sum(np.abs(m) ** 2, axis=0)
+        amp = phi.conj() @ m
+        f = cap_indicator(phi, 1.0)
+        assert np.array_equal(f.weighted(amp, w), w)
+        assert np.array_equal(w * of_overlaps(f, amp / np.sqrt(w)), w)
+
+    @pytest.mark.parametrize("t", [0.0, 5e-13, 1e-12])
+    def test_cap_below_1e_12_admits_every_branch(self, t):
+        rng = RngStream(334).generator()
+        f = cap_indicator(uniform_sphere(rng, 8), t)
+        m = _random_states(rng, 8, 64, 5)
+        w = np.sum(np.abs(m) ** 2, axis=1)
+        amp = f.phi.conj() @ m
+        assert np.array_equal(f.weighted(amp, w), w)
+        assert np.array_equal(w * of_overlaps(f, amp / np.sqrt(w)), w)
 
 
 class TestGapExpectation:
@@ -780,6 +880,22 @@ class TestFitBeta:
         beta = T.fit_beta([0.0, 1.0], target)
         assert abs(beta - np.log(n0 / n1)) < 1e-6
         assert trace_norm(canonical_density([0.0, 1.0], beta).matrix - target.matrix) < 1e-10
+
+    @pytest.mark.parametrize("levels, target", [
+        ([0.0, 1.0], np.diag([0.8, 0.2])),
+        ([0.0, 0.4, 1.3], np.diag([0.5, 0.3, 0.2])),  # not a Gibbs state
+        ([0.0, 1.0], canonical_density([0.0, 1.0], 49.5).matrix),
+        ([0.0, 1.0, 2.5], canonical_density([0.0, 1.0, 2.5], -49.0).matrix),
+    ])
+    def test_float_residual_matches_array_residual(self, levels, target):
+        target = DensityMatrix(np.asarray(target, dtype=complex))
+        beta = T.fit_beta(levels, target)
+        assert abs(beta - fit_beta_by_array_residual(levels, target)) <= 1e-12
+
+    def test_float_residual_keeps_the_thermal_twolevel_bits(self):
+        shell = T.microcanonical_shell([0.0, 1.0], np.linspace(0.0, 20.0, 200), 10.0, 0.5)
+        target = shell.reduced_density()
+        assert T.fit_beta([0.0, 1.0], target) == fit_beta_by_array_residual([0.0, 1.0], target)
 
     def test_non_diagonal_target_rejected(self):
         m = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
