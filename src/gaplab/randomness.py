@@ -4,9 +4,10 @@ orthonormal systems, and uniform sphere points.
 Streams are identified by a pair (master_seed, stream_index) plus a
 derivation path.  The same address always yields the same sample sequence,
 whatever else the program draws before or after it, because every stream
-owns its own PCG64 generator keyed through ``numpy.random.SeedSequence``.
-PCG64 is a documented, stable algorithm, so persisted outputs are
-reproducible bit-exactly for a fixed numpy version.
+owns its own SFC64 generator keyed through ``numpy.random.SeedSequence``.
+SFC64 is a documented, stable algorithm, so persisted outputs are
+reproducible bit-exactly for a fixed numpy version.  A complex Gaussian is
+two consecutive normals, its real and imaginary part.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class RngStream:
     derivation path for nested substreams.  A sweep point's trials draw in
     sequence from its ``generator()``; its random subspace, if it has one,
     comes from substream n_trials + 1, and substream n_trials is unused.
-    Every component is a nonnegative integer (bool excluded)."""
+    Every component is a nonnegative integer (bool excluded).  Each
+    stream's SFC64 generator has a period of at least 2^64 draws."""
 
     master_seed: int
     stream_index: int = 0
@@ -49,7 +51,7 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         key = (self.stream_index,) + self._path
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
-        return np.random.Generator(np.random.PCG64(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream; children with distinct indices never overlap."""
@@ -73,29 +75,10 @@ def _integer(name: str, value, minimum: int = 0) -> int:
 
 def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
     """n x m matrix of i.i.d. complex Gaussians with unit variance per entry:
-    the real parts are drawn first, then the imaginary parts."""
+    2 n m standard normals in C order, paired into entries, times sqrt(1/2)."""
     n = _integer("n", n, 1)
     m = n if m is None else _integer("m", m, 1)
-    return _complex_gaussians(rng.standard_normal((1, 2, n, m)))[0]
-
-
-def _complex_gaussians(pairs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unit-variance complex Gaussians (B, ...) from a stack of real standard
-    normals (B, 2, ...): real parts pairs[:, 0], imaginary parts pairs[:, 1].
-    ``ginibre`` is this map on one (1, 2, n, m) draw, so if one generator
-    filled pairs[b] in C order, entry b holds exactly the values ``ginibre``
-    returns from the same draws.
-
-    Each part is scaled into one complex array, ``out`` (any strides) when
-    given, else a new one; numpy divides a complex array by a real scalar as
-    a multiplication by its reciprocal, so this equals (re + 1j im) / sqrt(2)
-    bit for bit without its temporaries."""
-    if out is None:
-        out = np.empty(pairs.shape[:1] + pairs.shape[2:], dtype=complex)
-    scale = 1.0 / np.sqrt(2.0)
-    np.multiply(pairs[:, 0], scale, out=out.real)
-    np.multiply(pairs[:, 1], scale, out=out.imag)
-    return out
+    return rng.standard_normal((n, m, 2)).view(complex)[..., 0] * np.sqrt(0.5)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -206,10 +189,10 @@ def random_ons(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 def uniform_sphere(rng: np.random.Generator, d: int, size: int | None = None) -> np.ndarray:
     """Uniform point(s) on the unit sphere of C^d.
 
-    A normalized standard complex Gaussian vector; its law is the normalized
-    surface measure.  Returns shape (d,) or (size, d).
+    A normalized complex Gaussian vector, drawn as ``ginibre`` draws; its
+    law is the normalized surface measure.  Returns shape (d,) or (size, d).
     """
     d = _integer("d", d, 1)
     shape = (d,) if size is None else (_integer("size", size, 1), d)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z = rng.standard_normal(shape + (2,)).view(complex)[..., 0]
     return z / np.linalg.norm(z, axis=-1, keepdims=True)

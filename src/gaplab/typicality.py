@@ -16,8 +16,9 @@ their Gaussians in sequence from the point's one generator,
 ``stream.generator()``, in the order the per-trial routes in
 ``tests/_oracles.py`` draw them, and the engine does the linear algebra once
 per chunk of trials on stacked arrays, while a worker thread, the only one
-to touch the generator, draws the next chunk.  Results are bit-reproducible
-and do not depend on the chunk length.
+to touch the generator, draws the next chunk into a buffer the engine reads
+as complex views, unscaled.  Results are bit-reproducible and do not depend
+on the chunk length.
 
 The universality drivers (theorems 1-4, thermal) form every branch matrix as
 W^T A, with W a trial's Haar k-system and A = (V sqrt(P))^T read off a
@@ -61,7 +62,6 @@ from .hilbert import (
 )
 from .randomness import (
     RngStream,
-    _complex_gaussians,
     _gram_schmidt_twice,
     _haar_frame_factor,
     _integer,
@@ -216,11 +216,15 @@ def _real(value) -> float | None:
 
 def _float_array(value, dtype):
     """``value`` as a numpy array of ``dtype``, or None if numpy cannot read
-    it as one (a string, a ragged list, a complex number as a float)."""
+    it as one (a string, a ragged list, a complex number as a float) or it
+    holds a bool, alone or among numbers, which ``_integer`` rejects too."""
     try:
-        return np.asarray(value, dtype=dtype)
+        array = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):
         return None
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+        return None
+    return array
 
 
 def _poly_sup_on_unit_interval(coeffs: np.ndarray) -> float:
@@ -335,12 +339,12 @@ class ExperimentOutcome:
 # Budget, in complex entries, for the largest per-trial array (the d1 x d2
 # state or branch matrix) stacked over one chunk, each stacked array staying
 # at a few hundred kilobytes; a chunk costs one handoff between threads.  On
-# a 2-core VM with one BLAS thread, in 0.26.0, 2^13, 2^14 and 2^15 ran
-# purification-sweep at 85 000-98 000, 112 000-130 000 and 115 000-131 000
-# trials/s and thermal-shell at 22 500-26 500, 28 000-31 600 and
-# 29 400-32 700 (in-process medians of 5 rounds, two processes).  Across
-# fresh benchmark processes 2^15 read within noise of 2^14, and 2^16 took
-# 5 MB more memory.
+# a 2-core VM with one BLAS thread, in 0.27.0, 2^13, 2^14 and 2^15 ran
+# purification-sweep at 97 000-114 000, 106 000-135 000 and 107 000-139 000
+# trials/s and thermal-shell at 28 500-37 700, 33 400-47 900 and
+# 34 400-47 100 (in-process medians of 5 rounds, two processes).  Across
+# fresh benchmark processes 2^15 read within noise of 2^14 in 0.26.0, and
+# 2^16 took 5 MB more memory.
 CHUNK_ENTRIES = 2 ** 14
 
 # At most this many trials per sweep point.  The engine's (2, n_trials)
@@ -362,10 +366,13 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
 
     Trial i takes the i-th run of S standard normals from the point's one
     generator, ``stream.generator()``, S = sum of 2 prod(shape) over
-    ``shapes``, and splits it into one complex Gaussian array per shape, in
-    order: the values ``ginibre(rng, *shape)`` returns for each trial and
-    shape in turn.  ``evaluate`` maps a chunk's draws, one (B, *shape) array
-    per shape, to a pair of (B,) arrays (value, auxiliary).  A chunk holds
+    ``shapes``, and reads it as one complex array per shape, in order, as
+    ``ginibre(rng, *shape)`` draws for each trial and shape in turn but
+    unscaled: sqrt(2) times its values, up to rounding.  Every use in the
+    engine is invariant under a positive scale (Q = Z R^-1 in
+    ``_haar_frame_factor``, and both ``states`` methods, which normalize).
+    ``evaluate`` maps a chunk's draws, one (B, *shape) array per shape, to
+    a pair of (B,) arrays (value, auxiliary).  A chunk holds
     CHUNK_ENTRIES // entries trials, ``entries`` being the size of the
     largest per-trial array.  Every batched operation, ``_haar_frame_factor``
     included, acts on each trial's slice alone, so the outputs do not depend
@@ -374,9 +381,10 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
     One worker thread per call, the only one to touch the generator, fills
     the chunks' normals in order into two buffers in turn; ``free`` counts
     the buffers it may fill, ``filled`` the chunks it has filled.  The
-    caller turns each chunk into fresh complex arrays, hands the buffer back
-    and runs ``evaluate`` while the worker fills the next.  An error on
-    either thread reaches the caller, and every exit joins the worker.
+    caller hands ``evaluate`` complex views of a filled buffer, which it
+    must neither write nor keep, and hands the buffer back once ``evaluate``
+    returns.  An error on either thread reaches the caller, and every exit
+    joins the worker.
     """
     n_trials = _integer("n_trials", n_trials, 1)
     if n_trials > MAX_TRIALS:
@@ -408,10 +416,10 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
             if failed:
                 raise failed[0]
             normals = buffers[i % 2, :stop - start]
-            gaussians = [_complex_gaussians(normals[:, a:b].reshape((stop - start, 2) + shape))
+            gaussians = [normals[:, a:b].view(complex).reshape((stop - start,) + shape)
                          for a, b, shape in zip(bounds[:-1], bounds[1:], shapes)]
-            free.release()
             out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
+            free.release()
     finally:
         stopping.append(True)
         free.release()
@@ -894,27 +902,28 @@ def _scaled_haar_blocks(rng: np.random.Generator, n: int, k: int,
     by Bartlett's decomposition G_bot^H G_bot equals T^H T in law: T upper
     triangular, independent of G_top, T_jj^2 ~ Gamma(n - k - j, 1) and
     T_ij ~ CN(0, 1) for i < j.  So the top k rows of the phase-fixed QR of
-    [G_top; T] have the law of U[:k, :k].  Draws: G_top's normals (real
-    block, then imaginary), the above-diagonal normals (none when k = 1),
+    [G_top; T] have the law of U[:k, :k].  Draws, as ``ginibre`` lays them
+    out: G_top's normals, the above-diagonal normals (none when k = 1), then
     the Gamma draws.
 
-    Each draw is scaled once, straight into its place in one zeroed
-    (n_samples, 2k, k) stack [G_top; T].  Every entry is the same product
-    of the same draw as when G_top and T are built apart and concatenated,
-    so the stack is bit-identical to that route (the tests keep it as an
-    oracle) at a fraction of its passes.  The stack is orthonormalized by
-    ``_gram_schmidt_twice``, which is the phase-fixed QR of
-    ``_haar_columns`` in exact arithmetic and agrees with it to rounding
+    Each draw is scaled to unit variance straight into its place in one
+    zeroed (n_samples, 2k, k) stack [G_top; T].  Every entry is the same
+    product of the same draw as when G_top and T are built apart and
+    concatenated, so the stack is bit-identical to that route (the tests
+    keep it as an oracle) at a fraction of its passes.  The stack is
+    orthonormalized by ``_gram_schmidt_twice``, which is the phase-fixed QR
+    of ``_haar_columns`` in exact arithmetic and agrees with it to rounding
     (the tests compare the two on the same stacks); it avoids one LAPACK
     call per sample.
     """
-    stack = np.zeros((n_samples, 2 * k, k), dtype=complex)
-    _complex_gaussians(rng.standard_normal((n_samples, 2, k, k)), out=stack[:, :k])
+    scale, stack = np.sqrt(0.5), np.zeros((n_samples, 2 * k, k), dtype=complex)
+    np.multiply(rng.standard_normal((n_samples, k, k, 2)).view(complex)[..., 0], scale,
+                out=stack[:, :k])
     above = list(itertools.combinations(range(k), 2))  # (i, j), i < j, row by row
     if above:
-        upper = rng.standard_normal((n_samples, 2, len(above)))
+        upper = rng.standard_normal((n_samples, len(above), 2)).view(complex)[..., 0]
         for p, (i, j) in enumerate(above):
-            _complex_gaussians(upper[..., p], out=stack[:, k + i, j])
+            np.multiply(upper[:, p], scale, out=stack[:, k + i, j])
     gammas = rng.standard_gamma(n - k - np.arange(k), (n_samples, k))
     for j in range(k):
         np.sqrt(gammas[:, j], out=stack.real[:, k + j, j])

@@ -31,6 +31,10 @@ It takes its amplitude factor from a QR of M^dagger, as the trial engine did
 up to 0.21.0; ``reduced_state_basis_measure``, the per-trial twin of the
 engine since 0.22.0, reads it off the reduced density matrix.
 
+``pcg64_generator`` is a stream's generator up to 0.26.0, PCG64 on the
+same seed sequence as the library's SFC64; ``same_state`` compares bit
+generator states of any kind.
+
 The GAP samplers (``sample_complex_gaussian``, ``sample_adjusted_gaussian``,
 ``sample_gap``) and the Monte Carlo estimate ``gap_expectation`` are the
 independent route to the exact GAP functionals of ``gaplab.gap``;
@@ -70,7 +74,7 @@ from gaplab import (
 )
 from gaplab.errors import DimensionError, DomainError, GaplabError
 from gaplab.hilbert import NORM_ATOL, _canonical_weights
-from gaplab.randomness import _complex_gaussians, _integer
+from gaplab.randomness import _integer
 from gaplab.stats import ks_statistic, ks_vs_exponential
 from gaplab.typicality import (
     WEIGHT_CUTOFF,
@@ -83,6 +87,26 @@ from gaplab.typicality import (
     real_part,
     submatrix_l1_distance,
 )
+
+
+def pcg64_generator(stream):
+    """The generator ``stream.generator()`` returned up to 0.26.0: PCG64 from
+    the same ``SeedSequence`` that seeds the library's SFC64."""
+    return np.random.Generator(np.random.PCG64(stream.generator().bit_generator.seed_seq))
+
+
+def same_state(a, b) -> bool:
+    """Whether two bit generator states (``bit_generator.state`` dicts) are
+    equal, for any bit generator: dicts key by key, arrays (SFC64 keeps its
+    state in one) element by element and with their dtype, other values by
+    ``==``."""
+    if isinstance(a, dict) or isinstance(b, dict):
+        return (isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys()
+                and all(same_state(a[key], b[key]) for key in a))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    return a == b
 
 
 class SingularProjectionError(GaplabError):
@@ -329,13 +353,6 @@ def integrate(m: DiscreteMeasure, f) -> float:
     return float(np.dot(m.weights, np.asarray(values, dtype=float)))
 
 
-def complex_gaussians(pairs):
-    """The unit-variance complex Gaussians (B, ...) that
-    ``randomness._complex_gaussians`` builds in one pass, from the same stack
-    of real normals (B, 2, ...), by the complex arithmetic it replaced."""
-    return (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
-
-
 def random_onb(rng, n):
     """Uniformly random orthonormal basis of C^n as the ROWS of an (n, n)
     array: the columns of a Haar unitary."""
@@ -454,9 +471,10 @@ REFERENCE_BUDGET_FLOOR = 2000
 def monte_carlo_reference(stream, rho: DensityMatrix, f, n_trials: int) -> GapExpectation:
     """The Monte Carlo route of ``gap_reference`` up to 0.19.0: the mean of
     max(10 n_trials, 2000) GAP draws on substream ``n_trials`` of the
-    point's stream, with its standard error."""
+    point's stream, with its standard error, drawn from the PCG64 generator
+    that streams had then (``pcg64_generator``)."""
     n_samples = max(REFERENCE_BUDGET_FACTOR * n_trials, REFERENCE_BUDGET_FLOOR)
-    return gap_expectation(stream.substream(n_trials).generator(), rho, f, n_samples)
+    return gap_expectation(pcg64_generator(stream.substream(n_trials)), rho, f, n_samples)
 
 
 def cap_at_eigenvector_c2(rho: DensityMatrix, phi, t: float) -> float:
@@ -682,15 +700,22 @@ def gram_schmidt_twice_by_division(a):
     return q
 
 
+def _interleaved_gaussians(pairs):
+    """Unit-variance complex Gaussians (...) from real normals (..., 2), the
+    last axis an entry's real and imaginary part, by complex arithmetic."""
+    return (pairs[..., 0] + 1j * pairs[..., 1]) * np.sqrt(0.5)
+
+
 def scaled_haar_blocks_by_concatenation(rng, n, k, n_samples):
     """``_scaled_haar_blocks`` as of 0.16.0, with the same draws in the same
-    order: G_top and T built as separate arrays, T from ``zeros_like`` and
-    fancy indexing (with an empty above-diagonal draw when k = 1), the two
-    concatenated and orthonormalized by ``gram_schmidt_twice_by_division``."""
-    top = _complex_gaussians(rng.standard_normal((n_samples, 2, k, k)))
+    order (in the interleaved layout of 0.27.0): G_top and T built as
+    separate arrays, T from ``zeros_like`` and fancy indexing (with an empty
+    above-diagonal draw when k = 1), the two concatenated and orthonormalized
+    by ``gram_schmidt_twice_by_division``."""
+    top = _interleaved_gaussians(rng.standard_normal((n_samples, k, k, 2)))
     rows, cols = np.triu_indices(k, 1)
     t = np.zeros_like(top)
-    t[:, rows, cols] = _complex_gaussians(rng.standard_normal((n_samples, 2, rows.size)))
+    t[:, rows, cols] = _interleaved_gaussians(rng.standard_normal((n_samples, rows.size, 2)))
     t[:, range(k), range(k)] = np.sqrt(rng.standard_gamma(n - k - np.arange(k), (n_samples, k)))
     return np.sqrt(n) * gram_schmidt_twice_by_division(np.concatenate([top, t], axis=1))[:, :k, :]
 

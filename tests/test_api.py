@@ -298,6 +298,25 @@ def rng():
     (lambda: T.concentration_bound("a", [0.1]), DomainError,
      "dim must be an integer >= 1, got 'a'"),
     (lambda: T.concentration_bound(100, ["a"]), DomainError, "eta must be real numbers"),
+    # 0.26.0 read these bools as the numbers 0 and 1.
+    (lambda: polynomial([1, 0], [True, False]), DomainError,
+     r"coefficients must be a 1-D list of real numbers, got \[True, False\]"),
+    (lambda: polynomial([1, 0], [0.5, True]), DomainError,
+     r"coefficients must be a 1-D list of real numbers, got \[0.5, True\]"),
+    (lambda: cap_indicator([True, False], 0.5), DomainError,
+     r"phi must be a finite nonzero 1-D vector, got \[True, False\]"),
+    (lambda: overlap_sq(np.array([True, False])), DomainError,
+     "phi must be a finite nonzero 1-D vector"),
+    (lambda: polynomial([1, 0], np.array([0.5, True], dtype=object)), DomainError,
+     "coefficients must be a 1-D list of real numbers"),
+    (lambda: T.microcanonical_shell([False, True], [0.0, 1.0], 0.5, 1.0), DomainError,
+     "system_levels must be a 1-D array of finite levels"),
+    (lambda: T.microcanonical_shell([0.0, 1.0], [0.0, np.bool_(True)], 0.5, 1.0),
+     DomainError, "bath_levels must be a 1-D array of finite levels"),
+    (lambda: T.fit_beta([0.0, True], MIXED2), DomainError,
+     "system_levels must be a 1-D array of finite levels"),
+    (lambda: T.concentration_bound(10, [True]), DomainError, "eta must be real numbers"),
+    (lambda: T.concentration_bound(10, True), DomainError, "eta must be real numbers"),
 ])
 def test_bad_arguments_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):

@@ -11,6 +11,7 @@ the chunk length.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -229,6 +230,36 @@ def test_product_state_puts_every_trial_in_the_cap():
     assert np.max(out.discrepancies) <= 1e-12
 
 
+class _Pcg64Stream:
+    """A stream whose generator is the PCG64 route of ``stream``, the
+    generator the library used up to 0.26.0."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def generator(self):
+        return O.pcg64_generator(self.stream)
+
+
+def _real_frame(z, a):
+    # Real Gaussian draws give real orthogonal frames, not Haar k-systems.
+    return _haar_frame_factor(z.real.astype(complex), a)
+
+
+def test_sfc64_trials_have_the_law_of_the_pcg64_route(monkeypatch):
+    # mu(cap at e1, t = 0.5) for rho = diag(0.7, 0.3), d2 = 16: the engine on
+    # the library's SFC64 stream against the per-trial route on the PCG64
+    # generator of the same address.  Judged against 0, each discrepancy is
+    # the trial's mu.
+    stream, f, n = RngStream(350), cap_indicator(np.array([1.0, 0.0]), 0.5), 2000
+    run = _pinned(0.0, lambda: T.random_purification_experiment(stream, RHO, 16, f, 0.1, n))
+    oracle = O.purification_trials(_Pcg64Stream(stream), RHO, 16, f, 0.0, n)[:, 0]
+    assert O.two_sample_ks(run().discrepancies, oracle)[1] > 1e-3
+    # Control: real frames, whose cap reference is 0.748, not 0.784, fail.
+    monkeypatch.setattr(T, "_haar_frame_factor", _real_frame)
+    assert O.two_sample_ks(run().discrepancies, oracle)[1] < 1e-3
+
+
 def _scaled(z, a):
     z, factor = _haar_frame_factor(z, a)
     return z, factor * (1.0 + 1e-9)
@@ -373,11 +404,14 @@ def test_bad_member_pairs_rejected(d1, d2, pairs, error, message):
 
 def _engine_draws(stream, n_trials, entries, shapes):
     """Every Gaussian array ``_run_trials`` hands ``evaluate``, stacked over
-    the trials, and the number of chunks."""
+    the trials and scaled by sqrt(1/2) as ``ginibre`` scales its draws, and
+    the number of chunks.  The arrays are views of the worker's buffers,
+    which it refills once ``evaluate`` returns, so each is copied, scaled,
+    before that."""
     seen = []
 
     def evaluate(*gaussians):
-        seen.append(gaussians)
+        seen.append([g * np.sqrt(0.5) for g in gaussians])
         return np.zeros(len(gaussians[0])), np.zeros(len(gaussians[0]))
 
     T._run_trials(stream, n_trials, entries, shapes, evaluate)
@@ -397,6 +431,23 @@ def test_trials_draw_in_sequence_from_one_generator(monkeypatch, per_chunk, chun
     assert n_chunks == chunks
     for got, expected in zip(draws, per_trial, strict=True):
         np.testing.assert_array_equal(got, expected)
+
+
+def test_a_chunk_keeps_its_draws_until_evaluate_returns(monkeypatch):
+    # ``evaluate`` reads views of the worker's buffer, which the worker must
+    # not refill before ``evaluate`` returns.  Each chunk sleeps long enough
+    # for a worker that had the buffer back to fill it many times over.
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 8)  # one trial per chunk
+    changed = []
+
+    def evaluate(z):
+        before = z.copy()
+        time.sleep(0.005)
+        changed.append(not np.array_equal(z, before))
+        return np.zeros(len(z)), np.zeros(len(z))
+
+    T._run_trials(RngStream(352), 12, 8, [(4, 1)], evaluate)
+    assert changed == [False] * 12
 
 
 def test_concurrent_calls_each_draw_their_own_sequence(monkeypatch):

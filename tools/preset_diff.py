@@ -17,6 +17,10 @@ differs is followed by one indented line per sweep point whose reference,
 pass_fraction or any value in its extra changed, each as old -> new, points
 matched in order; a nested extra value is named by its dotted key path
 (expectation_gaps.polynomial), and a key that one side lacks reads absent.
+A pass_fraction move is also given in binomial standard errors
+sqrt(p (1 - p) / n) of the parent's fraction p, n being the number of the
+parent's trials.csv rows at the point's dim, so that a move within sampling
+noise reads as such.
 The two trees run at once; if either run fails, the script stops the other
 and exits 2.  It uses the standard library only.
 """
@@ -115,17 +119,42 @@ def _point_fields(point: dict) -> dict:
     return {key: json.dumps(value) for key, value in fields.items()}
 
 
-def _verdict_changes(a: dict, b: dict) -> list[str]:
+def _trial_counts(path: Path) -> dict[str, int]:
+    """Rows of a trials.csv per dim (as written there); none if it is absent."""
+    counts: dict[str, int] = {}
+    if path.exists():
+        with path.open(encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                counts[row["dim"]] = counts.get(row["dim"], 0) + 1
+    return counts
+
+
+def _standard_errors(old: float, new: float, n_trials: int) -> str:
+    """The move old -> new of a pass fraction over n_trials trials, in
+    binomial standard errors of old; a parent fraction of 0 or 1 has none,
+    so any move from it is infinitely many."""
+    se = math.sqrt(old * (1.0 - old) / n_trials)
+    move = (new - old) / se if se > 0.0 else math.copysign(math.inf, new - old)
+    return f" ({move:+.1f} SE, {n_trials} trials)"
+
+
+def _verdict_changes(a: dict, b: dict, counts: dict[str, int]) -> list[str]:
     """One line per sweep point of two summaries whose reference, pass
-    fraction or any extra value changed, matching the points in order."""
+    fraction or any extra value changed, matching the points in order; a
+    pass fraction's move is in standard errors when ``counts`` has the
+    point's dim."""
     points = [summary["summary"]["points"] for summary in (a, b)]
     if len(points[0]) != len(points[1]):
         return [f"  {len(points[0])} vs {len(points[1])} points"]
     lines = []
     for x, y in zip(*points):
         old, new = _point_fields(x), _point_fields(y)
-        changed = [f"{key} {old.get(key, 'absent')} -> {new.get(key, 'absent')}"
-                   for key in {**old, **new} if old.get(key) != new.get(key)]
+        changed = []
+        for key in {**old, **new}:
+            if old.get(key) != new.get(key):
+                changed.append(f"{key} {old.get(key, 'absent')} -> {new.get(key, 'absent')}")
+                if key == "pass_fraction" and str(x["dim"]) in counts:
+                    changed[-1] += _standard_errors(x[key], y[key], counts[str(x["dim"])])
         if changed:
             lines.append(f"  dim {x['dim']}: {', '.join(changed)}")
     return lines
@@ -148,7 +177,7 @@ def compare(parent: Path, change: Path) -> list[str]:
             lines.append(f"differs: {name}{detail}")
             differing += 1
             if name.name == "summary.json":
-                lines.extend(_verdict_changes(old, new))
+                lines.extend(_verdict_changes(old, new, _trial_counts(a.parent / "trials.csv")))
     return lines + [f"{differing} of {len(names)} files differ"]
 
 
