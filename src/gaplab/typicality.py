@@ -32,7 +32,7 @@ w_j f(b_j / sqrt(w_j)) is taken straight from <phi|b_j> and w_j
 (``TestFunction.weighted``), without normalizing the atoms.  A subspace
 H_R is a :class:`Subspace` (dense orthonormal basis) or a
 :class:`CoordinateSubspace` (spanned by product vectors |i>|j>, such as a
-microcanonical shell, with states scattered into its flat indices), and
+microcanonical shell, with states on the bath columns its pairs use), and
 each forms its own states.  The engine checks each invariant once, where it
 is strictest: unit total conditional weight (which a non-orthonormal frame
 or NaN fails) and unit-trace Hermitian reduced matrices.  The per-trial
@@ -47,7 +47,7 @@ import numbers
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -452,19 +452,18 @@ def _conditional_integrals(z: np.ndarray, factor: np.ndarray, f: TestFunction) -
 
 def _amplitude_factor(rho: np.ndarray, k: int) -> np.ndarray:
     """The ((B,) k, d1) factor A = (V sqrt(P))^T of reduced matrices rho, with
-    (P, V) the k largest eigenpairs, P clipped at 0, in ``DensityMatrix``
-    order.  A state with M M^dagger = rho has M = V sqrt(P) U^dagger; in a
-    Haar basis B, U^dagger B^dagger is a Haar k-system W of C^{d2}, so the
-    branch rows M B^dagger are W^T A."""
+    (P, V) the k largest eigenpairs, P clipped at 0, read from the end of
+    ``eigh``'s ascending output, ties in reverse ``eigh`` order.  A state with
+    M M^dagger = rho has M = V sqrt(P) U^dagger; in a Haar basis B, U^dagger
+    B^dagger is a Haar k-system W of C^{d2}, right-invariant in law (so the
+    order within a tie does not matter), and the branch rows M B^dagger are W^T A."""
     p, v = np.linalg.eigh(rho)
-    order = np.argsort(-p, axis=-1, kind="stable")[..., :k]  # descending, ties keep eigh order
-    root = np.sqrt(np.maximum(np.take_along_axis(p, order, -1), 0.0))
-    return np.swapaxes(np.take_along_axis(v, order[..., None, :], -1) * root[..., None, :],
-                       -1, -2)
+    root = np.sqrt(np.maximum(p[..., :-k - 1:-1], 0.0))
+    return np.swapaxes(v[..., :-k - 1:-1] * root[..., None, :], -1, -2)
 
 
 def _reduced_matrices(m: np.ndarray) -> np.ndarray:
-    """tr_2 |psi><psi| = M M^dagger of coefficient matrices m (B, d1, d2) as
+    """tr_2 |psi><psi| = M M^dagger of coefficient matrices m (B, d1, n) as
     (rho + rho^dagger) / 2, once each is Hermitian and of unit trace within
     tolerance (NaN and inf fail both comparisons).  A trace distance to a
     target is the sum of |eigenvalues| of the difference."""
@@ -684,16 +683,22 @@ def shell_vs_target_experiment(stream: RngStream,
     ``extra['target_distance']`` reports ||tr_2 rho_R - Omega||_tr, which the
     caller is responsible for keeping small.  ``subspace`` may also be a
     :class:`CoordinateSubspace`, such as a microcanonical shell, whose states
-    are scattered, not multiplied out.
+    are formed on the bath columns it uses, not multiplied out.
     """
+    return _shell_vs_target(stream, subspace, subspace.reduced_density(), omega, f,
+                            epsilon, n_trials)
+
+
+def _shell_vs_target(stream, subspace, average, omega, f, epsilon, n_trials, **extra):
+    """``shell_vs_target_experiment`` given average = tr_2 rho_R, plus ``extra``."""
     if omega.min_eigenvalue <= 0.0:
         raise DomainError("target density matrix must be strictly positive")
-    target_distance = trace_norm(subspace.reduced_density().matrix - omega.matrix)
+    target_distance = trace_norm(average.matrix - omega.matrix)
     reference = gap_reference(omega, f)
     threshold = f.pass_threshold(epsilon)
     values, aux = _shell_trials(stream, subspace, f, omega, n_trials)
     return _collect(values, reference, threshold, aux,
-                    extra={"target_distance": target_distance})
+                    extra={"target_distance": target_distance, **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +729,10 @@ class CoordinateSubspace:
                 and np.unique(self.flat_indices).size == len(pairs)):
             raise DimensionError(f"member pairs must be distinct integer pairs in "
                                  f"[0, {self.d1}) x [0, {self.d2})")
+        # Not fields: each pair's index i n + c in (d1, n) on the n bath columns used.
+        columns, column = np.unique(pairs[:, 1], return_inverse=True)
+        object.__setattr__(self, "_width", columns.size)
+        object.__setattr__(self, "_compact_indices", pairs[:, 0] * columns.size + column)
 
     @property
     def dim(self) -> int:
@@ -739,13 +748,14 @@ class CoordinateSubspace:
         return self.member_pairs[:, 0] * self.d2 + self.member_pairs[:, 1]
 
     def states(self, z: np.ndarray) -> np.ndarray:
-        """``Subspace.states`` on the basis of member product vectors at
-        O(dim) per trial: z normalized and scattered into the flat indices,
-        equal up to rounding."""
+        """``Subspace.states`` on the basis of member product vectors, as
+        (B, d1, n) coefficient matrices on the n <= min(dim, d2) bath columns
+        the member pairs use, ascending, at O(d1 n) per trial: the columns
+        left out are zero, so tr_2 is the same up to rounding."""
         z = z[..., 0]
-        psi = np.zeros((len(z), self.d1 * self.d2), dtype=complex)
-        psi[:, self.flat_indices] = z / np.linalg.norm(z, axis=-1, keepdims=True)
-        return psi.reshape(-1, self.d1, self.d2)
+        psi = np.zeros((len(z), self.d1 * self._width), dtype=complex)
+        psi[:, self._compact_indices] = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        return psi.reshape(-1, self.d1, self._width)
 
     def reduced_density(self) -> DensityMatrix:
         """tr_2 rho_R = diag(n_i / dim) in the product basis, divided as
@@ -840,11 +850,10 @@ def thermal_experiment(stream: RngStream, system_levels,
     :func:`shell_vs_target_experiment` on the shell against rho_beta.
     ``extra`` adds beta and the shell's member count per system level.
     """
-    beta = fit_beta(system_levels, shell.reduced_density())
-    omega = canonical_density(system_levels, beta)
-    out = shell_vs_target_experiment(stream, shell, omega, f, epsilon, n_trials)
-    return replace(out, extra={**out.extra, "beta": beta,
-                               "counts": shell.counts.tolist()})
+    average = shell.reduced_density()
+    beta = fit_beta(system_levels, average)
+    return _shell_vs_target(stream, shell, average, canonical_density(system_levels, beta),
+                            f, epsilon, n_trials, beta=beta, counts=shell.counts.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
@@ -26,6 +26,7 @@ from gaplab import (
     canonical_density,
     cap_indicator,
     ginibre,
+    haar_unitary,
     overlap_sq,
     polynomial,
     real_part,
@@ -216,6 +217,39 @@ def test_chunk_checks_reject_what_the_public_constructors_reject():
             T._reduced_matrices(bad)
 
 
+@pytest.mark.parametrize("d1", range(1, 9))
+def test_the_amplitude_factor_is_a_square_root_of_rho_transposed(d1):
+    # rho = U diag(s) U^dagger for a Haar U and known spectra s: four random,
+    # four with tied eigenvalues (pairs of equal entries and I / d1) and four
+    # of rank about d1 / 2.  A = (V sqrt(P))^T has A^dagger A = conj(rho),
+    # and its rows are the eigenvectors scaled by sqrt(p), p descending, so
+    # their squared norms are s in descending order.  (Their norms would read
+    # the sqrt of a rounded zero eigenvalue, about 1e-8, as not 0.)
+    rng = RngStream(340 + d1).generator()
+    half = max(1, d1 // 2)
+    spectra = [rng.dirichlet(np.ones(d1)) for _ in range(4)]
+    spectra += [np.repeat(rng.dirichlet(np.ones((d1 + 1) // 2)), 2)[:d1] for _ in range(3)]
+    spectra += [np.full(d1, 1.0 / d1)]
+    spectra += [np.concatenate([rng.dirichlet(np.ones(half)), np.zeros(d1 - half)])
+                for _ in range(4)]
+    spectra = np.array([s / s.sum() for s in spectra])
+    rho = []
+    for s in spectra:
+        u = haar_unitary(rng, d1)
+        m = (u * s) @ u.conj().T
+        rho.append((m + m.conj().T) / 2.0)
+    rho = np.array(rho)
+    a = T._amplitude_factor(rho, d1)
+    assert a.shape == (len(spectra), d1, d1)
+    np.testing.assert_allclose(np.swapaxes(a.conj(), -1, -2) @ a, rho.conj(),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.sum(np.abs(a) ** 2, axis=-1), -np.sort(-spectra, axis=-1),
+                               rtol=0, atol=1e-14)
+    # k < d1 keeps the first k rows: the k largest eigenpairs.
+    for k in range(1, d1):
+        np.testing.assert_array_equal(T._amplitude_factor(rho, k), a[:, :k])
+
+
 def test_product_state_puts_every_trial_in_the_cap():
     # psi = chi (x) xi has rho1 = |chi><chi|, spectrum [1, 0]: every branch is
     # chi up to a factor, so mu(cap at chi, t = 1) is 1 in every trial.
@@ -372,17 +406,48 @@ def _coordinate_subspaces(draw):
     return T.CoordinateSubspace(d1, d2, np.array([divmod(k, d2) for k in flat]))
 
 
+@st.composite
+def _shared_column_subspaces(draw):
+    """A coordinate subspace on one to five bath columns, the first of which
+    carries two system levels, so that its states' rho1 has an off-diagonal
+    entry; the pairs are in any order."""
+    d1, d2 = draw(st.integers(2, 4)), draw(st.integers(1, 40))
+    columns = draw(st.lists(st.integers(0, d2 - 1), min_size=1, max_size=min(d2, 5),
+                            unique=True))
+    levels = [draw(st.lists(st.integers(0, d1 - 1), min_size=2 if c == 0 else 1,
+                            max_size=d1, unique=True)) for c in range(len(columns))]
+    pairs = [(i, j) for j, column in zip(columns, levels) for i in column]
+    return T.CoordinateSubspace(d1, d2, np.array(draw(st.permutations(pairs))))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
-@given(shell=st.one_of(_shells(), _coordinate_subspaces()),
+@given(shell=st.one_of(_shells(), _coordinate_subspaces(), _shared_column_subspaces()),
        seed=st.integers(0, 2**32 - 1))
+@example(shell=T.CoordinateSubspace(3, 40, np.array([[2, 17], [0, 17]])), seed=1)
 def test_scattered_shell_states_equal_the_dense_route(shell, seed):
+    # The compact states hold the dense route's states on the bath columns
+    # the pairs use, and the other columns are zero, so both give the same
+    # rho1; the single-column example has an off-diagonal rho1.
     dense = T.Subspace(O.shell_basis(shell), shell.d1, shell.d2)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((5, shell.dim, 1)) + 1j * rng.standard_normal((5, shell.dim, 1))
-    scattered, multiplied = shell.states(z), dense.states(z)
-    np.testing.assert_array_equal(scattered == 0, multiplied == 0)
+    compact, multiplied = shell.states(z), dense.states(z)
+    columns = np.unique(shell.member_pairs[:, 1])
+    assert compact.shape == (5, shell.d1, columns.size)
+    assert not np.any(np.delete(multiplied, columns, axis=-1))
     # Only the norm is summed in another order, so entries are a few ulps apart.
-    np.testing.assert_allclose(scattered, multiplied, rtol=4 * np.finfo(float).eps, atol=0)
+    np.testing.assert_allclose(compact, multiplied[..., columns],
+                               rtol=4 * np.finfo(float).eps, atol=0)
+    rho, oracle = T._reduced_matrices(compact), T._reduced_matrices(multiplied)
+    # Entries of rho1 are at most 1 in modulus, and both routes sum the same
+    # products, up to zeros and in another order: within 8 ulps of 1 (4 at
+    # most over 5 000 random subspaces of these sizes).
+    np.testing.assert_allclose(rho, oracle, rtol=0, atol=8 * np.finfo(float).eps)
+    # rho_ii' is exactly 0 on both routes unless a bath column carries i and i'.
+    occupied = np.zeros((shell.d1, shell.d2), dtype=int)
+    occupied[shell.member_pairs[:, 0], shell.member_pairs[:, 1]] = 1
+    apart = occupied @ occupied.T == 0
+    assert np.all(rho[:, apart] == 0) and np.all(oracle[:, apart] == 0)
     assert np.array_equal(shell.reduced_density().matrix, dense.reduced_density().matrix)
 
 

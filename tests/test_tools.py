@@ -120,28 +120,39 @@ def test_a_changed_summary_reports_its_verdict_changes(tmp_path, preset_diff):
 
 def test_a_pass_fraction_move_reads_in_standard_errors(tmp_path, preset_diff):
     parent, change = tmp_path / "parent", tmp_path / "change"
-    # 500 trials at dim 16, 40 at dim 64 and 10 at dim 4; dim 256 has none.
-    # 0.874 -> 0.904 is +0.030 against sqrt(0.874 * 0.126 / 500) = 0.0148,
-    # and 0.95 -> 0.9 is -0.05 against sqrt(0.95 * 0.05 / 40) = 0.0345.  A
-    # parent fraction of 1 has no standard error.
-    trials = "experiment,dim,trial,discrepancy,pass,auxiliary\n" + "".join(
-        f"theorem1,{dim},{i},0.05,1,nan\n" for dim, n in ((16, 500), (64, 40), (4, 10))
-        for i in range(n))
-    for root in (parent, change):
+    # The parent has 500 trials at dims 16 and 32, 40 at dim 64 and 10 at
+    # dim 4, the change 50 at dim 64 and the same elsewhere; dim 256 has
+    # none.  A move is in standard errors sqrt(p (1 - p) (1/n + 1/m)) of
+    # the difference, p pooled: 0.874 -> 0.904 over 500 and 500 is +0.030
+    # against sqrt(0.889 * 0.111 * 2/500) = 0.0199, 0.95 -> 0.9 over 40 and
+    # 50 is -0.05 against sqrt(0.9222 * 0.0778 * (1/40 + 1/50)) = 0.0568,
+    # 1.0 -> 0.998 over 500 and 500 is -0.002 against
+    # sqrt(0.999 * 0.001 * 2/500) = 0.0020, and 1.0 -> 0.99 over 10 and 10
+    # is -0.01 against sqrt(0.995 * 0.005 * 2/10) = 0.0315: a parent
+    # fraction of 1 has a finite move too.
+    for root, n_64 in ((parent, 40), (change, 50)):
         (root / "a" / "7").mkdir(parents=True)
-        (root / "a" / "7" / "trials.csv").write_text(trials, encoding="utf-8")
+        (root / "a" / "7" / "trials.csv").write_text(
+            "experiment,dim,trial,discrepancy,pass,auxiliary\n" + "".join(
+                f"theorem1,{dim},{i},0.05,1,nan\n"
+                for dim, n in ((16, 500), (32, 500), (64, n_64), (4, 10)) for i in range(n)),
+            encoding="utf-8")
     _write_summary(parent / "a" / "7" / "summary.json",
-                   [(16, 0.874, 0.05), (64, 0.95, 0.04), (256, 0.5, 0.02), (4, 1.0, 0.1)])
+                   [(16, 0.874, 0.05), (32, 1.0, 0.01), (64, 0.95, 0.04), (256, 0.5, 0.02),
+                    (4, 1.0, 0.1)])
     _write_summary(change / "a" / "7" / "summary.json",
-                   [(16, 0.904, 0.05), (64, 0.9, 0.04), (256, 0.6, 0.02), (4, 0.99, 0.1)])
+                   [(16, 0.904, 0.05), (32, 0.998, 0.01), (64, 0.9, 0.04), (256, 0.6, 0.02),
+                    (4, 0.99, 0.1)])
     assert preset_diff.compare(parent, change) == [
         "differs: a/7/summary.json",
-        "  dim 16: pass_fraction 0.874 -> 0.904 (+2.0 SE, 500 trials), "
+        "  dim 16: pass_fraction 0.874 -> 0.904 (+1.5 SE, 500 -> 500 trials), "
         "meets_delta false -> true",
-        "  dim 64: pass_fraction 0.95 -> 0.9 (-1.5 SE, 40 trials)",
+        "  dim 32: pass_fraction 1.0 -> 0.998 (-1.0 SE, 500 -> 500 trials)",
+        "  dim 64: pass_fraction 0.95 -> 0.9 (-0.9 SE, 40 -> 50 trials)",
         "  dim 256: pass_fraction 0.5 -> 0.6",
-        "  dim 4: pass_fraction 1.0 -> 0.99 (-inf SE, 10 trials)",
-        "1 of 2 files differ",
+        "  dim 4: pass_fraction 1.0 -> 0.99 (-0.3 SE, 10 -> 10 trials)",
+        "differs: a/7/trials.csv (1050 vs 1060 trials)",
+        "2 of 2 files differ",
     ]
 
 

@@ -17,10 +17,11 @@ differs is followed by one indented line per sweep point whose reference,
 pass_fraction or any value in its extra changed, each as old -> new, points
 matched in order; a nested extra value is named by its dotted key path
 (expectation_gaps.polynomial), and a key that one side lacks reads absent.
-A pass_fraction move is also given in binomial standard errors
-sqrt(p (1 - p) / n) of the parent's fraction p, n being the number of the
-parent's trials.csv rows at the point's dim, so that a move within sampling
-noise reads as such.
+A pass_fraction move is also given in standard errors of the difference
+of two fractions, sqrt(p (1 - p) (1/n + 1/m)) with p the pooled fraction
+and n and m the parent's and the change's trials.csv rows at the point's
+dim, so that a move within sampling noise reads as such, also from a parent
+fraction of 0 or 1.
 The two trees run at once; if either run fails, the script stops the other
 and exits 2.  It uses the standard library only.
 """
@@ -129,20 +130,20 @@ def _trial_counts(path: Path) -> dict[str, int]:
     return counts
 
 
-def _standard_errors(old: float, new: float, n_trials: int) -> str:
-    """The move old -> new of a pass fraction over n_trials trials, in
-    binomial standard errors of old; a parent fraction of 0 or 1 has none,
-    so any move from it is infinitely many."""
-    se = math.sqrt(old * (1.0 - old) / n_trials)
-    move = (new - old) / se if se > 0.0 else math.copysign(math.inf, new - old)
-    return f" ({move:+.1f} SE, {n_trials} trials)"
+def _standard_errors(old: float, new: float, n_old: int, n_new: int) -> str:
+    """The move old -> new of a pass fraction over n_old and n_new trials in
+    standard errors of the difference, from the pooled fraction, which lies
+    strictly between 0 and 1 when the two fractions differ."""
+    pooled = (old * n_old + new * n_new) / (n_old + n_new)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_old + 1.0 / n_new))
+    return f" ({(new - old) / se:+.1f} SE, {n_old} -> {n_new} trials)"
 
 
-def _verdict_changes(a: dict, b: dict, counts: dict[str, int]) -> list[str]:
+def _verdict_changes(a: dict, b: dict, counts: tuple[dict[str, int], ...]) -> list[str]:
     """One line per sweep point of two summaries whose reference, pass
     fraction or any extra value changed, matching the points in order; a
-    pass fraction's move is in standard errors when ``counts`` has the
-    point's dim."""
+    pass fraction's move is in standard errors when both trial ``counts``,
+    the parent's and the change's, have the point's dim."""
     points = [summary["summary"]["points"] for summary in (a, b)]
     if len(points[0]) != len(points[1]):
         return [f"  {len(points[0])} vs {len(points[1])} points"]
@@ -153,8 +154,10 @@ def _verdict_changes(a: dict, b: dict, counts: dict[str, int]) -> list[str]:
         for key in {**old, **new}:
             if old.get(key) != new.get(key):
                 changed.append(f"{key} {old.get(key, 'absent')} -> {new.get(key, 'absent')}")
-                if key == "pass_fraction" and str(x["dim"]) in counts:
-                    changed[-1] += _standard_errors(x[key], y[key], counts[str(x["dim"])])
+                dim = str(x["dim"])
+                if key == "pass_fraction" and all(dim in c for c in counts):
+                    changed[-1] += _standard_errors(x[key], y[key],
+                                                    *(c[dim] for c in counts))
         if changed:
             lines.append(f"  dim {x['dim']}: {', '.join(changed)}")
     return lines
@@ -177,7 +180,8 @@ def compare(parent: Path, change: Path) -> list[str]:
             lines.append(f"differs: {name}{detail}")
             differing += 1
             if name.name == "summary.json":
-                lines.extend(_verdict_changes(old, new, _trial_counts(a.parent / "trials.csv")))
+                lines.extend(_verdict_changes(old, new, tuple(
+                    _trial_counts(path.parent / "trials.csv") for path in (a, b))))
     return lines + [f"{differing} of {len(names)} files differ"]
 
 
