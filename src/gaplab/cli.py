@@ -206,10 +206,11 @@ def _resolve_phi(spec, dim: int) -> np.ndarray:
         if spec == "balanced":
             return np.ones(dim, dtype=complex) / math.sqrt(dim)
         if spec.startswith("e"):
-            try:
-                k = int(spec[1:])
-            except ValueError:
+            digits = spec[1:]
+            # int() would also read "e1_0", "e+2" and "e 2".
+            if not (digits.isascii() and digits.isdigit()):
                 raise ConfigError(f"f_spec.phi: cannot parse {spec!r}")
+            k = int(digits)
             if not 1 <= k <= dim:
                 raise ConfigError(f"f_spec.phi: index {k} outside 1..{dim}")
             return np.eye(dim, dtype=complex)[k - 1]
@@ -271,6 +272,8 @@ def _resolve_rho(cfg: ExperimentConfig, dim: int) -> DensityMatrix:
 def _resolve_bath(cfg: ExperimentConfig, n_system: int) -> np.ndarray:
     spec = cfg.bath_spec
     if "levels" in spec:
+        if set(spec) != {"levels"}:
+            raise ConfigError(f"bath_spec: levels excludes count, min and max, got {spec!r}")
         levels = _numbers("bath_spec.levels", spec["levels"])
         _cap("bath_spec.levels", n_system * levels.size)
         return levels
@@ -486,13 +489,15 @@ def summary_json(report: ExperimentReport) -> str:
                     "median_discrepancy": o.median_discrepancy, "q10": o.q10, "q90": o.q90,
                     "reference": o.reference, "threshold": o.threshold,
                     # the configured confidence target: at least 1 - delta of trials pass
-                    "extra": {**o.extra, "meets_delta": o.pass_fraction >= 1.0 - delta},
+                    "extra": {**{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                                 for k, v in o.extra.items()},
+                              "meets_delta": o.pass_fraction >= 1.0 - delta},
                 }
                 for dim, o in report.points
             ],
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> None:

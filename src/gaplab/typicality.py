@@ -44,9 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import os
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,9 +169,10 @@ class TestFunction:
 
     def pass_threshold(self, epsilon: float) -> float:
         """epsilon * ||f||_inf, the pass threshold of the experiments judged
-        relative to the bound.  A product that underflows to 0 (a polynomial
-        of bound 1e-323, say) would fail every trial, so it is rejected."""
-        threshold = epsilon * self.bound
+        relative to the bound, for a positive finite epsilon.  A product that
+        underflows to 0 (a polynomial of bound 1e-323, say) would fail every
+        trial, so it is rejected."""
+        threshold = _tolerance("epsilon", epsilon) * self.bound
         if not threshold > 0.0:
             raise DomainError(f"pass threshold epsilon * sup|f| = {epsilon!r} * "
                               f"{self.bound!r} underflows to 0: no trial could pass")
@@ -212,6 +211,15 @@ def _real(value) -> float | None:
         except OverflowError:
             pass
     return None
+
+
+def _tolerance(name: str, value) -> float:
+    """``value`` as a float if it is a positive, finite real number other
+    than a bool, else a DomainError naming ``name``."""
+    tolerance = _real(value)
+    if tolerance is None or not 0.0 < tolerance < math.inf:  # NaN fails too
+        raise DomainError(f"{name} must be a positive finite real number, got {value!r}")
+    return tolerance
 
 
 def _float_array(value, dtype):
@@ -352,10 +360,6 @@ CHUNK_ENTRIES = 2 ** 14
 # rejected by name before that allocation, not by numpy's MemoryError.
 MAX_TRIALS = 2 ** 32
 
-# Gives up the GIL and the CPU without sleeping; time.sleep(0) sleeps on
-# Linux, 90 us a call on a shared 2-core VM, where sleepers wake late.
-_yield = getattr(os, "sched_yield", None) or (lambda: time.sleep(0))
-
 # Atoms below this weight carry no mass and are dropped where normalization
 # would otherwise divide by ~0.
 WEIGHT_CUTOFF = 1e-14
@@ -380,11 +384,11 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
 
     One worker thread per call, the only one to touch the generator, fills
     the chunks' normals in order into two buffers in turn; ``free`` counts
-    the buffers it may fill, ``filled`` the chunks it has filled.  The
-    caller hands ``evaluate`` complex views of a filled buffer, which it
-    must neither write nor keep, and hands the buffer back once ``evaluate``
-    returns.  An error on either thread reaches the caller, and every exit
-    joins the worker.
+    the buffers it may fill, ``ready`` the filled chunks the caller has not
+    taken, and the caller blocks on it.  The caller hands ``evaluate``
+    complex views of a filled buffer, which it must neither write nor keep,
+    and hands the buffer back once ``evaluate`` returns.  An error on either
+    thread reaches the caller, and every exit joins the worker.
     """
     n_trials = _integer("n_trials", n_trials, 1)
     if n_trials > MAX_TRIALS:
@@ -392,7 +396,7 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
     bounds = np.cumsum([0] + [2 * math.prod(shape) for shape in shapes])
     size = min(n_trials, max(1, CHUNK_ENTRIES // entries))
     rng, buffers = stream.generator(), np.empty((2, size, bounds[-1]))
-    free, filled, failed, stopping = threading.Semaphore(2), [0], [], []
+    free, ready, failed, stopping = threading.Semaphore(2), threading.Semaphore(0), [], []
 
     def fill():
         try:
@@ -401,9 +405,10 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
                 if stopping:
                     return
                 rng.standard_normal(out=buffers[i % 2, :min(size, n_trials - start)])
-                filled[0] = i + 1
+                ready.release()
         except BaseException as error:
             failed.append(error)
+            ready.release()
 
     worker = threading.Thread(target=fill, name="gaplab-normals")
     worker.start()
@@ -411,8 +416,7 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
     try:
         for i, start in enumerate(range(0, n_trials, size)):
             stop = min(start + size, n_trials)
-            while filled[0] <= i and not failed:
-                _yield()
+            ready.acquire()
             if failed:
                 raise failed[0]
             normals = buffers[i % 2, :stop - start]
@@ -647,6 +651,7 @@ def shell_universality_experiment(stream: RngStream, subspace: Subspace,
     """
     if not f.is_continuous:
         raise DomainError("this experiment requires a continuous test function")
+    epsilon = _tolerance("epsilon", epsilon)
     target = subspace.reduced_density()
     reference = gap_reference(target, f)
     values, aux = _shell_trials(stream, subspace, f, target, n_trials)
@@ -974,8 +979,8 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
     ``overlap_sq`` and ``real_part`` gaps are sampling noise at every n; the
     ``cap_indicator`` gap estimates |(1 - t/n)^(n-1) - exp(-t)| and the
     ``polynomial`` one (u^2) 2/(n+1), as E |X_11|^4 = 2n/(n+1).  ``k`` and
-    ``n_samples`` must be integers >= 1 and n an integer >= 2k; all are
-    checked before anything is drawn.
+    ``n_samples`` must be integers >= 1, n an integer >= 2k and ``epsilon``
+    positive and finite; all are checked before anything is drawn.
 
     Both KS distances of |X_11|^2 read one sorted copy of it, and each
     sample's overlap with e1, its first coordinate, is formed once for all
@@ -984,6 +989,7 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
     k = _integer("k", k, 1)
     n = _integer("n", n, 2 * k)
     n_samples = _integer("n_samples", n_samples, 1)
+    epsilon = _tolerance("epsilon", epsilon)
     e1 = np.eye(k)[0]
     probes = (overlap_sq(e1), real_part(e1), cap_indicator(e1, 0.5),
               polynomial(e1, [0.0, 0.0, 1.0]))
@@ -999,7 +1005,7 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
     distance = submatrix_l1_distance(n) if k == 1 else ks_entry
     return ExperimentOutcome(
         np.array([distance]), np.array([ks_exact < epsilon]), np.array([ks_entry]),
-        0.0, float(epsilon),
+        0.0, epsilon,
         {"ks_entry": ks_entry, "ks_exact": ks_exact, "ks_entry_max": ks_entry_max,
          "expectation_gaps": gaps},
     )
@@ -1030,12 +1036,14 @@ def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
     of the sphere-density difference over a shared set of ``n_probe``
     uniform probe points and its auxiliary value the trace distance; it
     passes when the exact expectation gap for f = overlap_sq(e1) is within
-    the trace distance (up to 1e-12).  ``threshold`` is recorded as given.
+    the trace distance (up to 1e-12).  ``threshold``, positive and finite,
+    is recorded as given.
     ``extra`` has the Spearman rank correlation of the two columns and
     gamma.  Smaller gamma exhibits the blow-up of the density modulus.
     """
     n_pairs = _integer("n_pairs", n_pairs, 1)
     n_probe = _integer("n_probe", n_probe, 1)
+    threshold = _tolerance("threshold", threshold)
     rng = stream.generator()
     probes = uniform_sphere(rng, d, size=n_probe)
     e1 = np.eye(d)[0]
@@ -1056,6 +1064,6 @@ def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
         )))
         expe_gap[m] = abs(float(np.real(e1 @ diff @ e1)))
     return ExperimentOutcome(
-        dens_gap, expe_gap <= trace_d + 1e-12, trace_d, 0.0, float(threshold),
+        dens_gap, expe_gap <= trace_d + 1e-12, trace_d, 0.0, threshold,
         {"spearman": spearman(trace_d, dens_gap), "gamma": float(gamma)},
     )

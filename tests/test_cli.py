@@ -205,7 +205,17 @@ class TestConfigErrorsNameTheKey:
         ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": "x1"}}),
         ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": 5}}),
         ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": [[1, 0]]}}),
+        # Names that int() reads, as e10 and e2: 0.27.1 ran them.
+        ("f_spec.phi", {"d1": 10, "d2": 10, "rho_spec": {"spectrum": None},
+                        "f_spec": {"kind": "overlap_sq", "phi": "e1_0"}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": "e+2"}}),
+        ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": "e 2"}}),
         ("bath_spec", {"experiment": "thermal", "bath_spec": {"count": 10, "max": 1.0}}),
+        # levels with the keys of the other form: 0.27.1 ignored and echoed them.
+        ("bath_spec", {"experiment": "thermal",
+                       "bath_spec": {"levels": [9.0, 9.5, 10.0, 10.2], "count": 10}}),
+        ("bath_spec", {"experiment": "thermal",
+                       "bath_spec": {"levels": [9.0, 9.5, 10.0, 10.2], "min": 0, "max": 1}}),
         # The engine's (2, n_trials) float output would exceed MAX_ENTRIES.
         ("n_trials", {"n_trials": 2**33, "f_spec": {"kind": "overlap_sq", "phi": "e1"}}),
         # Unknown keys inside the nested specs.
@@ -430,6 +440,16 @@ class TestRunAndFiles:
         assert payload["library_version"]
         point = payload["summary"]["points"][0]
         assert point["extra"]["meets_delta"] is (point["pass_fraction"] >= 0.9)
+
+    @pytest.mark.parametrize("n_trials", [1, 3])
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_summary_is_strict_json(self, tmp_path, experiment, n_trials):
+        # One continuity pair has no rank correlation: 0.27.1 wrote a bare NaN.
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        write_report(run(ExperimentConfig(experiment, n_trials=n_trials)), str(tmp_path))
+        json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
 
     def test_numpy_scalars_echo_as_python_numbers(self):
         cfg = ExperimentConfig.from_dict(dict(TINY, n_trials=np.int64(2), seed=np.uint32(5),

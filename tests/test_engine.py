@@ -515,6 +515,32 @@ def test_a_chunk_keeps_its_draws_until_evaluate_returns(monkeypatch):
     assert changed == [False] * 12
 
 
+class _SlowGenerator:
+    """A generator whose every ``standard_normal`` call first sleeps 20 ms."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, *args, **kwargs):
+        time.sleep(0.02)
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_the_caller_blocks_while_it_waits_for_a_chunk(monkeypatch):
+    # Ten one-trial chunks, each filled in 20 ms: a caller that spun while
+    # it waited would spend most of the 200 ms on its own CPU time.
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: _SlowGenerator(generator(self)))
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 8)
+
+    def evaluate(z):
+        return np.zeros(len(z)), np.zeros(len(z))
+
+    start = time.thread_time()
+    T._run_trials(RngStream(353), 10, 8, [(4, 1)], evaluate)
+    assert time.thread_time() - start < 0.25 * 10 * 0.02
+
+
 def test_concurrent_calls_each_draw_their_own_sequence(monkeypatch):
     # Four callers, each with its own worker, at one trial per chunk and a
     # 1 us switch interval, so that the handoffs interleave as often as they

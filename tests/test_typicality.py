@@ -458,6 +458,30 @@ class TestPhiDimension:
             calls[call]()
 
 
+# 0.27.1 ran each of these: NaN and a negative failed every trial, inf
+# passed every trial of theorems 1, 3 and 4, and a string ended in a bare
+# TypeError.
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, -0.1, 0.0, True, "0.1"])
+@pytest.mark.parametrize("call", ["purification", "shell", "submatrix", "continuity"])
+def test_bad_tolerance_rejected_before_drawing(monkeypatch, call, tolerance):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the tolerance")
+
+    rho, f = DensityMatrix.maximally_mixed(2), overlap_sq(np.array([1.0, 0.0]))
+    subspace = T.random_subspace(RngStream(1).generator(), 2, 4, 8)
+    calls = {
+        "purification": lambda: T.random_purification_experiment(
+            RngStream(4), rho, 4, f, tolerance, 5),
+        "shell": lambda: T.shell_universality_experiment(RngStream(4), subspace, f, tolerance, 5),
+        "submatrix": lambda: T.submatrix_convergence_experiment(RngStream(4), 1, 4, 5, tolerance),
+        "continuity": lambda: T.continuity_probe(RngStream(4), 2, 0.1, 3, tolerance),
+    }
+    name = "threshold" if call == "continuity" else "epsilon"
+    monkeypatch.setattr(RngStream, "generator", no_draws)
+    with pytest.raises(DomainError, match=f"{name} must be a positive finite real number"):
+        calls[call]()
+
+
 class TestExperimentOutcome:
     """The point statistics are fields, set once at construction."""
 
