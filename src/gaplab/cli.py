@@ -228,7 +228,9 @@ def _resolve_phi(spec, dim: int) -> np.ndarray:
     return arr
 
 
-def _resolve_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
+def _scaled_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
+    """The configured test function on C^dim, whose pass threshold
+    epsilon * ||f||_inf is checked to be positive."""
     spec = cfg.f_spec
     phi = _resolve_phi(spec.get("phi", "e1"), dim)
     kind = spec["kind"]
@@ -243,13 +245,6 @@ def _resolve_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
     for key in ("threshold", "coefficients"):
         if key in spec and getattr(f, key) is None:  # the library rejects a key f ignores
             _named(f"f_spec.{key}", replace, f, **{key: spec[key]})
-    return f
-
-
-def _scaled_f(cfg: ExperimentConfig, dim: int) -> T.TestFunction:
-    """The test function of an experiment whose pass threshold is
-    epsilon * ||f||_inf, checked to be positive."""
-    f = _resolve_f(cfg, dim)
     _named("f_spec.coefficients", f.pass_threshold, cfg.epsilon)
     return f
 
@@ -296,8 +291,8 @@ def _resolve_bath(cfg: ExperimentConfig, n_system: int) -> np.ndarray:
 # function that draws the point's trials from the point's stream as one
 # ExperimentOutcome.  run() hands point p the stream RngStream(seed, p);
 # the trials (or samples) draw in sequence from stream.generator(), and a
-# random subspace from substream n_trials + 1, so that its draws keep the
-# values they had when the references drew from n_trials.  theorem2 runs
+# random subspace from substream 0, so that the trial count does not change
+# it and a run's first trials are those of a longer run.  theorem2 runs
 # theorem1's trials: in a Haar-random basis the conditional measure of a
 # fixed state depends on it only through rho1.
 
@@ -312,7 +307,7 @@ def _theorem1(cfg: ExperimentConfig):
 def _on_subspace(cfg: ExperimentConfig, driver):
     """The point's dimension dR (default d1 * d2) and its draw function, which
     runs ``driver(stream, subspace)`` on a random dR-dimensional subspace from
-    substream n_trials + 1, or on the whole space as the subspace of all pairs."""
+    substream 0, or on the whole space as the subspace of all pairs."""
     total = cfg.d1 * cfg.d2
     dr = cfg.dR if cfg.dR is not None else total
     if dr > total:
@@ -322,11 +317,11 @@ def _on_subspace(cfg: ExperimentConfig, driver):
         return dr, lambda stream: driver(stream, whole)
     _cap("dR", total * dr)  # the subspace's dense basis
     return dr, lambda stream: driver(stream, T.random_subspace(
-        stream.substream(cfg.n_trials + 1).generator(), cfg.d1, cfg.d2, dr))
+        stream.substream(0).generator(), cfg.d1, cfg.d2, dr))
 
 
 def _theorem3(cfg: ExperimentConfig):
-    f = _resolve_f(cfg, cfg.d1)
+    f = _scaled_f(cfg, cfg.d1)
     if not f.is_continuous:
         raise ConfigError(f"f_spec.kind: theorem3 needs a continuous test function, "
                           f"got {f.kind!r}")

@@ -33,7 +33,7 @@ class RngStream:
     """Addressable random stream: (master_seed, stream_index) plus an optional
     derivation path for nested substreams.  A sweep point's trials draw in
     sequence from its ``generator()``; its random subspace, if it has one,
-    comes from substream n_trials + 1, and substream n_trials is unused.
+    comes from substream 0, whatever the number of trials.
     Every component is a nonnegative integer (bool excluded).  Each
     stream's SFC64 generator has a period of at least 2^64 draws."""
 

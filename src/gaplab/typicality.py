@@ -29,7 +29,9 @@ the phase-fixed Q of the trial's Gaussian draw Z, is folded into
 Z (R^-1 A) (``randomness._haar_frame_factor``), laid out as a (d1, d2)
 matrix whose column j is <b_j|psi>, and each branch's term
 w_j f(b_j / sqrt(w_j)) is taken straight from <phi|b_j> and w_j
-(``TestFunction.weighted``), without normalizing the atoms.  A subspace
+(``TestFunction.weighted``), without normalizing the atoms, so no branch
+is dropped, however light.  Theorems 3, 4 and thermal run one shell driver
+against GAP(Omega), Omega = tr_2 rho_R for theorem 3.  A subspace
 H_R is a :class:`Subspace` (dense orthonormal basis) or a
 :class:`CoordinateSubspace` (spanned by product vectors |i>|j>, such as a
 microcanonical shell, with states on the bath columns its pairs use), and
@@ -167,6 +169,16 @@ class TestFunction:
     def is_continuous(self) -> bool:
         return self.kind != "cap_indicator"
 
+    @property
+    def is_affine(self) -> bool:
+        """Whether f is affine in u = |<phi|psi>|^2 (a cap of threshold at most
+        1e-12 is 1 everywhere), so that mu(f) = GAP(rho1)(f) exactly."""
+        if self.kind == "polynomial":
+            return not np.any(self.coefficients[2:])
+        if self.kind == "cap_indicator":
+            return self.threshold <= 1e-12
+        return self.kind == "overlap_sq"
+
     def pass_threshold(self, epsilon: float) -> float:
         """epsilon * ||f||_inf, the pass threshold of the experiments judged
         relative to the bound, for a positive finite epsilon.  A product that
@@ -181,7 +193,7 @@ class TestFunction:
     def weighted(self, amp: np.ndarray, w) -> np.ndarray:
         """w f(b / sqrt(w)) from the overlaps amp = <phi|b> of vectors b of
         squared norm w, elementwise, without normalizing b; 0 where w = 0
-        and amp = 0, the branches the engine masks."""
+        and amp = 0, a zero branch."""
         if self.kind == "real_part":
             return np.sqrt(w) * amp.real
         x = amp.real ** 2 + amp.imag ** 2
@@ -360,10 +372,6 @@ CHUNK_ENTRIES = 2 ** 14
 # rejected by name before that allocation, not by numpy's MemoryError.
 MAX_TRIALS = 2 ** 32
 
-# Atoms below this weight carry no mass and are dropped where normalization
-# would otherwise divide by ~0.
-WEIGHT_CUTOFF = 1e-14
-
 
 def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate):
     """Run ``n_trials`` independent trials in chunks of stacked arrays.
@@ -434,24 +442,18 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
 def _conditional_integrals(z: np.ndarray, factor: np.ndarray, f: TestFunction) -> np.ndarray:
     """mu(f) for the conditional measure of each branch matrix Z F = W^T A,
     given the pair (z (B, d2, k), F ((B,) k, d1)) of ``_haar_frame_factor``:
-    the sum over branches j of w_j f(<b_j|psi> / sqrt(w_j)), with branches
-    of weight below WEIGHT_CUTOFF masked out instead of dropped.  The
-    branches are laid out as F^T Z^T (B, d1, d2), column j being <b_j|psi>,
-    so the weights w_j and the overlaps <phi|b_j> reduce over d1 contiguous
-    rows; ``TestFunction.weighted`` takes w_j f(b_j / sqrt(w_j)) straight
-    from <phi|b_j> and w_j, and a masked branch enters with zero weight and
-    overlap."""
+    the sum over branches j of w_j f(<b_j|psi> / sqrt(w_j)), every branch
+    included.  The branches are laid out as F^T Z^T (B, d1, d2), column j
+    being <b_j|psi>, so the weights w_j and the overlaps <phi|b_j> reduce
+    over d1 contiguous rows; ``TestFunction.weighted`` takes
+    w_j f(b_j / sqrt(w_j)) straight from <phi|b_j> and w_j, and a zero
+    branch adds exactly 0."""
     branches = np.swapaxes(factor, -1, -2) @ np.swapaxes(z, -1, -2)
     w = np.sum(branches.real ** 2 + branches.imag ** 2, axis=-2)
-    keep = w >= WEIGHT_CUTOFF
-    mass = np.where(keep, w, 0.0)
     # NaN fails both comparisons and inf the second.
-    if not (np.all(w >= 0.0) and np.all(np.abs(mass.sum(axis=-1) - 1.0) <= 1e-10)):
+    if not (np.all(w >= 0.0) and np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-10)):
         raise DomainError("conditional weights must be finite, nonnegative and sum to 1")
-    amp = f.phi.conj() @ branches
-    if not keep.all():
-        amp[~keep] = 0.0
-    return np.sum(f.weighted(amp, mass), axis=-1)
+    return np.sum(f.weighted(f.phi.conj() @ branches, w), axis=-1)
 
 
 def _amplitude_factor(rho: np.ndarray, k: int) -> np.ndarray:
@@ -504,10 +506,10 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
     discrepancy is below epsilon * ||f||_inf.  The branches are W^T A, W a
     Haar d1-system of C^{d2} and A the amplitude factor of rho1; by Haar
     invariance they are also those of a fixed state with reduced density
-    matrix rho1 in a Haar-random basis (theorem 2).  For f = overlap_sq,
-    mu(f) = <phi|rho1|phi> = GAP(rho1)(f) in every basis, so the
-    discrepancies are rounding, not sampling: ``extra`` marks such a point
-    ``identity_check``.
+    matrix rho1 in a Haar-random basis (theorem 2).  For an f affine in
+    u = |<phi|psi>|^2 (``TestFunction.is_affine``), mu(f) = GAP(rho1)(f) in
+    every basis, so the discrepancies are rounding, not sampling: ``extra``
+    marks such a point ``identity_check``.
     """
     d1, d2 = rho1.dim, _integer("d2", d2, 1)
     if d2 < d1:
@@ -521,7 +523,7 @@ def random_purification_experiment(stream: RngStream, rho1: DensityMatrix,
 
     values, aux = _run_trials(stream, n_trials, d1 * d2, [(d2, d1)], evaluate)
     return _collect(values, reference, threshold, aux,
-                    {"identity_check": True} if f.kind == "overlap_sq" else None)
+                    {"identity_check": True} if f.is_affine else None)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +636,7 @@ def canonical_typicality_experiment(stream: RngStream, subspace: Subspace,
         "eta_grid": eta_grid.tolist(), "exceedance": exceed.tolist(),
         "bound": bound.tolist(), "bound_violated": bool(np.any(exceed > bound)),
     }
-    return ExperimentOutcome(distances, distances < 2.0 * offset, aux, 0.0,
-                             2.0 * offset, extra)
+    return _collect(distances, 0.0, 2.0 * offset, aux, extra)
 
 
 def shell_universality_experiment(stream: RngStream, subspace: Subspace,
@@ -645,34 +646,14 @@ def shell_universality_experiment(stream: RngStream, subspace: Subspace,
 
     Per trial: draw (psi, b) from the product of the uniform measure on the
     subspace sphere and the uniform basis measure, and record
-    |mu(f) - GAP(tr_2 rho_R)(f)|.  The pass threshold is epsilon itself
-    (the test function must be continuous for the limit statement to hold).
-    Each record's auxiliary field is ||rho1(psi) - tr_2 rho_R||_tr.
+    |mu(f) - GAP(tr_2 rho_R)(f)|, for a continuous f (as the limit statement
+    needs).  These are the trials of :func:`shell_vs_target_experiment` at
+    Omega = tr_2 rho_R, judged alike, but Omega may be singular and
+    ``extra`` stays empty.  The auxiliary is ||rho1(psi) - tr_2 rho_R||_tr.
     """
     if not f.is_continuous:
         raise DomainError("this experiment requires a continuous test function")
-    epsilon = _tolerance("epsilon", epsilon)
-    target = subspace.reduced_density()
-    reference = gap_reference(target, f)
-    values, aux = _shell_trials(stream, subspace, f, target, n_trials)
-    return _collect(values, reference, epsilon, aux)
-
-
-def _shell_trials(stream: RngStream, subspace: Subspace | CoordinateSubspace,
-                  f: TestFunction, target: DensityMatrix, n_trials: int):
-    """Per trial: psi uniform on the subspace sphere and rho1 = tr_2 |psi><psi|,
-    then mu(f) in a Haar-random basis and the auxiliary ||rho1 - target||_tr.
-    Trial i draws the state's coordinates, then the basis's k-system, which
-    ``_haar_frame_factor`` folds into the amplitude factor of rho1."""
-    d1, d2 = subspace.d1, subspace.d2
-    k = min(d1, d2)
-
-    def evaluate(z, w):
-        rho = _reduced_matrices(subspace.states(z))
-        return (_conditional_integrals(*_haar_frame_factor(w, _amplitude_factor(rho, k)), f),
-                np.sum(np.abs(np.linalg.eigvalsh(rho - target.matrix)), axis=-1))
-
-    return _run_trials(stream, n_trials, d1 * d2, [(subspace.dim, 1), (d2, k)], evaluate)
+    return _shell_vs_target(stream, subspace, subspace.reduced_density(), f, epsilon, n_trials)
 
 
 def shell_vs_target_experiment(stream: RngStream,
@@ -682,28 +663,44 @@ def shell_vs_target_experiment(stream: RngStream,
     """Random subspace state and random basis versus GAP(Omega) for a fixed,
     strictly positive target Omega.
 
-    Like :func:`shell_universality_experiment` but the reference is
-    GAP(Omega)(f), the pass threshold is epsilon * ||f||_inf, and f may be
+    Like :func:`shell_universality_experiment`, a trial passing within
+    epsilon * ||f||_inf, but the reference is GAP(Omega)(f), and f may be
     any bounded measurable kind (including cap_indicator).  The outcome's
-    ``extra['target_distance']`` reports ||tr_2 rho_R - Omega||_tr, which the
-    caller is responsible for keeping small.  ``subspace`` may also be a
-    :class:`CoordinateSubspace`, such as a microcanonical shell, whose states
-    are formed on the bath columns it uses, not multiplied out.
+    ``extra['target_distance']`` reports ||tr_2 rho_R - Omega||_tr, which
+    the caller is responsible for keeping small.  ``subspace`` may also be
+    a :class:`CoordinateSubspace`, such as a microcanonical shell, whose
+    states are formed on the bath columns it uses, not multiplied out.
     """
-    return _shell_vs_target(stream, subspace, subspace.reduced_density(), omega, f,
-                            epsilon, n_trials)
+    return _shell_vs_target(stream, subspace, omega, f, epsilon, n_trials,
+                            average=subspace.reduced_density())
 
 
-def _shell_vs_target(stream, subspace, average, omega, f, epsilon, n_trials, **extra):
-    """``shell_vs_target_experiment`` given average = tr_2 rho_R, plus ``extra``."""
-    if omega.min_eigenvalue <= 0.0:
-        raise DomainError("target density matrix must be strictly positive")
-    target_distance = trace_norm(average.matrix - omega.matrix)
+def _shell_vs_target(stream, subspace, omega, f, epsilon, n_trials, average=None, **extra):
+    """The shell drivers' trials against GAP(omega), passing below
+    epsilon * ||f||_inf.  Given the average tr_2 rho_R, omega must be
+    strictly positive and ``extra`` adds target_distance.
+
+    Per trial: psi uniform on the subspace sphere and rho1 = tr_2 |psi><psi|,
+    then mu(f) in a Haar-random basis and the auxiliary ||rho1 - omega||_tr.
+    Trial i draws the state's coordinates, then the basis's k-system, which
+    ``_haar_frame_factor`` folds into the amplitude factor of rho1."""
+    if average is not None:
+        if omega.min_eigenvalue <= 0.0:
+            raise DomainError("target density matrix must be strictly positive")
+        extra["target_distance"] = trace_norm(average.matrix - omega.matrix)
     reference = gap_reference(omega, f)
     threshold = f.pass_threshold(epsilon)
-    values, aux = _shell_trials(stream, subspace, f, omega, n_trials)
-    return _collect(values, reference, threshold, aux,
-                    extra={"target_distance": target_distance, **extra})
+    d1, d2 = subspace.d1, subspace.d2
+    k = min(d1, d2)
+
+    def evaluate(z, w):
+        rho = _reduced_matrices(subspace.states(z))
+        return (_conditional_integrals(*_haar_frame_factor(w, _amplitude_factor(rho, k)), f),
+                np.sum(np.abs(np.linalg.eigvalsh(rho - omega.matrix)), axis=-1))
+
+    values, aux = _run_trials(stream, n_trials, d1 * d2, [(subspace.dim, 1), (d2, k)],
+                              evaluate)
+    return _collect(values, reference, threshold, aux, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +854,9 @@ def thermal_experiment(stream: RngStream, system_levels,
     """
     average = shell.reduced_density()
     beta = fit_beta(system_levels, average)
-    return _shell_vs_target(stream, shell, average, canonical_density(system_levels, beta),
-                            f, epsilon, n_trials, beta=beta, counts=shell.counts.tolist())
+    return _shell_vs_target(stream, shell, canonical_density(system_levels, beta), f,
+                            epsilon, n_trials, average=average, beta=beta,
+                            counts=shell.counts.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -1036,8 +1034,9 @@ def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
     of the sphere-density difference over a shared set of ``n_probe``
     uniform probe points and its auxiliary value the trace distance; it
     passes when the exact expectation gap for f = overlap_sq(e1) is within
-    the trace distance (up to 1e-12).  ``threshold``, positive and finite,
-    is recorded as given.
+    the trace distance (up to 1e-12), which holds for every pair, so
+    ``extra`` marks the point ``identity_check``.  ``threshold``, positive
+    and finite, is recorded as given, not judged.
     ``extra`` has the Spearman rank correlation of the two columns and
     gamma.  Smaller gamma exhibits the blow-up of the density modulus.
     """
@@ -1065,5 +1064,6 @@ def continuity_probe(stream: RngStream, d: int, gamma: float, n_pairs: int,
         expe_gap[m] = abs(float(np.real(e1 @ diff @ e1)))
     return ExperimentOutcome(
         dens_gap, expe_gap <= trace_d + 1e-12, trace_d, 0.0, threshold,
-        {"spearman": spearman(trace_d, dens_gap), "gamma": float(gamma)},
+        {"spearman": spearman(trace_d, dens_gap), "gamma": float(gamma),
+         "identity_check": True},
     )

@@ -77,7 +77,6 @@ from gaplab.hilbert import NORM_ATOL, _canonical_weights
 from gaplab.randomness import _integer
 from gaplab.stats import ks_statistic, ks_vs_exponential
 from gaplab.typicality import (
-    WEIGHT_CUTOFF,
     ExperimentOutcome,
     TestFunction,
     _check_orthonormal_rows,
@@ -87,6 +86,12 @@ from gaplab.typicality import (
     real_part,
     submatrix_l1_distance,
 )
+
+
+# Atoms below this weight carry no mass and are dropped where normalization
+# would otherwise divide by ~0.  The engine keeps them: its terms
+# w f(b / sqrt(w)) need no normalization.
+WEIGHT_CUTOFF = 1e-14
 
 
 def pcg64_generator(stream):

@@ -270,6 +270,9 @@ class TestConfigErrorsNameTheKey:
             "kind": "polynomial", "coefficients": [1e-323]}}),
         ("f_spec.coefficients", {"experiment": "thermal", "f_spec": {
             "kind": "polynomial", "coefficients": [1e-323]}}),
+        # theorem3 judged within epsilon alone until 0.27.2 and ran it.
+        ("f_spec.coefficients", {"experiment": "theorem3", "f_spec": {
+            "kind": "polynomial", "coefficients": [1e-323]}}),
         # Keys that the kind ignores: 0.18.0 ran and echoed them in summary.json.
         ("f_spec.threshold", {"f_spec": {"kind": "overlap_sq", "phi": "e1",
                                          "threshold": 0.3, "coefficients": [1, 2]}}),
@@ -603,10 +606,18 @@ class TestPresets:
         ("theorem1-cap-sweep", {}, False),
         # Judged against the subspace average, not each trial's rho1.
         ("theorem3-fullspace", {}, False),
+        # f affine in u: constant, u, c0 + c1 u, or a cap that holds everywhere.
+        *[("theorem1-default", {"f_spec": {"kind": "polynomial", "phi": "e1",
+                                           "coefficients": c}}, c != [0.0, 0.0, 1.0])
+          for c in ([0.0, 1.0], [0.25, 0.5], [0.3], [0.25, 0.5, 0.0], [0.0, 0.0, 1.0])],
+        *[("theorem2-default", {"f_spec": {"kind": "cap_indicator", "phi": "e2",
+                                           "threshold": t}}, t <= 1e-12)
+          for t in (0.0, 1e-12, 0.5)],
     ])
     def test_identity_points_are_marked_in_the_summary(self, name, overrides, marked):
-        # Theorems 1 and 2 with f = overlap_sq: mu(f) = <phi|rho1|phi>, the
-        # reference, in every basis, so every trial passes at rounding.
+        # Theorems 1 and 2 with f affine in u = |<phi|psi>|^2:
+        # mu(c0 + c1 u) = c0 + c1 <phi|rho1|phi>, the reference, in every
+        # basis, so every trial passes at rounding.
         report = run(preset_config(name, {"n_trials": 20, **overrides}))
         points = json.loads(summary_json(report))["summary"]["points"]
         flag = True if marked else None
@@ -614,6 +625,13 @@ class TestPresets:
         if marked:
             assert all(p.outcome.discrepancies.max() < 1e-12 for p in report.points)
         assert "identity_check" not in trials_csv(report) + emit_plot_data(report)
+
+    def test_continuity_points_are_marked_in_the_summary(self):
+        # |<e1|rho - omega|e1>| <= ||rho - omega||_tr holds for every pair.
+        report = run(preset_config("continuity-d2", {"n_trials": 20, "n_samples": 200}))
+        point, = json.loads(summary_json(report))["summary"]["points"]
+        assert point["extra"]["identity_check"] is True
+        assert report.points[0].outcome.passed.all()
 
     def test_thermal_preset_smoke(self):
         cfg = preset_config("thermal-twolevel", {"n_trials": 10})
@@ -689,6 +707,18 @@ def test_point_p_draws_from_rngstream_seed_p(experiment):
         assert not _same_outcome(outcome, draw(RngStream(cfg.seed, p + 1)))
         numbers = [int(row[2]) for row in rows if row[1] == str(report.points[p].dim)]
         assert numbers == list(range(len(outcome.discrepancies)))
+
+
+@pytest.mark.parametrize("raw", [{"experiment": e} for e in sorted(EXPERIMENTS)] + [
+    # A dense random subspace: 0.27.2 drew it from substream n_trials + 1.
+    {"experiment": "theorem3", "d1": 2, "d2": 8, "dR": 8, "seed": 4},
+    {"experiment": "canonical_typicality", "d1": 2, "d2": 8, "dR": 5, "seed": 4},
+])
+def test_the_first_trials_do_not_depend_on_the_trial_count(raw):
+    rows = [trials_csv(run(ExperimentConfig.from_dict({**raw, "n_trials": n}))).splitlines()
+            for n in (3, 5)]
+    assert rows[0] == rows[1][:len(rows[0])]
+    assert len(rows[0]) == (2 if raw["experiment"] == "submatrix" else 4)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

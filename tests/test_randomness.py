@@ -84,10 +84,10 @@ def _child_state(seed, stream_index, path, index):
 
 class TestStreamLayout:
     """A point's trials draw from ``generator()`` and its random subspace
-    from substream n_trials + 1; substream n_trials is unused since the
-    references became exact.  Substreams are the children numpy's
-    ``SeedSequence.spawn`` gives the point's sequence, so they are
-    independent of the trials and of each other."""
+    from substream 0, whatever the number of trials; the tests' Monte Carlo
+    reference oracle draws from substream n_trials.  Substreams are the
+    children numpy's ``SeedSequence.spawn`` gives the point's sequence, so
+    they are independent of the trials and of each other."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
     @pytest.mark.parametrize("stream_index", [0, 3, 2**33])

@@ -173,11 +173,12 @@ class TestWeighted:
         assert np.max(np.abs(values - oracle)) <= 1e-13 * f.bound
 
     @pytest.mark.parametrize("kind", sorted(WEIGHTED_KINDS))
-    def test_masked_branches_of_a_rank_deficient_state_weigh_nothing(self, kind):
+    def test_light_branches_of_a_rank_deficient_state_weigh_their_weight(self, kind):
         # rho1 of rank 3 on C^8 and a frame that is Haar on the first 20 of
-        # 32 coordinates: branches 20-31 are zero, or of weight below
-        # WEIGHT_CUTOFF but not zero.  The engine masks both alike, and the
-        # oracle drops them.
+        # 32 coordinates: branches 20-31 are zero, or of weight below the
+        # oracle's WEIGHT_CUTOFF but not zero.  A zero branch adds exactly 0.
+        # The engine keeps the light branches, which move mu by at most their
+        # total weight times sup|f|; the oracle drops them.
         d1, d2, k = 8, 32, 8
         rng = RngStream(332).generator()
         f = WEIGHTED_KINDS[kind](uniform_sphere(rng, d1))
@@ -188,13 +189,28 @@ class TestWeighted:
         tiny = zero.copy()
         tiny[20:] = 2e-8 * ginibre(rng, 12, k)
         w = np.sum(np.abs(a.T @ tiny.T) ** 2, axis=0)
-        assert np.all((0.0 < w[20:]) & (w[20:] < T.WEIGHT_CUTOFF))
+        assert np.all((0.0 < w[20:]) & (w[20:] < _oracles.WEIGHT_CUTOFF))
+        light = w[20:].sum()
         value = T._conditional_integrals(zero[None], a[None], f)[0]
-        assert T._conditional_integrals(tiny[None], a[None], f)[0] == value
+        moved = T._conditional_integrals(tiny[None], a[None], f)[0]
+        assert moved != value
+        assert abs(moved - value) <= light * f.bound
         branches = a.T @ zero.T
+        terms = f.weighted(f.phi.conj() @ branches, np.sum(np.abs(branches) ** 2, axis=0))
+        assert np.all(terms[20:] == 0.0)
         oracle = integrate(conditional_measure(BipartiteState(d1, d2, branches.ravel())), f)
         assert abs(value - oracle) <= 1e-13 * f.bound
+        assert abs(moved - oracle) <= light * f.bound + 1e-13 * f.bound
         assert np.all(f.weighted(np.zeros(3, dtype=complex), np.zeros(3)) == 0.0)
+
+    def test_light_branches_count_toward_the_unit_weight(self):
+        # 30 000 branches of weight 0.99e-14 beside one of 1 - 2.97e-10: the
+        # weights sum to 1.  0.27.2 left the light ones out of the total and
+        # raised a DomainError at 2.97e-10 from 1.
+        z = np.full((1, 30_001, 1), np.sqrt(0.99e-14), dtype=complex)
+        z[0, 0, 0] = np.sqrt(1.0 - 2.97e-10)
+        f = cap_indicator(np.array([1.0, 0.0]), 0.5)
+        assert abs(T._conditional_integrals(z, np.array([[[1.0, 0.0]]]), f)[0] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("d1", [2, 8])
     def test_cap_at_one_admits_every_branch_along_phi(self, d1):
@@ -764,6 +780,33 @@ class TestShellUniversality:
             T.shell_universality_experiment(
                 RngStream(131), subspace,
                 cap_indicator(np.array([1.0, 0.0]), 0.5), 0.1, 10)
+
+    def test_is_theorem4_at_the_subspace_average(self):
+        # Theorem 3 runs theorem 4's trials at Omega = tr_2 rho_R and judges
+        # them alike, within epsilon ||f||_inf; 0.27.2 judged them within
+        # epsilon, here 0.1 against 1.0.
+        subspace = T.random_subspace(RngStream(142).generator(), 2, 16, 20)
+        f = polynomial(np.array([1.0, 0.0]), [0.0, 0.0, 10.0])
+        shell = T.shell_universality_experiment(RngStream(143), subspace, f, 0.1, 200)
+        target = T.shell_vs_target_experiment(RngStream(143), subspace,
+                                              subspace.reduced_density(), f, 0.1, 200)
+        for column in ("discrepancies", "passed", "auxiliary"):
+            assert np.array_equal(getattr(shell, column), getattr(target, column))
+        assert (shell.reference, shell.threshold) == (target.reference, target.threshold)
+        assert shell.threshold == 1.0
+        assert shell.extra == {} and set(target.extra) == {"target_distance"}
+
+    def test_singular_average_accepted(self):
+        # psi = e1 (x) chi: tr_2 rho_R = |e1><e1|, which theorem 4 rejects as
+        # a target, and every trial's mu(u) is 1, the reference.
+        subspace = T.Subspace(np.eye(16)[:, :8], 2, 8)
+        f = overlap_sq(np.array([1.0, 0.0]))
+        out = T.shell_universality_experiment(RngStream(144), subspace, f, 0.1, 20)
+        assert out.reference == 1.0 and out.extra == {}
+        assert np.max(out.discrepancies) < 1e-12
+        with pytest.raises(DomainError, match="strictly positive"):
+            T.shell_vs_target_experiment(RngStream(144), subspace,
+                                         subspace.reduced_density(), f, 0.1, 20)
 
     def test_improves_with_both_dimensions(self):
         f = overlap_sq(np.array([1.0, 0.0]))
