@@ -1,7 +1,7 @@
 """gaplab: GAP measures, conditional wave functions, and Haar-random Monte
 Carlo experiments on finite-dimensional complex Hilbert spaces."""
 
-__version__ = "0.28.0"
+__version__ = "0.28.1"
 
 from .errors import (
     BasisError,

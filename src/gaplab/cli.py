@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, GaplabError
 from .hilbert import DensityMatrix
-from .randomness import RngStream, haar_unitary
+from .randomness import RngStream, _real, haar_unitary
 from . import typicality as T
 
 F_KINDS = ("overlap_sq", "real_part", "cap_indicator", "polynomial")
@@ -60,14 +60,10 @@ def _integer(key: str, value, minimum: int) -> int:
 
 def _number(key: str, value) -> float:
     """``value`` as a finite float, or a ConfigError naming the key."""
-    try:
-        finite = (not isinstance(value, bool) and isinstance(value, _NUMERIC)
-                  and math.isfinite(value))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    number = _real(value)
+    if number is None or not math.isfinite(number):
         raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _numbers(key: str, value) -> np.ndarray:

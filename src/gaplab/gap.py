@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SingularDensityError
 from .hilbert import NORM_ATOL, DensityMatrix
+from .randomness import _float_array, _real
 
 __all__ = [
     "gap_sphere_density",
@@ -48,7 +49,9 @@ def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
         raise SingularDensityError(
             "GAP sphere density requires a strictly positive spectrum"
         )
-    psi = np.asarray(psi, dtype=complex)
+    psi = _float_array(psi, complex)
+    if psi is None or psi.ndim not in (1, 2) or not np.isfinite(psi).all():
+        raise DomainError("psi must be a finite vector or (n, d) batch of vectors")
     single = psi.ndim == 1
     batch = psi[None, :] if single else psi
     if batch.shape[-1] != rho.dim:
@@ -61,18 +64,20 @@ def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
     return float(out[0]) if single else out
 
 
-def _support_coordinates(rho: DensityMatrix, phi) -> tuple[np.ndarray, np.ndarray]:
-    """The positive eigenvalues p_i of rho and the coordinates <v_i|phi> of
-    phi in their eigenvectors v_i; phi must be a unit vector of C^d, d the
-    dimension of rho, within 1e-10."""
-    phi = np.asarray(phi, dtype=complex)
+def _support_coordinates(rho: DensityMatrix, phi) -> tuple[np.ndarray, ...]:
+    """phi as a complex array, the positive eigenvalues p_i of rho and the
+    coordinates <v_i|phi> of phi in their eigenvectors v_i; phi must be a
+    unit vector of C^d, d the dimension of rho, within 1e-10."""
+    phi, given = _float_array(phi, complex), phi
+    if phi is None:
+        raise DomainError(f"phi must be a vector of numbers, got {given!r}")
     if phi.shape != (rho.dim,):
         raise DimensionError(f"phi has shape {phi.shape}, the system dimension is {rho.dim}")
     norm = float(np.linalg.norm(phi))
     if not abs(norm - 1.0) <= NORM_ATOL:  # NaN and inf fail too
         raise DomainError(f"phi must be a finite unit vector within 1e-10, got norm {norm!r}")
     r = rho.support_rank
-    return rho.spectrum()[:r], phi @ rho.eigenbasis()[:, :r].conj()
+    return phi, rho.spectrum()[:r], phi @ rho.eigenbasis()[:, :r].conj()
 
 
 def gap_cap_probability(rho: DensityMatrix, phi, t: float) -> float:
@@ -94,15 +99,16 @@ def gap_cap_probability(rho: DensityMatrix, phi, t: float) -> float:
     rho = |chi><chi|, whose draws are chi up to a phase, is admitted when
     |<phi|chi>|^2 >= t - 1e-12.
     """
-    if not 0.0 <= t <= 1.0:  # NaN fails too
+    threshold = _real(t)
+    if threshold is None or not 0.0 <= threshold <= 1.0:  # NaN fails too
         raise DomainError(f"cap threshold must lie in [0, 1], got {t!r}")
-    p, a = _support_coordinates(rho, phi)
-    if t <= 1e-12:
+    _, p, a = _support_coordinates(rho, phi)
+    if threshold <= 1e-12:
         return 1.0
     b = np.sqrt(p) * a  # rho^{1/2} phi
     if p.size == 1:
-        return float(abs(b[0]) ** 2 >= t - 1e-12)
-    lam, u = np.linalg.eigh(np.outer(b, b.conj()) - t * np.diag(p))
+        return float(abs(b[0]) ** 2 >= threshold - 1e-12)
+    lam, u = np.linalg.eigh(np.outer(b, b.conj()) - threshold * np.diag(p))
     if not lam[-1] > 0.0:
         return 0.0
     c = p @ np.abs(u) ** 2
@@ -137,12 +143,11 @@ def gap_polynomial_mean(rho: DensityMatrix, phi, coefficients) -> float:
     Summed over the terms of p that is the integral of w^2 p''(w), taken by
     the trapezoidal rule of ``_LAMBDA``.
     """
-    c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 1 or not c.size or not np.all(np.isfinite(c)):
+    c = _float_array(coefficients, float)
+    if c is None or c.ndim != 1 or not c.size or not np.all(np.isfinite(c)):
         raise DomainError(f"coefficients must be a nonempty 1-D list of finite numbers, "
                           f"got {coefficients!r}")
-    phi = np.asarray(phi, dtype=complex)
-    p, a = _support_coordinates(rho, phi)
+    phi, p, a = _support_coordinates(rho, phi)
     c0, c1 = np.append(c, 0.0)[:2]
     linear = c0 + c1 * float(np.real(phi.conj() @ rho.matrix @ phi))
     lp = _LAMBDA[:, None] * p

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .randomness import _integer
+from .randomness import _float_array, _integer, _real
 
 __all__ = [
     "NORM_ATOL",
@@ -51,7 +51,9 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=complex)
+        m = _float_array(matrix, complex)
+        if m is None:
+            raise DomainError(f"density matrix must be an array of numbers, got {matrix!r}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
@@ -101,10 +103,15 @@ class DensityMatrix:
     def from_spectrum(cls, spectrum, basis: np.ndarray | None = None) -> "DensityMatrix":
         """Density matrix with the given eigenvalues; ``basis`` columns are the
         eigenvectors (computational basis if omitted)."""
-        p = np.asarray(spectrum, dtype=float)
+        p = _float_array(spectrum, float)
+        if p is None or p.ndim != 1:
+            raise DomainError(f"spectrum must be a 1-D list of real numbers, got {spectrum!r}")
         if basis is None:
             return cls(np.diag(p).astype(complex))
-        return cls(basis @ np.diag(p).astype(complex) @ basis.conj().T)
+        v = _float_array(basis, complex)
+        if v is None or v.shape != (p.size, p.size):
+            raise DimensionError(f"basis must be a ({p.size}, {p.size}) matrix, got {basis!r}")
+        return cls(v @ np.diag(p).astype(complex) @ v.conj().T)
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityMatrix":
@@ -114,20 +121,29 @@ class DensityMatrix:
 
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values of a square complex matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"trace norm needs a square matrix, got shape {m.shape}")
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    a = _float_array(m, complex)
+    if a is None or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"trace norm needs a square matrix of numbers, got {m!r}")
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
 def canonical_density(h1_eigenvalues, beta: float) -> DensityMatrix:
     """Thermal density matrix diag(exp(-beta*E_i) / Z) in the given eigenbasis."""
-    energies = np.asarray(h1_eigenvalues, dtype=float)
+    energies = _levels("h1_eigenvalues", h1_eigenvalues)
     if energies.size == 0:
         raise DomainError("eigenvalue list must be nonempty")
-    if not np.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta}")
-    return DensityMatrix(np.diag(_canonical_weights(energies, beta)).astype(complex))
+    b = _real(beta)
+    if b is None or not np.isfinite(b):
+        raise DomainError(f"beta must be finite and real, got {beta!r}")
+    return DensityMatrix(np.diag(_canonical_weights(energies, b)).astype(complex))
+
+
+def _levels(name: str, levels) -> np.ndarray:
+    """``levels`` as a float array, which must be 1-D and finite."""
+    levels = _float_array(levels, float)
+    if levels is None or levels.ndim != 1 or not np.all(np.isfinite(levels)):
+        raise DomainError(f"{name} must be a 1-D array of finite levels")
+    return levels
 
 
 def _canonical_weights(energies: np.ndarray, beta: float) -> np.ndarray:

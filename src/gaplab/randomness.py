@@ -12,6 +12,7 @@ two consecutive normals, its real and imaginary part.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -71,6 +72,33 @@ def _integer(name: str, value, minimum: int = 0) -> int:
     if value < minimum:
         raise DomainError(message)
     return value
+
+
+def _real(value) -> float | None:
+    """``value`` as a float if it is a real number other than a bool and
+    within the float range, else None."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return None
+
+
+def _float_array(value, dtype):
+    """``value`` as an array of ``dtype``, float or complex, or None unless it
+    is a number or a rectangular array or list of numbers in the float range:
+    no bool (as in ``_integer``), no string, and no complex for float.  A
+    numeric ndarray of a kind ``dtype`` holds skips the scan of its elements."""
+    kinds, kind = ("iuf", numbers.Real) if dtype is float else ("iufc", numbers.Complex)
+    try:
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds):
+            types = set(map(type, np.asarray(value, dtype=object).flat))
+            if not all(issubclass(t, kind) and t is not bool for t in types):
+                return None
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:

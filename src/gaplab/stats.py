@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .randomness import _float_array
 
 __all__ = [
     "ks_statistic",
@@ -15,7 +16,15 @@ __all__ = [
 
 def ks_statistic(sample, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
-    return _ks_sorted(np.sort(np.asarray(sample, dtype=float)), cdf)
+    return _ks_sorted(np.sort(_sample("sample", sample)), cdf)
+
+
+def _sample(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D float array, else a DomainError naming ``name``."""
+    array = _float_array(values, float)
+    if array is None or array.ndim != 1:
+        raise DomainError(f"{name} must be a 1-D list of real numbers, got {values!r}")
+    return array
 
 
 def _ks_sorted(x: np.ndarray, cdf) -> float:
@@ -47,7 +56,7 @@ def _ranks(a: np.ndarray) -> np.ndarray:
 def spearman(x, y) -> float:
     """Spearman rank correlation coefficient, as ``scipy.stats.spearmanr``:
     NaN for fewer than two pairs, a NaN or a constant input."""
-    x, y = np.asarray(x, float), np.asarray(y, float)
+    x, y = _sample("x", x), _sample("y", y)
     if x.size < 2 or any(np.isnan(v).any() or (v == v[0]).all() for v in (x, y)):
         return float("nan")
     return float(np.corrcoef(_ranks(x), _ranks(y))[1, 0])

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -57,14 +56,17 @@ from .hilbert import (
     HERMITIAN_ATOL,
     NORM_ATOL,
     DensityMatrix,
+    _levels,
     canonical_density,
     trace_norm,
 )
 from .randomness import (
     RngStream,
     _gram_schmidt_twice,
+    _float_array,
     _haar_frame_factor,
     _integer,
+    _real,
     haar_unitary,
     random_ons,
     uniform_sphere,
@@ -214,17 +216,6 @@ class TestFunction:
         return value
 
 
-def _real(value) -> float | None:
-    """``value`` as a float if it is a real number other than a bool and
-    within the float range, else None."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    return None
-
-
 def _tolerance(name: str, value) -> float:
     """``value`` as a float if it is a positive, finite real number other
     than a bool, else a DomainError naming ``name``."""
@@ -234,45 +225,16 @@ def _tolerance(name: str, value) -> float:
     return tolerance
 
 
-def _float_array(value, dtype):
-    """``value`` as a numpy array of ``dtype``, or None if numpy cannot read
-    it as one (a string, a ragged list, a complex number as a float) or it
-    holds a bool, alone or among numbers, which ``_integer`` rejects too."""
-    try:
-        array = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
-        return None
-    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
-        return None
-    return array
-
-
 def _poly_sup_on_unit_interval(coeffs: np.ndarray) -> float:
-    """max |p(x)| over x in [0, 1]: endpoints plus interior critical points.
-
-    The steps are those of ``np.polynomial.Polynomial`` on its default
-    domain, done on a list of floats: trimming, the derivative's
-    coefficients i c_i, its roots, and Horner's rule c_i + x (...) as in
-    ``polyval``, so the bound is the same bit for bit without building
-    polynomial objects."""
-    c = coeffs.tolist()
-    # Leading coefficients below 1e-300 max |c_i| would overflow polyroots().
-    tol = 1e-300 * max(map(abs, c))
-    while len(c) > 1 and abs(c[-1]) <= tol:
-        c.pop()
-    candidates = [0.0, 1.0]
-    if len(c) >= 3:
-        roots = np.polynomial.polynomial.polyroots([i * c[i] for i in range(1, len(c))])
-        real = roots[np.abs(roots.imag) < 1e-12].real
-        candidates.extend(r for r in real.tolist() if 0.0 <= r <= 1.0)
-
-    def horner(x):
-        value = c[-1]
-        for c_i in reversed(c[:-1]):
-            value = c_i + value * x
-        return value
-
-    return max(abs(horner(x)) for x in candidates)
+    """max |p(x)| over x in [0, 1]: at the endpoints and at the real roots of
+    p' inside, with p trimmed of leading terms of at most 1e-300 max |c_i|,
+    which would overflow ``polyroots``, and evaluated by ``np.polyval``."""
+    poly = np.polynomial.polynomial
+    c = poly.polytrim(coeffs, 1e-300 * np.max(np.abs(coeffs)))
+    roots = poly.polyroots(poly.polyder(c))
+    x = roots[np.abs(roots.imag) < 1e-12].real
+    x = np.concatenate(([0.0, 1.0], x[(0.0 <= x) & (x <= 1.0)]))
+    return float(np.max(np.abs(np.polyval(c[::-1], x))))
 
 
 def overlap_sq(phi) -> TestFunction:
@@ -554,10 +516,11 @@ class Subspace:
     def __post_init__(self):
         for name in ("d1", "d2"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
-        basis = np.asarray(self.basis, dtype=complex)
-        if basis.ndim != 2 or basis.shape[0] != self.d1 * self.d2:
+        basis = _float_array(self.basis, complex)
+        if basis is None or basis.ndim != 2 or basis.shape[0] != self.d1 * self.d2:
+            got = self.basis if basis is None else basis.shape
             raise DimensionError(f"basis must be ({self.d1 * self.d2}, dim) with "
-                                 f"orthonormal columns, got {basis.shape}")
+                                 f"orthonormal columns, got {got!r}")
         _check_orthonormal_rows(basis.T)
         object.__setattr__(self, "basis", basis)
 
@@ -600,8 +563,8 @@ def concentration_bound(dim: int, eta: np.ndarray) -> np.ndarray:
     eta + d1/sqrt(dim), for an integer dim >= 1 and real eta."""
     dim = _integer("dim", dim, 1)
     eta = _float_array(eta, float)
-    if eta is None:
-        raise DomainError("eta must be real numbers")
+    if eta is None or not np.all(np.isfinite(eta)):
+        raise DomainError("eta must be real numbers and finite")
     return 4.0 * np.exp(-dim * eta ** 2 / CONCENTRATION_DENOMINATOR)
 
 
@@ -724,7 +687,10 @@ class CoordinateSubspace:
     def __post_init__(self):
         for name in ("d1", "d2"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
-        pairs = np.asarray(self.member_pairs)
+        try:
+            pairs = np.asarray(self.member_pairs)
+        except ValueError:  # a ragged list, which the check below rejects
+            pairs = np.zeros(0)
         object.__setattr__(self, "member_pairs", pairs)
         if not (pairs.dtype.kind in "iu" and pairs.ndim == 2 and pairs.shape[1] == 2
                 and len(pairs) and np.all((0 <= pairs) & (pairs < (self.d1, self.d2)))
@@ -763,14 +729,6 @@ class CoordinateSubspace:
         """tr_2 rho_R = diag(n_i / dim) in the product basis, divided as
         ``Subspace.reduced_density`` divides, so both forms agree bit for bit."""
         return DensityMatrix(np.diag(self.counts).astype(complex) / self.dim)
-
-
-def _levels(name: str, levels) -> np.ndarray:
-    """``levels`` as a float array, which must be 1-D and finite."""
-    levels = _float_array(levels, float)
-    if levels is None or levels.ndim != 1 or not np.all(np.isfinite(levels)):
-        raise DomainError(f"{name} must be a 1-D array of finite levels")
-    return levels
 
 
 def microcanonical_shell(system_levels, bath_levels, energy: float,
@@ -1016,10 +974,10 @@ def submatrix_convergence_experiment(stream: RngStream, k: int, n: int,
 def random_floor_density(rng: np.random.Generator, d: int, gamma: float) -> DensityMatrix:
     """Random density matrix with all eigenvalues >= gamma: a uniform simplex
     spectrum compressed onto the floor set and a Haar-random eigenbasis."""
-    d = _integer("d", d, 1)
-    if not 0.0 < gamma < 1.0 / d:
-        raise DomainError(f"need 0 < gamma < 1/d, got gamma={gamma}, d={d}")
-    spectrum = gamma + (1.0 - d * gamma) * rng.dirichlet(np.ones(d))
+    d, floor = _integer("d", d, 1), _real(gamma)
+    if floor is None or not 0.0 < floor < 1.0 / d:  # NaN fails too
+        raise DomainError(f"need 0 < gamma < 1/d, got gamma={gamma!r}, d={d}")
+    spectrum = floor + (1.0 - d * floor) * rng.dirichlet(np.ones(d))
     v = haar_unitary(rng, d)
     return DensityMatrix(v @ np.diag(spectrum).astype(complex) @ v.conj().T)
 

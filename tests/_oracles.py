@@ -50,12 +50,13 @@ the engine folded its Haar frames into the amplitude factors by one Cholesky
 factorization; the tests compare the folded branches with it.
 
 ``gram_schmidt_twice_by_division``, ``scaled_haar_blocks_by_concatenation``,
-``submatrix_outcome_by_parts`` and ``poly_sup_by_polynomial_class`` keep the
-plain forms of the submatrix draw, its statistics and the polynomial bound
-that the library computes in fewer passes; the tests compare the two bit for
-bit where the arithmetic is the same, and the submatrix expectation gaps,
-which the library takes against exact Gaussian means, within the Monte Carlo
-comparison sample's standard error.
+``submatrix_outcome_by_parts``, ``poly_sup_by_polynomial_class`` and
+``poly_sup_by_horner_on_floats`` keep the plain forms of the submatrix draw,
+its statistics and the polynomial bound (through polynomial objects, and by
+hand on Python floats) that the library computes otherwise; the tests
+compare the two bit for bit where the arithmetic is the same, and the
+submatrix expectation gaps, which the library takes against exact Gaussian
+means, within the Monte Carlo comparison sample's standard error.
 """
 
 from dataclasses import dataclass, field
@@ -792,6 +793,30 @@ def poly_sup_by_polynomial_class(coeffs):
         real = roots[np.abs(roots.imag) < 1e-12].real
         candidates.extend(r for r in real if 0.0 <= r <= 1.0)
     return float(np.max(np.abs(p(np.asarray(candidates)))))
+
+
+def poly_sup_by_horner_on_floats(coeffs):
+    """max |p(x)| over [0, 1] as 0.16.1 to 0.28.0 computed the polynomial
+    bound, on a list of Python floats: trimming, the derivative's
+    coefficients i c_i, its roots, and Horner's rule c_i + x (...)."""
+    c = np.asarray(coeffs, dtype=float).tolist()
+    # Leading coefficients below 1e-300 max |c_i| would overflow polyroots().
+    tol = 1e-300 * max(map(abs, c))
+    while len(c) > 1 and abs(c[-1]) <= tol:
+        c.pop()
+    candidates = [0.0, 1.0]
+    if len(c) >= 3:
+        roots = np.polynomial.polynomial.polyroots([i * c[i] for i in range(1, len(c))])
+        real = roots[np.abs(roots.imag) < 1e-12].real
+        candidates.extend(r for r in real.tolist() if 0.0 <= r <= 1.0)
+
+    def horner(x):
+        value = c[-1]
+        for c_i in reversed(c[:-1]):
+            value = c_i + value * x
+        return value
+
+    return max(abs(horner(x)) for x in candidates)
 
 
 def submatrix_density_k1(n, x):

@@ -25,7 +25,7 @@ from gaplab import (
     trace_norm,
     uniform_sphere,
 )
-from gaplab.stats import ks_statistic
+from gaplab.stats import ks_statistic, ks_vs_exponential, spearman
 from gaplab import typicality as T
 
 from _oracles import (
@@ -317,6 +317,109 @@ def rng():
      "system_levels must be a 1-D array of finite levels"),
     (lambda: T.concentration_bound(10, [True]), DomainError, "eta must be real numbers"),
     (lambda: T.concentration_bound(10, True), DomainError, "eta must be real numbers"),
+    # 0.28.0 converted these with a bare np.asarray, or compared them bare,
+    # and ended in numpy's or Python's ValueError, TypeError or OverflowError.
+    (lambda: DensityMatrix("abc"), DomainError,
+     "density matrix must be an array of numbers, got 'abc'"),
+    (lambda: DensityMatrix([[0.5, 0.0], [0.0]]), DomainError,
+     "density matrix must be an array of numbers"),
+    (lambda: DensityMatrix([[10 ** 400, 0], [0, 0]]), DomainError,
+     "density matrix must be an array of numbers"),
+    (lambda: DensityMatrix.from_spectrum("ab"), DomainError,
+     "spectrum must be a 1-D list of real numbers, got 'ab'"),
+    (lambda: DensityMatrix.from_spectrum([0.5, 0.5], "ab"), DimensionError,
+     r"basis must be a \(2, 2\) matrix, got 'ab'"),
+    (lambda: DensityMatrix.from_spectrum([0.5, 0.5], np.eye(3)), DimensionError,
+     r"basis must be a \(2, 2\) matrix"),
+    (lambda: canonical_density([0.0, 1.0], "x"), DomainError,
+     "beta must be finite and real, got 'x'"),
+    (lambda: canonical_density("ab", 1.0), DomainError,
+     "h1_eigenvalues must be a 1-D array of finite levels"),
+    (lambda: canonical_density([0.0, 10 ** 400], 1.0), DomainError,
+     "h1_eigenvalues must be a 1-D array of finite levels"),
+    (lambda: gap_cap_probability(MIXED2, [1, 0], "0.5"), DomainError,
+     r"cap threshold must lie in \[0, 1\], got '0.5'"),
+    (lambda: gap_cap_probability(MIXED2, "ab", 0.5), DomainError,
+     "phi must be a vector of numbers, got 'ab'"),
+    (lambda: gap_polynomial_mean(MIXED2, [[1.0], [0.0, 1.0]], [0.0, 1.0]), DomainError,
+     "phi must be a vector of numbers"),
+    (lambda: gap_polynomial_mean(MIXED2, E0, "ab"), DomainError,
+     "coefficients must be a nonempty 1-D list of finite numbers, got 'ab'"),
+    (lambda: gap_polynomial_mean(MIXED2, E0, [0, 10 ** 400]), DomainError,
+     "coefficients must be a nonempty 1-D list of finite numbers"),
+    (lambda: gap_sphere_density(MIXED2, "ab"), DomainError,
+     "psi must be a finite vector or"),
+    (lambda: T.Subspace("abcd", 2, 2), DimensionError,
+     r"basis must be \(4, dim\) with orthonormal columns, got 'abcd'"),
+    (lambda: T.random_floor_density(rng(), 2, "0.1"), DomainError,
+     "need 0 < gamma < 1/d, got gamma='0.1'"),
+    (lambda: ks_statistic("ab", lambda x: x), DomainError,
+     "sample must be a 1-D list of real numbers, got 'ab'"),
+    (lambda: ks_vs_exponential([[1], [1, 2]]), DomainError,
+     "sample must be a 1-D list of real numbers"),
+    (lambda: ks_vs_exponential([10 ** 400, 1]), DomainError,
+     "sample must be a 1-D list of real numbers"),
+    (lambda: spearman("ab", [1, 2]), DomainError,
+     "x must be a 1-D list of real numbers, got 'ab'"),
+    (lambda: spearman([1, 2], [[1], [1, 2]]), DomainError,
+     "y must be a 1-D list of real numbers"),
+    (lambda: trace_norm([[1, 0], [0]]), DimensionError,
+     "trace norm needs a square matrix of numbers"),
+    (lambda: T.CoordinateSubspace(2, 2, [[0, 1], [0]]), DimensionError,
+     "member pairs must be distinct integer pairs"),
+    # An int beyond the float range: OverflowError in 0.28.0.
+    (lambda: overlap_sq([10 ** 400, 0]), DomainError, "phi must be a finite nonzero 1-D vector"),
+    (lambda: polynomial(E0, [0, 10 ** 400]), DomainError,
+     "coefficients must be a 1-D list of real numbers"),
+    (lambda: T.concentration_bound(10, [10 ** 400]), DomainError, "eta must be real numbers"),
+    (lambda: T.microcanonical_shell([0, 10 ** 400], [0, 1], 0.5, 1.0), DomainError,
+     "system_levels must be a 1-D array of finite levels"),
+    (lambda: T.fit_beta([0, 10 ** 400], MIXED2), DomainError,
+     "system_levels must be a 1-D array of finite levels"),
+    # NaN that 0.28.0 let through: both calls returned NaN.
+    (lambda: gap_sphere_density(MIXED2, [np.nan, 1.0]), DomainError,
+     "psi must be a finite vector"),
+    (lambda: T.concentration_bound(10, np.nan), DomainError, "eta must be real numbers and finite"),
+    # Complex ndarrays where real numbers belong: 0.28.0 cut them to their
+    # real parts, with numpy's ComplexWarning.
+    (lambda: polynomial(E0, np.array([0.0, 1.0 + 1.0j])), DomainError,
+     "coefficients must be a 1-D list of real numbers"),
+    (lambda: T.microcanonical_shell(np.array([0.0, 1.0j]), [0.0, 1.0], 0.5, 1.0),
+     DomainError, "system_levels must be a 1-D array of finite levels"),
+    (lambda: canonical_density(np.array([0.0, 1.0 + 0.0j]), 1.0), DomainError,
+     "h1_eigenvalues must be a 1-D array of finite levels"),
+    (lambda: gap_polynomial_mean(MIXED2, E0, np.array([0.0, 1.0j])), DomainError,
+     "coefficients must be a nonempty 1-D list of finite numbers"),
+    (lambda: DensityMatrix.from_spectrum(np.array([0.5, 0.5 + 0.0j])), DomainError,
+     "spectrum must be a 1-D list of real numbers"),
+    # Values that 0.28.0 read as numbers: bools, a 2-D spectrum (its
+    # diagonal) and 2-D levels (np.diag of them).
+    (lambda: DensityMatrix(np.array([[True, False], [False, False]])), DomainError,
+     "density matrix must be an array of numbers"),
+    (lambda: DensityMatrix.from_spectrum(np.diag([0.5, 0.5])), DomainError,
+     "spectrum must be a 1-D list of real numbers"),
+    (lambda: canonical_density([[0.0, 1.0]], 1.0), DomainError,
+     "h1_eigenvalues must be a 1-D array of finite levels"),
+    (lambda: canonical_density([0.0, 1.0], True), DomainError,
+     "beta must be finite and real, got True"),
+    (lambda: gap_cap_probability(MIXED2, E0, True), DomainError,
+     r"cap threshold must lie in \[0, 1\], got True"),
+    (lambda: T.Subspace(np.eye(4, dtype=bool)[:, :2], 2, 2), DimensionError,
+     r"basis must be \(4, dim\)"),
+    # A bool inside a list is still scanned for: only a numeric ndarray
+    # skips the scan.
+    (lambda: DensityMatrix([[True, 0.0], [0.0, 0.0]]), DomainError,
+     "density matrix must be an array of numbers"),
+    (lambda: canonical_density([0.0, True], 1.0), DomainError,
+     "h1_eigenvalues must be a 1-D array of finite levels"),
+    (lambda: gap_polynomial_mean(MIXED2, E0, [0.0, True]), DomainError,
+     "coefficients must be a nonempty 1-D list of finite numbers"),
+    (lambda: gap_sphere_density(MIXED2, [True, 0.0]), DomainError,
+     "psi must be a finite vector"),
+    (lambda: ks_vs_exponential([True, 1.0]), DomainError,
+     "sample must be a 1-D list of real numbers"),
+    (lambda: spearman([1.0, 2.0, 3.0], [1.0, False, 3.0]), DomainError,
+     "y must be a 1-D list of real numbers"),
 ])
 def test_bad_arguments_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):

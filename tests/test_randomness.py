@@ -13,6 +13,7 @@ from gaplab import (
     uniform_sphere,
 )
 from gaplab.randomness import (
+    _float_array,
     _gram_cholesky,
     _haar_columns,
     _haar_frame_factor,
@@ -31,6 +32,37 @@ from _oracles import (
 
 # Property tests replay the same examples on every run.
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+class TestFloatArray:
+    def test_a_numeric_ndarray_is_read_without_a_scan_or_a_copy(self, monkeypatch):
+        a, n = np.linspace(0.0, 1.0, 5), np.arange(3)
+        assert _float_array(a, float) is a
+        assert _float_array(a.astype(complex), complex).dtype == complex
+        # The scan reads the value as an object array; a numeric ndarray skips it.
+        asarray = np.asarray
+        monkeypatch.setattr(np, "asarray", lambda value, dtype=None: (
+            pytest.fail("scanned") if dtype is object else asarray(value, dtype=dtype)))
+        assert _float_array(n, float).tolist() == [0.0, 1.0, 2.0]
+        assert _float_array(a, complex).dtype == complex
+
+    @pytest.mark.parametrize("value, dtype", [
+        (np.array([1.0 + 0.0j]), float),  # complex where a real number belongs
+        (np.array([True, False]), float),
+        (np.array([1.0, True], dtype=object), complex),
+        ([1.0, np.bool_(True)], float),
+        ([1.0, 10 ** 400], complex),
+        ([[1.0], [1.0, 2.0]], float),
+        (["1.5"], float),
+        (None, complex),
+    ])
+    def test_rejected_values_read_as_none(self, value, dtype):
+        assert _float_array(value, dtype) is None
+
+    def test_accepted_values_keep_their_numbers(self):
+        assert _float_array([1, 2.5, np.float32(0.5)], float).tolist() == [1.0, 2.5, 0.5]
+        assert _float_array([[1, 1j]], complex).tolist() == [[1.0, 1j]]
+        assert _float_array(3, float).shape == ()
 
 
 class TestRngStream:

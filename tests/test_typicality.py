@@ -2,6 +2,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -40,6 +42,7 @@ from _oracles import (
     monte_carlo_reference,
     mpmath_l1_distance,
     of_overlaps,
+    poly_sup_by_horner_on_floats,
     poly_sup_by_polynomial_class,
     product_state,
     quadrature_l1_distance,
@@ -91,6 +94,22 @@ class TestTestFunction:
                 if degree and rng.random() < 0.25:
                     c[-1] = 0.0
                 assert polynomial([1.0, 0.0], c).bound == poly_sup_by_polynomial_class(c)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda degree: st.lists(
+               st.tuples(st.floats(-1.0, 1.0), st.integers(-5, 5)),
+               min_size=degree + 1, max_size=degree + 1)),
+           st.sampled_from([None, 0.0, 1e-305]))
+    @example([(0.0, 0)] * 4, None)
+    @example([(1.0, -5), (1.0, 0)], 1e-305)  # just below the tolerance 1e-300 * 1e-5
+    def test_polynomial_bound_equals_the_hand_copy_bit_for_bit(self, terms, leading):
+        # numpy's trim, derivative, roots and polyval against the bound of
+        # 0.16.1 to 0.28.0 on Python floats, on degrees 0 to 8, coefficients
+        # scaled 1e-5 to 1e5, zero and 1e-305 leading terms and zero vectors.
+        c = np.array([m * 10.0 ** e for m, e in terms])
+        if leading is not None:
+            c[-1] = leading
+        assert T._poly_sup_on_unit_interval(c) == poly_sup_by_horner_on_floats(c)
 
     def test_phi_normalized(self):
         f = overlap_sq(np.array([2.0, 0.0]))
