@@ -42,7 +42,8 @@ def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
     2 pi^d / (d-1)! is the density with respect to the unnormalized surface
     measure.  Requires all eigenvalues of rho strictly positive.
 
-    Accepts a single vector (d,) or a batch (n, d); returns float or (n,).
+    Accepts a single unit vector (d,) or a batch (n, d) of them, each of
+    norm 1 within 1e-10; returns float or (n,).
     """
     p, v = rho.spectrum(), rho.eigenbasis()
     if rho.support_rank < rho.dim:
@@ -56,6 +57,8 @@ def gap_sphere_density(rho: DensityMatrix, psi: np.ndarray):
     batch = psi[None, :] if single else psi
     if batch.shape[-1] != rho.dim:
         raise DimensionError(f"psi dimension {batch.shape[-1]} != {rho.dim}")
+    if not np.all(np.abs(np.linalg.norm(batch, axis=-1) - 1.0) <= NORM_ATOL):
+        raise DomainError("psi must be a unit vector, or a batch of them, within 1e-10")
     coeff = batch @ v.conj()
     quad = np.sum(np.abs(coeff) ** 2 / p, axis=-1)
     d = rho.dim

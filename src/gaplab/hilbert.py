@@ -120,10 +120,12 @@ class DensityMatrix:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values of a square complex matrix."""
+    """Sum of singular values of a finite square complex matrix."""
     a = _float_array(m, complex)
     if a is None or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"trace norm needs a square matrix of numbers, got {m!r}")
+    if not np.isfinite(a).all():
+        raise DomainError("trace norm needs a finite matrix, got NaN or inf entries")
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 

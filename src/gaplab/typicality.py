@@ -15,10 +15,10 @@ Carlo drivers run their trials through one batched engine: the trials draw
 their Gaussians in sequence from the point's one generator,
 ``stream.generator()``, in the order the per-trial routes in
 ``tests/_oracles.py`` draw them, and the engine does the linear algebra once
-per chunk of trials on stacked arrays, while a worker thread, the only one
-to touch the generator, draws the next chunk into a buffer the engine reads
-as complex views, unscaled.  Results are bit-reproducible and do not depend
-on the chunk length.
+per chunk of trials on stacked arrays, on the calling thread: it draws
+each chunk into one buffer just before reading it as complex views,
+unscaled.  Results are bit-reproducible and do not depend on the chunk
+length.
 
 The universality drivers (theorems 1-4, thermal) form every branch matrix as
 W^T A, with W a trial's Haar k-system and A = (V sqrt(P))^T read off a
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +152,7 @@ class TestFunction:
             if not sum(map(abs, coeffs.tolist())) <= 1e150:  # NaN fails too
                 raise DomainError("polynomial coefficients must be finite, "
                                   "with sum of |c_i| at most 1e150")
+            coeffs = coeffs.copy()  # freeze a copy: the caller's array stays writable
             coeffs.setflags(write=False)
             object.__setattr__(self, "coefficients", coeffs)
             bound = _poly_sup_on_unit_interval(coeffs)
@@ -320,13 +320,12 @@ class ExperimentOutcome:
 
 # Budget, in complex entries, for the largest per-trial array (the d1 x d2
 # state or branch matrix) stacked over one chunk, each stacked array staying
-# at a few hundred kilobytes; a chunk costs one handoff between threads.  On
-# a 2-core VM with one BLAS thread, in 0.27.0, 2^13, 2^14 and 2^15 ran
-# purification-sweep at 97 000-114 000, 106 000-135 000 and 107 000-139 000
-# trials/s and thermal-shell at 28 500-37 700, 33 400-47 900 and
-# 34 400-47 100 (in-process medians of 5 rounds, two processes).  Across
-# fresh benchmark processes 2^15 read within noise of 2^14 in 0.26.0, and
-# 2^16 took 5 MB more memory.
+# at a few hundred kilobytes.  On a 2-core VM with one BLAS thread, in
+# 0.27.0, 2^13, 2^14 and 2^15 ran purification-sweep at 97 000-114 000,
+# 106 000-135 000 and 107 000-139 000 trials/s and thermal-shell at
+# 28 500-37 700, 33 400-47 900 and 34 400-47 100 (in-process medians of 5
+# rounds, two processes).  Across fresh benchmark processes 2^15 read
+# within noise of 2^14 in 0.26.0, and 2^16 took 5 MB more memory.
 CHUNK_ENTRIES = 2 ** 14
 
 # At most this many trials per sweep point.  The engine's (2, n_trials)
@@ -352,52 +351,22 @@ def _run_trials(stream: RngStream, n_trials: int, entries: int, shapes, evaluate
     included, acts on each trial's slice alone, so the outputs do not depend
     on the chunk length.
 
-    One worker thread per call, the only one to touch the generator, fills
-    the chunks' normals in order into two buffers in turn; ``free`` counts
-    the buffers it may fill, ``ready`` the filled chunks the caller has not
-    taken, and the caller blocks on it.  The caller hands ``evaluate``
-    complex views of a filled buffer, which it must neither write nor keep,
-    and hands the buffer back once ``evaluate`` returns.  An error on either
-    thread reaches the caller, and every exit joins the worker.
+    The caller draws each chunk's normals into one (B, S) buffer just
+    before ``evaluate`` reads complex views of it; ``evaluate`` must not
+    keep them, as the next chunk overwrites the buffer.
     """
     n_trials = _integer("n_trials", n_trials, 1)
     if n_trials > MAX_TRIALS:
         raise DomainError(f"need between 1 and 2**32 trials, got {n_trials}")
     bounds = np.cumsum([0] + [2 * math.prod(shape) for shape in shapes])
     size = min(n_trials, max(1, CHUNK_ENTRIES // entries))
-    rng, buffers = stream.generator(), np.empty((2, size, bounds[-1]))
-    free, ready, failed, stopping = threading.Semaphore(2), threading.Semaphore(0), [], []
-
-    def fill():
-        try:
-            for i, start in enumerate(range(0, n_trials, size)):
-                free.acquire()
-                if stopping:
-                    return
-                rng.standard_normal(out=buffers[i % 2, :min(size, n_trials - start)])
-                ready.release()
-        except BaseException as error:
-            failed.append(error)
-            ready.release()
-
-    worker = threading.Thread(target=fill, name="gaplab-normals")
-    worker.start()
-    out = np.empty((2, n_trials))
-    try:
-        for i, start in enumerate(range(0, n_trials, size)):
-            stop = min(start + size, n_trials)
-            ready.acquire()
-            if failed:
-                raise failed[0]
-            normals = buffers[i % 2, :stop - start]
-            gaussians = [normals[:, a:b].view(complex).reshape((stop - start,) + shape)
-                         for a, b, shape in zip(bounds[:-1], bounds[1:], shapes)]
-            out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
-            free.release()
-    finally:
-        stopping.append(True)
-        free.release()
-        worker.join()
+    rng, buffer, out = stream.generator(), np.empty((size, bounds[-1])), np.empty((2, n_trials))
+    for start in range(0, n_trials, size):
+        stop = min(start + size, n_trials)
+        normals = rng.standard_normal(out=buffer[:stop - start])
+        gaussians = [normals[:, a:b].view(complex).reshape((stop - start,) + shape)
+                     for a, b, shape in zip(bounds[:-1], bounds[1:], shapes)]
+        out[0, start:stop], out[1, start:stop] = evaluate(*gaussians)
     return out[0], out[1]
 
 

@@ -380,6 +380,16 @@ def rng():
     (lambda: gap_sphere_density(MIXED2, [np.nan, 1.0]), DomainError,
      "psi must be a finite vector"),
     (lambda: T.concentration_bound(10, np.nan), DomainError, "eta must be real numbers and finite"),
+    # 0.28.1 raised numpy's bare LinAlgError for NaN and returned NaN for inf,
+    # inf with a RuntimeWarning for the zero vector and 0.0156 for [2, 0].
+    (lambda: trace_norm([[np.nan, 0.0], [0.0, 1.0]]), DomainError,
+     "trace norm needs a finite matrix"),
+    (lambda: trace_norm([[np.inf, 0.0], [0.0, 1.0]]), DomainError,
+     "trace norm needs a finite matrix"),
+    (lambda: gap_sphere_density(MIXED2, [0.0, 0.0]), DomainError, "psi must be a unit vector"),
+    (lambda: gap_sphere_density(MIXED2, [2.0, 0.0]), DomainError, "psi must be a unit vector"),
+    (lambda: gap_sphere_density(MIXED2, [[1.0, 0.0], [0.0, 2.0]]), DomainError,
+     "psi must be a unit vector"),
     # Complex ndarrays where real numbers belong: 0.28.0 cut them to their
     # real parts, with numpy's ComplexWarning.
     (lambda: polynomial(E0, np.array([0.0, 1.0 + 1.0j])), DomainError,

@@ -331,57 +331,53 @@ def test_spoiled_haar_system_fails_the_weight_check(monkeypatch, name, spoil):
         run()
 
 
-# The engine draws each chunk's normals on one worker thread per call, which
-# every exit from the call must join.
-@pytest.mark.parametrize("name", CASES)
-def test_a_run_leaves_no_thread(monkeypatch, name):
-    run, _, entries = CASES[name]()
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", 3 * entries)
-    before = threading.active_count()
-    run()
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("name", DRIVERS)
-def test_a_failed_run_leaves_no_thread(monkeypatch, name):
-    # One trial per chunk, so the worker is still drawing, or waiting for a
-    # free buffer, when the first chunk fails.  ``caught`` keeps the exception
-    # and its frames alive, so no collection of them can end the worker.
-    run = DRIVERS[name]()
-    monkeypatch.setattr(T, "_haar_frame_factor", _scaled)
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", 1)
-    before = threading.active_count()
-    with pytest.raises(DomainError, match="conditional weights") as caught:
-        run()
-    assert threading.active_count() == before
-
-
 class _Fault(Exception):
     pass
 
 
-class _FailingGenerator:
-    """A generator whose third ``standard_normal`` call raises ``_Fault``."""
+class _RecordingGenerator:
+    """A generator that records the thread of each ``standard_normal`` call
+    and raises ``_Fault`` on call number ``fail_at``, if one is given."""
 
-    def __init__(self, rng):
-        self.rng, self.calls = rng, 0
+    def __init__(self, rng, fail_at=None):
+        self.rng, self.fail_at, self.threads = rng, fail_at, []
 
     def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == 3:
-            raise _Fault("third fill")
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail_at:
+            raise _Fault(f"draw {self.fail_at}")
         return self.rng.standard_normal(*args, **kwargs)
 
 
-def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
-    generator = RngStream.generator
-    monkeypatch.setattr(RngStream, "generator", lambda self: _FailingGenerator(generator(self)))
+def _record_generators(monkeypatch, fail_at=None):
+    """Wrap every generator a stream hands out; returns the list of them."""
+    generator, made = RngStream.generator, []
+
+    def wrapped(self):
+        made.append(_RecordingGenerator(generator(self), fail_at))
+        return made[-1]
+
+    monkeypatch.setattr(RngStream, "generator", wrapped)
+    return made
+
+
+def test_a_generator_error_reaches_the_caller(monkeypatch):
+    _record_generators(monkeypatch, fail_at=3)
     monkeypatch.setattr(T, "CHUNK_ENTRIES", 16)  # one theorem1 trial per chunk
     run, _, _ = CASES["theorem1"]()
-    before = threading.active_count()
-    with pytest.raises(_Fault, match="third fill"):
+    with pytest.raises(_Fault, match="draw 3"):
         run()
-    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_every_draw_runs_on_the_calling_thread(monkeypatch, name):
+    # 0.23.0 to 0.28.1 drew every chunk on a worker thread.
+    run, _, entries = CASES[name]()
+    made = _record_generators(monkeypatch)
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 3 * entries)
+    run()
+    threads = [thread for rng in made for thread in rng.threads]
+    assert len(threads) > 1 and set(threads) == {threading.get_ident()}
 
 
 @st.composite
@@ -470,7 +466,7 @@ def test_bad_member_pairs_rejected(d1, d2, pairs, error, message):
 def _engine_draws(stream, n_trials, entries, shapes):
     """Every Gaussian array ``_run_trials`` hands ``evaluate``, stacked over
     the trials and scaled by sqrt(1/2) as ``ginibre`` scales its draws, and
-    the number of chunks.  The arrays are views of the worker's buffers,
+    the number of chunks.  The arrays are views of the engine's buffer,
     which it refills once ``evaluate`` returns, so each is copied, scaled,
     before that."""
     seen = []
@@ -499,9 +495,9 @@ def test_trials_draw_in_sequence_from_one_generator(monkeypatch, per_chunk, chun
 
 
 def test_a_chunk_keeps_its_draws_until_evaluate_returns(monkeypatch):
-    # ``evaluate`` reads views of the worker's buffer, which the worker must
-    # not refill before ``evaluate`` returns.  Each chunk sleeps long enough
-    # for a worker that had the buffer back to fill it many times over.
+    # ``evaluate`` reads views of the engine's buffer, which must not be
+    # refilled before ``evaluate`` returns.  Each chunk sleeps long enough
+    # for any drawing of the next chunk that runs beside it to refill it.
     monkeypatch.setattr(T, "CHUNK_ENTRIES", 8)  # one trial per chunk
     changed = []
 
@@ -515,36 +511,10 @@ def test_a_chunk_keeps_its_draws_until_evaluate_returns(monkeypatch):
     assert changed == [False] * 12
 
 
-class _SlowGenerator:
-    """A generator whose every ``standard_normal`` call first sleeps 20 ms."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def standard_normal(self, *args, **kwargs):
-        time.sleep(0.02)
-        return self.rng.standard_normal(*args, **kwargs)
-
-
-def test_the_caller_blocks_while_it_waits_for_a_chunk(monkeypatch):
-    # Ten one-trial chunks, each filled in 20 ms: a caller that spun while
-    # it waited would spend most of the 200 ms on its own CPU time.
-    generator = RngStream.generator
-    monkeypatch.setattr(RngStream, "generator", lambda self: _SlowGenerator(generator(self)))
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", 8)
-
-    def evaluate(z):
-        return np.zeros(len(z)), np.zeros(len(z))
-
-    start = time.thread_time()
-    T._run_trials(RngStream(353), 10, 8, [(4, 1)], evaluate)
-    assert time.thread_time() - start < 0.25 * 10 * 0.02
-
-
 def test_concurrent_calls_each_draw_their_own_sequence(monkeypatch):
-    # Four callers, each with its own worker, at one trial per chunk and a
-    # 1 us switch interval, so that the handoffs interleave as often as they
-    # can; every call still gets the serial draws of its own generator.
+    # Four callers at one trial per chunk and a 1 us switch interval, so
+    # that their chunks interleave as often as they can; every call still
+    # gets the serial draws of its own generator.
     shapes, n_trials, entries = [(3, 1), (4, 2)], 40, 8
     monkeypatch.setattr(T, "CHUNK_ENTRIES", entries)
     expected, got = [], {}

@@ -127,6 +127,15 @@ class TestTestFunction:
         with pytest.raises(DomainError, match="at least one coefficient"):
             polynomial(np.array([1.0, 0.0]), [])
 
+    def test_polynomial_freezes_a_copy_of_the_callers_coefficients(self):
+        # 0.28.1 froze the caller's own array and kept it as f.coefficients.
+        c = np.array([0.0, 1.0])
+        f = polynomial([1.0, 0.0], c)
+        assert c.flags.writeable and f.coefficients is not c
+        assert not f.coefficients.flags.writeable
+        c[1] = 5.0
+        assert f.coefficients.tolist() == [0.0, 1.0] and f.bound == 1.0
+
 
     @pytest.mark.parametrize("make, name", [
         (lambda: T.TestFunction("overlap_sq", [np.nan, 1.0]), "phi"),
