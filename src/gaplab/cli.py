@@ -30,6 +30,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,25 +38,19 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, GaplabError
 from .hilbert import DensityMatrix
-from .randomness import RngStream, _real, haar_unitary
-from . import typicality as T
+from .randomness import RngStream, _float_array, _real, haar_unitary
+from . import randomness, typicality as T
 
 F_KINDS = ("overlap_sq", "real_part", "cap_indicator", "polynomial")
 
-_NUMERIC = (int, float, np.integer, np.floating)
-
 
 def _integer(key: str, value, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``.  Booleans, strings and
-    non-integral numbers raise a ConfigError naming the key instead of being
-    coerced (``int(True)`` would silently mean 1)."""
-    if (isinstance(value, bool)
-            or not isinstance(value, _NUMERIC)
-            or (isinstance(value, (float, np.floating)) and not float(value).is_integer())):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key}: must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    """``value`` as an int of at least ``minimum``, an integral float read as
+    its int.  Booleans, strings and non-integral numbers raise a ConfigError
+    naming the key instead of being coerced (``int(True)`` would mean 1)."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    return _named(key, randomness._integer, "value", value, minimum)
 
 
 def _number(key: str, value) -> float:
@@ -69,9 +64,10 @@ def _number(key: str, value) -> float:
 def _numbers(key: str, value) -> np.ndarray:
     """A nonempty list of finite numbers as a float array, or a ConfigError
     naming the key."""
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{key}: expected a nonempty list of numbers, got {value!r}")
-    return np.array([_number(key, v) for v in value], dtype=float)
+    array = _float_array(value, float) if isinstance(value, (list, tuple)) else None
+    if array is None or array.ndim != 1 or not array.size or not np.isfinite(array).all():
+        raise ConfigError(f"{key}: expected a nonempty list of finite numbers, got {value!r}")
+    return array
 
 
 # Entries of the largest array one sweep point may allocate, 1 GiB of
@@ -144,7 +140,10 @@ class ExperimentConfig:
                                   f"cannot sweep {param!r}")
             if not values:
                 raise ConfigError("sweep: expected at least one value")
-            self.sweep = {param: [_integer("sweep", v, 1) for v in values]}
+            values = [_integer("sweep", v, 1) for v in values]
+            if len(set(values)) < len(values):  # each point is labelled by its value
+                raise ConfigError(f"sweep: values must be distinct, got {values}")
+            self.sweep = {param: values}
         if self.f_spec.get("kind") not in F_KINDS:
             raise ConfigError(f"f_spec.kind: unknown value {self.f_spec.get('kind')!r}")
         for f in fields(self):  # summary.json echoes every field
@@ -211,10 +210,10 @@ def _resolve_phi(spec, dim: int) -> np.ndarray:
                 raise ConfigError(f"f_spec.phi: index {k} outside 1..{dim}")
             return np.eye(dim, dtype=complex)[k - 1]
         raise ConfigError(f"f_spec.phi: unknown name {spec!r}")
-    pairs = [_numbers("f_spec.phi", p) for p in spec] if isinstance(spec, (list, tuple)) else None
-    if pairs is None or any(p.shape != (2,) for p in pairs):
+    pairs = _float_array(spec, float) if isinstance(spec, (list, tuple)) else None
+    if pairs is None or pairs.shape[1:] != (2,) or not np.isfinite(pairs).all():
         raise ConfigError(f"f_spec.phi: expected a name or [[re, im], ...], got {spec!r}")
-    arr = np.array([complex(re, im) for re, im in pairs])
+    arr = pairs.view(complex)[:, 0]  # complex(re, im), bit for bit
     if arr.shape != (dim,):
         raise ConfigError(f"f_spec.phi: expected {dim} entries, got {arr.shape}")
     with np.errstate(over="ignore"):
@@ -436,19 +435,16 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def trials_csv(report: ExperimentReport) -> str:
-    """One row per trial, formatted a column at a time: floats by ``repr``,
-    pass flags as 1/0."""
-    lines = ["experiment,dim,trial,discrepancy,pass,auxiliary"]
-    name = report.config["experiment"]
-    for p in report.points:
-        out = p.outcome
-        columns = (map(str, range(len(out.discrepancies))),
-                   map(repr, out.discrepancies.tolist()),
-                   np.where(out.passed, "1", "0").tolist(),
-                   map(repr, out.auxiliary.tolist()))
-        prefix = f"{name},{p.dim},"
-        lines.extend(prefix + ",".join(row) for row in zip(*columns))
-    return "\n".join(lines) + "\n"
+    """One row per trial, formatted by one ``%`` per sweep point: floats by
+    ``repr`` (``%r``), pass flags as 1/0 (``%d``)."""
+    name = report.config["experiment"].replace("%", "%%")
+    chunks = ["experiment,dim,trial,discrepancy,pass,auxiliary\n"]
+    for dim, out in report.points:
+        n = len(out.discrepancies)
+        rows = zip(range(n), out.discrepancies.tolist(), out.passed.tolist(),
+                   out.auxiliary.tolist())
+        chunks.append(f"{name},{dim},%d,%r,%d,%r\n" * n % tuple(chain.from_iterable(rows)))
+    return "".join(chunks)
 
 
 def emit_plot_data(report: ExperimentReport) -> str:

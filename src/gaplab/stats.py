@@ -16,7 +16,10 @@ __all__ = [
 
 def ks_statistic(sample, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
-    return _ks_sorted(np.sort(_sample("sample", sample)), cdf)
+    x = np.sort(_sample("sample", sample))
+    if x.size and np.isnan(x[-1]):  # the sort puts NaN last
+        raise DomainError("sample must not contain NaN")
+    return _ks_sorted(x, cdf)
 
 
 def _sample(name: str, values) -> np.ndarray:

@@ -49,6 +49,10 @@ with its residual on numpy arrays.
 the engine folded its Haar frames into the amplitude factors by one Cholesky
 factorization; the tests compare the folded branches with it.
 
+``trials_csv_by_columns`` is ``gaplab.cli.trials_csv`` up to 0.28.2, which
+formatted each column by ``str``, ``repr`` and ``np.where`` and joined the
+rows one at a time; the tests compare its bytes with the library's.
+
 ``gram_schmidt_twice_by_division``, ``scaled_haar_blocks_by_concatenation``,
 ``submatrix_outcome_by_parts``, ``poly_sup_by_polynomial_class`` and
 ``poly_sup_by_horner_on_floats`` keep the plain forms of the submatrix draw,
@@ -866,3 +870,18 @@ def hermitian_abs_eigensum(m):
     """Sum of |eigenvalues| of a Hermitian matrix (trace-norm oracle)."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
+
+def trials_csv_by_columns(report) -> str:
+    """``trials.csv`` of a ``gaplab.cli.ExperimentReport``, formatted a
+    column at a time and joined row by row."""
+    lines = ["experiment,dim,trial,discrepancy,pass,auxiliary"]
+    name = report.config["experiment"]
+    for p in report.points:
+        out = p.outcome
+        columns = (map(str, range(len(out.discrepancies))),
+                   map(repr, out.discrepancies.tolist()),
+                   np.where(out.passed, "1", "0").tolist(),
+                   map(repr, out.auxiliary.tolist()))
+        prefix = f"{name},{p.dim},"
+        lines.extend(prefix + ",".join(row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"

@@ -359,6 +359,9 @@ def rng():
      "sample must be a 1-D list of real numbers"),
     (lambda: ks_vs_exponential([10 ** 400, 1]), DomainError,
      "sample must be a 1-D list of real numbers"),
+    # 0.28.2 returned NaN for both.
+    (lambda: ks_vs_exponential([0.5, np.nan]), DomainError, "sample must not contain NaN"),
+    (lambda: ks_statistic([np.nan], lambda x: x), DomainError, "sample must not contain NaN"),
     (lambda: spearman("ab", [1, 2]), DomainError,
      "x must be a 1-D list of real numbers, got 'ab'"),
     (lambda: spearman([1, 2], [[1], [1, 2]]), DomainError,

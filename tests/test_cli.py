@@ -18,6 +18,7 @@ from gaplab.cli import (
     ExperimentReport,
     PRESETS,
     Point,
+    _resolve_phi,
     emit_plot_data,
     main,
     parse_config,
@@ -32,7 +33,7 @@ from gaplab import typicality
 from gaplab.errors import ConfigError
 from gaplab.randomness import RngStream, haar_unitary
 
-from _oracles import two_sample_ks
+from _oracles import trials_csv_by_columns, two_sample_ks
 
 
 TINY = {
@@ -200,6 +201,9 @@ class TestConfigErrorsNameTheKey:
         ("sweep", {"sweep": {"d2": [16], "dR": [4]}}),
         ("sweep", {"sweep": [16, 32]}),
         ("sweep", {"sweep": {"d2": []}}),
+        # Two points labelled dim = 16: 0.28.2 ran both.
+        ("sweep", {"sweep": {"d2": [16, 16]}}),
+        ("sweep", {"sweep": {"d2": [16, 16.0]}}),
         ("f_spec.kind", {"f_spec": {"kind": "cubic"}}),
         ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": "e"}}),
         ("f_spec.phi", {"f_spec": {"kind": "overlap_sq", "phi": "x1"}}),
@@ -416,6 +420,13 @@ class TestPhiResolution:
         cfg = parse_config(write_config(tmp_path, payload))
         assert run(cfg).points
 
+    def test_explicit_pairs_read_as_complex_bit_for_bit(self):
+        pairs = [[-0.0, 0.1], [0.30000000000000004, -0.0], [1e-310, -2.5]]
+        phi = _resolve_phi(pairs, 3)
+        expected = [complex(re, im) for re, im in pairs]
+        assert phi.shape == (3,)
+        assert np.array_equal(phi.view(np.uint64), np.array(expected).view(np.uint64))
+
     def test_bad_phi_name(self, tmp_path):
         payload = dict(TINY, f_spec={"kind": "overlap_sq", "phi": "e9"})
         with pytest.raises(ConfigError, match="phi"):
@@ -478,6 +489,27 @@ class TestRunAndFiles:
             "theorem1,16,1,2.5,0,1e-17\n"
             "theorem1,64,0,1.0,1,0.125\n"
         )
+
+    @settings(database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_trials_csv_keeps_the_bytes_of_the_column_writer(self, data):
+        discrepancies = st.one_of(
+            st.sampled_from([0.0, 5e-324, 2.2250738585072e-308, 1e-300, 1e300,
+                             0.30000000000000004, 1.2345678901234567]),
+            st.floats(0.0, 1e300))  # the point's median must not overflow
+        auxiliaries = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), st.floats())
+        points = []
+        for dim in data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3,
+                                      unique=True)):
+            n = data.draw(st.integers(1, 20))
+            points.append(Point(dim, typicality.ExperimentOutcome(
+                np.array(data.draw(st.lists(discrepancies, min_size=n, max_size=n))),
+                np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+                np.array(data.draw(st.lists(auxiliaries, min_size=n, max_size=n))),
+                0.0, 0.5)))
+        name = data.draw(st.sampled_from(["theorem1", "100%", "%d%r%%", "%(x)s"]))
+        report = ExperimentReport(config={"experiment": name}, points=points, wall_time_s=0.0)
+        assert trials_csv(report) == trials_csv_by_columns(report)
 
     def test_cap_at_threshold_one_passes_on_a_pure_target(self):
         # Every conditional wave function is e1 up to a phase, so mu(f) = 1
