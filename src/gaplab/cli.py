@@ -542,6 +542,12 @@ PRESETS: dict[str, dict] = {
         "f_spec": {"kind": "cap_indicator", "phi": "e1", "threshold": 0.5},
         "epsilon": 0.15, "delta": 0.15, "n_trials": 300, "seed": 20260813,
     },
+    "theorem4-wrong-target": {
+        "experiment": "theorem4", "d1": 2, "d2": 64, "dR": 128,
+        "rho_spec": {"spectrum": [0.7, 0.3], "basis_seed": None},
+        "f_spec": {"kind": "cap_indicator", "phi": "e1", "threshold": 0.5},
+        "epsilon": 0.15, "delta": 0.15, "n_trials": 300, "seed": 20260813,
+    },
     "theorem3-subspace": {
         "experiment": "theorem3", "d1": 2, "d2": 64, "dR": 64, "n_trials": 300,
         "f_spec": {"kind": "polynomial", "phi": "e1", "coefficients": [0.0, 0.0, 1.0]},
@@ -576,6 +582,8 @@ PRESET_NOTES = {
                          "random bases by Haar invariance (test_criterion_06), d2=64"),
     "theorem3-fullspace": "full product space as the subspace, continuous test function",
     "theorem4-fullspace": "full product space against the maximally mixed target",
+    "theorem4-wrong-target": ("control that must fail: full product space against "
+                              "diag(0.7, 0.3), at trace distance 0.4 from I/2"),
     "theorem3-subspace": "random half-dimensional subspace (dense basis), u^2 at e1",
     "canonical-typicality-default": "reduced-state concentration at d1=2, d2=50, dim 100",
     "thermal-twolevel": "two-level system, 200-level bath, energy window [10, 10.5]",

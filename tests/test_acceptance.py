@@ -5,6 +5,8 @@ single PASS/FAIL line (use ``pytest tests/test_acceptance.py -v -s`` to see
 the lines as they run).
 """
 
+import json
+
 import numpy as np
 
 from gaplab import (
@@ -20,7 +22,7 @@ from gaplab import (
     uniform_sphere,
 )
 from gaplab import typicality as T
-from gaplab.cli import ExperimentConfig, run, trials_csv
+from gaplab.cli import ExperimentConfig, preset_config, run, summary_json, trials_csv
 
 from _oracles import (
     BipartiteState,
@@ -251,3 +253,16 @@ def test_criterion_10_reproducibility():
     second = trials_csv(run(ExperimentConfig.from_dict(dict(payload))))
     report(10, "byte-identical reruns", first == second,
            f"{len(first)} bytes compared")
+
+
+def test_control_11_theorem4_wrong_target_fails():
+    # A control that must fail: the full space's shell state is I/2, at
+    # trace distance 0.4 from the target diag(0.7, 0.3), so its conditional
+    # wave functions are not GAP(target)-distributed and few trials pass.
+    points = [json.loads(summary_json(run(preset_config("theorem4-wrong-target", overrides))))
+              ["summary"]["points"][0] for overrides in ({}, {"seed": 7})]
+    ok = not any(p["extra"]["meets_delta"] for p in points)
+    report(11, "theorem 4 wrong-target control fails", ok,
+           "pass fractions " + ", ".join(f"{p['pass_fraction']:.3f}" for p in points)
+           + f" (need < 0.85 at the preset seed and seed 7); target distance "
+           f"{points[0]['extra']['target_distance']:.2f}")

@@ -202,18 +202,23 @@ def test_chunk_checks_reject_what_the_public_constructors_reject():
     np.testing.assert_array_equal(rho, [factor, factor])
     np.testing.assert_array_equal(T._amplitude_factor(rho, 2), [factor, factor])
     assert np.allclose(np.abs(np.linalg.eigvalsh(rho - target.matrix)).sum(axis=-1), 1.0)
-    singular, nan = good.copy(), good.copy()
+    singular, nan, inf = good.copy(), good.copy(), good.copy()
     singular[1, 1, 1] = 0.0  # a zero column
     nan[1, 0, 0] = np.nan
+    inf[1, 2, 0] = np.inf
     with pytest.raises(DomainError, match="Gram matrix is not positive definite"):
         _haar_frame_factor(singular, factor)
-    # A NaN passes the Cholesky factorization as NaN; a state of norm 2 has
-    # weights that sum to 4 (and a reduced trace of 4).
-    for draw, a in ((nan, factor), (good, 2.0 * factor)):
-        with pytest.raises(DomainError, match="conditional weights"):
+    # A NaN or inf passes the Cholesky factorization as NaN; a state of norm
+    # 2 has weights that sum to 4 (and a reduced trace of 4).  An inf entry
+    # makes numpy warn of an invalid value on its way to the one check.
+    for draw, a in ((nan, factor), (inf, factor), (good, 2.0 * factor)):
+        with pytest.raises(DomainError, match="conditional weights"), \
+                np.errstate(invalid="ignore"):
             T._conditional_integrals(*_haar_frame_factor(draw, a), f)
-    for bad in (2.0 * state, np.where(np.arange(4) == 0, np.nan, state)):
-        with pytest.raises(DomainError, match="reduced density matrices"):
+    for bad in (2.0 * state, np.where(np.arange(4) == 0, np.nan, state),
+                np.where(np.arange(4) == 3, np.inf, state)):
+        with pytest.raises(DomainError, match="reduced density matrices"), \
+                np.errstate(invalid="ignore"):
             T._reduced_matrices(bad)
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -545,6 +546,15 @@ class TestExperimentOutcome:
             got = self._statistics(out)
             assert all(type(v) is float for v in got)
             assert [v.hex() for v in got] == [v.hex() for v in expected], n
+
+    def test_near_maximal_discrepancies_keep_finite_statistics(self):
+        # The mean of the two middle values, as np.median takes it,
+        # overflows to inf here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.ExperimentOutcome(np.array([8.988465674311579e307, 8.98846567431158e307]),
+                                      np.array([False, False]), np.full(2, np.nan), 0.0, 0.5)
+        assert all(np.isfinite([out.median_discrepancy, out.q10, out.q90]))
 
     def test_replace_recomputes_the_statistics(self):
         out = T.ExperimentOutcome(np.array([0.4, 0.1, 0.3, 0.2]),
